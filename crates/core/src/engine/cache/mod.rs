@@ -324,7 +324,7 @@ impl ModelCache {
     pub(crate) fn remove_hashes(&self, hashes: &std::collections::HashSet<u64>) -> u64 {
         let mut map = self.map.lock().expect("model cache poisoned");
         let before = map.len();
-        map.retain(|key, _| !hashes.contains(&crate::session::model_key_fold(key)));
+        map.retain(|key, _| !hashes.contains(&crate::session::model_key_fold(&key.0, key.1)));
         (before - map.len()) as u64
     }
 

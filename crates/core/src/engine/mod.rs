@@ -35,6 +35,7 @@ mod unit;
 
 pub use cache::{CacheCapacity, CacheStats, PoolCache, PreparedModel};
 pub use obs::EngineObs;
+use unit::{PlannedUnit, UnionResolver};
 pub use unit::{UnitKey, WorkUnit};
 
 use crate::database::{PpdDatabase, Update};
@@ -79,7 +80,8 @@ struct Pending<'a> {
     /// The session's model content hash — the invalidation reverse-index
     /// key under which this unit is filed when its value is cached.
     model_hash: u64,
-    union: PatternUnion,
+    /// The union to solve, in canonical member order.
+    union: Arc<PatternUnion>,
     session: &'a Session,
     labeling: &'a Labeling,
     /// The solver family that will produce this unit's number. Per-unit
@@ -493,20 +495,24 @@ impl Engine {
         let prel = db
             .preference_relation(&plan.prelation)
             .ok_or_else(|| PpdError::UnknownName(plan.prelation.clone()))?;
-        // First-seen-wins over unit keys — the same identity rule
-        // `solve_requests` applies (both sides reduce to `UnitKey::new`, so
-        // the reported units are exactly the ones a grouped evaluation
-        // would solve).
-        let mut seen: HashSet<UnitKey> = HashSet::new();
+        // First-seen-wins over unit identities — the same rule `plan_wave`
+        // applies, so the reported units are exactly the ones a grouped
+        // evaluation would solve.
+        let mut resolver = UnionResolver::default();
+        let mut seen: HashSet<PlannedUnit<'_>> = HashSet::new();
         let mut units = Vec::new();
         for squery in &plan.sessions {
             let session = &prel.sessions()[squery.session_index];
-            let (key, order) = UnitKey::new(session, &squery.union, &plan.labeling);
-            if seen.insert(key.clone()) {
+            let resolved = resolver.resolve(
+                &squery.union,
+                &plan.labeling,
+                session.model().sigma().items(),
+            );
+            if seen.insert(resolved.unit_of(session)) {
                 units.push(WorkUnit {
-                    union: UnitKey::ordered_union(&squery.union, &order),
+                    key: resolved.key_for(session),
+                    union: Arc::clone(&resolved.ordered),
                     session_index: squery.session_index,
-                    key,
                 });
             }
         }
@@ -1093,20 +1099,27 @@ impl Engine {
             ) => Some(*samples_per_proposal),
             _ => None,
         };
-        let mut unit_of_key: HashMap<UnitKey, usize> = HashMap::new();
+        // What a request shares with the other sessions of its query — the
+        // union's canonical form — is resolved once for all of them; per
+        // request only the model is folded in.
+        let mut resolver = UnionResolver::default();
+        let mut unit_of: HashMap<PlannedUnit<'a>, usize> = HashMap::new();
         let mut pending: Vec<Pending<'a>> = Vec::new();
         let mut sources: Vec<Source> = Vec::with_capacity(requests.len());
         for request in requests {
-            let (key, order) = UnitKey::new(request.session, request.union, request.labeling);
-            let m = request.session.model().num_items();
+            let sigma = request.session.model().sigma().items();
+            let resolved = resolver.resolve(request.union, request.labeling, sigma);
+            let planned = resolved.unit_of(request.session);
+            let m = sigma.len();
             let fingerprint = self.unit_fingerprint(request.union, m, force_exact);
             if grouping {
-                if let Some(&unit) = unit_of_key.get(&key) {
+                if let Some(&unit) = unit_of.get(&planned) {
                     sources.push(Source::Unit(unit));
                     continue;
                 }
             }
-            let hash = key.stable_hash();
+            let model_hash = request.session.model_key_hash();
+            let hash = resolved.stable_hash(model_hash);
             if grouping {
                 if let Some(p) = self.marginals.get(hash, fingerprint) {
                     self.obs.cache_hit();
@@ -1115,11 +1128,9 @@ impl Engine {
                 }
                 self.obs.cache_miss();
             }
-            // Only actual cache misses pay for materializing the canonical
-            // union (pattern clones); duplicates and hits stop above.
             let unit = pending.len();
             if grouping {
-                unit_of_key.insert(key, unit);
+                unit_of.insert(planned, unit);
             }
             let class = match request.union.classify() {
                 UnionClass::TwoLabel => 0u8,
@@ -1127,9 +1138,9 @@ impl Engine {
                 UnionClass::General => 2,
             };
             pending.push(Pending {
-                union: UnitKey::ordered_union(request.union, &order),
+                union: Arc::clone(&resolved.ordered),
                 hash,
-                model_hash: request.session.model_key_hash(),
+                model_hash,
                 session: request.session,
                 labeling: request.labeling,
                 fingerprint,

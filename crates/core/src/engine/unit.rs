@@ -18,6 +18,8 @@
 use crate::session::{fnv1a_extend, model_key_fold, Session};
 use ppd_patterns::{Labeling, Pattern, PatternUnion};
 use ppd_rim::Item;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A node selector resolved to the sorted set of items it matches.
 type CanonicalNode = Vec<Item>;
@@ -31,8 +33,9 @@ type CanonicalPattern = (Vec<CanonicalNode>, Vec<(usize, usize)>);
 pub struct UnitKey {
     /// The model content: centre ranking items and dispersion bits.
     model_key: (Vec<Item>, u64),
-    /// Canonical patterns, sorted and deduplicated.
-    patterns: Vec<CanonicalPattern>,
+    /// Canonical patterns, sorted and deduplicated; shared by every unit
+    /// whose union resolved to them.
+    patterns: Arc<[CanonicalPattern]>,
 }
 
 /// One deduplicated piece of solver work: the key, the union to hand to the
@@ -43,70 +46,38 @@ pub struct UnitKey {
 pub struct WorkUnit {
     /// Content identity of the unit.
     pub key: UnitKey,
-    /// The union to solve, in canonical member order.
-    pub union: PatternUnion,
+    /// The union to solve, in canonical member order; shared by every unit
+    /// of the plan that differs only in its model.
+    pub union: Arc<PatternUnion>,
     /// Index (within the p-relation) of the first session that produced this
     /// unit; its model is the unit's model.
     pub session_index: usize,
 }
 
 impl UnitKey {
-    /// Builds the key for a session's union under a plan's labeling, along
-    /// with the canonical member order: indices into `union.patterns()`,
-    /// sorted by canonical form and deduplicated. The union to actually
-    /// solve is only materialized by [`UnitKey::ordered_union`] — callers
-    /// that dedupe or hit a cache never pay for pattern clones.
-    ///
-    /// Selectors are resolved against the session model's item universe, so
-    /// label-id differences between queries (e.g. derived `@pred:` labels
-    /// interned in different orders) cannot split or — worse — merge units
-    /// that differ in content.
-    pub fn new(session: &Session, union: &PatternUnion, labeling: &Labeling) -> (Self, Vec<usize>) {
-        let universe = session.model().sigma().items();
-        let mut canonical: Vec<(CanonicalPattern, usize)> = union
-            .patterns()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (canonicalize_pattern(p, universe, labeling), i))
-            .collect();
-        canonical.sort_by(|(a, _), (b, _)| a.cmp(b));
-        canonical.dedup_by(|(a, _), (b, _)| a == b);
-        let (patterns, order): (Vec<CanonicalPattern>, Vec<usize>) = canonical.into_iter().unzip();
-        let key = UnitKey {
-            model_key: session.model_key(),
-            patterns,
-        };
-        (key, order)
-    }
-
-    /// Materializes the union to hand to the solver from the member order
-    /// [`UnitKey::new`] computed: the original patterns, reordered into
-    /// canonical order (and with duplicates dropped), so estimates cannot
-    /// depend on the order the query grounding happened to emit.
-    pub fn ordered_union(union: &PatternUnion, order: &[usize]) -> PatternUnion {
-        PatternUnion::new(order.iter().map(|&i| union.patterns()[i].clone()).collect())
-            .expect("canonical order is non-empty: built from a non-empty union")
+    /// The key of one session's union under a plan's labeling, along with
+    /// the union to hand to the solver: the original patterns in canonical
+    /// order, duplicates dropped. A plan of one: the engine plans many
+    /// sessions through one resolver, which does the union's share of this
+    /// once for all of them.
+    pub fn new(
+        session: &Session,
+        union: &PatternUnion,
+        labeling: &Labeling,
+    ) -> (Self, Arc<PatternUnion>) {
+        let mut resolver = UnionResolver::default();
+        let resolved = resolver.resolve(union, labeling, session.model().sigma().items());
+        (resolved.key_for(session), Arc::clone(&resolved.ordered))
     }
 
     /// A stable FNV-1a hash of the key's content. Identical across
     /// processes, platforms, and toolchain versions. The model part is
     /// [`Session::model_key_hash`].
     pub fn stable_hash(&self) -> u64 {
-        let mut h = model_key_fold(&self.model_key);
-        for (nodes, edges) in &self.patterns {
-            h = fnv1a_extend(h, b"pattern");
-            for node in nodes {
-                h = fnv1a_extend(h, b"node");
-                for &item in node {
-                    h = fnv1a_extend(h, &item.to_le_bytes());
-                }
-            }
-            for &(from, to) in edges {
-                h = fnv1a_extend(h, &(from as u64).to_le_bytes());
-                h = fnv1a_extend(h, &(to as u64).to_le_bytes());
-            }
-        }
-        h
+        fold_patterns(
+            model_key_fold(&self.model_key.0, self.model_key.1),
+            &self.patterns,
+        )
     }
 
     /// Derives the unit's RNG seed from the engine's base seed and the key's
@@ -127,6 +98,143 @@ impl UnitKey {
     }
 }
 
+/// Continues a model-key hash over canonical patterns: the union part of
+/// [`UnitKey::stable_hash`].
+fn fold_patterns(mut h: u64, patterns: &[CanonicalPattern]) -> u64 {
+    for (nodes, edges) in patterns {
+        h = fnv1a_extend(h, b"pattern");
+        for node in nodes {
+            h = fnv1a_extend(h, b"node");
+            for &item in node {
+                h = fnv1a_extend(h, &item.to_le_bytes());
+            }
+        }
+        for &(from, to) in edges {
+            h = fnv1a_extend(h, &(from as u64).to_le_bytes());
+            h = fnv1a_extend(h, &(to as u64).to_le_bytes());
+        }
+    }
+    h
+}
+
+/// A pattern union resolved against one item set: the union's share of a
+/// [`UnitKey`], the same for every session that ranks those items.
+///
+/// Selectors are resolved against the item universe, so label-id
+/// differences between queries (e.g. derived `@pred:` labels interned in
+/// different orders) cannot split or — worse — merge units that differ in
+/// content.
+#[derive(Debug)]
+pub(crate) struct ResolvedUnion {
+    /// Dense id of `patterns` within the resolver: two resolved unions carry
+    /// the same id exactly when their canonical patterns are equal, even if
+    /// they came from different queries.
+    content: usize,
+    patterns: Arc<[CanonicalPattern]>,
+    /// The union to hand to the solver: the original patterns reordered into
+    /// canonical order (and with duplicates dropped), so estimates cannot
+    /// depend on the order the query grounding happened to emit.
+    pub(crate) ordered: Arc<PatternUnion>,
+}
+
+impl ResolvedUnion {
+    /// The owned key of the unit `session` forms with this union.
+    pub(crate) fn key_for(&self, session: &Session) -> UnitKey {
+        UnitKey {
+            model_key: session.model_key(),
+            patterns: Arc::clone(&self.patterns),
+        }
+    }
+
+    /// [`UnitKey::stable_hash`] of that unit, from the session's
+    /// [`Session::model_key_hash`], without building the key.
+    pub(crate) fn stable_hash(&self, model_hash: u64) -> u64 {
+        fold_patterns(model_hash, &self.patterns)
+    }
+
+    /// That unit's identity within the resolver that produced `self`:
+    /// borrowed, so deduplicating a plan clones nothing per session. Two
+    /// sessions get equal identities exactly when their [`UnitKey`]s are
+    /// equal.
+    pub(crate) fn unit_of<'s>(&self, session: &'s Session) -> PlannedUnit<'s> {
+        PlannedUnit {
+            content: self.content,
+            phi_bits: session.model().phi().to_bits(),
+            sigma: session.model().sigma().items(),
+        }
+    }
+}
+
+/// See [`ResolvedUnion::unit_of`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct PlannedUnit<'s> {
+    content: usize,
+    phi_bits: u64,
+    sigma: &'s [Item],
+}
+
+/// A union and the labeling it is read under, by address.
+type Source = (*const PatternUnion, *const Labeling);
+
+/// Resolves the unions of one plan (or one wave of plans) to canonical
+/// form, once per distinct (union, labeling, item set) instead of once per
+/// session: a query without a session-join atom hands every session the
+/// same union, and sessions of one p-relation rank the same items.
+///
+/// Unions and labelings are told apart by address — they are borrowed for
+/// the resolver's lifetime, so an address names one object — which is only a
+/// short cut to a result that is a pure function of their content.
+#[derive(Debug, Default)]
+pub(crate) struct UnionResolver<'a> {
+    /// Per (union, labeling): the sorted item sets met so far, each with its
+    /// index into `resolved`.
+    by_source: HashMap<Source, Vec<(Vec<Item>, usize)>>,
+    resolved: Vec<ResolvedUnion>,
+    content_ids: HashMap<Arc<[CanonicalPattern]>, usize>,
+    borrows: std::marker::PhantomData<&'a PatternUnion>,
+}
+
+impl<'a> UnionResolver<'a> {
+    /// `union` under `labeling`, resolved against the items `sigma` ranks.
+    pub(crate) fn resolve(
+        &mut self,
+        union: &'a PatternUnion,
+        labeling: &'a Labeling,
+        sigma: &[Item],
+    ) -> &ResolvedUnion {
+        let item_sets = self
+            .by_source
+            .entry((union as *const _, labeling as *const _))
+            .or_default();
+        // A ranking holds each of its items once, so equal length plus
+        // containment is set equality.
+        let known = item_sets.iter().find(|(items, _)| {
+            items.len() == sigma.len() && sigma.iter().all(|i| items.binary_search(i).is_ok())
+        });
+        let index = match known {
+            Some(&(_, index)) => index,
+            None => {
+                let mut items = sigma.to_vec();
+                items.sort_unstable();
+                let (patterns, ordered) = canonicalize_union(union, &items, labeling);
+                let next_id = self.content_ids.len();
+                let content = *self
+                    .content_ids
+                    .entry(Arc::clone(&patterns))
+                    .or_insert(next_id);
+                item_sets.push((items, self.resolved.len()));
+                self.resolved.push(ResolvedUnion {
+                    content,
+                    patterns,
+                    ordered: Arc::new(ordered),
+                });
+                self.resolved.len() - 1
+            }
+        };
+        &self.resolved[index]
+    }
+}
+
 /// SplitMix64 finalizer: a specified, stable bijection on `u64` with good
 /// avalanche behaviour.
 fn splitmix64(mut z: u64) -> u64 {
@@ -136,6 +244,28 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The canonical patterns of `union` over `universe` (sorted by canonical
+/// form, deduplicated) and the union's own members in that order.
+fn canonicalize_union(
+    union: &PatternUnion,
+    universe: &[Item],
+    labeling: &Labeling,
+) -> (Arc<[CanonicalPattern]>, PatternUnion) {
+    let mut canonical: Vec<(CanonicalPattern, &Pattern)> = union
+        .patterns()
+        .iter()
+        .map(|p| (canonicalize_pattern(p, universe, labeling), p))
+        .collect();
+    canonical.sort_by(|(a, _), (b, _)| a.cmp(b));
+    canonical.dedup_by(|(a, _), (b, _)| a == b);
+    let (patterns, members): (Vec<CanonicalPattern>, Vec<Pattern>) =
+        canonical.into_iter().map(|(c, p)| (c, p.clone())).unzip();
+    let ordered = PatternUnion::new(members)
+        .expect("canonical order is non-empty: built from a non-empty union");
+    (patterns.into(), ordered)
+}
+
+/// `universe` is sorted, and candidates come back in universe order.
 fn canonicalize_pattern(
     pattern: &Pattern,
     universe: &[Item],
@@ -144,11 +274,7 @@ fn canonicalize_pattern(
     let nodes = pattern
         .nodes()
         .iter()
-        .map(|sel| {
-            let mut items = sel.candidates(universe, labeling);
-            items.sort_unstable();
-            items
-        })
+        .map(|sel| sel.candidates(universe, labeling))
         .collect();
     (nodes, pattern.edges().to_vec())
 }
@@ -189,10 +315,7 @@ mod tests {
         let (k2, o2) = UnitKey::new(&s, &u2, &lab);
         assert_eq!(k1, k2);
         assert_eq!(k1.stable_hash(), k2.stable_hash());
-        assert_eq!(
-            UnitKey::ordered_union(&u1, &o1),
-            UnitKey::ordered_union(&u2, &o2)
-        );
+        assert_eq!(o1, o2);
     }
 
     #[test]
@@ -200,8 +323,8 @@ mod tests {
         let s = session(0.5);
         let lab = labeling();
         let u = PatternUnion::new(vec![two_label(0, 1), two_label(0, 1)]).unwrap();
-        let (_, order) = UnitKey::new(&s, &u, &lab);
-        assert_eq!(UnitKey::ordered_union(&u, &order).num_patterns(), 1);
+        let (_, ordered) = UnitKey::new(&s, &u, &lab);
+        assert_eq!(ordered.num_patterns(), 1);
     }
 
     #[test]
@@ -242,5 +365,89 @@ mod tests {
             k1.seed(42),
             UnitKey::new(&session(0.5), &u, &lab).0.seed(42)
         );
+    }
+
+    /// The hash, the seeds and the member order of one fixed instance, as
+    /// the engine computed them before keying was hoisted out of the
+    /// per-session loop (PR 11). Cache keys, segment stores and every
+    /// sampled estimate hang off these numbers.
+    #[test]
+    fn stable_hash_and_seed_are_pinned() {
+        let s = Session::new(
+            vec![Value::from("golden")],
+            MallowsModel::new(Ranking::new(vec![2, 0, 3, 1]).unwrap(), 0.3).unwrap(),
+        );
+        let mut lab = Labeling::new();
+        lab.add_all(0, [0, 2]);
+        lab.add_all(1, [1]);
+        lab.add_all(2, [0]);
+        lab.add_all(3, [1, 2]);
+        let chain = Pattern::new(
+            vec![
+                NodeSelector::single(0),
+                NodeSelector::single(1),
+                NodeSelector::all_of([1, 2]),
+            ],
+            vec![(0, 1), (1, 2)],
+        )
+        .unwrap();
+        let u = PatternUnion::new(vec![two_label(1, 0), chain.clone(), two_label(1, 0)]).unwrap();
+        let (k, ordered) = UnitKey::new(&s, &u, &lab);
+        assert_eq!(s.model_key_hash(), 0x3a14_0e52_4078_7c79);
+        assert_eq!(k.stable_hash(), 0x86b1_8600_b450_871f);
+        assert_eq!(k.seed(42), 0x14ac_e570_adfd_b5ab);
+        assert_eq!(k.seed(0), 0x7232_4f1d_0956_8bf0);
+        assert_eq!(ordered.patterns(), [chain, two_label(1, 0)]);
+        // The planning path folds the same hash without building the key.
+        let mut resolver = UnionResolver::default();
+        let resolved = resolver.resolve(&u, &lab, s.model().sigma().items());
+        assert_eq!(resolved.stable_hash(s.model_key_hash()), k.stable_hash());
+        assert_eq!(resolved.key_for(&s), k);
+    }
+
+    #[test]
+    fn the_resolver_keys_on_the_item_set_not_only_on_the_union() {
+        // One union and labeling, two sessions ranking different items:
+        // label 0 selects {0, 2} among the first session's items and only
+        // {2} among the second's, so the two may not share a resolution.
+        let lab = labeling();
+        let u = PatternUnion::singleton(two_label(0, 1)).unwrap();
+        let wide = session(0.5);
+        let narrow = Session::new(
+            vec![Value::from("s")],
+            MallowsModel::new(Ranking::new(vec![3, 2, 1]).unwrap(), 0.5).unwrap(),
+        );
+        let mut resolver = UnionResolver::default();
+        let mut planned = Vec::new();
+        for s in [&wide, &narrow, &wide] {
+            let resolved = resolver.resolve(&u, &lab, s.model().sigma().items());
+            assert_eq!(resolved.key_for(s), UnitKey::new(s, &u, &lab).0);
+            planned.push(resolved.unit_of(s));
+        }
+        assert_ne!(planned[0], planned[1]);
+        assert_eq!(planned[0], planned[2]);
+        assert_eq!(resolver.resolved.len(), 2, "one resolution per item set");
+        // A permutation of the same items is the same item set.
+        let permuted = Session::new(
+            vec![Value::from("s")],
+            MallowsModel::new(Ranking::new(vec![1, 3, 0, 2]).unwrap(), 0.5).unwrap(),
+        );
+        resolver.resolve(&u, &lab, permuted.model().sigma().items());
+        assert_eq!(resolver.resolved.len(), 2);
+    }
+
+    #[test]
+    fn equal_content_from_different_unions_is_one_unit() {
+        // Two union objects (as two groundings of one query produce) with
+        // equal canonical content: their sessions must deduplicate.
+        let s = session(0.5);
+        let lab = labeling();
+        let u1 = PatternUnion::new(vec![two_label(0, 1), two_label(1, 0)]).unwrap();
+        let u2 = PatternUnion::new(vec![two_label(1, 0), two_label(0, 1)]).unwrap();
+        let items = s.model().sigma().items();
+        let mut resolver = UnionResolver::default();
+        let first = resolver.resolve(&u1, &lab, items).unit_of(&s);
+        let second = resolver.resolve(&u2, &lab, items).unit_of(&s);
+        assert_eq!(first, second);
     }
 }

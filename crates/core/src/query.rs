@@ -100,13 +100,13 @@ pub enum CompareOp {
     Eq,
     /// Not equal.
     Ne,
-    /// Strictly less than (numeric).
+    /// Strictly less than, in [`Value::compare`]'s order.
     Lt,
-    /// Less than or equal (numeric).
+    /// Less than or equal.
     Le,
-    /// Strictly greater than (numeric).
+    /// Strictly greater than.
     Gt,
-    /// Greater than or equal (numeric).
+    /// Greater than or equal.
     Ge,
 }
 
@@ -117,7 +117,7 @@ impl CompareOp {
             CompareOp::Eq => left.semantically_equals(right),
             CompareOp::Ne => !left.semantically_equals(right),
             CompareOp::Lt | CompareOp::Le | CompareOp::Gt | CompareOp::Ge => {
-                match left.compare_numeric(right) {
+                match left.compare(right) {
                     Some(ord) => match self {
                         CompareOp::Lt => ord.is_lt(),
                         CompareOp::Le => ord.is_le(),

@@ -49,18 +49,19 @@ impl Session {
     /// results reproducible across runs and independent of session order,
     /// grouping, and thread count.
     pub fn model_key_hash(&self) -> u64 {
-        model_key_fold(&self.model_key())
+        model_key_fold(self.model.sigma().items(), self.model.phi().to_bits())
     }
 }
 
-/// The FNV-1a fold underlying [`Session::model_key_hash`], shared with the
-/// engine's `UnitKey::stable_hash` so the two can never drift apart.
-pub(crate) fn model_key_fold(key: &(Vec<u32>, u64)) -> u64 {
+/// The FNV-1a fold underlying [`Session::model_key_hash`] — over the parts
+/// of a [`Session::model_key`], borrowed — shared with the engine's
+/// `UnitKey::stable_hash` so the two can never drift apart.
+pub(crate) fn model_key_fold(sigma: &[u32], phi_bits: u64) -> u64 {
     let mut h = FNV_OFFSET;
-    for &item in &key.0 {
+    for &item in sigma {
         h = fnv1a_extend(h, &item.to_le_bytes());
     }
-    fnv1a_extend(h, &key.1.to_le_bytes())
+    fnv1a_extend(h, &phi_bits.to_le_bytes())
 }
 
 /// FNV-1a offset basis (64-bit).

@@ -16,7 +16,9 @@ use crate::query::ConjunctiveQuery;
 use crate::translate::ground_query;
 use crate::{PpdError, Result};
 use ppd_patterns::{relaxed_upper_bound_union, PatternUnion};
-use std::collections::HashMap;
+use ppd_rim::Item;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 /// Evaluation strategy for `top(Q, k)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,25 +132,33 @@ pub(crate) fn most_probable_with_engine(
             // Stage 1: cheap upper bounds from the relaxed unions, as one
             // parallel wave. Bounds must be sound, so they are always solved
             // exactly regardless of the engine's solver choice.
-            let relaxed: Vec<PatternUnion> = plan
-                .sessions
-                .iter()
-                .map(|squery| {
-                    relaxed_upper_bound_union(
-                        &squery.union,
-                        prel.sessions()[squery.session_index].model().sigma(),
-                        &plan.labeling,
-                        edges_per_pattern,
-                    )
-                    .map_err(PpdError::from)
-                })
-                .collect::<Result<_>>()?;
+            // The relaxation reads the union and the centre ranking only,
+            // so sessions sharing both share one relaxed union.
+            let mut relaxed: Vec<PatternUnion> = Vec::new();
+            let mut relaxed_of: HashMap<(*const PatternUnion, &[Item]), usize> = HashMap::new();
+            let mut relaxed_index = Vec::with_capacity(plan.sessions.len());
+            for squery in &plan.sessions {
+                let sigma = prel.sessions()[squery.session_index].model().sigma();
+                let index = match relaxed_of.entry((Arc::as_ptr(&squery.union), sigma.items())) {
+                    Entry::Occupied(known) => *known.get(),
+                    Entry::Vacant(new) => {
+                        relaxed.push(relaxed_upper_bound_union(
+                            &squery.union,
+                            sigma,
+                            &plan.labeling,
+                            edges_per_pattern,
+                        )?);
+                        *new.insert(relaxed.len() - 1)
+                    }
+                };
+                relaxed_index.push(index);
+            }
             let ub_requests: Vec<UnitRequest<'_>> = plan
                 .sessions
                 .iter()
-                .zip(&relaxed)
-                .map(|(squery, union)| {
-                    request_for(prel, &plan.labeling, squery.session_index, union)
+                .zip(relaxed_index)
+                .map(|(squery, index)| {
+                    request_for(prel, &plan.labeling, squery.session_index, &relaxed[index])
                 })
                 .collect();
             let upper_bounds = engine.solve_requests(&ub_requests, true)?;
@@ -166,7 +176,7 @@ pub(crate) fn most_probable_with_engine(
             let union_of: HashMap<usize, &PatternUnion> = plan
                 .sessions
                 .iter()
-                .map(|s| (s.session_index, &s.union))
+                .map(|s| (s.session_index, &*s.union))
                 .collect();
             scores = evaluate_in_bound_order(&bounded, k, |session_index| {
                 let union = union_of

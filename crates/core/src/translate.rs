@@ -11,12 +11,14 @@
 
 use crate::database::PpdDatabase;
 use crate::query::{CompareOp, ConjunctiveQuery, Term};
+use crate::relation::Relation;
 use crate::value::Value;
 use crate::{PpdError, Result};
 use ppd_patterns::{
     LabelId, LabelInterner, Labeling, NodeSelector, Pattern, PatternError, PatternUnion,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Whether a query could be translated directly (itemwise) or required
 /// grounding of join variables (non-itemwise).
@@ -39,8 +41,9 @@ pub struct SessionQuery {
     /// Index of the session within its p-relation.
     pub session_index: usize,
     /// The union of label patterns equivalent to the (grounded) query on
-    /// this session.
-    pub union: PatternUnion,
+    /// this session. Sessions with the same session-join bindings hold the
+    /// same union — every session, when the query joins no session attribute.
+    pub union: Arc<PatternUnion>,
 }
 
 /// The result of grounding a query against a database: an effective labeling
@@ -144,14 +147,14 @@ pub fn ground_query(db: &PpdDatabase, query: &ConjunctiveQuery) -> Result<Ground
         .collect();
 
     // ---- Relation atoms: item atoms vs. session-join atoms. ----------------
-    struct SessionJoin {
-        relation: String,
+    struct SessionJoin<'db> {
+        relation: &'db Relation,
         join_column: usize,
         session_column: usize,
         bindings: Vec<(String, usize)>, // (variable, tuple column)
     }
     let mut item_atoms: Vec<(String, Vec<Term>)> = Vec::new(); // key var, terms
-    let mut session_joins: Vec<SessionJoin> = Vec::new();
+    let mut session_joins: Vec<SessionJoin<'_>> = Vec::new();
     for atom in query.relation_atoms() {
         let rel = db
             .relation(&atom.relation)
@@ -186,7 +189,7 @@ pub fn ground_query(db: &PpdDatabase, query: &ConjunctiveQuery) -> Result<Ground
                     .filter_map(|(col, t)| t.as_var().map(|v| (v.to_string(), col)))
                     .collect();
                 session_joins.push(SessionJoin {
-                    relation: atom.relation.clone(),
+                    relation: rel,
                     join_column,
                     session_column,
                     bindings,
@@ -300,34 +303,19 @@ pub fn ground_query(db: &PpdDatabase, query: &ConjunctiveQuery) -> Result<Ground
         domains.insert(var.clone(), domain);
     }
 
-    // ---- Per-session grounding and translation. ------------------------------
-    let mut sessions = Vec::new();
-    'session: for (sidx, session) in prel.sessions().iter().enumerate() {
-        // Session-level selections.
-        for (col, op, value) in &session_filters {
-            if !op.eval(&session.attrs()[*col], value) {
-                continue 'session;
-            }
-        }
-        // Session-join bindings.
+    // ---- Per-session selection; grounding and translation per binding. -----
+    // Everything above is the query's; what a session adds is θ, its
+    // session-join bindings. The union is a function of θ alone, so it is
+    // built once per distinct θ (`None`: no satisfiable grounding) and shared.
+    let assignments = cartesian(&grounding_vars, &domains);
+    let mut build_union = |bound: &[Value]| -> Result<Option<Arc<PatternUnion>>> {
         let mut theta: BTreeMap<String, Value> = propagated.clone();
-        for join in &session_joins {
-            let rel = db
-                .relation(&join.relation)
-                .ok_or_else(|| PpdError::UnknownName(join.relation.clone()))?;
-            let key = &session.attrs()[join.session_column];
-            let matches = rel.select_eq(join.join_column, key);
-            let Some(tuple) = matches.first() else {
-                continue 'session;
-            };
-            for (var, col) in &join.bindings {
-                theta.insert(var.clone(), tuple[*col].clone());
-            }
+        let vars = session_joins.iter().flat_map(|j| &j.bindings);
+        for ((var, _), value) in vars.zip(bound) {
+            theta.insert(var.clone(), value.clone());
         }
-        // Enumerate grounding assignments.
-        let assignments = cartesian(&grounding_vars, &domains);
         let mut patterns: Vec<Pattern> = Vec::new();
-        for nu in assignments {
+        for nu in &assignments {
             match build_pattern(
                 db,
                 &item_terms,
@@ -336,7 +324,7 @@ pub fn ground_query(db: &PpdDatabase, query: &ConjunctiveQuery) -> Result<Ground
                 &item_atoms,
                 key_col,
                 &theta,
-                &nu,
+                nu,
                 &derived_label,
                 &mut effective_interner,
             ) {
@@ -352,13 +340,43 @@ pub fn ground_query(db: &PpdDatabase, query: &ConjunctiveQuery) -> Result<Ground
             }
         }
         if patterns.is_empty() {
-            continue;
+            return Ok(None);
         }
-        let union = PatternUnion::new(patterns)?;
-        sessions.push(SessionQuery {
-            session_index: sidx,
-            union,
-        });
+        Ok(Some(Arc::new(PatternUnion::new(patterns)?)))
+    };
+    let mut union_of_bindings: HashMap<Vec<Value>, Option<Arc<PatternUnion>>> = HashMap::new();
+    let mut sessions = Vec::new();
+    'session: for (sidx, session) in prel.sessions().iter().enumerate() {
+        // Session-level selections.
+        for (col, op, value) in &session_filters {
+            if !op.eval(&session.attrs()[*col], value) {
+                continue 'session;
+            }
+        }
+        // Session-join bindings: one value per entry of the joins' bindings.
+        let mut bound: Vec<Value> = Vec::new();
+        for join in &session_joins {
+            let key = &session.attrs()[join.session_column];
+            let matches = join.relation.select_eq(join.join_column, key);
+            let Some(tuple) = matches.first() else {
+                continue 'session;
+            };
+            bound.extend(join.bindings.iter().map(|(_, col)| tuple[*col].clone()));
+        }
+        let union = match union_of_bindings.get(&bound) {
+            Some(known) => known.clone(),
+            None => {
+                let built = build_union(&bound)?;
+                union_of_bindings.insert(bound, built.clone());
+                built
+            }
+        };
+        if let Some(union) = union {
+            sessions.push(SessionQuery {
+                session_index: sidx,
+                union,
+            });
+        }
     }
 
     let shape = if grounding_vars.is_empty() {
@@ -605,14 +623,10 @@ mod tests {
         assert!(plan.sessions.iter().all(|s| s.session_index < 2));
     }
 
-    /// Joining session attributes against an o-relation (the CrowdRank-style
-    /// query shape): per-session bindings change the selectors.
-    #[test]
-    fn session_join_binds_attributes_per_session() {
-        let db = polling_database();
-        // "the session's voter prefers a candidate of their own sex to
-        //  Clinton"
-        let q = ConjunctiveQuery::new("own-sex")
+    /// "The session's voter prefers a candidate of their own sex to
+    /// Clinton."
+    fn own_sex_query() -> ConjunctiveQuery {
+        ConjunctiveQuery::new("own-sex")
             .prefer(
                 "Polls",
                 vec![T::var("v"), T::any()],
@@ -633,8 +647,15 @@ mod tests {
                     T::any(),
                     T::any(),
                 ],
-            );
-        let plan = ground_query(&db, &q).unwrap();
+            )
+    }
+
+    /// Joining session attributes against an o-relation (the CrowdRank-style
+    /// query shape): per-session bindings change the selectors.
+    #[test]
+    fn session_join_binds_attributes_per_session() {
+        let db = polling_database();
+        let plan = ground_query(&db, &own_sex_query()).unwrap();
         assert_eq!(plan.shape, QueryShape::Itemwise);
         assert_eq!(plan.sessions.len(), 3);
         // Ann is female, Bob and Dave are male: the selector for c differs.
@@ -735,5 +756,59 @@ mod tests {
             .prefer("Polls", vec![T::any(), T::any()], T::var("y"), T::var("x"));
         let plan = ground_query(&db, &q).unwrap();
         assert!(plan.sessions.is_empty());
+    }
+
+    /// Inequalities order strings too: `edu < "J"` holds for BS and not for
+    /// JD. (It used to hold for nothing — only integers were ordered — so
+    /// the derived label covered no item and the query counted zero.)
+    #[test]
+    fn string_inequalities_derive_labels_that_cover_the_matching_items() {
+        let db = polling_database();
+        let q = ConjunctiveQuery::new("edu-order")
+            .prefer(
+                "Polls",
+                vec![T::any(), T::any()],
+                T::var("x"),
+                T::val("Clinton"),
+            )
+            .atom(
+                "Candidates",
+                vec![
+                    T::var("x"),
+                    T::any(),
+                    T::any(),
+                    T::any(),
+                    T::var("e"),
+                    T::any(),
+                ],
+            )
+            .compare("e", CompareOp::Lt, "J");
+        let plan = ground_query(&db, &q).unwrap();
+        assert_eq!(plan.sessions.len(), 3);
+        let x_selector = &plan.sessions[0].union.patterns()[0].nodes()[0];
+        // Trump and Sanders hold a BS; Clinton and Rubio a JD.
+        assert_eq!(
+            x_selector.candidates(&db.items(), &plan.labeling),
+            vec![0, 2]
+        );
+        // A string against an integer stays incomparable.
+        assert!(!CompareOp::Lt.eval(&Value::from("BS"), &Value::from(7)));
+        assert!(!CompareOp::Ge.eval(&Value::from("BS"), &Value::from(7)));
+    }
+
+    /// Sessions with equal session-join bindings hold the very same union.
+    #[test]
+    fn sessions_with_equal_bindings_share_one_union() {
+        let db = polling_database();
+        let plan = ground_query(&db, &own_sex_query()).unwrap();
+        // Ann is female, Bob and Dave are male.
+        assert!(!Arc::ptr_eq(
+            &plan.sessions[0].union,
+            &plan.sessions[1].union
+        ));
+        assert!(Arc::ptr_eq(
+            &plan.sessions[1].union,
+            &plan.sessions[2].union
+        ));
     }
 }

@@ -95,10 +95,18 @@ impl Value {
         }
     }
 
-    /// Numeric comparison used by inequality predicates; `None` when either
-    /// side is not numeric.
-    pub fn compare_numeric(&self, other: &Value) -> Option<std::cmp::Ordering> {
-        Some(self.as_int()?.cmp(&other.as_int()?))
+    /// The ordering inequality predicates use: numeric when both sides are
+    /// numeric (integers or numeric strings), lexicographic between two
+    /// strings, and `None` — incomparable — for a string against an integer
+    /// or anything against NULL.
+    pub fn compare(&self, other: &Value) -> Option<std::cmp::Ordering> {
+        match (self.as_int(), other.as_int()) {
+            (Some(a), Some(b)) => Some(a.cmp(&b)),
+            _ => match (self, other) {
+                (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
+                _ => None,
+            },
+        }
     }
 }
 
@@ -158,10 +166,20 @@ mod tests {
         assert!(!Value::from("abc").semantically_equals(&Value::from("abd")));
         assert!(!Value::Null.semantically_equals(&Value::Null));
         assert_eq!(
-            Value::from(1990i64).compare_numeric(&Value::from("2001")),
+            Value::from(1990i64).compare(&Value::from("2001")),
             Some(std::cmp::Ordering::Less)
         );
-        assert_eq!(Value::from("x").compare_numeric(&Value::from(1i64)), None);
+        assert_eq!(Value::from("x").compare(&Value::from(1i64)), None);
+        // Numeric strings order as numbers, other strings lexicographically.
+        assert_eq!(
+            Value::from("9").compare(&Value::from("10")),
+            Some(std::cmp::Ordering::Less)
+        );
+        assert_eq!(
+            Value::from("BS").compare(&Value::from("JD")),
+            Some(std::cmp::Ordering::Less)
+        );
+        assert_eq!(Value::from("x").compare(&Value::Null), None);
     }
 
     #[test]

@@ -62,7 +62,12 @@
 //!   JSON over TCP or Unix sockets, one object per line, answers streamed
 //!   out of order and matched by id. Floats cross the socket bit-exactly
 //!   (shortest-round-trip formatting), so remote answers are bit-identical
-//!   to in-process ones. A `{"kind": "stats"}` control frame
+//!   to in-process ones. The framing rule: every frame leaves in one
+//!   `write` with its newline appended, and TCP sockets carry `TCP_NODELAY`
+//!   on both ends — a reply never waits out a delayed ACK — while accepted
+//!   sockets carry a write timeout, so a client that stops reading loses its
+//!   connection instead of stalling the dispatcher its replies are written
+//!   on. A `{"kind": "stats"}` control frame
 //!   ([`WireClient::stats`]) returns the [`ServiceStats`] snapshot plus
 //!   per-tenant cache/calibration counters as a [`WireStatsReport`].
 //! * **Graceful shutdown + stats** ([`Service::shutdown`],

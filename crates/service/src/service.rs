@@ -42,7 +42,8 @@ impl ReplySink {
 
 /// What one admitted job asks for: a query evaluated against a wave's
 /// snapshot, or a database update applied *between* waves.
-enum Work {
+#[derive(Debug)]
+pub(crate) enum Work {
     Query(Request),
     Update(Update),
 }
@@ -219,31 +220,12 @@ impl Service {
     /// this service. Returns the cancel token and the submission's trace id.
     pub(crate) fn submit_callback(
         &self,
-        request: Request,
+        work: Work,
         options: SubmitOptions,
-        callback: impl FnOnce(Outcome) + Send + 'static,
+        callback: Box<dyn FnOnce(Outcome) + Send>,
     ) -> Result<(CancelToken, u64), ServiceError> {
-        self.enqueue(
-            Work::Query(request),
-            options,
-            ReplySink::Callback(Box::new(callback)),
-        )
-        .map(|(cancel, _, trace)| (cancel, trace))
-    }
-
-    /// Callback-style update submission, used by the wire server.
-    pub(crate) fn submit_update_callback(
-        &self,
-        update: Update,
-        options: SubmitOptions,
-        callback: impl FnOnce(Outcome) + Send + 'static,
-    ) -> Result<(CancelToken, u64), ServiceError> {
-        self.enqueue(
-            Work::Update(update),
-            options,
-            ReplySink::Callback(Box::new(callback)),
-        )
-        .map(|(cancel, _, trace)| (cancel, trace))
+        self.enqueue(work, options, ReplySink::Callback(callback))
+            .map(|(cancel, _, trace)| (cancel, trace))
     }
 
     /// Routes and enqueues one job, returning its cancel token, the routed

@@ -1,8 +1,12 @@
 //! The wire protocol: line-delimited JSON over TCP or Unix-domain sockets,
 //! served by [`WireServer`] and spoken by [`WireClient`].
 //!
-//! Framing is one JSON object per `\n`-terminated line, both directions.
-//! A request frame:
+//! Framing is one JSON object per `\n`-terminated line, both directions,
+//! and every frame — server or client, TCP or Unix — leaves in **one
+//! `write`**, its newline already appended; TCP sockets get `TCP_NODELAY` on
+//! both ends. (A reply written as line-then-newline is two segments, and
+//! Nagle's algorithm holds the second until the peer ACKs the first: a
+//! delayed ACK, ≈ 40 ms on Linux, on every reply.) A request frame:
 //!
 //! ```json
 //! {"id": 7, "kind": "boolean", "query": {"name": "q1", "prefer": [...]},
@@ -47,8 +51,10 @@
 //! calls with `to_bits()`. Everything here is `std::net` + `std::thread`;
 //! no async runtime.
 
-use crate::request::{AdmissionClass, Answer, Delivery, Request, ServiceError, SubmitOptions};
-use crate::service::Service;
+use crate::request::{
+    AdmissionClass, Answer, Delivery, Outcome, Request, ServiceError, SubmitOptions,
+};
+use crate::service::{Service, Work};
 use crate::stats::ServiceStats;
 use ppd_core::{
     CacheStats, CompareOp, ConjunctiveQuery, MallowsModel, PpdError, Ranking, Session,
@@ -58,7 +64,7 @@ use ppd_obs::{SpanEvent, SpanRecord};
 use serde_json::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -71,6 +77,13 @@ use std::time::Duration;
 /// stop flag (bounds shutdown latency; invisible to clients).
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
+/// How long a reply may sit in `write` making no progress before the server
+/// gives the connection up. Replies are written on the dispatcher thread, so
+/// a peer that stops reading would otherwise stall every tenant's next wave
+/// once its socket buffer fills; a live reader frees buffer space
+/// continuously and never comes near this.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
 // ---------------------------------------------------------------------------
 // Stream + listener abstraction (TCP and Unix sockets share one code path)
 // ---------------------------------------------------------------------------
@@ -79,19 +92,27 @@ trait WireStream: Read + Write + Send + Sized + 'static {
     /// A second handle to the same socket (reader and writer sides live on
     /// different threads).
     fn duplicate(&self) -> io::Result<Self>;
-    fn set_read_timeout_opt(&self, timeout: Option<Duration>) -> io::Result<()>;
-    fn set_blocking(&self) -> io::Result<()>;
+    /// Puts an accepted socket into the mode `serve_connection` wants:
+    /// blocking (it may inherit the listener's nonblocking flag on some
+    /// platforms), reads that return every [`POLL_INTERVAL`], writes that
+    /// give up after [`WRITE_TIMEOUT`], and — over TCP — `TCP_NODELAY`.
+    fn configure_accepted(&self) -> io::Result<()>;
+    /// Closes both directions; the connection's blocked read returns EOF.
+    fn close(&self);
 }
 
 impl WireStream for TcpStream {
     fn duplicate(&self) -> io::Result<Self> {
         self.try_clone()
     }
-    fn set_read_timeout_opt(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
+    fn configure_accepted(&self) -> io::Result<()> {
+        self.set_nonblocking(false)?;
+        self.set_read_timeout(Some(POLL_INTERVAL))?;
+        self.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        self.set_nodelay(true)
     }
-    fn set_blocking(&self) -> io::Result<()> {
-        self.set_nonblocking(false)
+    fn close(&self) {
+        let _ = self.shutdown(Shutdown::Both);
     }
 }
 
@@ -100,11 +121,13 @@ impl WireStream for UnixStream {
     fn duplicate(&self) -> io::Result<Self> {
         self.try_clone()
     }
-    fn set_read_timeout_opt(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
+    fn configure_accepted(&self) -> io::Result<()> {
+        self.set_nonblocking(false)?;
+        self.set_read_timeout(Some(POLL_INTERVAL))?;
+        self.set_write_timeout(Some(WRITE_TIMEOUT))
     }
-    fn set_blocking(&self) -> io::Result<()> {
-        self.set_nonblocking(false)
+    fn close(&self) {
+        let _ = self.shutdown(Shutdown::Both);
     }
 }
 
@@ -278,9 +301,7 @@ fn accept_loop<L: WireListener>(
 /// through the service, and let the per-request callbacks write responses
 /// through the shared (mutexed) writer — no thread per request.
 fn serve_connection<S: WireStream>(stream: S, service: &Arc<Service>, stop: &AtomicBool) {
-    // The stream may inherit the listener's nonblocking flag on some
-    // platforms; blocking + a read timeout is the mode the loop below wants.
-    if stream.set_blocking().is_err() || stream.set_read_timeout_opt(Some(POLL_INTERVAL)).is_err() {
+    if stream.configure_accepted().is_err() {
         return;
     }
     let Ok(write_half) = stream.duplicate() else {
@@ -291,8 +312,7 @@ fn serve_connection<S: WireStream>(stream: S, service: &Arc<Service>, stop: &Ato
     // their claim (like dropping a ticket). Callbacks prune their own entry
     // after writing; the (benign) race where a callback fires before its
     // token is inserted just leaves a spent token behind until disconnect.
-    let in_flight: Arc<Mutex<HashMap<u64, crate::deadline::CancelToken>>> =
-        Arc::new(Mutex::new(HashMap::new()));
+    let in_flight: InFlight = Arc::new(Mutex::new(HashMap::new()));
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
@@ -324,126 +344,109 @@ fn serve_connection<S: WireStream>(stream: S, service: &Arc<Service>, stop: &Ato
     }
 }
 
+/// Requests a connection has in flight, by frame id.
+type InFlight = Arc<Mutex<HashMap<u64, crate::deadline::CancelToken>>>;
+
 fn handle_frame<S: WireStream>(
     frame: &str,
     service: &Arc<Service>,
     writer: &Arc<Mutex<S>>,
-    in_flight: &Arc<Mutex<HashMap<u64, crate::deadline::CancelToken>>>,
+    in_flight: &InFlight,
 ) {
-    // The `stats` verb is a control frame, not a query: it carries no
-    // `query` field and is answered synchronously from the service's
-    // counters, so it is intercepted before request decoding.
-    if let Some(id) = decode_stats_request(frame) {
-        let tenants: Vec<(String, u64, CacheStats)> = service
-            .database_ids()
-            .iter()
-            .map(|id| {
-                let stats = service
-                    .engine_for(id)
-                    .expect("listed database resolves")
-                    .cache_stats();
-                let version = service
-                    .database_version(id)
-                    .expect("listed database resolves");
-                (id.to_string(), version, stats)
-            })
-            .collect();
-        write_line(
-            writer,
-            &encode_stats_response(id, &service.stats(), &tenants),
-        );
-        return;
-    }
-    // The `metrics` verb: Prometheus-style text exposition of every
-    // registered instrument (empty when metrics are disabled). Also a
-    // control frame, answered synchronously.
-    if let Some(id) = decode_metrics_request(frame) {
-        write_line(
-            writer,
-            &encode_metrics_response(id, &service.metrics_text()),
-        );
-        return;
-    }
-    // The `trace` verb: the span timeline of one submission's trace id
-    // (as returned in response frames' `trace` field).
-    if let Some((id, trace)) = decode_trace_request(frame) {
-        write_line(
-            writer,
-            &encode_trace_response(id, trace, &service.trace_events(trace)),
-        );
-        return;
-    }
-    // Update frames carry a `session`/`op` instead of a `query`, so they
-    // are also recognized before request decoding.
-    if let Some(decoded) = decode_update_request(frame) {
-        match decoded {
-            Ok((id, update, options)) => {
-                let reply_writer = Arc::clone(writer);
-                let reply_in_flight = Arc::clone(in_flight);
-                let submitted = service.submit_update_callback(update, options, move |outcome| {
-                    write_line(
-                        &reply_writer,
-                        &encode_response(id, &outcome.delivery, outcome.version, outcome.trace),
-                    );
-                    reply_in_flight
-                        .lock()
-                        .expect("wire connection poisoned")
-                        .remove(&id);
-                });
-                match submitted {
-                    Ok((token, _trace)) => {
-                        in_flight
-                            .lock()
-                            .expect("wire connection poisoned")
-                            .insert(id, token);
-                    }
-                    Err(e) => write_line(writer, &encode_response(id, &Err(e), 0, 0)),
-                }
-            }
-            Err((id, message)) => {
-                let err = Err(ServiceError::Protocol(message));
-                write_line(writer, &encode_response(id.unwrap_or(0), &err, 0, 0));
-            }
+    match decode_frame(frame) {
+        // The three control verbs are answered synchronously from the
+        // service's own state, outside the admission path.
+        Inbound::Stats { id } => {
+            let tenants: Vec<(String, u64, CacheStats)> = service
+                .database_ids()
+                .iter()
+                .map(|id| {
+                    let stats = service
+                        .engine_for(id)
+                        .expect("listed database resolves")
+                        .cache_stats();
+                    let version = service
+                        .database_version(id)
+                        .expect("listed database resolves");
+                    (id.to_string(), version, stats)
+                })
+                .collect();
+            write_line(
+                writer,
+                encode_stats_response(id, &service.stats(), &tenants),
+            );
         }
-        return;
-    }
-    match decode_request(frame) {
-        Ok((id, request, options)) => {
-            let reply_writer = Arc::clone(writer);
-            let reply_in_flight = Arc::clone(in_flight);
-            let submitted = service.submit_callback(request, options, move |outcome| {
-                write_line(
-                    &reply_writer,
-                    &encode_response(id, &outcome.delivery, outcome.version, outcome.trace),
-                );
-                reply_in_flight
-                    .lock()
-                    .expect("wire connection poisoned")
-                    .remove(&id);
-            });
-            match submitted {
-                Ok((token, _trace)) => {
-                    in_flight
-                        .lock()
-                        .expect("wire connection poisoned")
-                        .insert(id, token);
-                }
-                Err(e) => write_line(writer, &encode_response(id, &Err(e), 0, 0)),
-            }
+        Inbound::Metrics { id } => {
+            write_line(writer, encode_metrics_response(id, &service.metrics_text()));
         }
-        Err((id, message)) => {
-            let err = Err(ServiceError::Protocol(message));
-            write_line(writer, &encode_response(id.unwrap_or(0), &err, 0, 0));
-        }
+        Inbound::Trace { id, trace } => write_line(
+            writer,
+            encode_trace_response(id, trace, &service.trace_events(trace)),
+        ),
+        Inbound::Submit(decoded) => submit_frame(decoded, service, writer, in_flight),
     }
 }
 
-/// Writes one response line; a broken pipe just means the client left.
-fn write_line<S: WireStream>(writer: &Arc<Mutex<S>>, line: &str) {
+/// Submits one decoded query or update frame; the reply callback writes the
+/// response frame when the service delivers. A frame that failed to decode,
+/// or was refused at admission, is answered here.
+fn submit_frame<S: WireStream>(
+    decoded: DecodedFrame<Work>,
+    service: &Arc<Service>,
+    writer: &Arc<Mutex<S>>,
+    in_flight: &InFlight,
+) {
+    let (id, work, options) = match decoded {
+        Ok(decoded) => decoded,
+        Err((id, message)) => return write_line(writer, protocol_error_frame(id, message)),
+    };
+    let reply_writer = Arc::clone(writer);
+    let reply_in_flight = Arc::clone(in_flight);
+    let reply = Box::new(move |outcome: Outcome| {
+        write_line(
+            &reply_writer,
+            encode_response(id, &outcome.delivery, outcome.version, outcome.trace),
+        );
+        reply_in_flight
+            .lock()
+            .expect("wire connection poisoned")
+            .remove(&id);
+    });
+    match service.submit_callback(work, options, reply) {
+        Ok((token, _trace)) => {
+            in_flight
+                .lock()
+                .expect("wire connection poisoned")
+                .insert(id, token);
+        }
+        Err(e) => write_line(writer, encode_response(id, &Err(e), 0, 0)),
+    }
+}
+
+/// The response to a frame that could not be decoded; id 0 when not even the
+/// id could be read.
+fn protocol_error_frame(id: Option<u64>, message: String) -> String {
+    let err = Err(ServiceError::Protocol(message));
+    encode_response(id.unwrap_or(0), &err, 0, 0)
+}
+
+/// Sends one frame as a single `write`, newline included (the framing rule
+/// of the module docs).
+fn write_frame(writer: &mut impl Write, mut frame: String) -> io::Result<()> {
+    frame.push('\n');
+    writer.write_all(frame.as_bytes())?;
+    writer.flush()
+}
+
+/// Writes one response line. A failed write — the client left, or stopped
+/// reading for [`WRITE_TIMEOUT`] — may have left half a frame on the socket,
+/// so the connection is closed: its read loop sees EOF and cancels whatever
+/// it still has in flight.
+fn write_line<S: WireStream>(writer: &Arc<Mutex<S>>, line: String) {
     let mut guard = writer.lock().expect("wire writer poisoned");
-    let _ = guard.write_all(line.as_bytes());
-    let _ = guard.write_all(b"\n");
-    let _ = guard.flush();
+    if write_frame(&mut *guard, line).is_err() {
+        guard.close();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -493,11 +496,8 @@ impl WireClient {
         }
     }
 
-    fn write_frame(&mut self, frame: &str) -> Result<(), ServiceError> {
-        self.writer
-            .write_all(frame.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
+    fn write_frame(&mut self, frame: String) -> Result<(), ServiceError> {
+        write_frame(&mut self.writer, frame)
             .map_err(|e| ServiceError::Protocol(format!("send failed: {e}")))
     }
 
@@ -511,7 +511,7 @@ impl WireClient {
         let id = self.next_id;
         self.next_id += 1;
         let frame = encode_request(id, request, options);
-        self.write_frame(&frame)?;
+        self.write_frame(frame)?;
         Ok(id)
     }
 
@@ -526,7 +526,7 @@ impl WireClient {
         let id = self.next_id;
         self.next_id += 1;
         let frame = encode_update_request(id, update, options);
-        self.write_frame(&frame)?;
+        self.write_frame(frame)?;
         Ok(id)
     }
 
@@ -634,7 +634,7 @@ impl WireClient {
         entries.insert(0, ("id", Value::from(id)));
         let frame =
             serde_json::to_string(&object(entries)).expect("control frames always serialize");
-        self.write_frame(&frame)?;
+        self.write_frame(frame)?;
         loop {
             let mut line = String::new();
             match self.reader.read_line(&mut line) {
@@ -701,10 +701,48 @@ pub(crate) fn encode_request(id: u64, request: &Request, options: &SubmitOptions
 /// still be correlated) and a message.
 type DecodedFrame<T> = Result<(u64, T, SubmitOptions), (Option<u64>, String)>;
 
-/// Decodes one request frame. On failure, returns the frame id when at
-/// least that much parsed, so the error response can still be correlated.
-pub(crate) fn decode_request(frame: &str) -> DecodedFrame<Request> {
-    let value = serde_json::from_str(frame).map_err(|e| (None, e.to_string()))?;
+/// One inbound frame, parsed once and classified by its `kind`.
+enum Inbound {
+    /// `{"kind": "stats"}`: the service counters, answered synchronously.
+    Stats { id: u64 },
+    /// `{"kind": "metrics"}`: the text exposition, answered synchronously.
+    Metrics { id: u64 },
+    /// `{"kind": "trace", "trace": t}`: one submission's span timeline.
+    Trace { id: u64, trace: u64 },
+    /// A query or update frame on its way to admission — or the protocol
+    /// error to answer it with (bad JSON and unknown kinds included).
+    Submit(DecodedFrame<Work>),
+}
+
+/// Parses one inbound frame — the only `serde_json::from_str` a request
+/// frame meets — and dispatches on `kind`. A control frame missing its
+/// numeric `id` (or a trace frame its `trace`) falls through to the query
+/// decoder, which reports what is missing.
+fn decode_frame(frame: &str) -> Inbound {
+    let value: Value = match serde_json::from_str(frame) {
+        Ok(value) => value,
+        Err(e) => return Inbound::Submit(Err((None, e.to_string()))),
+    };
+    let id = value.get("id").and_then(Value::as_u64);
+    let trace = value.get("trace").and_then(Value::as_u64);
+    match (value.get("kind").and_then(Value::as_str), id, trace) {
+        (Some("stats"), Some(id), _) => Inbound::Stats { id },
+        (Some("metrics"), Some(id), _) => Inbound::Metrics { id },
+        (Some("trace"), Some(id), Some(trace)) => Inbound::Trace { id, trace },
+        (Some("update"), _, _) => Inbound::Submit(
+            decode_update(&value).map(|(id, update, options)| (id, Work::Update(update), options)),
+        ),
+        _ => Inbound::Submit(
+            decode_request(&value)
+                .map(|(id, request, options)| (id, Work::Query(request), options)),
+        ),
+    }
+}
+
+/// Decodes the fields of one parsed request frame. On failure, returns the
+/// frame id when at least that much is there, so the error response can
+/// still be correlated.
+pub(crate) fn decode_request(value: &Value) -> DecodedFrame<Request> {
     let id = value.get("id").and_then(Value::as_u64);
     let fail = |message: String| (id, message);
     let id = id.ok_or_else(|| (None, "missing numeric `id`".to_string()))?;
@@ -1013,18 +1051,10 @@ pub(crate) fn encode_update_request(id: u64, update: &Update, options: &SubmitOp
     serde_json::to_string(&object(entries)).expect("update frames always serialize")
 }
 
-/// Recognizes an update frame (`kind == "update"`); `None` means the frame
-/// is something else. On failure, returns the frame id when at least that
-/// much parsed, so the error response can still be correlated.
-pub(crate) fn decode_update_request(frame: &str) -> Option<DecodedFrame<Update>> {
-    let value: Value = serde_json::from_str(frame).ok()?;
-    if value.get("kind").and_then(Value::as_str) != Some("update") {
-        return None;
-    }
-    Some(decode_update_fields(&value))
-}
-
-fn decode_update_fields(value: &Value) -> DecodedFrame<Update> {
+/// Decodes the fields of one parsed update frame (`kind == "update"`). On
+/// failure, returns the frame id when at least that much is there, so the
+/// error response can still be correlated.
+pub(crate) fn decode_update(value: &Value) -> DecodedFrame<Update> {
     let id = value.get("id").and_then(Value::as_u64);
     let fail = |message: String| (id, message);
     let id = id.ok_or((None, "missing numeric `id`".to_string()))?;
@@ -1194,15 +1224,6 @@ pub struct WireStatsReport {
     /// Per-tenant `(database id, database version, base-engine cache
     /// counters)`, in registration order.
     pub tenants: Vec<(String, u64, CacheStats)>,
-}
-
-/// Recognizes a stats control frame, returning its id.
-fn decode_stats_request(frame: &str) -> Option<u64> {
-    let value: Value = serde_json::from_str(frame).ok()?;
-    if value.get("kind").and_then(Value::as_str) != Some("stats") {
-        return None;
-    }
-    value.get("id").and_then(Value::as_u64)
 }
 
 fn cache_to_json(cache: &CacheStats) -> Value {
@@ -1422,15 +1443,6 @@ fn decode_stats_payload(value: &Value) -> Result<WireStatsReport, String> {
 // Metrics verb: `{"id": n, "kind": "metrics"}` ⇄ text exposition
 // ---------------------------------------------------------------------------
 
-/// Recognizes a metrics control frame, returning its id.
-fn decode_metrics_request(frame: &str) -> Option<u64> {
-    let value: Value = serde_json::from_str(frame).ok()?;
-    if value.get("kind").and_then(Value::as_str) != Some("metrics") {
-        return None;
-    }
-    value.get("id").and_then(Value::as_u64)
-}
-
 /// Encodes the response to a metrics control frame. The exposition text
 /// rides inside the JSON string (newlines escaped), so the frame stays one
 /// line like every other response.
@@ -1458,17 +1470,6 @@ fn decode_metrics_payload(value: &Value) -> Result<String, String> {
 // ---------------------------------------------------------------------------
 // Trace verb: `{"id": n, "kind": "trace", "trace": t}` ⇄ span timeline
 // ---------------------------------------------------------------------------
-
-/// Recognizes a trace control frame, returning `(id, trace id)`.
-fn decode_trace_request(frame: &str) -> Option<(u64, u64)> {
-    let value: Value = serde_json::from_str(frame).ok()?;
-    if value.get("kind").and_then(Value::as_str) != Some("trace") {
-        return None;
-    }
-    let id = value.get("id").and_then(Value::as_u64)?;
-    let trace = value.get("trace").and_then(Value::as_u64)?;
-    Some((id, trace))
-}
 
 fn span_to_json(record: &SpanRecord) -> Value {
     let mut entries = vec![
@@ -1806,6 +1807,29 @@ mod tests {
     use super::*;
     use ppd_core::Value as PpdValue;
 
+    /// A frame through the server's one parse, expected to be a query or an
+    /// update on its way to admission (or the protocol error answering it).
+    fn decode_submission(frame: &str) -> DecodedFrame<Work> {
+        match decode_frame(frame) {
+            Inbound::Submit(decoded) => decoded,
+            _ => panic!("a control frame: {frame}"),
+        }
+    }
+
+    fn decode_query_frame(frame: &str) -> DecodedFrame<Request> {
+        decode_submission(frame).map(|(id, work, options)| match work {
+            Work::Query(request) => (id, request, options),
+            Work::Update(_) => panic!("an update frame: {frame}"),
+        })
+    }
+
+    fn decode_update_frame(frame: &str) -> DecodedFrame<Update> {
+        decode_submission(frame).map(|(id, work, options)| match work {
+            Work::Update(update) => (id, update, options),
+            Work::Query(_) => panic!("a query frame: {frame}"),
+        })
+    }
+
     fn demo_query() -> ConjunctiveQuery {
         ConjunctiveQuery::new("demo")
             .prefer(
@@ -1840,7 +1864,7 @@ mod tests {
         for (i, request) in requests.iter().enumerate() {
             let frame = encode_request(i as u64 + 1, request, &options);
             assert!(!frame.contains('\n'), "frames are single lines: {frame}");
-            let (id, decoded, decoded_options) = decode_request(&frame).expect("round trip");
+            let (id, decoded, decoded_options) = decode_query_frame(&frame).expect("round trip");
             assert_eq!(id, i as u64 + 1);
             assert_eq!(decoded.query(), request.query());
             assert_eq!(request_kind(&decoded), request_kind(request));
@@ -1872,7 +1896,7 @@ mod tests {
             &Request::Boolean(demo_query()),
             &SubmitOptions::default(),
         );
-        let (_, _, options) = decode_request(&frame).unwrap();
+        let (_, _, options) = decode_query_frame(&frame).unwrap();
         assert_eq!(options.class, AdmissionClass::Interactive);
         assert_eq!(options.database, None);
         assert_eq!(options.deadline, None);
@@ -1945,9 +1969,7 @@ mod tests {
         for (i, update) in updates.iter().enumerate() {
             let frame = encode_update_request(i as u64 + 1, update, &options);
             assert!(!frame.contains('\n'), "frames are single lines: {frame}");
-            let (id, decoded, decoded_options) = decode_update_request(&frame)
-                .expect("update frames are recognized")
-                .expect("round trip");
+            let (id, decoded, decoded_options) = decode_update_frame(&frame).expect("round trip");
             assert_eq!(id, i as u64 + 1);
             assert_eq!(decoded_options.class, AdmissionClass::Batch);
             assert_eq!(decoded_options.database.as_deref(), Some("polls"));
@@ -1993,25 +2015,25 @@ mod tests {
         }
         // Replace keeps its index too.
         let frame = encode_update_request(9, &updates[1], &SubmitOptions::default());
-        let (_, decoded, options) = decode_update_request(&frame).unwrap().unwrap();
+        let (_, decoded, options) = decode_update_frame(&frame).unwrap();
         assert!(matches!(decoded, Update::ReplaceSession { index: 5, .. }));
         assert_eq!(options.class, AdmissionClass::Interactive);
         assert_eq!(options.database, None);
         // Query frames are not update frames, and malformed updates keep
         // their id for error correlation.
-        assert!(decode_update_request(r#"{"id": 1, "kind": "boolean"}"#).is_none());
-        let (id, _) = decode_update_request(
+        let (_, message) = decode_query_frame(r#"{"id": 1, "kind": "boolean"}"#)
+            .expect_err("a query frame without a query");
+        assert_eq!(message, "missing `query`");
+        let (id, _) = decode_update_frame(
             r#"{"id": 3, "kind": "update", "op": "warp", "prelation": "Polls"}"#,
         )
-        .unwrap()
         .expect_err("unknown op");
         assert_eq!(id, Some(3));
         assert!(
-            decode_update_request(
+            decode_update_frame(
                 r#"{"id": 4, "kind": "update", "op": "insert", "prelation": "Polls",
                     "session": {"attrs": [], "ranking": [0, 0], "phi": 0.5}}"#
             )
-            .unwrap()
             .is_err(),
             "a duplicate-item ranking is rejected at decode time"
         );
@@ -2065,28 +2087,30 @@ mod tests {
 
     #[test]
     fn malformed_frames_fail_with_context() {
-        assert!(decode_request("not json").is_err());
-        let (id, _) = decode_request(r#"{"id": 3, "kind": "nope", "query": {"name": "q"}}"#)
+        assert!(decode_query_frame("not json").is_err());
+        let (id, _) = decode_query_frame(r#"{"id": 3, "kind": "nope", "query": {"name": "q"}}"#)
             .expect_err("unknown kind");
         assert_eq!(id, Some(3), "id survives for error correlation");
         assert!(decode_response(r#"{"id": 1}"#).is_err());
         // A lone half of an error budget is a protocol error, not a silent
         // fall-back to the tenant's configured solver.
         let lone = r#"{"id": 4, "kind": "boolean", "query": {"name": "q"}, "epsilon": 0.01}"#;
-        assert!(decode_request(lone).is_err());
+        assert!(decode_query_frame(lone).is_err());
         let bad_eps = r#"{"id": 5, "kind": "boolean", "query": {"name": "q"}, "epsilon": -1.0, "confidence": 0.9}"#;
-        assert!(decode_request(bad_eps).is_err());
+        assert!(decode_query_frame(bad_eps).is_err());
     }
 
     #[test]
     fn stats_frames_round_trip() {
-        assert_eq!(
-            decode_stats_request(r#"{"id": 6, "kind": "stats"}"#),
-            Some(6)
-        );
-        assert_eq!(
-            decode_stats_request(r#"{"id": 6, "kind": "boolean"}"#),
-            None,
+        assert!(matches!(
+            decode_frame(r#"{"id": 6, "kind": "stats"}"#),
+            Inbound::Stats { id: 6 }
+        ));
+        assert!(
+            matches!(
+                decode_frame(r#"{"id": 6, "kind": "boolean"}"#),
+                Inbound::Submit(_)
+            ),
             "query frames are not stats frames"
         );
         let stats = ServiceStats {
@@ -2144,13 +2168,15 @@ mod tests {
 
     #[test]
     fn metrics_frames_round_trip() {
-        assert_eq!(
-            decode_metrics_request(r#"{"id": 8, "kind": "metrics"}"#),
-            Some(8)
-        );
-        assert_eq!(
-            decode_metrics_request(r#"{"id": 8, "kind": "stats"}"#),
-            None,
+        assert!(matches!(
+            decode_frame(r#"{"id": 8, "kind": "metrics"}"#),
+            Inbound::Metrics { id: 8 }
+        ));
+        assert!(
+            matches!(
+                decode_frame(r#"{"id": 8, "kind": "stats"}"#),
+                Inbound::Stats { id: 8 }
+            ),
             "stats frames are not metrics frames"
         );
         // The exposition text is multi-line; the frame must still be one.
@@ -2165,13 +2191,15 @@ mod tests {
 
     #[test]
     fn trace_frames_round_trip() {
-        assert_eq!(
-            decode_trace_request(r#"{"id": 2, "kind": "trace", "trace": 17}"#),
-            Some((2, 17))
-        );
-        assert_eq!(
-            decode_trace_request(r#"{"id": 2, "kind": "trace"}"#),
-            None,
+        assert!(matches!(
+            decode_frame(r#"{"id": 2, "kind": "trace", "trace": 17}"#),
+            Inbound::Trace { id: 2, trace: 17 }
+        ));
+        assert!(
+            matches!(
+                decode_frame(r#"{"id": 2, "kind": "trace"}"#),
+                Inbound::Submit(Err(_))
+            ),
             "a trace frame without a trace id is not recognized"
         );
         let events = vec![
@@ -2233,5 +2261,185 @@ mod tests {
         assert!(decode_trace_payload(value.get("ok").unwrap())
             .unwrap()
             .is_empty());
+    }
+
+    /// The replies to frames that never reach admission, captured from the
+    /// server as it stood when every decoder re-parsed the frame itself
+    /// (PR 11): the single parse must answer each one with the same bytes.
+    #[test]
+    fn malformed_frames_are_answered_with_the_same_bytes_as_before() {
+        let golden = [
+            (
+                "not json",
+                r#"{"err": {"detail": "json error: invalid literal at byte 0 (expected null)", "kind": "protocol"}, "id": 0}"#,
+            ),
+            (
+                r#"{"id": 1"#,
+                r#"{"err": {"detail": "json error: expected ',' or '}' at byte 9", "kind": "protocol"}, "id": 0}"#,
+            ),
+            (
+                "[1, 2]",
+                r#"{"err": {"detail": "missing numeric `id`", "kind": "protocol"}, "id": 0}"#,
+            ),
+            (
+                r#"{"kind": "boolean", "query": {"name": "q"}}"#,
+                r#"{"err": {"detail": "missing numeric `id`", "kind": "protocol"}, "id": 0}"#,
+            ),
+            (
+                r#"{"id": 3, "query": {"name": "q"}}"#,
+                r#"{"err": {"detail": "missing `kind`", "kind": "protocol"}, "id": 3}"#,
+            ),
+            (
+                r#"{"id": 3, "kind": "nope", "query": {"name": "q"}}"#,
+                r#"{"err": {"detail": "unknown request kind `nope`", "kind": "protocol"}, "id": 3}"#,
+            ),
+            (
+                r#"{"id": 12, "kind": 5, "query": {"name": "q"}}"#,
+                r#"{"err": {"detail": "missing `kind`", "kind": "protocol"}, "id": 12}"#,
+            ),
+            (
+                r#"{"id": 4, "kind": "boolean"}"#,
+                r#"{"err": {"detail": "missing `query`", "kind": "protocol"}, "id": 4}"#,
+            ),
+            // Control frames without their id (or trace id) are not
+            // recognized and fall through to the query decoder.
+            (
+                r#"{"kind": "stats"}"#,
+                r#"{"err": {"detail": "missing numeric `id`", "kind": "protocol"}, "id": 0}"#,
+            ),
+            (
+                r#"{"id": -1, "kind": "stats"}"#,
+                r#"{"err": {"detail": "missing numeric `id`", "kind": "protocol"}, "id": 0}"#,
+            ),
+            (
+                r#"{"kind": "metrics"}"#,
+                r#"{"err": {"detail": "missing numeric `id`", "kind": "protocol"}, "id": 0}"#,
+            ),
+            (
+                r#"{"id": 5, "kind": "trace"}"#,
+                r#"{"err": {"detail": "missing `query`", "kind": "protocol"}, "id": 5}"#,
+            ),
+            (
+                r#"{"kind": "trace", "trace": 3}"#,
+                r#"{"err": {"detail": "missing numeric `id`", "kind": "protocol"}, "id": 0}"#,
+            ),
+            (
+                r#"{"id": 7, "kind": "update", "op": "warp", "prelation": "Polls"}"#,
+                r#"{"err": {"detail": "update `op` must be insert, replace, or delete", "kind": "protocol"}, "id": 7}"#,
+            ),
+            (
+                r#"{"kind": "update", "op": "delete", "prelation": "Polls", "index": 0}"#,
+                r#"{"err": {"detail": "missing numeric `id`", "kind": "protocol"}, "id": 0}"#,
+            ),
+            (
+                r#"{"id": 8, "kind": "update"}"#,
+                r#"{"err": {"detail": "updates need a string `prelation`", "kind": "protocol"}, "id": 8}"#,
+            ),
+            (
+                r#"{"id": 9, "kind": "boolean", "query": {"name": "q"}, "epsilon": 0.01}"#,
+                r#"{"err": {"detail": "`epsilon` and `confidence` must be given together", "kind": "protocol"}, "id": 9}"#,
+            ),
+            (
+                r#"{"id": 10, "kind": "topk", "query": {"name": "q"}}"#,
+                r#"{"err": {"detail": "topk requests need a numeric `k`", "kind": "protocol"}, "id": 10}"#,
+            ),
+            (
+                r#"{"id": 11, "kind": "boolean", "query": {"name": "q"}, "class": "vip"}"#,
+                r#"{"err": {"detail": "unknown admission class `vip`", "kind": "protocol"}, "id": 11}"#,
+            ),
+        ];
+        for (frame, expected) in golden {
+            // The read loop hands frames over with their newline on.
+            let (id, message) = decode_submission(&format!("{frame}\n")).expect_err(frame);
+            assert_eq!(protocol_error_frame(id, message), expected, "{frame}");
+        }
+        // A trace frame is a trace frame whatever else it carries.
+        assert!(matches!(
+            decode_frame(r#"{"id": 6, "kind": "trace", "trace": 3, "query": {"name": "q"}}"#),
+            Inbound::Trace { id: 6, trace: 3 }
+        ));
+    }
+
+    /// Counts `write` calls and keeps what they carried.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl WireStream for CountingWriter {
+        fn duplicate(&self) -> io::Result<Self> {
+            unreachable!("the double is only written to")
+        }
+        fn configure_accepted(&self) -> io::Result<()> {
+            Ok(())
+        }
+        fn close(&self) {}
+    }
+
+    impl Read for CountingWriter {
+        fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+            Ok(0)
+        }
+    }
+
+    #[test]
+    fn every_frame_leaves_in_one_write_newline_included() {
+        // Server side: a response line.
+        let response = encode_response(7, &Ok(Answer::Boolean(0.25)), 2, 0);
+        let writer = Arc::new(Mutex::new(CountingWriter::default()));
+        write_line(&writer, response.clone());
+        let sent = writer.lock().unwrap();
+        assert_eq!(sent.writes, 1, "a reply and its newline are one segment");
+        assert_eq!(sent.bytes, format!("{response}\n").into_bytes());
+        drop(sent);
+
+        // Client side: a request frame, through the writer `send` uses.
+        let shared = Arc::new(Mutex::new(CountingWriter::default()));
+        struct Shared(Arc<Mutex<CountingWriter>>);
+        impl Write for Shared {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.lock().unwrap().write(buf)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut client = WireClient::from_halves(io::empty(), Shared(Arc::clone(&shared)));
+        let request = Request::Boolean(demo_query());
+        let id = client.send(&request, &SubmitOptions::default()).unwrap();
+        let sent = shared.lock().unwrap();
+        assert_eq!(sent.writes, 1, "a request and its newline are one segment");
+        assert_eq!(
+            sent.bytes,
+            format!(
+                "{}\n",
+                encode_request(id, &request, &SubmitOptions::default())
+            )
+            .into_bytes()
+        );
+    }
+
+    #[test]
+    fn accepted_tcp_sockets_get_nodelay_and_a_write_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "the OS default is Nagle on");
+        accepted.configure_accepted().unwrap();
+        assert!(accepted.nodelay().unwrap());
+        // (The kernel rounds timeouts to its tick, so only presence is checked.)
+        assert!(accepted.write_timeout().unwrap().is_some());
     }
 }
