@@ -1,22 +1,77 @@
 //! AMP: the Approximate Mallows Posterior sampler (Lu & Boutilier 2014),
 //! used here both as a conditioned sampler and as an importance-sampling
 //! proposal distribution.
+//!
+//! # Index space
+//!
+//! Sampling and density evaluation run on **centre positions**: item `i` is
+//! the `i`-th item of the sampler's centre ranking, and a ranking — partial
+//! while a walk is inserting, complete at its end — is the array of ranks it
+//! gives those items, indexed by `i`. Inserting item `i` at rank `j` bumps
+//! the entries `≥ j` and appends `j`; no `Ranking`, hash map or
+//! `PartialOrder` is touched per draw. The public methods taking or
+//! returning a [`Ranking`] translate at the edge and run the same two walks
+//! ([`AmpSampler::sample_with_prob_into`] and
+//! [`AmpSampler::prob_of_with_scratch`] are thin adapters), and
+//! [`AmpMixture`] runs a whole balance-heuristic pass over a pool of
+//! samplers without leaving integer arrays.
+//!
+//! # Precomputed in [`AmpSampler::new`]
+//!
+//! * `φ^k` for `k < m`, filled by the one `pow_phi` every other Mallows
+//!   quantity in the crate uses;
+//! * the normaliser `Σ_j φ^{i−j}` of an unconstrained insertion step `i`;
+//! * the transitively-closed constraint as an `m × m` table over centre
+//!   positions (row `i` says, for each earlier item `k < i`, whether `k`
+//!   must stay before `i`, after it, or is unrelated) — any `m`, no bitset
+//!   width to outgrow;
+//! * per item, whether any earlier item constrains it at all; an
+//!   unconstrained step skips the range scan and reads its normaliser from
+//!   the table.
+//!
+//! # Bit rules
+//!
+//! Every estimate built on this module is pinned bit for bit, so the walks
+//! keep three orders fixed:
+//!
+//! 1. **Draw order** — one `gen::<f64>()` per insertion step, steps in
+//!    centre order, whatever the feasible range (a forced step still
+//!    consumes its variate).
+//! 2. **Fold order** — a step's weights `φ^{i−j}` are summed left to right
+//!    for `j = lo..=hi`, the variate is scaled by that sum and walked
+//!    through the same weights in the same order, and the running
+//!    probability is multiplied by `w / total` step by step.
+//! 3. **Pool order** — a mixture density is `Σ_s c_s · q_s(τ)` accumulated
+//!    in slice order, skipping components whose coefficient is zero.
+//!
+//! A range whose weights sum to zero (`φ = 0`, or `φ` so small that its
+//! powers underflow, with a constraint the centre violates) is the `φ → 0`
+//! limit: all of its mass sits on its highest position, which is drawn with
+//! probability 1.
 
 use crate::mallows::pow_phi;
 use crate::{Item, MallowsModel, PartialOrder, Ranking, Result, RimError, SubRanking};
 use rand::Rng;
 
-/// Reusable scratch buffers for [`AmpSampler`]'s hot loops: the partial
-/// ranking built up during a sample or probability evaluation and the
-/// per-step insertion weights. Hoisting these out of a sampling loop removes
-/// every per-sample allocation without changing a single arithmetic
-/// operation or random draw — results are bit-identical to the unscratched
-/// entry points.
+/// Reusable scratch buffers for [`AmpSampler`]'s walks: the ranks of the
+/// centre items inserted so far (a draw's result, a density evaluation's
+/// working state), the ranks a complete ranking assigns to the centre's
+/// items, and the drawn items on their way into a [`Ranking`]. Reusing one
+/// across calls removes every per-call allocation; results do not depend on
+/// what a scratch held before.
 #[derive(Debug, Clone, Default)]
 pub struct AmpScratch {
+    placed: Vec<u32>,
+    tpos: Vec<u32>,
     items: Vec<Item>,
-    weights: Vec<f64>,
 }
+
+/// How an earlier centre item `k < i` constrains the insertion of item `i`.
+const UNRELATED: u8 = 0;
+/// `k ≻ i`: `k` must stay before `i`.
+const STAYS_BEFORE: u8 = 1;
+/// `i ≻ k`: `i` must be placed before `k`.
+const STAYS_AFTER: u8 = 2;
 
 /// `AMP(σ, φ, υ)`: a sampler over rankings consistent with a partial order
 /// `υ`, obtained by running the Mallows repeated-insertion procedure while
@@ -30,8 +85,15 @@ pub struct AmpScratch {
 pub struct AmpSampler {
     center: Ranking,
     phi: f64,
-    /// Transitively-closed constraint.
-    constraint: PartialOrder,
+    /// `pow[k] = φ^k` for `k < m`.
+    pow: Vec<f64>,
+    /// `full[i] = Σ_{j=0..=i} φ^{i−j}`, folded in `j` order.
+    full: Vec<f64>,
+    /// Row `i`, column `k < i`: the closed constraint between centre items
+    /// `k` and `i` (`m × m`, row-major; columns `k ≥ i` are unused).
+    relation: Vec<u8>,
+    /// `constrained[i]`: row `i` of `relation` has an entry for some `k < i`.
+    constrained: Vec<bool>,
 }
 
 impl AmpSampler {
@@ -49,11 +111,29 @@ impl AmpSampler {
                 )));
             }
         }
-        let closed = constraint.transitive_closure()?;
+        let m = center.len();
+        let pow: Vec<f64> = (0..m).map(|k| pow_phi(phi, k)).collect();
+        let full = (0..m).map(|i| pow[..=i].iter().rev().sum()).collect();
+        let mut relation = vec![UNRELATED; m * m];
+        let mut constrained = vec![false; m];
+        for (a, b) in constraint.transitive_closure()?.edges() {
+            let rank = |item| center.position_of(item).expect("checked above");
+            let (a, b) = (rank(a), rank(b));
+            let (later, earlier, kind) = if a < b {
+                (b, a, STAYS_BEFORE)
+            } else {
+                (a, b, STAYS_AFTER)
+            };
+            relation[later * m + earlier] = kind;
+            constrained[later] = true;
+        }
         Ok(AmpSampler {
             center,
             phi,
-            constraint: closed,
+            pow,
+            full,
+            relation,
+            constrained,
         })
     }
 
@@ -97,21 +177,10 @@ impl AmpSampler {
         scratch: &mut AmpScratch,
         out: &mut Ranking,
     ) -> f64 {
-        let m = self.center.len();
-        scratch.items.clear();
-        let mut prob = 1.0;
-        for i in 0..m {
-            let item = self.center.item_at(i);
-            let (lo, hi) = self.feasible_range(&scratch.items, item, i);
-            scratch.weights.clear();
-            scratch
-                .weights
-                .extend((lo..=hi).map(|j| pow_phi(self.phi, i - j)));
-            let total: f64 = scratch.weights.iter().sum();
-            let idx = crate::rim::sample_index(&scratch.weights, rng);
-            let j = lo + idx;
-            prob *= scratch.weights[idx] / total;
-            scratch.items.insert(j, item);
+        let prob = self.draw(rng, &mut scratch.placed);
+        scratch.items.resize(scratch.placed.len(), 0);
+        for (&item, &rank) in self.center.items().iter().zip(&scratch.placed) {
+            scratch.items[rank as usize] = item;
         }
         out.assign(&scratch.items)
             .expect("AMP inserts distinct items");
@@ -131,40 +200,19 @@ impl AmpSampler {
         self.prob_of_with_scratch(tau, &mut scratch)
     }
 
-    /// [`AmpSampler::prob_of`] with a reused partial-ranking buffer;
-    /// bit-identical results.
+    /// [`AmpSampler::prob_of`] with reused buffers; bit-identical results.
     pub fn prob_of_with_scratch(&self, tau: &Ranking, scratch: &mut AmpScratch) -> f64 {
-        let m = self.center.len();
-        if tau.len() != m {
+        if tau.len() != self.center.len() {
             return 0.0;
         }
-        scratch.items.clear();
-        let items = &mut scratch.items;
-        let mut prob = 1.0;
-        for i in 0..m {
-            let item = self.center.item_at(i);
-            let pos_final = match tau.position_of(item) {
-                Some(p) => p,
+        scratch.tpos.clear();
+        for &item in self.center.items() {
+            match tau.position_of(item) {
+                Some(rank) => scratch.tpos.push(rank as u32),
                 None => return 0.0,
-            };
-            // Position of `item` among the already-inserted items, in τ.
-            let j = items
-                .iter()
-                .filter(|&&other| {
-                    tau.position_of(other)
-                        .map(|p| p < pos_final)
-                        .unwrap_or(false)
-                })
-                .count();
-            let (lo, hi) = self.feasible_range(items, item, i);
-            if j < lo || j > hi {
-                return 0.0;
             }
-            let total: f64 = (lo..=hi).map(|jj| pow_phi(self.phi, i - jj)).sum();
-            prob *= pow_phi(self.phi, i - j) / total;
-            items.insert(j, item);
         }
-        prob
+        self.density(&scratch.tpos, &mut scratch.placed)
     }
 
     /// Evaluates the density of a **mixture** of AMP proposals at `tau`:
@@ -179,6 +227,8 @@ impl AmpSampler {
     /// walk. Each evaluated component performs bit-for-bit the arithmetic of
     /// [`AmpSampler::prob_of_with_scratch`]; the combination order is the
     /// fixed slice order, so the result is deterministic for a fixed pool.
+    /// A sampling loop that evaluates this once per draw should run on
+    /// [`AmpMixture`] instead, which never materialises `tau`.
     pub fn mix_prob_of(
         samplers: &[AmpSampler],
         coefficients: &[f64],
@@ -199,32 +249,412 @@ impl AmpSampler {
         mix
     }
 
-    /// Feasible insertion range `[lo, hi]` (inclusive, 0-based) for inserting
-    /// `item` into the current partial ranking `items` at step `i`
-    /// (so the partial ranking currently holds `i` items).
-    fn feasible_range(&self, items: &[Item], item: Item, i: usize) -> (usize, usize) {
-        let mut lo = 0usize;
-        let mut hi = i;
-        for (pos, &other) in items.iter().enumerate() {
-            if self.constraint.implies(other, item) {
-                // `other` must stay before `item`.
-                lo = lo.max(pos + 1);
-            }
-            if self.constraint.implies(item, other) {
-                // `item` must be placed before `other`.
-                hi = hi.min(pos);
+    /// Feasible insertion range `[lo, hi]` (inclusive) of centre item `i`,
+    /// given the ranks `placed[k]` of the centre items `k < i` before it.
+    fn feasible_range(&self, placed: &[u32], i: usize) -> (usize, usize) {
+        let (mut lo, mut hi) = (0, i);
+        if self.constrained[i] {
+            let row = &self.relation[i * self.center.len()..][..i];
+            for (&kind, &rank) in row.iter().zip(placed) {
+                match kind {
+                    STAYS_BEFORE => lo = lo.max(rank as usize + 1),
+                    STAYS_AFTER => hi = hi.min(rank as usize),
+                    _ => {}
+                }
             }
         }
         debug_assert!(lo <= hi, "transitively closed constraint keeps range valid");
         (lo, hi)
+    }
+
+    /// `Σ_{j=lo..=hi} φ^{i−j}`, folded in `j` order: the normaliser of
+    /// insertion step `i` over the feasible range `[lo, hi]`.
+    fn range_mass(&self, i: usize, lo: usize, hi: usize) -> f64 {
+        if lo == 0 && hi == i {
+            self.full[i]
+        } else {
+            self.pow[i - hi..=i - lo].iter().rev().sum()
+        }
+    }
+
+    /// The sampling walk: leaves the drawn ranking in `placed` (the rank of
+    /// each centre item) and returns the probability of the draw.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R, placed: &mut Vec<u32>) -> f64 {
+        placed.clear();
+        let mut prob = 1.0;
+        for i in 0..self.center.len() {
+            let (lo, hi) = self.feasible_range(placed, i);
+            let total = self.range_mass(i, lo, hi);
+            // Inverse-CDF walk over the weights φ^{i−j}, j = lo..=hi; the
+            // last position takes whatever rounding leaves over — and the
+            // whole of a zero-mass range, with probability 1.
+            let mut u = rng.gen::<f64>() * total;
+            let mut j = hi;
+            for candidate in lo..hi {
+                let w = self.pow[i - candidate];
+                if u < w {
+                    j = candidate;
+                    break;
+                }
+                u -= w;
+            }
+            if total > 0.0 {
+                prob *= self.pow[i - j] / total;
+            }
+            insert_at_rank(placed, j);
+        }
+        prob
+    }
+
+    /// The density walk: `q(τ)` for the complete ranking that puts centre
+    /// item `i` at rank `tpos[i]`. `placed` is scratch.
+    fn density(&self, tpos: &[u32], placed: &mut Vec<u32>) -> f64 {
+        debug_assert_eq!(tpos.len(), self.center.len());
+        placed.clear();
+        let mut prob = 1.0;
+        for (i, &rank) in tpos.iter().enumerate() {
+            // Where τ puts item i among the items inserted before it.
+            let j = tpos[..i].iter().filter(|&&earlier| earlier < rank).count();
+            let (lo, hi) = self.feasible_range(placed, i);
+            if j < lo || j > hi {
+                return 0.0;
+            }
+            let total = self.range_mass(i, lo, hi);
+            if total > 0.0 {
+                prob *= self.pow[i - j] / total;
+            } else if j != hi {
+                return 0.0;
+            }
+            insert_at_rank(placed, j);
+        }
+        prob
+    }
+}
+
+/// Inserts the next centre item at rank `j` of the partial ranking whose
+/// items have the ranks `placed`: everything at or after `j` moves down one.
+fn insert_at_rank(placed: &mut Vec<u32>, j: usize) {
+    let j = j as u32;
+    for rank in placed.iter_mut() {
+        *rank += u32::from(*rank >= j);
+    }
+    placed.push(j);
+}
+
+/// One balance-heuristic sampling pass over a pool of AMP proposals for a
+/// Mallows model, on integer arrays from draw to weight: a draw from any
+/// proposal is held as the rank of each item of the model's centre `σ`, so
+/// the model's probability of it is `φ^inversions / Z` with `Z` computed
+/// once for the pass, and its density under every proposal is one
+/// allocation-free insertion walk. Proposals may be centred anywhere (the
+/// MIS estimators centre them on posterior modes), as long as they rank
+/// exactly the model's items.
+///
+/// The arithmetic and the random variates are those of
+/// [`AmpSampler::sample_with_prob_into`], [`MallowsModel::prob_of`] and
+/// [`AmpSampler::mix_prob_of`] on the same ranking, bit for bit.
+#[derive(Debug)]
+pub struct AmpMixture<'a> {
+    samplers: &'a [AmpSampler],
+    phi: f64,
+    partition_function: f64,
+    /// Row `s`, column `k`: the position in `σ` of proposal `s`'s `k`-th
+    /// centre item (`d × m`, row-major).
+    to_sigma: Vec<u32>,
+    /// The current draw: `ranks[r]` is the rank of `σ`'s `r`-th item (`σ`
+    /// itself until the first draw).
+    ranks: Vec<u32>,
+    scratch: AmpScratch,
+}
+
+impl<'a> AmpMixture<'a> {
+    /// Prepares a pass over `samplers`, each of which must rank exactly the
+    /// items of `model`.
+    pub fn new(model: &MallowsModel, samplers: &'a [AmpSampler]) -> Result<Self> {
+        let sigma = model.sigma();
+        let m = sigma.len();
+        let mut to_sigma = Vec::with_capacity(samplers.len() * m);
+        for sampler in samplers {
+            if sampler.center.len() != m {
+                return Err(RimError::IncompatibleConstraint(format!(
+                    "a proposal ranks {} items, the model {m}",
+                    sampler.center.len()
+                )));
+            }
+            for &item in sampler.center.items() {
+                let rank = sigma.position_of(item).ok_or(RimError::UnknownItem(item))?;
+                to_sigma.push(rank as u32);
+            }
+        }
+        Ok(AmpMixture {
+            samplers,
+            phi: model.phi(),
+            partition_function: model.partition_function(),
+            to_sigma,
+            ranks: (0..m as u32).collect(),
+            scratch: AmpScratch::default(),
+        })
+    }
+
+    /// Draws the pass's current ranking from proposal `s` and returns the
+    /// probability with which that proposal generated it.
+    pub fn draw<R: Rng + ?Sized>(&mut self, s: usize, rng: &mut R) -> f64 {
+        let prob = self.samplers[s].draw(rng, &mut self.scratch.placed);
+        let m = self.ranks.len();
+        let to_sigma = &self.to_sigma[s * m..][..m];
+        for (&r, &rank) in to_sigma.iter().zip(&self.scratch.placed) {
+            self.ranks[r as usize] = rank;
+        }
+        prob
+    }
+
+    /// The probability `φ^{dist(σ, τ)} / Z` the model gives the current
+    /// draw `τ`.
+    pub fn model_prob(&self) -> f64 {
+        pow_phi(self.phi, crate::kendall::inversions(&self.ranks)) / self.partition_function
+    }
+
+    /// The mixture density `Σ_s coefficients[s] · q_s(τ)` of the current
+    /// draw, accumulated in pool order; zero-coefficient proposals are
+    /// skipped.
+    pub fn density(&mut self, coefficients: &[f64]) -> f64 {
+        debug_assert_eq!(
+            self.samplers.len(),
+            coefficients.len(),
+            "one mixture coefficient per proposal"
+        );
+        let mut mix = 0.0;
+        for (s, (sampler, &coefficient)) in self.samplers.iter().zip(coefficients).enumerate() {
+            if coefficient > 0.0 {
+                let AmpScratch { placed, tpos, .. } = &mut self.scratch;
+                let m = self.ranks.len();
+                let to_sigma = &self.to_sigma[s * m..][..m];
+                tpos.clear();
+                tpos.extend(to_sigma.iter().map(|&r| self.ranks[r as usize]));
+                mix += coefficient * sampler.density(tpos, placed);
+            }
+        }
+        mix
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amp_reference::{self, AmpReference};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{RngCore, SeedableRng};
+
+    /// Dispersions the kernel is held to the reference at: the `φ → 0`
+    /// limit, a `φ` whose third power underflows to zero, uniform, and three
+    /// in between — 0.3 and 0.9 because their powers, unlike those of 0.5,
+    /// do not add up exactly, so a fold in the wrong order shows.
+    const PHIS: [f64; 6] = [0.0, 1e-160, 0.3, 0.5, 0.9, 1.0];
+
+    /// A random ranking of the items `100..100 + m` (so that no item is its
+    /// own position).
+    fn random_ranking(m: usize, rng: &mut StdRng) -> Ranking {
+        let mut items: Vec<Item> = (100..100 + m as Item).collect();
+        items.shuffle(rng);
+        Ranking::new(items).unwrap()
+    }
+
+    /// A random constraint over some of `ranking`'s items, unrelated to the
+    /// order `ranking` puts them in: nothing, a chain, or a few components
+    /// (edges that follow a hidden random order, so acyclic) next to items
+    /// that are mentioned but left unconstrained.
+    fn random_constraint(ranking: &Ranking, shape: usize, rng: &mut StdRng) -> PartialOrder {
+        let mut hidden: Vec<Item> = ranking.items().to_vec();
+        hidden.shuffle(rng);
+        let m = hidden.len();
+        match shape % 3 {
+            0 => PartialOrder::new(),
+            1 => {
+                let length = rng.gen_range(0..=m.min(6));
+                PartialOrder::from_subranking(&SubRanking::new(hidden[..length].to_vec()).unwrap())
+            }
+            _ => {
+                let mut order = PartialOrder::new();
+                for _ in 0..rng.gen_range(0..=m) {
+                    let (a, b) = (rng.gen_range(0..m), rng.gen_range(0..m));
+                    if a != b {
+                        order.add_edge(hidden[a.min(b)], hidden[a.max(b)]).unwrap();
+                    }
+                }
+                if let Some(&isolated) = hidden.first() {
+                    order.add_item(isolated);
+                }
+                order
+            }
+        }
+    }
+
+    /// Draws from the kernel and the reference off equally seeded streams
+    /// and requires the same ranking, the same probability bits, the same
+    /// density bits for that ranking and for an arbitrary one, and streams
+    /// left at the same place.
+    fn assert_walks_match_reference(m: usize, phi: f64, shape: usize, seed: u64, draws: usize) {
+        let mut setup = StdRng::seed_from_u64(seed);
+        let center = random_ranking(m, &mut setup);
+        let constraint = random_constraint(&center, shape, &mut setup);
+        let kernel = AmpSampler::new(center.clone(), phi, &constraint).unwrap();
+        let reference = AmpReference::new(center, phi, &constraint);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut reference_rng = rng.clone();
+        let mut scratch = AmpScratch::default();
+        let mut tau = Ranking::identity(0);
+        for _ in 0..draws {
+            let q = kernel.sample_with_prob_into(&mut rng, &mut scratch, &mut tau);
+            let (expected, expected_q) = reference.sample_with_prob(&mut reference_rng);
+            assert_eq!(tau, expected, "m={m} φ={phi} shape={shape} seed={seed}");
+            assert_eq!(q.to_bits(), expected_q.to_bits(), "q of {tau}");
+            assert!(q.is_finite());
+            let other = random_ranking(m, &mut setup);
+            for ranking in [&tau, &other] {
+                assert_eq!(
+                    kernel.prob_of_with_scratch(ranking, &mut scratch).to_bits(),
+                    reference.prob_of(ranking).to_bits(),
+                    "density of {ranking}, m={m} φ={phi} shape={shape} seed={seed}"
+                );
+            }
+        }
+        assert_eq!(rng.next_u64(), reference_rng.next_u64());
+    }
+
+    /// A whole mixture pass on [`AmpMixture`] — proposals centred anywhere,
+    /// an uneven allocation with zero-quota proposals — against the
+    /// reference's `Ranking`-per-draw pass: the same Σw, Σw² and
+    /// zero-density count, and the stream left at the same place.
+    fn assert_pass_matches_reference(m: usize, phi: f64, pool: usize, budget: usize, seed: u64) {
+        let mut setup = StdRng::seed_from_u64(seed);
+        let model = MallowsModel::new(random_ranking(m, &mut setup), phi).unwrap();
+        let mut kernels = Vec::new();
+        let mut references = Vec::new();
+        for shape in 0..pool {
+            let mut center = model.sigma().items().to_vec();
+            center.shuffle(&mut setup);
+            let center = Ranking::new(center).unwrap();
+            let constraint = random_constraint(&center, shape + 1, &mut setup);
+            kernels.push(AmpSampler::new(center.clone(), phi, &constraint).unwrap());
+            references.push(AmpReference::new(center, phi, &constraint));
+        }
+        // Front-loaded like the estimators' stratified split, with the
+        // tail of the pool left without a single draw.
+        let allocation: Vec<usize> = (0..pool)
+            .map(|s| {
+                if s < pool.div_ceil(2) {
+                    budget / (s + 1)
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let total: usize = allocation.iter().sum();
+        let coefficients: Vec<f64> = allocation
+            .iter()
+            .map(|&n| {
+                if total == 0 {
+                    0.0
+                } else {
+                    n as f64 / total as f64
+                }
+            })
+            .collect();
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut reference_rng = rng.clone();
+        let (mut sum, mut sum_squares, mut zero_density) = (0.0, 0.0, 0);
+        let mut pass = AmpMixture::new(&model, &kernels).unwrap();
+        for (s, &quota) in allocation.iter().enumerate() {
+            for _ in 0..quota {
+                pass.draw(s, &mut rng);
+                let p = pass.model_prob();
+                let mix = pass.density(&coefficients);
+                if mix > 0.0 {
+                    let w = p / mix;
+                    sum += w;
+                    sum_squares += w * w;
+                } else {
+                    zero_density += 1;
+                }
+            }
+        }
+        let expected = amp_reference::mixture_pass(
+            model.sigma(),
+            phi,
+            &references,
+            &allocation,
+            &coefficients,
+            &mut reference_rng,
+        );
+        assert_eq!(
+            (sum.to_bits(), sum_squares.to_bits(), zero_density),
+            (expected.0.to_bits(), expected.1.to_bits(), expected.2)
+        );
+        assert_eq!(rng.next_u64(), reference_rng.next_u64());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn walks_match_the_reference_bit_for_bit(
+            m in 0usize..=12,
+            phi in 0usize..PHIS.len(),
+            shape in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            assert_walks_match_reference(m, PHIS[phi], shape, seed, 6);
+        }
+
+        #[test]
+        fn mixture_pass_matches_the_reference_pass(
+            m in 1usize..=10,
+            phi in 0usize..PHIS.len(),
+            pool in 1usize..=5,
+            budget in 0usize..=40,
+            seed in 0u64..1_000_000,
+        ) {
+            assert_pass_matches_reference(m, PHIS[phi], pool, budget, seed);
+        }
+    }
+
+    #[test]
+    fn walks_match_the_reference_past_any_machine_word() {
+        // 70 and 130 items: wider than a 64-bit and a 128-bit mask, which
+        // the precedence table must not care about.
+        for m in [70, 130] {
+            for (pi, phi) in PHIS.into_iter().enumerate() {
+                let seed = (m * 10 + pi) as u64;
+                for shape in 0..3 {
+                    assert_walks_match_reference(m, phi, shape, seed, 2);
+                }
+                assert_pass_matches_reference(m, phi, 3, 4, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_dispersion_with_a_violated_constraint_is_the_limit_not_nan() {
+        // φ = 0 and a constraint the centre violates: item 3 may only go
+        // before item 0, where every weight is 0^k = 0. The φ → 0 limit puts
+        // it at the highest feasible position with probability 1 — in debug
+        // and release builds alike.
+        let constraint = PartialOrder::from_pairs(&[(3, 0)]).unwrap();
+        let amp = AmpSampler::new(Ranking::identity(4), 0.0, &constraint).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        let (tau, q) = amp.sample_with_prob(&mut rng);
+        assert_eq!(tau.items(), &[3, 0, 1, 2]);
+        assert_eq!(q, 1.0);
+        assert_eq!(amp.prob_of(&tau), 1.0);
+        for other in Ranking::enumerate_all(&[0, 1, 2, 3]) {
+            if other != tau {
+                assert_eq!(amp.prob_of(&other), 0.0, "{other}");
+            }
+        }
+    }
 
     #[test]
     fn unconstrained_amp_equals_mallows() {

@@ -9,39 +9,45 @@ use crate::{Item, Ranking};
 /// computed over the common items), which matches the paper's use of the
 /// distance between rankings over a shared universe.
 pub fn kendall_tau(a: &Ranking, b: &Ranking) -> usize {
-    // Fast path for the common case — both rankings over the same item set
-    // (every distance in the sampling hot loops): no filtering, and hence no
-    // allocation, is needed.
-    if a.items().iter().all(|&it| b.contains(it)) {
-        return kendall_tau_between_sets(a.items(), a, b);
-    }
-    let common: Vec<Item> = a
-        .items()
+    inversions(&ranks_in_order_of(a, b))
+}
+
+/// `b`'s rank of every item the two rankings share, in `a`'s order: `a`
+/// orders any two of them as listed, so the pairs the rankings order
+/// differently are the inversions of this array.
+fn ranks_in_order_of(a: &Ranking, b: &Ranking) -> Vec<usize> {
+    a.items()
         .iter()
-        .copied()
-        .filter(|&it| b.contains(it))
-        .collect();
-    kendall_tau_between_sets(&common, a, b)
+        .filter_map(|&item| b.position_of(item))
+        .collect()
 }
 
 /// Kendall-tau distance restricted to the given items (each must appear in
-/// both rankings to be counted). Allocation-free: positions are read through
-/// the rankings' O(1) inverse indices.
+/// both rankings to be counted). Every item's two positions are looked up
+/// once; the pair loop compares integers.
 pub fn kendall_tau_between_sets(items: &[Item], a: &Ranking, b: &Ranking) -> usize {
+    let ranks: Vec<(usize, usize)> = items
+        .iter()
+        .filter_map(|&item| Some((a.position_of(item)?, b.position_of(item)?)))
+        .collect();
     let mut count = 0;
-    for i in 0..items.len() {
-        let x = items[i];
-        let (ax, bx) = match (a.position_of(x), b.position_of(x)) {
-            (Some(ax), Some(bx)) => (ax, bx),
-            _ => continue,
-        };
-        for &y in &items[i + 1..] {
-            if let (Some(ay), Some(by)) = (a.position_of(y), b.position_of(y)) {
-                if (ax < ay) != (bx < by) {
-                    count += 1;
-                }
-            }
-        }
+    for (i, &(ax, bx)) in ranks.iter().enumerate() {
+        count += ranks[i + 1..]
+            .iter()
+            .filter(|&&(ay, by)| (ax < ay) != (bx < by))
+            .count();
+    }
+    count
+}
+
+/// Number of pairs `i < j` with `ranks[i] > ranks[j]`.
+pub(crate) fn inversions<T: Copy + PartialOrd>(ranks: &[T]) -> usize {
+    let mut count = 0;
+    for (i, &earlier) in ranks.iter().enumerate() {
+        count += ranks[i + 1..]
+            .iter()
+            .filter(|&&later| later < earlier)
+            .count();
     }
     count
 }
@@ -50,23 +56,21 @@ pub fn kendall_tau_between_sets(items: &[Item], a: &Ranking, b: &Ranking) -> usi
 /// discordant pairs, yielding a value in `[0, 1]`. Returns 0 for rankings
 /// with fewer than two common items.
 pub fn normalized_kendall_tau(a: &Ranking, b: &Ranking) -> f64 {
-    let common: Vec<Item> = a
-        .items()
-        .iter()
-        .copied()
-        .filter(|&it| b.contains(it))
-        .collect();
-    let n = common.len();
+    let ranks = ranks_in_order_of(a, b);
+    let n = ranks.len();
     if n < 2 {
         return 0.0;
     }
     let max_pairs = n * (n - 1) / 2;
-    kendall_tau_between_sets(&common, a, b) as f64 / max_pairs as f64
+    inversions(&ranks) as f64 / max_pairs as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     #[test]
     fn identical_rankings_have_zero_distance() {
@@ -141,6 +145,45 @@ mod tests {
                 let raw = kendall_tau(&tau, &sigma) as f64;
                 assert!((norm - raw / (m * (m - 1) / 2) as f64).abs() < 1e-12);
             }
+        }
+    }
+
+    #[test]
+    fn position_arrays_count_what_pairwise_lookups_count() {
+        // Both entry points against the definition, a pair at a time through
+        // `position_of`, on rankings that share only some of their items and
+        // an item list that names strangers to both.
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let mut shuffled = |from: Item, to: Item| {
+            let mut items: Vec<Item> = (from..to).collect();
+            items.shuffle(&mut rng);
+            Ranking::new(items).unwrap()
+        };
+        for _ in 0..50 {
+            let a = shuffled(0, 9);
+            let b = shuffled(3, 12);
+            let items: Vec<Item> = (0..14).rev().collect();
+            let by_definition = |items: &[Item]| {
+                let mut count = 0;
+                for (i, &x) in items.iter().enumerate() {
+                    for &y in &items[i + 1..] {
+                        if let (Some(ax), Some(ay), Some(bx), Some(by)) = (
+                            a.position_of(x),
+                            a.position_of(y),
+                            b.position_of(x),
+                            b.position_of(y),
+                        ) {
+                            count += usize::from((ax < ay) != (bx < by));
+                        }
+                    }
+                }
+                count
+            };
+            assert_eq!(
+                kendall_tau_between_sets(&items, &a, &b),
+                by_definition(&items)
+            );
+            assert_eq!(kendall_tau(&a, &b), by_definition(a.items()));
         }
     }
 

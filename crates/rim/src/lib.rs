@@ -26,6 +26,12 @@
 //! positions, and doc comments point out the correspondence where useful.
 
 pub mod amp;
+/// The oracle is written against the public API under the crate's own name,
+/// so that `ppd_solvers`' tests can include the same file.
+#[cfg(test)]
+extern crate self as ppd_rim;
+#[cfg(test)]
+mod amp_reference;
 pub mod kendall;
 pub mod mallows;
 pub mod mixture;
@@ -35,7 +41,7 @@ pub mod ranking;
 pub mod rim;
 pub mod subranking;
 
-pub use amp::{AmpSampler, AmpScratch};
+pub use amp::{AmpMixture, AmpSampler, AmpScratch};
 pub use kendall::{kendall_tau, kendall_tau_between_sets, normalized_kendall_tau};
 pub use mallows::MallowsModel;
 pub use mixture::{MallowsMixture, MixtureComponent};

@@ -65,11 +65,18 @@ impl MallowsModel {
     }
 
     /// The Mallows partition function
-    /// `Z = Π_{k=1}^{m} (1 + φ + … + φ^{k−1})`.
+    /// `Z = Π_{k=1}^{m} (1 + φ + … + φ^{k−1})`. Each factor is the
+    /// left-to-right fold of the one before it plus one more power, so all
+    /// `m` of them come out of a single running sum: `m` powers, not `m²/2`.
+    /// A loop over many rankings of one model should still call this once
+    /// (as [`crate::AmpMixture`] does) rather than through
+    /// [`MallowsModel::prob_of`].
     pub fn partition_function(&self) -> f64 {
         let mut z = 1.0;
-        for k in 1..=self.num_items() {
-            z *= geometric_sum(self.phi, k);
+        let mut geometric_sum = 0.0;
+        for k in 0..self.num_items() {
+            geometric_sum += pow_phi(self.phi, k);
+            z *= geometric_sum;
         }
         z
     }
@@ -132,11 +139,6 @@ pub(crate) fn pow_phi(phi: f64, k: usize) -> f64 {
     }
 }
 
-/// `1 + φ + … + φ^{k-1}`.
-pub(crate) fn geometric_sum(phi: f64, k: usize) -> f64 {
-    (0..k).map(|e| pow_phi(phi, e)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,6 +152,22 @@ mod tests {
         assert!(MallowsModel::new(sigma.clone(), 1.1).is_err());
         assert!(MallowsModel::new(sigma.clone(), f64::NAN).is_err());
         assert!(MallowsModel::new(sigma, 0.5).is_ok());
+    }
+
+    #[test]
+    fn partition_function_keeps_the_bits_of_separately_summed_factors() {
+        // Z used to be a product of m geometric sums, each folded from
+        // scratch; the running-sum form must be that number exactly.
+        for m in [0usize, 1, 2, 5, 10, 20, 130] {
+            for phi in [0.0, 1e-160, 0.3, 0.5, 0.9, 1.0] {
+                let mut z = 1.0;
+                for k in 1..=m {
+                    z *= (0..k).map(|e| pow_phi(phi, e)).sum::<f64>();
+                }
+                let model = MallowsModel::new(Ranking::identity(m), phi).unwrap();
+                assert_eq!(model.partition_function().to_bits(), z.to_bits());
+            }
+        }
     }
 
     #[test]

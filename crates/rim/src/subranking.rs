@@ -1,7 +1,6 @@
 //! Sub-rankings: total orders over a subset of the item universe.
 
 use crate::{Item, Ranking, Result, RimError};
-use std::collections::HashMap;
 
 /// A sub-ranking `ψ`: a total order over a subset `A(ψ)` of the items.
 ///
@@ -63,12 +62,19 @@ impl SubRanking {
         if self.contains(item) {
             return Err(RimError::DuplicateItem(item));
         }
-        let pos = pos.min(self.items.len());
+        Ok(self.with_inserted(item, pos.min(self.items.len())))
+    }
+
+    /// [`SubRanking::insert_at`] for an `item` the caller knows is absent
+    /// and a `pos ≤ len`: the greedy modal searches try every position for
+    /// an item they have checked once.
+    pub(crate) fn with_inserted(&self, item: Item, pos: usize) -> SubRanking {
+        debug_assert!(!self.contains(item));
         let mut items = Vec::with_capacity(self.items.len() + 1);
         items.extend_from_slice(&self.items[..pos]);
         items.push(item);
         items.extend_from_slice(&self.items[pos..]);
-        Ok(SubRanking { items })
+        SubRanking { items }
     }
 
     /// `true` when the complete ranking `τ` is consistent with this
@@ -103,23 +109,12 @@ impl SubRanking {
     /// (pairs ordered one way here and the other way in `σ`). This is the
     /// notion of `dist(ψ, σ)` used by Algorithms 5 and 6 of the paper.
     pub fn discordant_pairs_with(&self, sigma: &Ranking) -> usize {
-        let pos_in_sigma: HashMap<Item, usize> = self
+        let ranks: Vec<usize> = self
             .items
             .iter()
-            .filter_map(|&it| sigma.position_of(it).map(|p| (it, p)))
+            .filter_map(|&item| sigma.position_of(item))
             .collect();
-        let mut count = 0;
-        for i in 0..self.items.len() {
-            for j in (i + 1)..self.items.len() {
-                let (a, b) = (self.items[i], self.items[j]);
-                if let (Some(&pa), Some(&pb)) = (pos_in_sigma.get(&a), pos_in_sigma.get(&b)) {
-                    if pa > pb {
-                        count += 1;
-                    }
-                }
-            }
-        }
-        count
+        crate::kendall::inversions(&ranks)
     }
 }
 

@@ -2,7 +2,7 @@
 //! (Section 5.3 of the paper).
 
 use crate::Result;
-use ppd_rim::{AmpSampler, MallowsModel, SubRanking};
+use ppd_rim::{AmpMixture, AmpSampler, MallowsModel, SubRanking};
 use rand::RngCore;
 
 /// Estimates `Pr(τ |= ψ)` for `τ ∼ MAL(σ, φ)` — the probability that a random
@@ -21,11 +21,12 @@ pub fn is_amp_estimate(
     rng: &mut dyn RngCore,
 ) -> Result<f64> {
     let sampler = AmpSampler::for_subranking(mallows.sigma().clone(), mallows.phi(), psi)?;
+    let mut pass = AmpMixture::new(mallows, std::slice::from_ref(&sampler))?;
     let mut total = 0.0;
     let n = num_samples.max(1);
     for _ in 0..n {
-        let (tau, q) = sampler.sample_with_prob(rng);
-        let p = mallows.prob_of(&tau);
+        let q = pass.draw(0, rng);
+        let p = pass.model_prob();
         if q > 0.0 {
             total += p / q;
         }
@@ -57,6 +58,19 @@ mod tests {
         let model = MallowsModel::new(Ranking::identity(5), 0.4).unwrap();
         let est = is_amp_estimate(&model, &SubRanking::empty(), 500, &mut rng).unwrap();
         assert!((est - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_dispersion_against_the_centre_estimates_exactly_zero() {
+        // φ = 0 puts all mass on σ, which ranks 0 before 3: ψ = ⟨3, 0⟩ has
+        // probability 0. Its proposal has to place 3 where every insertion
+        // weight is zero; that used to be a failed assertion in debug builds
+        // and 0/0 in release builds.
+        let mut rng = StdRng::seed_from_u64(7);
+        let model = MallowsModel::new(Ranking::identity(4), 0.0).unwrap();
+        let psi = SubRanking::new(vec![3, 0]).unwrap();
+        let est = is_amp_estimate(&model, &psi, 50, &mut rng).unwrap();
+        assert_eq!(est.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

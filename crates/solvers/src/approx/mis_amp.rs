@@ -13,9 +13,9 @@ use rand::RngCore;
 /// drawn from their stratified mixture and combined with the balance
 /// heuristic of Veach & Guibas (Eq. 6 of the paper).
 ///
-/// The sampling pass reuses hoisted scratch buffers throughout (no per-call
-/// modal clones, no per-sample allocation); the scratch-free replication in
-/// `mixture_semantics_are_bit_pinned` pins the exact bits.
+/// The sampling pass runs on integer arrays throughout (no per-call modal
+/// clones, no per-sample allocation); the replication on the reference
+/// formulation in `mixture_semantics_are_bit_pinned` pins the exact bits.
 pub fn mis_amp_estimate(
     mallows: &MallowsModel,
     psi: &SubRanking,
@@ -46,7 +46,8 @@ pub fn mis_amp_estimate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppd_rim::Ranking;
+    use crate::amp_reference::{self, AmpReference};
+    use ppd_rim::{PartialOrder, Ranking};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -90,47 +91,37 @@ mod tests {
 
     #[test]
     fn mixture_semantics_are_bit_pinned() {
-        // Exact-bits regression pin for the allocation hoisting: replicate
-        // the estimator with the allocating public entry points (fresh
-        // buffers per sample, per-component `prob_of` calls) under the same
-        // mixture weighting, and require identical bits from the production
-        // scratch-reusing pass.
+        // Exact-bits regression pin: replicate the estimator on the
+        // reference formulation (a `Ranking` per draw, a `PartialOrder` walk
+        // per insertion, per-component densities) under the same mixture
+        // weighting, and require identical bits from the production pass.
         let model = MallowsModel::new(Ranking::identity(6), 0.45).unwrap();
         let psi = SubRanking::new(vec![4, 1, 5]).unwrap();
+        let chain = PartialOrder::from_subranking(&psi);
         for &(seed, n, cap) in &[(19u64, 120usize, 16usize), (4u64, 250, 32)] {
-            let modals = ppd_rim::greedy_modals(&psi, model.sigma(), cap);
-            let proposals: Vec<AmpSampler> = modals
-                .iter()
-                .map(|modal| AmpSampler::for_subranking(modal.clone(), model.phi(), &psi))
-                .collect::<std::result::Result<_, _>>()
-                .unwrap();
+            let proposals: Vec<AmpReference> = ppd_rim::greedy_modals(&psi, model.sigma(), cap)
+                .into_iter()
+                .map(|modal| AmpReference::new(modal, model.phi(), &chain))
+                .collect();
             let d = proposals.len();
             assert!(d > 0);
             let total = d * n;
-            let coefficients = vec![n as f64 / total as f64; d];
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut sum = 0.0;
-            for proposal in &proposals {
-                for _ in 0..n {
-                    let (tau, _) = proposal.sample_with_prob(&mut rng);
-                    let p = model.prob_of(&tau);
-                    let mix: f64 = proposals
-                        .iter()
-                        .zip(&coefficients)
-                        .map(|(q, &c)| c * q.prob_of(&tau))
-                        .sum();
-                    if mix > 0.0 {
-                        sum += p / mix;
-                    }
-                }
-            }
+            let (sum, _, _) = amp_reference::mixture_pass(
+                model.sigma(),
+                model.phi(),
+                &proposals,
+                &vec![n; d],
+                &vec![n as f64 / total as f64; d],
+                &mut rng,
+            );
             let expected = (sum / total as f64).clamp(0.0, 1.0);
             let mut rng = StdRng::seed_from_u64(seed);
             let got = mis_amp_estimate(&model, &psi, n, cap, &mut rng).unwrap();
             assert_eq!(
                 expected.to_bits(),
                 got.to_bits(),
-                "seed {seed}: naive {expected} vs production {got}"
+                "seed {seed}: reference {expected} vs production {got}"
             );
         }
     }

@@ -511,10 +511,12 @@ impl ApproxSolver for MisAmpLite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amp_reference::{self, AmpReference};
     use crate::exact::brute::BruteForceSolver;
     use crate::testutil::{cyclic_labeling, mallows, sel};
     use crate::traits::ExactSolver;
     use ppd_patterns::{Pattern, PatternUnion};
+    use ppd_rim::PartialOrder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -688,46 +690,48 @@ mod tests {
         );
     }
 
+    /// The reference twins of the first `d` proposals a pool hands out.
+    fn reference_proposals(pool: &ProposalPool, d: usize) -> Vec<AmpReference> {
+        pool.available
+            .iter()
+            .take(d)
+            .map(|(modal, psi, _)| {
+                AmpReference::new(modal.clone(), pool.phi, &PartialOrder::from_subranking(psi))
+            })
+            .collect()
+    }
+
     #[test]
     fn scratch_reuse_is_bit_identical() {
-        // Exact-bits regression pin for the buffer-reuse optimization and
-        // the mixture weighting: re-run the sampling loop with a fresh
-        // allocation per sample (via the allocating public entry points),
-        // weighting each sample against the coefficient-weighted mixture,
-        // and require the production loop — which reuses one scratch set
-        // across all samples and batches the density evaluation through
-        // `AmpSampler::mix_prob_of` — to produce the same bits.
+        // Exact-bits regression pin for the sampling stage: re-run it on the
+        // reference formulation (a `Ranking` and fresh buffers per sample,
+        // a `PartialOrder` walk per insertion), weighting each sample
+        // against the coefficient-weighted mixture, and require the
+        // production pass — integer arrays, one scratch set across all
+        // samples — to produce the same bits.
         let model = mallows(6, 0.35);
         let lab = cyclic_labeling(6, 3);
         let chain = Pattern::new(vec![sel(1), sel(2), sel(0)], vec![(0, 1), (1, 2)]).unwrap();
         let union = PatternUnion::new(vec![chain, Pattern::two_label(sel(2), sel(1))]).unwrap();
         for &(seed, n) in &[(2024u64, 150usize), (7u64, 300)] {
             let solver = MisAmpLite::new(4, n);
-            let prepared = solver.prepare(&model, &lab, &union).unwrap();
+            let mut pool = solver.build_pool(&model, &lab, &union).unwrap();
+            let prepared = solver.prepare_from_pool(&mut pool).unwrap();
             let d = prepared.num_proposals();
             assert!(d > 0);
             let total_budget = d * n;
             // Equal stratified allocation (d divides the budget), so every
             // mixture coefficient is n / (d·n) — computed exactly as the
             // production path computes it.
-            let coefficients: Vec<f64> = vec![n as f64 / total_budget as f64; d];
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut total = 0.0;
-            for sampler in prepared.samplers() {
-                for _ in 0..n {
-                    let (tau, _) = sampler.sample_with_prob(&mut rng);
-                    let p = model.prob_of(&tau);
-                    let mix: f64 = prepared
-                        .samplers()
-                        .iter()
-                        .zip(&coefficients)
-                        .map(|(q, &c)| c * q.prob_of(&tau))
-                        .sum();
-                    if mix > 0.0 {
-                        total += p / mix;
-                    }
-                }
-            }
+            let (total, _, _) = amp_reference::mixture_pass(
+                model.sigma(),
+                model.phi(),
+                &reference_proposals(&pool, d),
+                &vec![n; d],
+                &vec![n as f64 / total_budget as f64; d],
+                &mut rng,
+            );
             let covered = (total / total_budget as f64).clamp(0.0, 1.0);
             let expected = super::compensate(
                 covered,
@@ -738,8 +742,60 @@ mod tests {
             assert_eq!(
                 expected.to_bits(),
                 got.to_bits(),
-                "seed {seed}: naive {expected} vs scratch {got}"
+                "seed {seed}: reference {expected} vs production {got}"
             );
+        }
+    }
+
+    #[test]
+    fn sampling_stage_matches_the_reference_pass_across_the_menagerie() {
+        // Pools of modals (centres that are not σ) of three sizes, over the
+        // menagerie, four universe sizes and dispersions from the φ → 0
+        // limit to uniform; one budget that does not divide evenly and one
+        // smaller than the pool, which leaves proposals without a draw. The
+        // weight moments and the RNG's next output must be the reference's.
+        for m in [5usize, 8, 10, 12] {
+            let lab = cyclic_labeling(m, 4);
+            for phi in [0.0, 0.1, 0.5, 0.9, 1.0] {
+                let model = mallows(m, phi);
+                for (ui, union) in crate::testutil::sample_unions().iter().enumerate() {
+                    for d in [1usize, 4, 12] {
+                        let solver = MisAmpLite::new(d, 1);
+                        let mut pool = solver.build_pool(&model, &lab, union).unwrap();
+                        let prepared = solver.prepare_from_pool(&mut pool).unwrap();
+                        let kept = prepared.num_proposals();
+                        assert!(kept > 0, "menagerie unions are satisfiable");
+                        let references = reference_proposals(&pool, kept);
+                        for total in [2 * kept + 1, kept.div_ceil(2)] {
+                            let allocation = stratified_allocation(total, kept);
+                            let coefficients = mixture_coefficients(&allocation, total);
+                            let mut rng = StdRng::seed_from_u64((m * 100 + ui * 10 + d) as u64);
+                            let mut reference_rng = rng.clone();
+                            let (_, moments) =
+                                solver.estimate_prepared_total(&model, &prepared, total, &mut rng);
+                            let expected = amp_reference::mixture_pass(
+                                model.sigma(),
+                                phi,
+                                &references,
+                                &allocation,
+                                &coefficients,
+                                &mut reference_rng,
+                            );
+                            assert_eq!(
+                                (
+                                    moments.sum.to_bits(),
+                                    moments.sum_squares.to_bits(),
+                                    moments.zero_density
+                                ),
+                                (expected.0.to_bits(), expected.1.to_bits(), expected.2),
+                                "m={m} φ={phi} union#{ui} d={d} N={total}"
+                            );
+                            assert_eq!(moments.samples, total);
+                            assert_eq!(rng.next_u64(), reference_rng.next_u64());
+                        }
+                    }
+                }
+            }
         }
     }
 

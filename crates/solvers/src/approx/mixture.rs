@@ -1,7 +1,8 @@
 //! The shared mixture-sampling core of the MIS estimators: deterministic
 //! stratified allocation of one total sample budget across the prepared
 //! proposal pool, and the single-pass weighting loop that evaluates the
-//! balance-heuristic mixture density with reused scratch buffers.
+//! balance-heuristic mixture density on [`ppd_rim::AmpMixture`]'s integer
+//! arrays.
 //!
 //! Every MIS estimator in this crate (`mis_amp_estimate`, [`MisAmpLite`],
 //! [`MisAmpBudgeted`], [`MisAmpAdaptive`]) draws its samples through this
@@ -24,7 +25,7 @@
 //! [`mis_amp_estimate`]: crate::mis_amp_estimate
 
 use crate::approx::mis_lite::SampleMoments;
-use ppd_rim::{AmpSampler, AmpScratch, MallowsModel, Ranking};
+use ppd_rim::{AmpMixture, AmpSampler, MallowsModel};
 use rand::RngCore;
 
 /// Splits a total sample budget of `total` across `parts` proposals in fixed
@@ -64,9 +65,11 @@ pub fn mixture_coefficients(allocation: &[usize], total: usize) -> Vec<f64> {
 /// contribute nothing to the sums and are counted in
 /// [`SampleMoments::zero_density`].
 ///
-/// All per-sample state (the sampled ranking, the AMP insertion buffers for
-/// sampling and for density evaluation) lives in buffers hoisted out of the
-/// loop, so the pass performs no per-sample allocation.
+/// The pass runs on [`AmpMixture`]: a draw is an array of ranks over the
+/// model's centre, `p(τ)` comes from its inversion count and a partition
+/// function computed once, and every proposal's density is one insertion
+/// walk over that array — no ranking is built and nothing is allocated per
+/// sample.
 pub(crate) fn mixture_weight_moments(
     mallows: &MallowsModel,
     samplers: &[AmpSampler],
@@ -79,14 +82,13 @@ pub(crate) fn mixture_weight_moments(
     let mut sum = 0.0;
     let mut sum_squares = 0.0;
     let mut zero_density = 0usize;
-    let mut sample_scratch = AmpScratch::default();
-    let mut prob_scratch = AmpScratch::default();
-    let mut tau = Ranking::new(Vec::new()).expect("the empty ranking is valid");
-    for (sampler, &quota) in samplers.iter().zip(allocation) {
+    let mut pass = AmpMixture::new(mallows, samplers)
+        .expect("every proposal is centred on a ranking of the model's items");
+    for (proposal, &quota) in allocation.iter().enumerate() {
         for _ in 0..quota {
-            sampler.sample_with_prob_into(rng, &mut sample_scratch, &mut tau);
-            let p = mallows.prob_of(&tau);
-            let mix = AmpSampler::mix_prob_of(samplers, coefficients, &tau, &mut prob_scratch);
+            pass.draw(proposal, rng);
+            let p = pass.model_prob();
+            let mix = pass.density(coefficients);
             if mix > 0.0 {
                 let w = p / mix;
                 sum += w;
@@ -107,7 +109,9 @@ pub(crate) fn mixture_weight_moments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::mallows;
+    use crate::amp_reference::{self, AmpReference};
+    use crate::testutil::{cyclic_labeling, mallows, sample_unions};
+    use ppd_patterns::{decompose_union, DecompositionLimits};
     use ppd_rim::{PartialOrder, SubRanking};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -135,6 +139,69 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-12, "N={total} d={parts}: {sum}");
         }
         assert_eq!(mixture_coefficients(&[0, 0], 0), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn moments_match_the_reference_pass_on_decomposed_unions() {
+        // Proposals built the way `perf_suite` probes them: `from_model` on
+        // the partial orders a union decomposes into — several components,
+        // isolated items, all centred on σ whether or not σ satisfies them
+        // (at φ = 0 that is the zero-mass limit). Uneven coefficients, the
+        // last proposal without a draw.
+        let limits = DecompositionLimits::default();
+        for m in [5usize, 8, 10, 12] {
+            let lab = cyclic_labeling(m, 4);
+            for phi in [0.0, 0.1, 0.5, 0.9, 1.0] {
+                let model = mallows(m, phi);
+                for (ui, union) in sample_unions().iter().enumerate() {
+                    let orders = decompose_union(union, model.sigma().items(), &lab, &limits)
+                        .unwrap()
+                        .partial_orders;
+                    let orders = &orders[..orders.len().min(4)];
+                    let samplers: Vec<AmpSampler> = orders
+                        .iter()
+                        .map(|order| AmpSampler::from_model(&model, order).unwrap())
+                        .collect();
+                    let references: Vec<AmpReference> = orders
+                        .iter()
+                        .map(|order| AmpReference::new(model.sigma().clone(), phi, order))
+                        .collect();
+                    let mut allocation: Vec<usize> = (1..=samplers.len()).rev().collect();
+                    if let Some(last) = allocation.last_mut() {
+                        *last = 0;
+                    }
+                    let total: usize = allocation.iter().sum();
+                    let coefficients = mixture_coefficients(&allocation, total);
+                    let mut rng = StdRng::seed_from_u64((m * 10 + ui) as u64);
+                    let mut reference_rng = rng.clone();
+                    let moments = mixture_weight_moments(
+                        &model,
+                        &samplers,
+                        &allocation,
+                        &coefficients,
+                        &mut rng,
+                    );
+                    let expected = amp_reference::mixture_pass(
+                        model.sigma(),
+                        phi,
+                        &references,
+                        &allocation,
+                        &coefficients,
+                        &mut reference_rng,
+                    );
+                    assert_eq!(
+                        (
+                            moments.sum.to_bits(),
+                            moments.sum_squares.to_bits(),
+                            moments.zero_density
+                        ),
+                        (expected.0.to_bits(), expected.1.to_bits(), expected.2),
+                        "m={m} φ={phi} union#{ui}"
+                    );
+                    assert_eq!(rng.next_u64(), reference_rng.next_u64());
+                }
+            }
+        }
     }
 
     #[test]

@@ -123,6 +123,13 @@ impl From<RimError> for SolverError {
 /// Convenience result alias for the solver layer.
 pub type Result<T> = std::result::Result<T, SolverError>;
 
+/// `ppd_rim`'s test-only oracle for AMP sampling and the mixture pass (one
+/// source file, compiled into both crates' tests): the estimators' bit pins
+/// compare against it rather than against adapters of the kernel they run on.
+#[cfg(test)]
+#[path = "../../rim/src/amp_reference.rs"]
+mod amp_reference;
+
 pub mod testutil {
     //! Shared fixtures for solver tests: small labeled Mallows instances whose
     //! exact answers can be brute-forced. Public (not `cfg(test)`) so that

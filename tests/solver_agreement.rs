@@ -349,3 +349,227 @@ fn mis_amp_adaptive_tracks_exact_answers() {
     };
     assert_approx_solver_tracks_exact(&solver, 5, 0.06, 0.15);
 }
+
+/// Cross-commit pins: the bits below were recorded at commit de05593 (PR 12,
+/// the last commit on which every draw walked `PartialOrder::implies` and
+/// built a `Ranking`), so they hold the sampler family to that arithmetic
+/// across commits rather than against an oracle compiled from the same tree.
+/// A deliberate change to the sampling arithmetic bumps `SOLVER_REVISION`
+/// and re-records them.
+mod cross_commit_pins {
+    use ppd::datagen::{
+        crowdrank_database, movielens_database, polls_database, polls_q1_query, CrowdRankConfig,
+        MovieLensConfig, PollsConfig,
+    };
+    use ppd::prelude::*;
+    use ppd_rim::SubRanking;
+    use ppd_solvers::{is_amp_estimate, mis_amp_estimate};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// What one (database, query, config) evaluation is pinned by: the
+    /// session count, an FNV-1a fold over every `(session, bits)` pair, the
+    /// first three per-session values and the top-3 scores, all as
+    /// `f64::to_bits`.
+    #[derive(Debug, PartialEq)]
+    struct Pin {
+        sessions: usize,
+        fold: u64,
+        first: [u64; 3],
+        top3: [u64; 3],
+    }
+
+    fn pin(db: &PpdDatabase, query: &ConjunctiveQuery, config: EvalConfig) -> Pin {
+        let engine = Engine::new(EvalConfig {
+            seed: 2016,
+            ..config
+        });
+        let per_session = engine.session_probabilities(db, query).unwrap();
+        let mut fold = 0xcbf2_9ce4_8422_2325u64;
+        for &(index, p) in &per_session {
+            for word in [index as u64, p.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    fold = (fold ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        let (top, _) = engine
+            .most_probable_sessions(db, query, 3, TopKStrategy::Naive)
+            .unwrap();
+        Pin {
+            sessions: per_session.len(),
+            fold,
+            first: std::array::from_fn(|i| per_session[i].1.to_bits()),
+            top3: std::array::from_fn(|i| top[i].probability.to_bits()),
+        }
+    }
+
+    fn movies_query() -> ConjunctiveQuery {
+        let movie = |id: &str, year: &str| {
+            vec![
+                Term::var(id),
+                Term::any(),
+                Term::var(year),
+                Term::any(),
+                Term::any(),
+                Term::any(),
+                Term::any(),
+            ]
+        };
+        ConjunctiveQuery::new("old-over-new")
+            .prefer("Ratings", vec![Term::any()], Term::var("a"), Term::var("b"))
+            .atom("Movies", movie("a", "ya"))
+            .atom("Movies", movie("b", "yb"))
+            .compare("ya", CompareOp::Lt, Value::Int(1985))
+            .compare("yb", CompareOp::Ge, Value::Int(1985))
+    }
+
+    fn workers_query() -> ConjunctiveQuery {
+        ConjunctiveQuery::new("own-sex-lead")
+            .prefer(
+                "HitRankings",
+                vec![Term::var("w")],
+                Term::var("m1"),
+                Term::var("m2"),
+            )
+            .atom(
+                "Workers",
+                vec![Term::var("w"), Term::var("sex"), Term::var("age")],
+            )
+            .atom(
+                "Movies",
+                vec![
+                    Term::var("m1"),
+                    Term::any(),
+                    Term::var("sex"),
+                    Term::any(),
+                    Term::any(),
+                ],
+            )
+            .atom(
+                "Movies",
+                vec![
+                    Term::var("m2"),
+                    Term::val("Thriller"),
+                    Term::any(),
+                    Term::any(),
+                    Term::any(),
+                ],
+            )
+    }
+
+    #[test]
+    fn engine_answers_keep_the_bits_recorded_at_pr_12() {
+        let polls = polls_database(&PollsConfig {
+            num_candidates: 8,
+            num_voters: 40,
+            seed: 11,
+        });
+        let movies = movielens_database(&MovieLensConfig {
+            num_movies: 10,
+            num_components: 4,
+            num_users: 40,
+            phi: 0.5,
+            seed: 99,
+        });
+        let workers = crowdrank_database(&CrowdRankConfig {
+            num_movies: 8,
+            num_models: 4,
+            num_workers: 40,
+            phi: 0.4,
+            seed: 1515,
+        });
+        let cases = [
+            ("polls", &polls, polls_q1_query()),
+            ("movielens", &movies, movies_query()),
+            ("crowdrank", &workers, workers_query()),
+        ];
+        // The error budget is evaluated with the exact-cost threshold at zero
+        // so that every unit goes to the budgeted sampler, not to the DP the
+        // planner would pick for instances this small.
+        let sampled_budget = EvalConfig {
+            exact_cost_threshold: 0.0,
+            ..EvalConfig::error_budget(0.05, 0.95)
+        };
+        let got: Vec<(&str, Pin, Pin)> = cases
+            .iter()
+            .map(|(name, db, query)| {
+                (
+                    *name,
+                    pin(db, query, EvalConfig::approximate(100)),
+                    pin(db, query, sampled_budget.clone()),
+                )
+            })
+            .collect();
+        let expected = vec![
+            (
+                "polls",
+                Pin {
+                    sessions: 40,
+                    fold: 0x077743ae62e61563,
+                    first: [0x3fee25b4ef4f39ae, 0x3ff0000000000000, 0x3fecad01ffe8b2b8],
+                    top3: [0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000],
+                },
+                Pin {
+                    sessions: 40,
+                    fold: 0xb9cd1484691ae583,
+                    first: [0x3fefa51586faaab1, 0x3fefefa6f4eaf07c, 0x3fec90bd580095e1],
+                    top3: [0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000],
+                },
+            ),
+            (
+                "movielens",
+                Pin {
+                    sessions: 40,
+                    fold: 0x19071b3e4a70fc29,
+                    first: [0x3ff0000000000000, 0x3ff0000000000000, 0x3fefbd6965260e90],
+                    top3: [0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000],
+                },
+                Pin {
+                    sessions: 40,
+                    fold: 0xcc2078f728664b31,
+                    first: [0x3ff0000000000000, 0x3fefdd480987be7f, 0x3ff0000000000000],
+                    top3: [0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000],
+                },
+            ),
+            (
+                "crowdrank",
+                Pin {
+                    sessions: 40,
+                    fold: 0xc8d482f6b96c9aa1,
+                    first: [0x3fe6fe01000dccc8, 0x3fee58048ad1b416, 0x3fefe859697329c4],
+                    top3: [0x3feffed100d5a7b3, 0x3feffed100d5a7b3, 0x3feffed100d5a7b3],
+                },
+                Pin {
+                    sessions: 40,
+                    fold: 0x8756ee506fa6238e,
+                    first: [0x3fe7891e266224e5, 0x3fee7841653618bf, 0x3feeb9288a50ae52],
+                    top3: [0x3fef7af19d3d414f, 0x3fef7af19d3d414f, 0x3fef7af19d3d414f],
+                },
+            ),
+        ];
+        assert_eq!(got, expected, "{got:#x?}");
+    }
+
+    #[test]
+    fn single_subranking_estimators_keep_the_bits_recorded_at_pr_12() {
+        let model = MallowsModel::new(Ranking::identity(7), 0.35).unwrap();
+        let psi = SubRanking::new(vec![5, 1, 6, 2]).unwrap();
+        let mut rng = StdRng::seed_from_u64(2016);
+        let mis = mis_amp_estimate(&model, &psi, 150, 16, &mut rng).unwrap();
+        let is = is_amp_estimate(&model, &psi, 600, &mut rng).unwrap();
+        // A centre that is not the identity, and φ close to uniform.
+        let model = MallowsModel::new(Ranking::new(vec![3, 0, 5, 1, 4, 2]).unwrap(), 0.9).unwrap();
+        let psi = SubRanking::new(vec![2, 3, 0]).unwrap();
+        let mis_wide = mis_amp_estimate(&model, &psi, 90, 32, &mut rng).unwrap();
+        let is_wide = is_amp_estimate(&model, &psi, 300, &mut rng).unwrap();
+        let got = [mis, is, mis_wide, is_wide].map(f64::to_bits);
+        let expected = [
+            0x3f51fde16c2f7d27,
+            0x3f527cbf894c0338,
+            0x3fc195e309cf7c69,
+            0x3fc0d3e488ce585c,
+        ];
+        assert_eq!(got, expected, "{got:#x?}");
+    }
+}
