@@ -10,12 +10,18 @@
 //! geometric-mean speedup per kernel family. Results are written to
 //! `bench_results/solver_kernels.json`.
 //!
+//! The pattern family must keep a packed ÷ reference geometric mean of at
+//! least [`MIN_PATTERN_SPEEDUP`] — a ratio on one runner, never an absolute
+//! time — or the binary fails: the general-DAG kernel's embedding check is
+//! compiled once per solve, and a change that puts per-transition work back
+//! shows up here first.
+//!
 //! Environment:
 //! * `PPD_SCALE`       — `small` (default) or `paper` (larger `m` sweep);
 //! * `PPD_KERNEL_REPS` — timed repetitions per point (default 7 small,
 //!   5 paper); the per-solve latency reported is the median;
 //! * `PPD_KERNEL_MAX_M` — drop sweep points above this `m` (the CI smoke
-//!   run uses a tiny cap this way).
+//!   run caps the sweep at 12 this way, which keeps the serving shape).
 
 use ppd_bench::{env_usize, median_duration, timed, write_results, Scale};
 use ppd_patterns::{Labeling, Pattern, PatternUnion};
@@ -23,6 +29,9 @@ use ppd_rim::RimModel;
 use ppd_solvers::testutil::{cyclic_labeling, rim, sel};
 use ppd_solvers::{BipartiteSolver, ExactSolver, PatternSolver, TwoLabelSolver};
 use std::time::Duration;
+
+/// Floor on the pattern family's geometric-mean speedup over the reference.
+const MIN_PATTERN_SPEEDUP: f64 = 4.0;
 
 /// A boxed solve closure over a fixed union/pattern.
 type SolveFn = Box<dyn Fn(&RimModel, &Labeling) -> f64>;
@@ -82,6 +91,7 @@ fn main() {
     let two_label_ms: Vec<usize> = scale.pick(vec![8, 10, 12, 14], vec![10, 14, 18, 22]);
     let bipartite_ms: Vec<usize> = scale.pick(vec![8, 10, 12], vec![10, 12, 14]);
     let pattern_ms: Vec<usize> = scale.pick(vec![6, 7, 8], vec![7, 8, 9]);
+    let serving_ms: Vec<usize> = vec![10, 12];
     let phi = 0.5;
 
     let mut points: Vec<Point> = Vec::new();
@@ -130,25 +140,54 @@ fn main() {
             });
         }
     }
-    for &m in pattern_ms.iter().filter(|&&m| m <= max_m) {
-        let chain = Pattern::new(vec![sel(0), sel(1), sel(2)], vec![(0, 1), (1, 2)]).unwrap();
-        let lab = cyclic_labeling(m, 3);
+    let pattern_point = |label: String, m: usize, labels: u32, pattern: Pattern| {
+        let lab = cyclic_labeling(m, labels);
         let model = rim(m, phi);
-        let width = PatternSolver::packed_state_width(&model, &lab, &chain);
-        let (c1, c2) = (chain.clone(), chain);
-        points.push(Point {
+        let width = PatternSolver::packed_state_width(&model, &lab, &pattern);
+        let z_prime = pattern.num_nodes();
+        let (p1, p2) = (pattern.clone(), pattern);
+        Point {
             family: "pattern",
             m,
-            z_prime: 3,
-            label: format!("pattern m={m} chain3"),
+            z_prime,
+            label,
             model,
             lab,
-            packed: Box::new(move |r, l| PatternSolver::new().solve_pattern(r, l, &c1).unwrap()),
+            packed: Box::new(move |r, l| PatternSolver::new().solve_pattern(r, l, &p1).unwrap()),
             reference: Box::new(move |r, l| {
-                PatternSolver::reference().solve_pattern(r, l, &c2).unwrap()
+                PatternSolver::reference().solve_pattern(r, l, &p2).unwrap()
             }),
             packed_width: width,
-        });
+        }
+    };
+    for &m in pattern_ms.iter().filter(|&&m| m <= max_m) {
+        let chain = Pattern::new(vec![sel(0), sel(1), sel(2)], vec![(0, 1), (1, 2)]).unwrap();
+        points.push(pattern_point(format!("pattern m={m} chain3"), m, 3, chain));
+    }
+    // The shape production solves (`cand0 ≻ cand1 ≻ cand2` over a session's
+    // own σ): one label per item, so a selector names one item and only 3–4
+    // of the m items are relevant, spread over σ.
+    for &m in serving_ms.iter().filter(|&&m| m <= max_m) {
+        let (early, mid, late) = (1, m as u32 / 2, m as u32 - 2);
+        let chain =
+            Pattern::new(vec![sel(late), sel(early), sel(mid)], vec![(0, 1), (1, 2)]).unwrap();
+        points.push(pattern_point(
+            format!("pattern m={m} item chain3"),
+            m,
+            m as u32,
+            chain,
+        ));
+        let diamond = Pattern::new(
+            vec![sel(mid), sel(early), sel(late), sel(0)],
+            vec![(0, 1), (0, 2), (1, 3), (2, 3)],
+        )
+        .unwrap();
+        points.push(pattern_point(
+            format!("pattern m={m} item diamond"),
+            m,
+            m as u32,
+            diamond,
+        ));
     }
 
     println!(
@@ -250,4 +289,13 @@ fn main() {
             "geomean_speedup": serde_json::Value::Object(summaries),
         }),
     );
+
+    if let Some(speedups) = speedups_by_family.get("pattern") {
+        let pattern_speedup = geomean(speedups);
+        assert!(
+            pattern_speedup >= MIN_PATTERN_SPEEDUP,
+            "pattern family: packed is only {pattern_speedup:.2}x the reference \
+             (floor {MIN_PATTERN_SPEEDUP}x)"
+        );
+    }
 }

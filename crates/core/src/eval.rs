@@ -225,7 +225,7 @@ mod tests {
     use crate::query::{CompareOp, ConjunctiveQuery, Term as T};
     use crate::testdb::polling_database;
     use crate::translate::ground_query;
-    use ppd_patterns::satisfies_union;
+    use ppd_patterns::CompiledUnion;
     use ppd_rim::Ranking;
 
     fn q1() -> ConjunctiveQuery {
@@ -274,9 +274,11 @@ mod tests {
             .unwrap();
         let prel = db.preference_relation("Polls").unwrap();
         let model = prel.sessions()[session_index].model();
-        Ranking::enumerate_all(model.sigma().items())
+        let items = model.sigma().items();
+        let check = CompiledUnion::new(&squery.union, items, &plan.labeling);
+        Ranking::enumerate_all(items)
             .iter()
-            .filter(|t| satisfies_union(t, &plan.labeling, &squery.union))
+            .filter(|t| check.satisfied_by(t))
             .map(|t| model.prob_of(t))
             .sum()
     }

@@ -37,7 +37,9 @@ pub use ease::{edge_ease, relaxed_upper_bound_union, select_hardest_edges};
 pub use label::{LabelId, LabelInterner, Labeling};
 pub use node::NodeSelector;
 pub use pattern::{Pattern, PatternEdge};
-pub use satisfy::{find_embedding, satisfies_pattern, satisfies_union};
+pub use satisfy::{
+    find_embedding, satisfies_pattern, satisfies_union, CompiledPattern, CompiledUnion,
+};
 pub use union::{PatternUnion, UnionClass};
 
 /// Errors produced by the pattern layer.

@@ -2,7 +2,7 @@
 
 use crate::traits::ApproxSolver;
 use crate::{Result, SolverError};
-use ppd_patterns::{satisfies_union, Labeling, PatternUnion};
+use ppd_patterns::{CompiledUnion, Labeling, PatternUnion};
 use ppd_rim::MallowsModel;
 use rand::RngCore;
 
@@ -43,10 +43,11 @@ impl RejectionSampler {
         rng: &mut dyn RngCore,
     ) -> Option<usize> {
         let rim = mallows.to_rim();
+        let check = CompiledUnion::new(union, rim.sigma().items(), labeling);
         let mut hits = 0usize;
         for n in 1..=max_samples {
             let tau = rim.sample(rng);
-            if satisfies_union(&tau, labeling, union) {
+            if check.satisfied_by(&tau) {
                 hits += 1;
             }
             let estimate = hits as f64 / n as f64;
@@ -80,10 +81,11 @@ impl ApproxSolver for RejectionSampler {
             ));
         }
         let rim = mallows.to_rim();
+        let check = CompiledUnion::new(union, rim.sigma().items(), labeling);
         let mut hits = 0usize;
         for _ in 0..self.num_samples {
             let tau = rim.sample(rng);
-            if satisfies_union(&tau, labeling, union) {
+            if check.satisfied_by(&tau) {
                 hits += 1;
             }
         }

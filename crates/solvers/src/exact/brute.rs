@@ -2,7 +2,7 @@
 
 use crate::traits::ExactSolver;
 use crate::{Result, SolverError};
-use ppd_patterns::{satisfies_union, Labeling, PatternUnion};
+use ppd_patterns::{CompiledUnion, Labeling, PatternUnion};
 use ppd_rim::{Ranking, RimModel};
 
 /// Enumerates every ranking of the model's items and sums the probabilities
@@ -51,9 +51,10 @@ impl ExactSolver for BruteForceSolver {
                 self.cap()
             )));
         }
+        let check = CompiledUnion::new(union, rim.sigma().items(), labeling);
         let mut total = 0.0;
         for tau in Ranking::enumerate_all(rim.sigma().items()) {
-            if satisfies_union(&tau, labeling, union) {
+            if check.satisfied_by(&tau) {
                 total += rim.prob_of(&tau);
             }
         }

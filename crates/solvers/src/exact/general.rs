@@ -13,8 +13,8 @@ use crate::budget::Budget;
 use crate::exact::pattern::PatternSolver;
 use crate::traits::ExactSolver;
 use crate::{Result, SolverError};
-use ppd_patterns::{Labeling, PatternUnion};
-use ppd_rim::RimModel;
+use ppd_patterns::{Labeling, Pattern, PatternUnion};
+use ppd_rim::{Item, RimModel};
 use std::collections::HashMap;
 
 /// Exact solver for arbitrary pattern unions via inclusion–exclusion.
@@ -23,6 +23,13 @@ pub struct GeneralSolver {
     budget: Option<Budget>,
     max_union_size: Option<usize>,
 }
+
+/// Subsets of members are `u64` masks and the loop bound is `1 << z`.
+const MAX_MASK_MEMBERS: usize = 63;
+
+/// A union member that can be satisfied, with the candidate items of each of
+/// its nodes (all non-empty — that is what "can be satisfied" means here).
+type Member<'a> = (&'a Pattern, Vec<Vec<Item>>);
 
 impl GeneralSolver {
     /// Creates a solver with the default union-size cap (16 members, i.e. at
@@ -37,14 +44,24 @@ impl GeneralSolver {
         self
     }
 
-    /// Overrides the maximum number of union members accepted.
+    /// Overrides the maximum number of union members accepted. Whatever the
+    /// cap, a union of more than 63 satisfiable members is
+    /// [`SolverError::Unsupported`]: its subsets are enumerated as `u64`
+    /// masks.
     pub fn with_max_union_size(mut self, max: usize) -> Self {
         self.max_union_size = Some(max);
         self
     }
 
     fn cap(&self) -> usize {
-        self.max_union_size.unwrap_or(16)
+        self.max_union_size.unwrap_or(16).min(MAX_MASK_MEMBERS)
+    }
+
+    fn pattern_solver(&self) -> PatternSolver {
+        match &self.budget {
+            Some(b) => PatternSolver::with_budget(b.clone()),
+            None => PatternSolver::new(),
+        }
     }
 
     /// Evaluates one conjunction of members; exposed so that experiment
@@ -57,12 +74,36 @@ impl GeneralSolver {
         member_indices: &[usize],
     ) -> Result<f64> {
         let conjunction = union.conjunction_of(member_indices)?;
-        let solver = match &self.budget {
-            Some(b) => PatternSolver::with_budget(b.clone()),
-            None => PatternSolver::new(),
-        };
-        solver.solve_pattern(rim, labeling, &conjunction)
+        self.pattern_solver()
+            .solve_pattern(rim, labeling, &conjunction)
     }
+}
+
+/// `Pr` of the conjunction of the members selected by `classes` (a non-empty
+/// bit set over `members`). A single member is solved in place; several are
+/// folded with [`Pattern::conjunction`], which lays their nodes side by side
+/// in order — so the conjunction's candidate sets are the members' in order.
+fn solve_conjunction(
+    solver: &PatternSolver,
+    rim: &RimModel,
+    labeling: &Labeling,
+    members: &[Member<'_>],
+    classes: u64,
+) -> Result<f64> {
+    let mut selected = (0..members.len())
+        .filter(|&i| classes & (1 << i) != 0)
+        .map(|i| &members[i]);
+    let (first, first_candidates) = selected.next().expect("a non-empty set of classes");
+    if classes.count_ones() == 1 {
+        return solver.solve_with_candidates(rim, labeling, first, first_candidates);
+    }
+    let mut conjunction = (*first).clone();
+    let mut candidates = first_candidates.clone();
+    for (pattern, member_candidates) in selected {
+        conjunction = conjunction.conjunction(pattern)?;
+        candidates.extend_from_slice(member_candidates);
+    }
+    solver.solve_with_candidates(rim, labeling, &conjunction, &candidates)
 }
 
 impl ExactSolver for GeneralSolver {
@@ -93,12 +134,18 @@ impl GeneralSolver {
             return Err(SolverError::InvalidInstance("empty item universe".into()));
         }
         // Members that cannot be satisfied contribute nothing, and removing
-        // them shrinks the inclusion–exclusion expansion.
-        let union = match union.prune_unsatisfiable(rim.sigma().items(), labeling) {
-            Some(u) => u,
-            None => return Ok((0.0, 0)),
-        };
-        let z = union.num_patterns();
+        // them shrinks the inclusion–exclusion expansion. The candidate sets
+        // that show a member satisfiable are what its solve starts from.
+        let universe = rim.sigma().items();
+        let members: Vec<Member<'_>> = union
+            .patterns()
+            .iter()
+            .filter_map(|g| Some((g, g.candidate_sets(universe, labeling).ok()?)))
+            .collect();
+        let z = members.len();
+        if z == 0 {
+            return Ok((0.0, 0));
+        }
         if z > self.cap() {
             return Err(SolverError::Unsupported(format!(
                 "inclusion–exclusion over {z} members exceeds the cap of {}",
@@ -106,15 +153,15 @@ impl GeneralSolver {
             )));
         }
         // Content classes: members with structurally equal patterns share a
-        // class, keyed by the index of the class's first occurrence.
-        let class_of: Vec<usize> = (0..z)
+        // class, named by the bit of the class's first occurrence.
+        let class_bit: Vec<u64> = (0..z)
             .map(|i| {
-                (0..i)
-                    .find(|&j| union.patterns()[j] == union.patterns()[i])
-                    .unwrap_or(i)
+                let first = (0..i).find(|&j| members[j].0 == members[i].0);
+                1 << first.unwrap_or(i)
             })
             .collect();
-        let mut memo: HashMap<Vec<usize>, f64> = HashMap::new();
+        let solver = self.pattern_solver();
+        let mut memo: HashMap<u64, f64> = HashMap::new();
         let mut total = 0.0;
         // Iterate over all non-empty subsets of members.
         for mask in 1u64..(1u64 << z) {
@@ -124,20 +171,17 @@ impl GeneralSolver {
             if let Some(budget) = &self.budget {
                 budget.check_cancelled()?;
             }
-            // Canonical conjunction: the sorted set of distinct content
-            // classes. Conjunction is idempotent and order-insensitive in
-            // probability, so equal keys have equal conjunction marginals.
-            let mut key: Vec<usize> = (0..z)
+            // Canonical conjunction: the set of distinct content classes.
+            // Conjunction is idempotent and order-insensitive in
+            // probability, so equal sets have equal conjunction marginals.
+            let classes = (0..z)
                 .filter(|&i| mask & (1 << i) != 0)
-                .map(|i| class_of[i])
-                .collect();
-            key.sort_unstable();
-            key.dedup();
-            let p = match memo.get(&key) {
+                .fold(0, |set, i| set | class_bit[i]);
+            let p = match memo.get(&classes) {
                 Some(&p) => p,
                 None => {
-                    let p = self.conjunction_probability(rim, labeling, &union, &key)?;
-                    memo.insert(key, p);
+                    let p = solve_conjunction(&solver, rim, labeling, &members, classes)?;
+                    memo.insert(classes, p);
                     p
                 }
             };
@@ -238,6 +282,65 @@ mod tests {
             solver.solve(&model, &lab, &union),
             Err(SolverError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn more_than_63_members_are_unsupported_whatever_the_cap() {
+        // Subsets are u64 masks: `1 << 64` would overflow (a debug panic, a
+        // release wrap to an empty loop and a silent 0.0).
+        let model = rim(5, 0.5);
+        let lab = cyclic_labeling(5, 3);
+        let members: Vec<Pattern> = (0..64)
+            .map(|_| Pattern::two_label(sel(1), sel(0)))
+            .collect();
+        let union = PatternUnion::new(members).unwrap();
+        for cap in [64, 65, usize::MAX] {
+            let solver = GeneralSolver::new().with_max_union_size(cap);
+            assert!(
+                matches!(
+                    solver.solve(&model, &lab, &union),
+                    Err(SolverError::Unsupported(_))
+                ),
+                "cap {cap}"
+            );
+        }
+    }
+
+    #[test]
+    fn cancellation_aborts_a_general_dag_solve_before_its_last_relevant_step() {
+        use crate::budget::CancelProbe;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        // Item 8 ≻ item 1 ≻ item 5 over m = 10: the kernel runs steps 0..=8
+        // and polls after each of them but the last.
+        let model = rim(10, 0.5);
+        let lab = cyclic_labeling(10, 10);
+        let chain = Pattern::new(vec![sel(8), sel(1), sel(5)], vec![(0, 1), (1, 2)]).unwrap();
+        let union = PatternUnion::singleton(chain).unwrap();
+        let solve_with_probe_firing_after = |k: usize| {
+            let polls = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&polls);
+            let probe = CancelProbe::new(move || counter.fetch_add(1, Ordering::SeqCst) >= k);
+            let result = GeneralSolver::new()
+                .with_budget(Budget::cancellable(probe))
+                .solve(&model, &lab, &union);
+            (result, polls.load(Ordering::SeqCst))
+        };
+        // One poll per subset mask, then one per executed step that leaves a
+        // frontier behind (steps 0..=7).
+        let (result, polls) = solve_with_probe_firing_after(usize::MAX);
+        let expected = GeneralSolver::new().solve(&model, &lab, &union).unwrap();
+        assert_eq!(result.unwrap().to_bits(), expected.to_bits());
+        assert_eq!(polls, 1 + 8);
+        for k in [0, 1, 4, 8] {
+            let (result, polls) = solve_with_probe_firing_after(k);
+            assert!(
+                matches!(result, Err(SolverError::Cancelled)),
+                "k={k}: {result:?}"
+            );
+            assert_eq!(polls, k + 1, "the solve stops at the poll that fires");
+        }
     }
 
     #[test]

@@ -23,13 +23,50 @@
 //! relevant item in a `u64`/`u128`, see `exact::packed`) and a
 //! retained map-based reference kernel for the equivalence suite, used as
 //! the fallback when the packing width exceeds 128 bits.
+//!
+//! # What the packed kernel compiles per solve
+//!
+//! "Does this placed prefix already embed the pattern?" is asked once per
+//! transition of a relevant step, so the packed kernel builds the question
+//! once per solve — a [`CompiledPattern`]: the pattern's nodes in a
+//! topological order, each node's parents as ranks into that order, and each
+//! node's candidates as the *slot shifts* of the relevant items its selector
+//! matches — and evaluates it directly on the packed word. A slot holds an
+//! encoded position: `0` for an item not placed yet, `p + 1` for absolute
+//! position `p`. Walking the nodes in topological order, a node takes the
+//! smallest encoded position among its candidates that is strictly above
+//! every parent's chosen one (a root's bound is `0`, which rules out unplaced
+//! candidates); the prefix embeds the pattern iff every node finds one. That
+//! is `ppd_patterns::find_embedding`'s greedy earliest embedding — the same
+//! compiled form, read through a different position lookup — on a position
+//! set order-isomorphic to the prefix ranking's, so the transition loop
+//! builds no `Ranking`, hashes nothing, sorts nothing and allocates nothing,
+//! and decides exactly what the reference kernel's `satisfies_pattern` on a
+//! rebuilt `Ranking` decides.
+//!
+//! # Why the kernel stops at the last relevant step
+//!
+//! Mass is absorbed into the answer only when a relevant item is placed: a
+//! step that inserts any other item changes no relative order among the
+//! relevant ones, hence no embedding. After the step that places the last
+//! relevant item the answer is therefore final, and the packed kernel ends
+//! there (or earlier, once the frontier is empty) instead of splitting and
+//! re-merging the surviving states for the rest of σ; it does not merge the
+//! frontier that last step would leave behind either, since nothing reads it.
+//! Every `satisfied_mass += p_new` it executes is one the full-length loop
+//! executes, in the same order and with the same operands — the steps it
+//! skips add nothing to that sum — so no bit of the answer can move. The
+//! reference kernel keeps running all `m` steps; that is what makes it an
+//! oracle for this.
 
 use crate::budget::Budget;
 use crate::exact::bipartite::BipartiteSolver;
 use crate::exact::packed::{self, Frontier, InsertionRow, Word};
 use crate::traits::ExactSolver;
 use crate::{Result, SolverError};
-use ppd_patterns::{satisfies_pattern, Labeling, Pattern, PatternError, PatternUnion};
+use ppd_patterns::{
+    satisfies_pattern, CompiledPattern, Labeling, Pattern, PatternError, PatternUnion,
+};
 use ppd_rim::{Item, Ranking, RimModel};
 use std::collections::BTreeMap;
 
@@ -46,7 +83,13 @@ impl PatternSolver {
         PatternSolver::default()
     }
 
-    /// Attaches a resource budget (checked once per insertion step).
+    /// Attaches a resource budget. The general-DAG DP polls it once per
+    /// *executed* insertion step that leaves a frontier behind: every step
+    /// up to, but not including, the one that places the pattern's last
+    /// relevant item, where the answer is final and nothing remains to
+    /// abort. A `with_max_states` cap or time limit that only those skipped
+    /// steps would have tripped therefore no longer fails the solve, and a
+    /// cancellation probe is polled that many times at most.
     pub fn with_budget(budget: Budget) -> Self {
         PatternSolver {
             budget: Some(budget),
@@ -91,16 +134,27 @@ impl PatternSolver {
         labeling: &Labeling,
         pattern: &Pattern,
     ) -> Result<f64> {
-        let m = rim.num_items();
-        if m == 0 {
+        if rim.num_items() == 0 {
             return Err(SolverError::InvalidInstance("empty item universe".into()));
         }
         // A pattern with an unmatched selector can never be satisfied.
-        let candidates = match pattern.candidate_sets(rim.sigma().items(), labeling) {
-            Ok(c) => c,
-            Err(PatternError::EmptySelector(_)) => return Ok(0.0),
-            Err(e) => return Err(e.into()),
-        };
+        match pattern.candidate_sets(rim.sigma().items(), labeling) {
+            Ok(candidates) => self.solve_with_candidates(rim, labeling, pattern, &candidates),
+            Err(PatternError::EmptySelector(_)) => Ok(0.0),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// [`PatternSolver::solve_pattern`] for a caller that already holds the
+    /// pattern's (all non-empty) candidate sets over the model's items — the
+    /// general solver computes them to prune unsatisfiable members.
+    pub(crate) fn solve_with_candidates(
+        &self,
+        rim: &RimModel,
+        labeling: &Labeling,
+        pattern: &Pattern,
+        candidates: &[Vec<Item>],
+    ) -> Result<f64> {
         if pattern.is_bipartite() {
             let mut solver = if self.force_reference {
                 BipartiteSolver::reference()
@@ -117,7 +171,7 @@ impl PatternSolver {
             // over the full universe satisfies the pattern.
             return Ok(1.0);
         }
-        self.solve_general(rim, labeling, pattern, &candidates)
+        self.solve_general(rim, labeling, pattern, candidates)
     }
 
     /// Relevant-item-position DP for general DAG patterns.
@@ -139,9 +193,9 @@ impl PatternSolver {
         if self.force_reference || width > 128 {
             reference::solve(rim, labeling, pattern, &relevant, &slot_of_step, budget)
         } else if width <= 64 {
-            solve_general_packed::<u64>(rim, labeling, pattern, &relevant, &slot_of_step, budget)
+            solve_general_packed::<u64>(rim, pattern, candidates, &relevant, &slot_of_step, budget)
         } else {
-            solve_general_packed::<u128>(rim, labeling, pattern, &relevant, &slot_of_step, budget)
+            solve_general_packed::<u128>(rim, pattern, candidates, &relevant, &slot_of_step, budget)
         }
     }
 }
@@ -227,11 +281,13 @@ pub(crate) mod reference {
 }
 
 /// The packed general-DAG kernel: one `slot_bits(m)`-wide field per relevant
-/// item, flat sorted frontier, reused buffers, per-step insertion row.
+/// item, flat sorted frontier, reused buffers, per-step insertion row, and the
+/// embedding check compiled once over the slots' shifts and read straight off
+/// the packed word.
 fn solve_general_packed<W: Word>(
     rim: &RimModel,
-    labeling: &Labeling,
     pattern: &Pattern,
+    candidates: &[Vec<Item>],
     relevant: &[Item],
     slot_of_step: &[Option<usize>],
     budget: Option<&Budget>,
@@ -242,15 +298,27 @@ fn solve_general_packed<W: Word>(
     let num_slots = relevant.len();
     let shift_of = |r: usize| bits * ((num_slots - 1 - r) as u32);
 
-    // Reused decode buffers for the satisfaction check.
-    let mut by_position: Vec<(u32, Item)> = Vec::with_capacity(num_slots);
-    let mut placed_items: Vec<Item> = Vec::with_capacity(num_slots);
-    let mut probe = Ranking::new(Vec::new()).expect("the empty ranking is valid");
+    let check = CompiledPattern::new(pattern, candidates, |item| {
+        shift_of(
+            relevant
+                .binary_search(&item)
+                .expect("candidates are relevant"),
+        )
+    })?;
+    let mut chosen = vec![0u32; check.num_nodes()];
+    // No step after the one that places the last relevant item can absorb
+    // anything: `satisfied_mass` is final there, and the frontier that step
+    // would leave behind is never read.
+    let steps = slot_of_step
+        .iter()
+        .rposition(Option::is_some)
+        .map_or(0, |last| last + 1);
 
     let mut frontier: Frontier<W> = Frontier::new(W::ZERO);
     let mut row = InsertionRow::new(m);
     let mut satisfied_mass = 0.0;
-    for (i, &step_slot) in slot_of_step.iter().enumerate().take(m) {
+    for (i, &step_slot) in slot_of_step.iter().enumerate().take(steps) {
+        let is_last = i + 1 == steps;
         let row = row.fill(rim, i);
         let states = frontier.take_states();
         for &(state, prob) in &states {
@@ -268,34 +336,27 @@ fn solve_general_packed<W: Word>(
                     placed = placed.or(W::from_u32(v).shl(shift));
                 }
                 if let Some(r) = step_slot {
-                    let shift = shift_of(r);
-                    placed = placed.or(W::from_u32(jenc).shl(shift));
-                    // Decode the placed prefix ranking and check whether it
-                    // already embeds the pattern.
-                    by_position.clear();
-                    for (r, &item) in relevant.iter().enumerate() {
-                        let v = packed::get_slot(placed, shift_of(r), mask);
-                        if v != 0 {
-                            by_position.push((v - 1, item));
-                        }
-                    }
-                    by_position.sort_unstable();
-                    placed_items.clear();
-                    placed_items.extend(by_position.iter().map(|&(_, it)| it));
-                    probe
-                        .assign(&placed_items)
-                        .expect("placed items are distinct");
-                    if satisfies_pattern(&probe, labeling, pattern) {
+                    placed = placed.or(W::from_u32(jenc).shl(shift_of(r)));
+                    let position = |shift| packed::get_slot(placed, shift, mask);
+                    if check.embeds(position, &mut chosen) {
                         satisfied_mass += p_new;
                         continue;
                     }
                 }
-                frontier.push(placed, p_new);
+                if !is_last {
+                    frontier.push(placed, p_new);
+                }
             }
+        }
+        if is_last {
+            break;
         }
         let next_len = frontier.merge_step(states);
         if let Some(budget) = budget {
             budget.check(next_len)?;
+        }
+        if next_len == 0 {
+            break;
         }
     }
     Ok(satisfied_mass.clamp(0.0, 1.0))

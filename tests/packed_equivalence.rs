@@ -132,6 +132,109 @@ fn pattern_menagerie_bitwise() {
     }
 }
 
+/// Where the relevant items of an item-specific pattern sit in σ (the
+/// identity, so item `i` is inserted at step `i`): the first three steps (the
+/// kernel stops after step 2), spread over σ, and the last three (no early
+/// stop at all). A fourth item, for the diamond, goes in between.
+fn placements(m: usize) -> [[u32; 4]; 3] {
+    let m = m as u32;
+    [
+        [0, 1, 2, 3],
+        [1, m / 2, m - 2, m / 2 - 1],
+        [m - 3, m - 2, m - 1, m - 4],
+    ]
+}
+
+/// The serving shape — `cand_a ≻ cand_b ≻ cand_c` under a labeling that gives
+/// every item its own label — in an order σ agrees with, one it partly
+/// reverses, and one it fully reverses; and a diamond over four items.
+fn item_patterns([a, b, c, d]: [u32; 4]) -> Vec<Pattern> {
+    let chain = |x, y, z| Pattern::new(vec![sel(x), sel(y), sel(z)], vec![(0, 1), (1, 2)]).unwrap();
+    vec![
+        chain(a, b, c),
+        chain(c, a, b),
+        chain(c, b, a),
+        Pattern::new(
+            vec![sel(b), sel(a), sel(c), sel(d)],
+            vec![(0, 1), (0, 2), (1, 3), (2, 3)],
+        )
+        .unwrap(),
+    ]
+}
+
+#[test]
+fn item_pattern_menagerie_bitwise() {
+    let packed = PatternSolver::new();
+    let reference = PatternSolver::reference();
+    for &m in &[5usize, 9, 12] {
+        let lab = cyclic_labeling(m, m as u32);
+        for &phi in &[0.0, 0.5, 1.0] {
+            let model = rim(m, phi);
+            for placement in placements(m) {
+                for pattern in item_patterns(placement) {
+                    let a = packed.solve_pattern(&model, &lab, &pattern).unwrap();
+                    let b = reference.solve_pattern(&model, &lab, &pattern).unwrap();
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "m={m} phi={phi} items={placement:?} {pattern:?}: \
+                         packed {a} vs reference {b}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Instances between 65 and 128 bits, so the `u128` instantiation of the
+/// kernel runs: m = 16 with every item relevant is 16 slots × 5 bits. What
+/// keeps them tractable is absorption: a pattern of selectors that match
+/// every item is embedded as soon as as many items are placed as its longest
+/// chain has nodes, so the frontier (and the reference's map) never holds
+/// more than a few hundred states and is empty long before step m.
+#[test]
+fn wide_word_patterns_bitwise() {
+    let m = 16usize;
+    let any = NodeSelector::any;
+    let chain_of_any =
+        |q: usize| Pattern::new(vec![any(); q], (1..q).map(|i| (i - 1, i)).collect()).unwrap();
+    let diamond_of_any = Pattern::new(
+        vec![any(), any(), any(), any()],
+        vec![(0, 1), (0, 2), (1, 3), (2, 3)],
+    )
+    .unwrap();
+    // Unsatisfied only while every label-0 item sits in the last two places:
+    // impossible from the third label-0 item (step 6) on.
+    let rooted = Pattern::new(vec![sel(0), any(), any()], vec![(0, 1), (1, 2)]).unwrap();
+    let cases = [
+        (chain_of_any(4), 0.5),
+        (chain_of_any(5), 1.0),
+        (chain_of_any(6), 0.3),
+        (diamond_of_any, 0.7),
+        (rooted, 0.5),
+    ];
+    let lab = cyclic_labeling(m, 3);
+    for (pattern, phi) in cases {
+        let model = rim(m, phi);
+        assert_eq!(
+            PatternSolver::packed_state_width(&model, &lab, &pattern),
+            Some(80),
+            "the instance must need the u128 word"
+        );
+        let a = PatternSolver::new()
+            .solve_pattern(&model, &lab, &pattern)
+            .unwrap();
+        let b = PatternSolver::reference()
+            .solve_pattern(&model, &lab, &pattern)
+            .unwrap();
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "phi={phi} {pattern:?}: packed {a} vs reference {b}"
+        );
+    }
+}
+
 /// An instance engineered to exceed the 128-bit packing width on a tiny,
 /// brute-forceable universe: every item carries every label, and the union
 /// tracks 33 distinct L and 33 distinct R selectors (66 slots × 2 bits over
@@ -333,5 +436,27 @@ proptest! {
             }
             UnionClass::General => {}
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Item-specific patterns at any m up to 12, wherever their relevant
+    /// items sit in σ: the early-stopping packed kernel is bitwise equal to
+    /// the reference kernel, which runs all m steps.
+    #[test]
+    fn item_patterns_match_reference_bitwise(
+        m in 5usize..=12,
+        phi_step in 0..=10u32,
+        placement in 0usize..3,
+        shape in 0usize..4,
+    ) {
+        let model = rim(m, phi_step as f64 / 10.0);
+        let lab = cyclic_labeling(m, m as u32);
+        let pattern = item_patterns(placements(m)[placement]).swap_remove(shape);
+        let a = PatternSolver::new().solve_pattern(&model, &lab, &pattern).unwrap();
+        let b = PatternSolver::reference().solve_pattern(&model, &lab, &pattern).unwrap();
+        prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}: {} vs {}", pattern, a, b);
     }
 }

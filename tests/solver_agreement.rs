@@ -572,4 +572,132 @@ mod cross_commit_pins {
         ];
         assert_eq!(got, expected, "{got:#x?}");
     }
+    fn prefers(query: ConjunctiveQuery, better: &str, worse: &str) -> ConjunctiveQuery {
+        query.prefer(
+            "Polls",
+            vec![Term::any(), Term::any()],
+            Term::val(better),
+            Term::val(worse),
+        )
+    }
+
+    /// Exact answers held to history: the bits below were recorded at commit
+    /// 09fff27 (PR 14, the last commit on which the general-DAG kernel
+    /// rebuilt a `Ranking` per transition, ran all m insertion steps, and
+    /// `GeneralSolver` keyed a map per subset mask). `packed_equivalence`
+    /// compares the packed kernel with a reference that shares
+    /// `ppd_patterns::satisfy`; these do not share anything with the tree
+    /// they test.
+    #[test]
+    fn exact_answers_keep_the_bits_recorded_at_pr_14() {
+        use ppd_patterns::Pattern;
+        use ppd_solvers::testutil::{cyclic_labeling, rim, sel};
+        use ppd_solvers::PatternSolver;
+
+        let polls = polls_database(&PollsConfig {
+            num_candidates: 8,
+            num_voters: 40,
+            seed: 11,
+        });
+        let pair = prefers(ConjunctiveQuery::new("pair"), "cand0", "cand1");
+        let chain = prefers(
+            prefers(ConjunctiveQuery::new("chain"), "cand0", "cand1"),
+            "cand1",
+            "cand2",
+        );
+        let general = EvalConfig {
+            solver: SolverChoice::GeneralExact,
+            ..EvalConfig::exact()
+        };
+        let got = vec![
+            ("q1", pin(&polls, &polls_q1_query(), EvalConfig::exact())),
+            ("chain", pin(&polls, &chain, EvalConfig::exact())),
+            ("pair", pin(&polls, &pair, EvalConfig::exact())),
+            ("chain, general solver", pin(&polls, &chain, general)),
+        ];
+        let expected = vec![
+            (
+                "q1",
+                Pin {
+                    sessions: 40,
+                    fold: 0x5928a2226474c8fc,
+                    first: [0x3feefefefefefeff, 0x3fefcb92315df93f, 0x3fecd99fb7e7a9f0],
+                    top3: [0x3fefff94a023915b, 0x3fefff94a023915b, 0x3feffde720b1d6c5],
+                },
+            ),
+            (
+                "chain",
+                Pin {
+                    sessions: 40,
+                    fold: 0x7ef11a447ff135c0,
+                    first: [0x3fc3813813813813, 0x3f922b1afa35b268, 0x3fc6bf17cddde72e],
+                    top3: [0x3fea1b1fe1c3be52, 0x3fe8d05b79547c82, 0x3fe3813813813813],
+                },
+            ),
+            (
+                "pair",
+                Pin {
+                    sessions: 40,
+                    fold: 0xf59a0d130cd411b0,
+                    first: [0x3fce79e79e79e79c, 0x3f9235c885d2af40, 0x3fda1ce926b3fe24],
+                    top3: [0x3feffd968c9fcf58, 0x3feff608d733397d, 0x3feff608d733397d],
+                },
+            ),
+            (
+                "chain, general solver",
+                Pin {
+                    sessions: 40,
+                    fold: 0x7ef11a447ff135c0,
+                    first: [0x3fc3813813813813, 0x3f922b1afa35b268, 0x3fc6bf17cddde72e],
+                    top3: [0x3fea1b1fe1c3be52, 0x3fe8d05b79547c82, 0x3fe3813813813813],
+                },
+            ),
+        ];
+        assert_eq!(got, expected, "{got:#x?}");
+
+        // The label chain and the diamond of `packed_equivalence`'s
+        // `general_patterns()`, straight through the kernel. m / 2 labels
+        // (at least 3) keep the relevant items at 6–7, so the m = 12 DP is a
+        // test and not a benchmark.
+        let label_chain = Pattern::new(vec![sel(1), sel(2), sel(0)], vec![(0, 1), (1, 2)]).unwrap();
+        let diamond = Pattern::new(
+            vec![sel(0), sel(1), sel(2), sel(0)],
+            vec![(0, 1), (0, 2), (1, 3), (2, 3)],
+        )
+        .unwrap();
+        let mut got = Vec::new();
+        for m in [6usize, 9, 12] {
+            let lab = cyclic_labeling(m, (m as u32 / 2).max(3));
+            for phi in [0.0, 0.5, 1.0] {
+                let model = rim(m, phi);
+                for pattern in [&label_chain, &diamond] {
+                    let p = PatternSolver::new()
+                        .solve_pattern(&model, &lab, pattern)
+                        .unwrap();
+                    got.push(p.to_bits());
+                }
+            }
+        }
+        let expected: Vec<u64> = vec![
+            0x3ff0000000000000,
+            0x3ff0000000000000,
+            0x3fdf631f7c4a5943,
+            0x3fda9e9f4bdf81c7,
+            0x3fe0b60b60b60b5f,
+            0x3fd555555555554f,
+            0x3ff0000000000000,
+            0x3ff0000000000000,
+            0x3fec3ed4fdc510e7,
+            0x3feb9148a1058b91,
+            0x3fe35a35a35a1ed8,
+            0x3fe15f15f15f1735,
+            0x3ff0000000000000,
+            0x3ff0000000000000,
+            0x3fe4d5251d3db638,
+            0x3fe2a31185716af2,
+            0x3fe0b60b60b60536,
+            0x3fd5555555554f5d,
+        ];
+        assert_eq!(got, expected, "{got:#x?}");
+    }
 }
