@@ -186,6 +186,48 @@ pub struct CacheStats {
     pub pool_hits: u64,
 }
 
+/// Counter-wise sum, for totals over several engines. The right-hand side
+/// is destructured exhaustively: a counter added to [`CacheStats`] does not
+/// compile until it is summed here.
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, other: CacheStats) {
+        let CacheStats {
+            marginal_hits,
+            marginal_misses,
+            marginal_evictions,
+            marginal_evicted_bytes,
+            marginals_loaded,
+            marginals_saved,
+            models_prepared,
+            calibration_hits,
+            calibration_misses,
+            calibration_recorded,
+            units_invalidated,
+            segment_live_bytes,
+            segment_dead_bytes,
+            compactions,
+            pools_built,
+            pool_hits,
+        } = other;
+        self.marginal_hits += marginal_hits;
+        self.marginal_misses += marginal_misses;
+        self.marginal_evictions += marginal_evictions;
+        self.marginal_evicted_bytes += marginal_evicted_bytes;
+        self.marginals_loaded += marginals_loaded;
+        self.marginals_saved += marginals_saved;
+        self.models_prepared += models_prepared;
+        self.calibration_hits += calibration_hits;
+        self.calibration_misses += calibration_misses;
+        self.calibration_recorded += calibration_recorded;
+        self.units_invalidated += units_invalidated;
+        self.segment_live_bytes += segment_live_bytes;
+        self.segment_dead_bytes += segment_dead_bytes;
+        self.compactions += compactions;
+        self.pools_built += pools_built;
+        self.pool_hits += pool_hits;
+    }
+}
+
 impl CacheStats {
     /// Fraction of marginal lookups served from the cache: `hits / (hits +
     /// misses)`, or `0.0` before any lookup happened.

@@ -20,9 +20,10 @@
 //! units) in exchange for process-spanning validity and for not keeping a
 //! deep `UnitKey` clone per entry. The insert path still `debug_assert`s
 //! that cached bits never change, which surfaces a collision between two
-//! *solved* units (or a non-deterministic solver) in development;
-//! intra-wave deduplication in `solve_requests` compares full keys and is
-//! collision-free.
+//! *solved* units (or a non-deterministic solver) in development.
+//! Deduplication within one planning call compares unit content and is
+//! collision-free; a wave's later planning calls join its earlier units by
+//! this same `(hash, fingerprint)` identity.
 //!
 //! [`EvalConfig::cache_shards`]: crate::eval::EvalConfig::cache_shards
 //! [`UnitKey`]: crate::engine::UnitKey
@@ -81,21 +82,26 @@ impl MarginalCache {
     }
 
     pub(crate) fn get(&self, hash: u64, fingerprint: SolverFingerprint) -> Option<f64> {
+        let found = self.get_if_present(hash, fingerprint);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// Like [`MarginalCache::get`], but an absent value is not counted as a
+    /// miss: for a caller that only asks whether the value is there and
+    /// leaves the solve — and its miss — to a later `get`.
+    pub(crate) fn get_if_present(&self, hash: u64, fingerprint: SolverFingerprint) -> Option<f64> {
         let found = self
             .shard(hash)
             .lock()
             .expect("marginal cache shard poisoned")
             .get(hash, fingerprint);
-        match found {
-            Some(p) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(p)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
+        found
     }
 
     pub(crate) fn insert(&self, hash: u64, fingerprint: SolverFingerprint, probability: f64) {

@@ -21,6 +21,15 @@
 //! 5. **aggregates** per-session probabilities into Boolean, Count-Session,
 //!    Most-Probable-Session, and batch answers.
 //!
+//! Steps 1–3 and 5 are the two stages of the **wave pipeline** in the
+//! `wave` module: a *plan* stage ([`Engine::plan_into`]) that grounds,
+//! deduplicates and consults the cache — and already delivers every query
+//! the cache answers whole — and an *execute* stage
+//! ([`Engine::execute_wave`]) that solves what is left and streams answers
+//! out. The `evaluate_batch*` methods run the two back to back; a serving
+//! layer that batches requests over time keeps the [`WavePlan`] between
+//! them and lets later requests join it.
+//!
 //! The free functions in [`crate::eval`], [`crate::count`], and
 //! [`crate::topk`] construct a transient engine per call; long-running
 //! services should hold one [`Engine`] and feed it queries (or batches via
@@ -32,89 +41,35 @@ mod cost;
 mod obs;
 mod scheduler;
 mod unit;
+mod wave;
 
 pub use cache::{CacheCapacity, CacheStats, PoolCache, PreparedModel};
 pub use obs::EngineObs;
 use unit::{PlannedUnit, UnionResolver};
 pub use unit::{UnitKey, WorkUnit};
+pub(crate) use wave::UnitRequest;
+use wave::{boolean_from, count_from, UnitSet};
+pub use wave::{BatchAnswer, WaveAnswer, WavePlan};
 
 use crate::database::{PpdDatabase, Update};
-use crate::eval::{EvalConfig, SolverChoice};
+use crate::eval::EvalConfig;
 use crate::query::ConjunctiveQuery;
-use crate::session::Session;
+use crate::session::PreferenceRelation;
 use crate::topk::{self, SessionScore, TopKStats, TopKStrategy};
-use crate::translate::{ground_query, GroundedSessionQuery};
+use crate::translate::{ground_query, GroundedSessionQuery, SessionQuery};
 use crate::{PpdError, Result};
-use cache::{MarginalCache, ModelCache, SolverFingerprint};
-use calibrate::{BucketKey, CalibrationStore};
-use ppd_patterns::{Labeling, PatternUnion, UnionClass};
-use ppd_solvers::{
-    choose_exact_solver_with_budget, Budget, CancelProbe, GeneralSolver, MisAmpAdaptive,
-    MisAmpBudgeted, SolverKind,
-};
+use cache::{MarginalCache, ModelCache};
+use calibrate::CalibrationStore;
+use ppd_patterns::Labeling;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Entry bound of the calibration store (split across the cache shards).
 /// Generous — calibration entries are ~100 bytes, so the bound caps the
 /// store near 6 MiB while retaining far more timings than any wave needs.
 const CALIBRATION_CAPACITY: usize = 1 << 16;
-
-/// A request to solve one session's pattern union under a plan's labeling.
-/// Requests from different plans (hence different labelings) can be mixed in
-/// one scheduling wave — identity is content-based via [`UnitKey`].
-pub(crate) struct UnitRequest<'a> {
-    pub(crate) session: &'a Session,
-    pub(crate) labeling: &'a Labeling,
-    pub(crate) union: &'a PatternUnion,
-}
-
-/// One deduplicated, cache-missed unit of a wave, ready to solve.
-struct Pending<'a> {
-    /// The key's stable content hash: the cache address and the seed
-    /// ingredient, computed once per request.
-    hash: u64,
-    /// The session's model content hash — the invalidation reverse-index
-    /// key under which this unit is filed when its value is cached.
-    model_hash: u64,
-    /// The union to solve, in canonical member order.
-    union: Arc<PatternUnion>,
-    session: &'a Session,
-    labeling: &'a Labeling,
-    /// The solver family that will produce this unit's number. Per-unit
-    /// because [`SolverChoice::ErrorBudget`] picks exact DP or the budgeted
-    /// sampler unit by unit (on the static cost alone).
-    fingerprint: SolverFingerprint,
-    /// The static cost estimate — a pure function of unit content and
-    /// configuration, used as the calibration baseline and the cold-store
-    /// scheduling cost.
-    static_cost: f64,
-    /// The calibration bucket measured timings of this unit generalize
-    /// into.
-    bucket: BucketKey,
-}
-
-/// Where a request's probability comes from after wave planning.
-enum Source {
-    /// Served from the marginal cache during planning.
-    Cached(f64),
-    /// Solved by the pending unit with this index.
-    Unit(usize),
-}
-
-/// The answers [`Engine::evaluate_batch`] produces for one query.
-#[derive(Debug, Clone)]
-pub struct BatchAnswer {
-    /// Per qualifying session, the probability that the query holds in it.
-    pub session_probabilities: Vec<(usize, f64)>,
-    /// `Pr(Q)`: the probability that *some* session satisfies the query.
-    pub boolean: f64,
-    /// `count(Q)`: the expected number of satisfying sessions.
-    pub expected_count: f64,
-}
 
 /// One unsolved unit's cost picture as the planner sees it right now: the
 /// static formula next to the blended scheduling estimate. Returned by
@@ -148,7 +103,7 @@ pub struct Engine {
     models: ModelCache,
     calibration: CalibrationStore,
     /// Invalidation reverse index: model content hash
-    /// ([`Session::model_key_hash`]) → the unit content hashes covering a
+    /// ([`Session::model_key_hash`](crate::session::Session::model_key_hash)) → the unit content hashes covering a
     /// session with that model. Populated at cache-insert time and from
     /// segment-store loads; consulted by [`Engine::invalidate`] so a
     /// database update drops exactly the cached units it stales. Entries
@@ -265,7 +220,7 @@ impl Engine {
     }
 
     /// Surgically drops every cached artifact covering the given model
-    /// content hashes ([`Session::model_key_hash`] of changed sessions):
+    /// content hashes ([`Session::model_key_hash`](crate::session::Session::model_key_hash) of changed sessions):
     /// their marginal-cache entries, calibration timings, and prepared
     /// models — and nothing else; unrelated entries stay warm. The hashes
     /// are also queued as segment tombstones so the next
@@ -536,31 +491,20 @@ impl Engine {
         let prel = db
             .preference_relation(&plan.prelation)
             .ok_or_else(|| PpdError::UnknownName(plan.prelation.clone()))?;
-        let requests: Vec<UnitRequest<'_>> = plan
-            .sessions
-            .iter()
-            .map(|squery| UnitRequest {
-                session: &prel.sessions()[squery.session_index],
-                labeling: &plan.labeling,
-                union: &squery.union,
-            })
-            .collect();
-        let (pending, _) = self.plan_wave(&requests, false);
-        Ok(pending
+        let labeling = Arc::new(plan.labeling);
+        let mut units = UnitSet::default();
+        self.plan_requests(
+            &mut units,
+            &session_requests(prel, &labeling, &plan.sessions),
+            false,
+        );
+        Ok(units
+            .pending
             .iter()
             .map(|unit| WaveCostEstimate {
                 unit_hash: unit.hash,
                 static_cost: unit.static_cost,
-                scheduling_cost: if self.config.calibrate {
-                    self.calibration.cost_estimate(
-                        unit.hash,
-                        unit.fingerprint,
-                        unit.bucket,
-                        unit.static_cost,
-                    )
-                } else {
-                    unit.static_cost
-                },
+                scheduling_cost: self.scheduling_cost(unit),
             })
             .collect())
     }
@@ -573,32 +517,38 @@ impl Engine {
         query: &ConjunctiveQuery,
     ) -> Result<Vec<(usize, f64)>> {
         let plan = ground_query(db, query)?;
-        self.session_probabilities_for_plan(db, &plan)
+        self.solve_grounded(db, &plan.prelation, Arc::new(plan.labeling), &plan.sessions)
     }
 
     /// Like [`Engine::session_probabilities`] but starting from an
-    /// already-grounded plan.
+    /// already-grounded plan (whose labeling is copied: work units own
+    /// their share of the plan they came from).
     pub fn session_probabilities_for_plan(
         &self,
         db: &PpdDatabase,
         plan: &GroundedSessionQuery,
     ) -> Result<Vec<(usize, f64)>> {
+        self.solve_grounded(
+            db,
+            &plan.prelation,
+            Arc::new(plan.labeling.clone()),
+            &plan.sessions,
+        )
+    }
+
+    fn solve_grounded(
+        &self,
+        db: &PpdDatabase,
+        prelation: &str,
+        labeling: Arc<Labeling>,
+        sessions: &[SessionQuery],
+    ) -> Result<Vec<(usize, f64)>> {
         self.note_planned_version(db);
         let prel = db
-            .preference_relation(&plan.prelation)
-            .ok_or_else(|| PpdError::UnknownName(plan.prelation.clone()))?;
-        let requests: Vec<UnitRequest<'_>> = plan
-            .sessions
-            .iter()
-            .map(|squery| UnitRequest {
-                session: &prel.sessions()[squery.session_index],
-                labeling: &plan.labeling,
-                union: &squery.union,
-            })
-            .collect();
-        let probabilities = self.solve_requests(&requests, false)?;
-        Ok(plan
-            .sessions
+            .preference_relation(prelation)
+            .ok_or_else(|| PpdError::UnknownName(prelation.to_string()))?;
+        let probabilities = self.solve_requests(&session_requests(prel, &labeling, sessions))?;
+        Ok(sessions
             .iter()
             .map(|squery| squery.session_index)
             .zip(probabilities)
@@ -667,15 +617,12 @@ impl Engine {
     /// through `deliver(query_index, answer)` as soon as the last work unit
     /// *that query* depends on completes — not when the whole wave does.
     ///
-    /// This is the engine half of the serving layer's streamed responses:
-    /// the engine tracks, per query, a refcount of distinct unsolved units
-    /// (shared units count once for each query that needs them), decrements
-    /// it from the scheduler's per-unit completion notification, and
-    /// assembles and delivers the answer at zero. A query whose units are
-    /// all cache hits is delivered before the wave even starts; a query
-    /// that fails to ground is delivered its error immediately and does not
-    /// hold up the others; a unit that fails to solve fails exactly the
-    /// queries depending on it.
+    /// This is the engine half of the serving layer's streamed responses,
+    /// and the two stages of the wave pipeline run back to back:
+    /// [`Engine::plan_into`] delivers every query that fails to ground or
+    /// is served by the cache alone before anything is solved, and
+    /// [`Engine::execute_wave`] delivers the rest as their units land (a
+    /// unit that fails to solve fails exactly the queries depending on it).
     ///
     /// `deliver` is invoked exactly once per query, concurrently from
     /// worker threads (with `threads = 1`, in completion order on the
@@ -695,27 +642,12 @@ impl Engine {
         self.evaluate_batch_streamed_cancellable(db, queries, |_| false, deliver);
     }
 
-    /// [`Engine::evaluate_batch_streamed`] with mid-wave cancellation: before
-    /// each unit solve (and once before the wave starts) the engine polls
-    /// `cancelled(query_index)` for the unit's still-undelivered dependents.
-    /// A query whose predicate fires is delivered [`PpdError::Cancelled`]
-    /// exactly once and its refcounts are released; a unit every dependent of
-    /// which has been cancelled or delivered is **skipped** — its solve never
-    /// runs and nothing is cached for it.
-    ///
-    /// Cancellation never poisons co-batched queries: a unit with at least
-    /// one live dependent is solved normally, with the same content-derived
-    /// seed, so the surviving queries' answers remain bit-identical to an
-    /// uncancelled run. `cancelled` is polled from worker threads and must be
-    /// cheap (an atomic load, not a lock hierarchy); once it returns `true`
-    /// for a query it must keep returning `true`.
-    ///
-    /// Cancellation is also checked **mid-solve**: each unit's exact DP
-    /// kernels poll a [`CancelProbe`] through their per-insertion-step
-    /// budget checks, and the probe fires once every dependent of the unit
-    /// has been delivered or cancelled — so a long-running solve whose last
-    /// waiter gives up is abandoned instead of running to completion.
-    /// Nothing is cached for an abandoned solve.
+    /// [`Engine::evaluate_batch_streamed`] with cancellation: a query for
+    /// which `cancelled(query_index)` fires — polled once at planning,
+    /// before each unit solve, and mid-solve by the exact DP kernels — is
+    /// delivered [`PpdError::Cancelled`] exactly once, and a unit nobody
+    /// live waits on is never solved. See [`Engine::execute_wave`] for the
+    /// contract; co-batched queries are never affected.
     pub fn evaluate_batch_streamed_cancellable(
         &self,
         db: &PpdDatabase,
@@ -729,7 +661,7 @@ impl Engine {
     /// [`Engine::evaluate_batch_streamed_cancellable`] with trace ids
     /// attached: `traces[query_index]` is the submission's trace id (`0` or
     /// out of range = untraced). For sampled traces the engine records
-    /// `wave-joined` when refcounts are computed and one `unit-solved` per
+    /// `wave-joined` when the query is planned and one `unit-solved` per
     /// completed unit the query depended on, into the [`ppd_obs::TraceLog`]
     /// attached via [`EngineObs::with_trace`]. Purely observational: the
     /// trace ids never reach seeds, cache keys, or scheduling, and the
@@ -743,610 +675,41 @@ impl Engine {
         cancelled: impl Fn(usize) -> bool + Send + Sync + 'static,
         deliver: impl Fn(usize, Result<BatchAnswer>) + Sync,
     ) {
-        let cancelled: Arc<dyn Fn(usize) -> bool + Send + Sync> = Arc::new(cancelled);
-        self.note_planned_version(db);
-        // Ground every query up front; a query that cannot ground fails
-        // alone, without poisoning its wave-mates.
-        let mut planned: Vec<(usize, GroundedSessionQuery)> = Vec::new();
-        for (query_index, query) in queries.iter().enumerate() {
-            match ground_query(db, query) {
-                Ok(plan) => planned.push((query_index, plan)),
-                Err(e) => deliver(query_index, Err(e)),
-            }
-        }
-        let mut prels = Vec::with_capacity(planned.len());
-        let mut with_prel: Vec<(usize, &GroundedSessionQuery)> = Vec::new();
-        for (query_index, plan) in &planned {
-            match db.preference_relation(&plan.prelation) {
-                Some(prel) => {
-                    prels.push(prel);
-                    with_prel.push((*query_index, plan));
-                }
-                None => deliver(
-                    *query_index,
-                    Err(PpdError::UnknownName(plan.prelation.clone())),
-                ),
-            }
-        }
-
-        // One request list over all queries, with per-query spans — the
-        // same coalescing `evaluate_batch` performs.
-        let mut requests: Vec<UnitRequest<'_>> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(with_prel.len());
-        for ((_, plan), prel) in with_prel.iter().zip(&prels) {
-            let start = requests.len();
-            for squery in &plan.sessions {
-                requests.push(UnitRequest {
-                    session: &prel.sessions()[squery.session_index],
-                    labeling: &plan.labeling,
-                    union: &squery.union,
-                });
-            }
-            spans.push((start, requests.len()));
-        }
-        let grouping = self.config.group_identical;
-        let (pending, sources) = self.plan_wave(&requests, false);
-
-        // Per-query unit refcounts: how many *distinct* pending units each
-        // query still needs, and per unit, which queries wait on it. The
-        // dependents map and the original query indices are Arc-owned so
-        // the per-unit cancel probes (which outlive this stack frame from
-        // the borrow checker's point of view) can share them.
-        let mut remaining: Vec<usize> = vec![0; with_prel.len()];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); pending.len()];
-        for (qi, &(start, end)) in spans.iter().enumerate() {
-            let mut units: Vec<usize> = sources[start..end]
-                .iter()
-                .filter_map(|source| match source {
-                    Source::Unit(unit) => Some(*unit),
-                    Source::Cached(_) => None,
-                })
-                .collect();
-            units.sort_unstable();
-            units.dedup();
-            remaining[qi] = units.len();
-            for unit in units {
-                dependents[unit].push(qi);
-            }
-        }
-        // Trace: each sampled submission learns its wave shape — total
-        // units in the wave, how many it depends on, how many of its
-        // requests the cache already answered. Recording only; the wave
-        // itself is unchanged.
-        if let Some(log) = self.obs.trace() {
-            for (qi, &(orig_qi, _)) in with_prel.iter().enumerate() {
-                let trace = traces.get(orig_qi).copied().unwrap_or(0);
-                if !log.traced(trace) {
-                    continue;
-                }
-                let (start, end) = spans[qi];
-                let cached = sources[start..end]
-                    .iter()
-                    .filter(|source| matches!(source, Source::Cached(_)))
-                    .count();
-                log.record(
-                    trace,
-                    ppd_obs::SpanEvent::WaveJoined {
-                        wave_units: pending.len(),
-                        units: remaining[qi],
-                        cached,
-                    },
-                );
-            }
-        }
-        let dependents = Arc::new(dependents);
-        let orig: Arc<Vec<usize>> = Arc::new(with_prel.iter().map(|&(orig, _)| orig).collect());
-
-        // Assembles query `qi`'s answer from cached values and the solved
-        // units recorded so far (callable only once all of them are in).
-        let assemble = |qi: usize, values: &[Option<f64>]| -> BatchAnswer {
-            let (start, end) = spans[qi];
-            let plan = with_prel[qi].1;
-            let session_probabilities: Vec<(usize, f64)> = plan
-                .sessions
-                .iter()
-                .map(|s| s.session_index)
-                .zip(sources[start..end].iter().map(|source| match source {
-                    Source::Cached(p) => *p,
-                    Source::Unit(unit) => {
-                        values[*unit].expect("all of the query's units are solved")
-                    }
-                }))
-                .collect();
-            BatchAnswer {
-                boolean: boolean_from(&session_probabilities),
-                expected_count: count_from(&session_probabilities),
-                session_probabilities,
-            }
+        let deliver = |query_index, answer: Result<WaveAnswer>| {
+            deliver(
+                query_index,
+                answer.map(|answer| match answer {
+                    WaveAnswer::Batch(answer) => answer,
+                    WaveAnswer::TopK(..) => unreachable!("no top-k was planned into this wave"),
+                }),
+            )
         };
-
-        struct Tracker {
-            /// Solved probability per pending unit, as completions land.
-            values: Vec<Option<f64>>,
-            /// Distinct unsolved units left per query.
-            remaining: Vec<usize>,
-            /// Whether the query's answer (or error) has been delivered.
-            done: Vec<bool>,
-        }
-        let tracker = Arc::new(Mutex::new(Tracker {
-            values: vec![None; pending.len()],
-            remaining,
-            done: vec![false; with_prel.len()],
-        }));
-
-        // Pre-wave sweep: queries already cancelled resolve `Cancelled`
-        // without touching the pool, and queries fully served by the cache
-        // are delivered before the wave starts — on a warm engine that is
-        // the entire batch.
-        {
-            let mut dropped: Vec<usize> = Vec::new();
-            let mut ready: Vec<usize> = Vec::new();
-            let mut t = tracker.lock().expect("streaming tracker poisoned");
-            for (qi, (orig, _)) in with_prel.iter().enumerate() {
-                if cancelled(*orig) {
-                    t.done[qi] = true;
-                    dropped.push(qi);
-                } else if t.remaining[qi] == 0 {
-                    t.done[qi] = true;
-                    ready.push(qi);
-                }
-            }
-            drop(t);
-            for qi in dropped {
-                deliver(with_prel[qi].0, Err(PpdError::Cancelled));
-            }
-            let empty: Vec<Option<f64>> = vec![None; pending.len()];
-            for qi in ready {
-                deliver(with_prel[qi].0, Ok(assemble(qi, &empty)));
-            }
-        }
-
-        let order = self.wave_order(&pending);
-        scheduler::run_indexed_notify(
-            order.len(),
-            self.config.threads,
-            |slot| {
-                let unit = order[slot];
-                // Cancellation sweep at solve time: dependents whose
-                // predicate now fires resolve `Cancelled` and release their
-                // refcounts; if nothing live is left waiting on this unit,
-                // the solve itself is skipped.
-                let mut dropped: Vec<usize> = Vec::new();
-                let mut live = false;
-                {
-                    let mut t = tracker.lock().expect("streaming tracker poisoned");
-                    for &qi in &dependents[unit] {
-                        if t.done[qi] {
-                            continue;
-                        }
-                        if cancelled(with_prel[qi].0) {
-                            t.done[qi] = true;
-                            dropped.push(qi);
-                        } else {
-                            live = true;
-                        }
-                    }
-                }
-                for qi in dropped {
-                    deliver(with_prel[qi].0, Err(PpdError::Cancelled));
-                }
-                if !live {
-                    return (unit, None);
-                }
-                // Mid-solve cancellation: the probe fires once every
-                // dependent of this unit is delivered or cancelled, and the
-                // exact DP kernels poll it per insertion step.
-                let probe = {
-                    let tracker = Arc::clone(&tracker);
-                    let dependents = Arc::clone(&dependents);
-                    let orig = Arc::clone(&orig);
-                    let cancelled = Arc::clone(&cancelled);
-                    CancelProbe::new(move || {
-                        let t = tracker.lock().expect("streaming tracker poisoned");
-                        dependents[unit]
-                            .iter()
-                            .all(|&qi| t.done[qi] || cancelled(orig[qi]))
-                    })
-                };
-                (
-                    unit,
-                    Some(self.solve_pending(&pending[unit], false, Some(probe))),
-                )
-            },
-            |_slot, (unit, outcome)| {
-                let unit = *unit;
-                // (query index, answer) pairs completed by this unit;
-                // delivered after the tracker lock is released so a slow
-                // consumer never serializes the other workers' completions.
-                let mut finished: Vec<(usize, Result<BatchAnswer>)> = Vec::new();
-                match outcome {
-                    None => {} // skipped: every dependent cancelled or done
-                    Some(Ok((p, seconds, elapsed_ns))) => {
-                        // Trace ids whose submission depended on this unit,
-                        // recorded after the tracker lock drops.
-                        let mut solved_for: Vec<u64> = Vec::new();
-                        if grouping {
-                            let evicted_bytes = self.marginals.insert_costed(
-                                pending[unit].hash,
-                                pending[unit].fingerprint,
-                                *p,
-                                *seconds,
-                            );
-                            self.obs.evicted_bytes(evicted_bytes);
-                            self.index_unit(pending[unit].model_hash, pending[unit].hash);
-                        }
-                        let traced = self.obs.trace().is_some();
-                        let mut t = tracker.lock().expect("streaming tracker poisoned");
-                        t.values[unit] = Some(*p);
-                        for &qi in &dependents[unit] {
-                            if t.done[qi] {
-                                continue;
-                            }
-                            if traced {
-                                if let Some(&trace) = traces.get(with_prel[qi].0) {
-                                    solved_for.push(trace);
-                                }
-                            }
-                            t.remaining[qi] -= 1;
-                            if t.remaining[qi] == 0 {
-                                t.done[qi] = true;
-                                finished.push((with_prel[qi].0, Ok(assemble(qi, &t.values))));
-                            }
-                        }
-                        drop(t);
-                        if let Some(log) = self.obs.trace() {
-                            for trace in solved_for.drain(..) {
-                                log.record(
-                                    trace,
-                                    ppd_obs::SpanEvent::UnitSolved {
-                                        unit_hash: pending[unit].hash,
-                                        solver: obs::solver_tag(pending[unit].fingerprint),
-                                        micros: elapsed_ns / 1_000,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    Some(Err(e)) => {
-                        let mut t = tracker.lock().expect("streaming tracker poisoned");
-                        for &qi in &dependents[unit] {
-                            if t.done[qi] {
-                                continue;
-                            }
-                            t.done[qi] = true;
-                            finished.push((with_prel[qi].0, Err(e.clone())));
-                        }
-                    }
-                }
-                for (query_index, answer) in finished {
-                    deliver(query_index, answer);
-                }
-            },
-        );
-    }
-
-    /// Solves a slice of unit requests: content-based deduplication, cache
-    /// lookup, one parallel wave over the remaining units, cache fill, and
-    /// reassembly into request order.
-    ///
-    /// With `force_exact` the engine uses the automatically selected exact
-    /// solver regardless of its configured [`SolverChoice`] — the top-k
-    /// optimizer's upper bounds must be sound, so they are never estimated.
-    ///
-    /// When [`EvalConfig::group_identical`] is off, every request becomes
-    /// its own unit and the cache is bypassed; seeds still derive from unit
-    /// keys, so the answers are identical either way (a property the test
-    /// suite pins).
-    pub(crate) fn solve_requests(
-        &self,
-        requests: &[UnitRequest<'_>],
-        force_exact: bool,
-    ) -> Result<Vec<f64>> {
-        let grouping = self.config.group_identical;
-        let (pending, sources) = self.plan_wave(requests, force_exact);
-        let order = self.wave_order(&pending);
-        // Units are *executed* in cost order but *recorded* in unit order:
-        // the pool pulls slots off the shared counter, so slot `s` runs
-        // `pending[order[s]]`, and the results are scattered back.
-        type SlotOutcome = (usize, Result<(f64, f64, u64)>);
-        let solved_by_slot: Vec<SlotOutcome> =
-            scheduler::run_indexed(order.len(), self.config.threads, |slot| {
-                let unit = order[slot];
-                (unit, self.solve_pending(&pending[unit], force_exact, None))
-            });
-        let mut solved: Vec<Option<Result<(f64, f64, u64)>>> =
-            (0..pending.len()).map(|_| None).collect();
-        for (unit, outcome) in solved_by_slot {
-            solved[unit] = Some(outcome);
-        }
-        let mut values = Vec::with_capacity(pending.len());
-        for (unit, outcome) in pending.iter().zip(solved) {
-            let (p, seconds, _) = outcome.expect("every unit is scheduled exactly once")?;
-            if grouping {
-                let evicted_bytes =
-                    self.marginals
-                        .insert_costed(unit.hash, unit.fingerprint, p, seconds);
-                self.obs.evicted_bytes(evicted_bytes);
-                self.index_unit(unit.model_hash, unit.hash);
-            }
-            values.push(p);
-        }
-        Ok(sources
-            .into_iter()
-            .map(|source| match source {
-                Source::Cached(p) => p,
-                Source::Unit(unit) => values[unit],
-            })
-            .collect())
-    }
-
-    /// Reduces a slice of requests to the wave's unsolved units: content
-    /// deduplication (under [`EvalConfig::group_identical`]) and cache
-    /// lookup, recording for each request where its probability will come
-    /// from.
-    fn plan_wave<'a>(
-        &self,
-        requests: &[UnitRequest<'a>],
-        force_exact: bool,
-    ) -> (Vec<Pending<'a>>, Vec<Source>) {
-        let grouping = self.config.group_identical;
-        let approx_budget = match (&self.config.solver, force_exact) {
-            (
-                SolverChoice::Approximate {
-                    samples_per_proposal,
-                },
-                false,
-            ) => Some(*samples_per_proposal),
-            _ => None,
-        };
-        // What a request shares with the other sessions of its query — the
-        // union's canonical form — is resolved once for all of them; per
-        // request only the model is folded in.
-        let mut resolver = UnionResolver::default();
-        let mut unit_of: HashMap<PlannedUnit<'a>, usize> = HashMap::new();
-        let mut pending: Vec<Pending<'a>> = Vec::new();
-        let mut sources: Vec<Source> = Vec::with_capacity(requests.len());
-        for request in requests {
-            let sigma = request.session.model().sigma().items();
-            let resolved = resolver.resolve(request.union, request.labeling, sigma);
-            let planned = resolved.unit_of(request.session);
-            let m = sigma.len();
-            let fingerprint = self.unit_fingerprint(request.union, m, force_exact);
-            if grouping {
-                if let Some(&unit) = unit_of.get(&planned) {
-                    sources.push(Source::Unit(unit));
-                    continue;
-                }
-            }
-            let model_hash = request.session.model_key_hash();
-            let hash = resolved.stable_hash(model_hash);
-            if grouping {
-                if let Some(p) = self.marginals.get(hash, fingerprint) {
-                    self.obs.cache_hit();
-                    sources.push(Source::Cached(p));
-                    continue;
-                }
-                self.obs.cache_miss();
-            }
-            let unit = pending.len();
-            if grouping {
-                unit_of.insert(planned, unit);
-            }
-            let class = match request.union.classify() {
-                UnionClass::TwoLabel => 0u8,
-                UnionClass::Bipartite => 1,
-                UnionClass::General => 2,
-            };
-            pending.push(Pending {
-                union: Arc::clone(&resolved.ordered),
-                hash,
-                model_hash,
-                session: request.session,
-                labeling: request.labeling,
-                fingerprint,
-                static_cost: cost::unit_cost(request.union, m, approx_budget),
-                bucket: BucketKey::from_parts(class, m, fingerprint),
-            });
-            sources.push(Source::Unit(unit));
-        }
-        (pending, sources)
-    }
-
-    /// The wave's execution order: pending-unit indices sorted descending by
-    /// estimated solve cost, so the most expensive units start first and the
-    /// wave tail shrinks. With calibration on, each unit's cost is the
-    /// blended estimate (measured seconds on an exact key hit, else static ×
-    /// bucket geomean, else static); with it off — or on a cold store — the
-    /// static formula alone, in the same order it always produced. Execution
-    /// order never affects results — seeds and cache keys are functions of
-    /// unit content alone.
-    fn wave_order(&self, pending: &[Pending<'_>]) -> Vec<usize> {
-        let costs: Vec<f64> = pending
-            .iter()
-            .map(|unit| {
-                if self.config.calibrate {
-                    self.calibration.cost_estimate(
-                        unit.hash,
-                        unit.fingerprint,
-                        unit.bucket,
-                        unit.static_cost,
-                    )
-                } else {
-                    unit.static_cost
-                }
-            })
-            .collect();
-        cost::schedule_order(&costs)
-    }
-
-    /// Solves one pending unit: prepared-model lookup, solver selection, and
-    /// a seeded solve whose result depends only on the unit's content and
-    /// the engine's base seed. Returns `(probability, cost seconds, elapsed
-    /// nanoseconds)`: the cost channel is recorded into the calibration
-    /// store and becomes the marginal-cache eviction weight — `0.0` with
-    /// calibration off, preserving the "unknown cost" eviction semantics —
-    /// while the elapsed channel feeds the solve-time histogram and trace
-    /// events only, never any decision. An optional [`CancelProbe`] is
-    /// threaded into the exact DP kernels' budget checks for mid-solve
-    /// cancellation.
-    fn solve_pending(
-        &self,
-        unit: &Pending<'_>,
-        force_exact: bool,
-        probe: Option<CancelProbe>,
-    ) -> Result<(f64, f64, u64)> {
-        let prepared = self.models.get_or_insert(unit.session);
-        let kind = self.solver_kind(&unit.union, unit.fingerprint, force_exact, probe);
-        let seed = UnitKey::seed_from_stable_hash(unit.hash, self.config.seed);
-        // Error-budget units reuse the cached proposal pool (the union
-        // decomposition + greedy-modal walk) when one exists; a warm pool
-        // only skips preparation work, the estimate's bits are identical.
-        let pool = match (unit.fingerprint, &self.config.solver) {
-            (SolverFingerprint::ErrorBudget { .. }, SolverChoice::ErrorBudget(budget))
-                if !force_exact =>
-            {
-                let builder = MisAmpBudgeted::new(budget.epsilon, budget.confidence);
-                Some(self.pools.get_or_build(unit.hash, || {
-                    builder.build_pool(prepared.mallows(), unit.labeling, &unit.union)
-                })?)
-            }
-            _ => None,
-        };
-        let started = Instant::now();
-        let mut pool_guard = pool
-            .as_ref()
-            .map(|pool| pool.lock().expect("proposal pool poisoned"));
-        let detail = kind.solve_seeded_detailed(
-            prepared.mallows(),
-            || prepared.rim(),
-            unit.labeling,
-            &unit.union,
-            seed,
-            pool_guard.as_deref_mut(),
-        )?;
-        drop(pool_guard);
-        let p = detail.probability;
-        self.obs
-            .zero_density_samples(detail.zero_density_samples as u64);
-        let elapsed = started.elapsed();
-        self.obs
-            .record_solve(unit.fingerprint, unit.bucket.class, elapsed);
-        let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if self.config.calibrate {
-            let seconds = elapsed.as_secs_f64();
-            self.calibration.record(
-                unit.hash,
-                unit.fingerprint,
-                unit.bucket,
-                seconds,
-                unit.static_cost,
-            );
-            Ok((p, seconds, elapsed_ns))
-        } else {
-            Ok((p, 0.0, elapsed_ns))
-        }
-    }
-
-    /// The solver handle for one unit, honouring `force_exact` and — under
-    /// [`SolverChoice::ErrorBudget`] — the per-unit selection already
-    /// recorded in the unit's fingerprint. A supplied cancel probe rides
-    /// into the exact solvers' budgets; the sampling arms ignore it (their
-    /// rounds are short, and unit-granularity cancellation covers them).
-    fn solver_kind(
-        &self,
-        union: &PatternUnion,
-        fingerprint: SolverFingerprint,
-        force_exact: bool,
-        probe: Option<CancelProbe>,
-    ) -> SolverKind {
-        let exact_auto = |probe: Option<CancelProbe>| match probe {
-            Some(p) => SolverKind::exact(choose_exact_solver_with_budget(
-                union,
-                Budget::cancellable(p),
-            )),
-            None => SolverKind::exact_auto(union),
-        };
-        if force_exact {
-            return exact_auto(probe);
-        }
-        match &self.config.solver {
-            SolverChoice::ExactAuto => exact_auto(probe),
-            SolverChoice::GeneralExact => {
-                let solver = GeneralSolver::new();
-                let solver = match probe {
-                    Some(p) => solver.with_budget(Budget::cancellable(p)),
-                    None => solver,
-                };
-                SolverKind::exact(Box::new(solver))
-            }
-            SolverChoice::Approximate {
-                samples_per_proposal,
-            } => SolverKind::approx(Box::new(MisAmpAdaptive::new(*samples_per_proposal))),
-            SolverChoice::ErrorBudget(budget) => match fingerprint {
-                SolverFingerprint::ErrorBudget { .. } => {
-                    SolverKind::budgeted(MisAmpBudgeted::new(budget.epsilon, budget.confidence))
-                }
-                _ => exact_auto(probe),
-            },
-        }
-    }
-
-    /// The cache discriminant for the solver that will produce one unit's
-    /// number. `force_exact` always means the auto-selected exact solver,
-    /// which matches the `ExactAuto` configuration but must *not* alias
-    /// with `GeneralExact`: the two exact algorithms differ in low-order
-    /// float bits, and a relaxed upper-bound union can be content-identical
-    /// to the full union. Under [`SolverChoice::ErrorBudget`] the
-    /// fingerprint is per unit: the *static* exact cost decides between
-    /// exact DP and the budgeted sampler — a pure function of content and
-    /// configuration, so selection is identical warm or cold.
-    fn unit_fingerprint(
-        &self,
-        union: &PatternUnion,
-        m: usize,
-        force_exact: bool,
-    ) -> SolverFingerprint {
-        if force_exact {
-            return SolverFingerprint::ExactAuto;
-        }
-        match &self.config.solver {
-            SolverChoice::ExactAuto => SolverFingerprint::ExactAuto,
-            SolverChoice::GeneralExact => SolverFingerprint::GeneralExact,
-            SolverChoice::Approximate {
-                samples_per_proposal,
-            } => SolverFingerprint::Approx {
-                samples_per_proposal: *samples_per_proposal,
-                base_seed: self.config.seed,
-            },
-            SolverChoice::ErrorBudget(budget) => {
-                if cost::unit_cost(union, m, None) <= self.config.exact_cost_threshold {
-                    SolverFingerprint::ExactAuto
-                } else {
-                    SolverFingerprint::ErrorBudget {
-                        epsilon_bits: budget.epsilon.to_bits(),
-                        confidence_bits: budget.confidence.to_bits(),
-                        base_seed: self.config.seed,
-                    }
-                }
-            }
-        }
+        let mut wave = WavePlan::default();
+        self.plan_into(&mut wave, db, queries, traces, &cancelled, &deliver);
+        self.execute_wave(wave, cancelled, deliver);
     }
 }
 
-/// `1 − Π_i (1 − pᵢ)` over per-session probabilities.
-fn boolean_from(per_session: &[(usize, f64)]) -> f64 {
-    1.0 - per_session.iter().map(|&(_, p)| 1.0 - p).product::<f64>()
-}
-
-/// `Σ_i pᵢ` over per-session probabilities.
-fn count_from(per_session: &[(usize, f64)]) -> f64 {
-    per_session.iter().map(|&(_, p)| p).sum()
+/// One request per grounded session of a plan, in plan order.
+fn session_requests<'db, 'p>(
+    prel: &'db PreferenceRelation,
+    labeling: &'p Arc<Labeling>,
+    sessions: &'p [SessionQuery],
+) -> Vec<UnitRequest<'db, 'p>> {
+    sessions
+        .iter()
+        .map(|squery| UnitRequest {
+            session: &prel.sessions()[squery.session_index],
+            labeling,
+            union: &squery.union,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::EvalConfig;
+    use crate::eval::{EvalConfig, SolverChoice};
     use crate::query::Term as T;
     use crate::testdb::polling_database;
 

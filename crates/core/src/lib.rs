@@ -53,7 +53,7 @@ pub use count::count_sessions;
 pub use database::{DatabaseBuilder, PpdDatabase, Update};
 pub use engine::{
     BatchAnswer, CacheCapacity, CacheStats, Engine, EngineObs, PoolCache, PreparedModel, UnitKey,
-    WaveCostEstimate, WorkUnit,
+    WaveAnswer, WaveCostEstimate, WavePlan, WorkUnit,
 };
 pub use eval::{
     evaluate_boolean, session_probabilities, session_probabilities_for_plan, ErrorBudget,

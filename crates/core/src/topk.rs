@@ -10,15 +10,16 @@
 //! earlier work.
 
 use crate::database::PpdDatabase;
-use crate::engine::{Engine, UnitRequest};
+use crate::engine::{Engine, UnitRequest, WaveAnswer, WavePlan};
 use crate::eval::EvalConfig;
 use crate::query::ConjunctiveQuery;
-use crate::translate::ground_query;
-use crate::{PpdError, Result};
-use ppd_patterns::{relaxed_upper_bound_union, PatternUnion};
+use crate::session::PreferenceRelation;
+use crate::translate::SessionQuery;
+use crate::Result;
+use ppd_patterns::{relaxed_upper_bound_union, Labeling, PatternUnion};
 use ppd_rim::Item;
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Evaluation strategy for `top(Q, k)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +80,7 @@ pub fn most_probable_sessions(
 }
 
 /// The engine-backed top-k evaluation both [`most_probable_sessions`] and
-/// [`Engine::most_probable_sessions`] delegate to.
+/// [`Engine::most_probable_sessions`] delegate to: a wave of one.
 pub(crate) fn most_probable_with_engine(
     engine: &Engine,
     db: &PpdDatabase,
@@ -87,115 +88,151 @@ pub(crate) fn most_probable_with_engine(
     k: usize,
     strategy: TopKStrategy,
 ) -> Result<(Vec<SessionScore>, TopKStats)> {
-    engine.note_planned_version(db);
-    let plan = ground_query(db, query)?;
-    let prel = db
-        .preference_relation(&plan.prelation)
-        .ok_or_else(|| PpdError::UnknownName(plan.prelation.clone()))?;
-    let mut stats = TopKStats::default();
-
-    fn request_for<'a>(
-        prel: &'a crate::session::PreferenceRelation,
-        labeling: &'a ppd_patterns::Labeling,
-        session_index: usize,
-        union: &'a PatternUnion,
-    ) -> UnitRequest<'a> {
-        UnitRequest {
-            session: &prel.sessions()[session_index],
-            labeling,
-            union,
-        }
+    let answer = Mutex::new(None);
+    let deliver = |_, delivered: Result<WaveAnswer>| {
+        *answer.lock().expect("top-k answer slot poisoned") = Some(delivered);
+    };
+    let mut wave = WavePlan::default();
+    engine.plan_topk_into(&mut wave, db, query, k, strategy, 0, &|_| false, &deliver);
+    engine.execute_wave(wave, |_| false, deliver);
+    let answer = answer.into_inner().expect("top-k answer slot poisoned");
+    match answer.expect("a wave delivers every planned query exactly once")? {
+        WaveAnswer::TopK(scores, stats) => Ok((scores, stats)),
+        WaveAnswer::Batch(_) => unreachable!("a planned top-k is answered as one"),
     }
+}
 
-    let mut scores: Vec<SessionScore>;
-    match strategy {
-        TopKStrategy::Naive => {
-            // One parallel wave over every session's full union.
-            let requests: Vec<UnitRequest<'_>> = plan
-                .sessions
-                .iter()
-                .map(|s| request_for(prel, &plan.labeling, s.session_index, &s.union))
-                .collect();
-            let probabilities = engine.solve_requests(&requests, false)?;
-            stats.exact_evaluations += requests.len();
-            scores = plan
-                .sessions
-                .iter()
-                .zip(probabilities)
-                .map(|(squery, probability)| SessionScore {
-                    session_index: squery.session_index,
-                    probability,
-                })
-                .collect();
-        }
-        TopKStrategy::UpperBound { edges_per_pattern } => {
-            // Stage 1: cheap upper bounds from the relaxed unions, as one
-            // parallel wave. Bounds must be sound, so they are always solved
-            // exactly regardless of the engine's solver choice.
-            // The relaxation reads the union and the centre ranking only,
-            // so sessions sharing both share one relaxed union.
-            let mut relaxed: Vec<PatternUnion> = Vec::new();
-            let mut relaxed_of: HashMap<(*const PatternUnion, &[Item]), usize> = HashMap::new();
-            let mut relaxed_index = Vec::with_capacity(plan.sessions.len());
-            for squery in &plan.sessions {
-                let sigma = prel.sessions()[squery.session_index].model().sigma();
-                let index = match relaxed_of.entry((Arc::as_ptr(&squery.union), sigma.items())) {
-                    Entry::Occupied(known) => *known.get(),
-                    Entry::Vacant(new) => {
-                        relaxed.push(relaxed_upper_bound_union(
-                            &squery.union,
-                            sigma,
-                            &plan.labeling,
-                            edges_per_pattern,
-                        )?);
-                        *new.insert(relaxed.len() - 1)
-                    }
-                };
-                relaxed_index.push(index);
+/// What a planned `top(Q, k)` carries from its first stage (every session's
+/// bound — or, under [`TopKStrategy::Naive`], its probability — planned into
+/// a wave like any query's requests) to its second ([`SecondStage`]).
+pub(crate) struct TopKTail<'db> {
+    pub(crate) k: usize,
+    pub(crate) strategy: TopKStrategy,
+    pub(crate) prel: &'db PreferenceRelation,
+    pub(crate) labeling: Arc<Labeling>,
+}
+
+/// The relaxed upper-bound unions of a grounded query and, per session in
+/// plan order, which of them bounds it. The relaxation reads the union and
+/// the centre ranking only, so sessions sharing both share one relaxed
+/// union.
+pub(crate) fn relax(
+    prel: &PreferenceRelation,
+    labeling: &Labeling,
+    sessions: &[SessionQuery],
+    edges_per_pattern: usize,
+) -> Result<(Vec<PatternUnion>, Vec<usize>)> {
+    let mut relaxed: Vec<PatternUnion> = Vec::new();
+    let mut relaxed_of: HashMap<(*const PatternUnion, &[Item]), usize> = HashMap::new();
+    let mut of_session = Vec::with_capacity(sessions.len());
+    for squery in sessions {
+        let sigma = prel.sessions()[squery.session_index].model().sigma();
+        let index = match relaxed_of.entry((Arc::as_ptr(&squery.union), sigma.items())) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(new) => {
+                relaxed.push(relaxed_upper_bound_union(
+                    &squery.union,
+                    sigma,
+                    labeling,
+                    edges_per_pattern,
+                )?);
+                *new.insert(relaxed.len() - 1)
             }
-            let ub_requests: Vec<UnitRequest<'_>> = plan
-                .sessions
-                .iter()
-                .zip(relaxed_index)
-                .map(|(squery, index)| {
-                    request_for(prel, &plan.labeling, squery.session_index, &relaxed[index])
-                })
-                .collect();
-            let upper_bounds = engine.solve_requests(&ub_requests, true)?;
-            stats.upper_bounds_computed += upper_bounds.len();
-            let mut bounded: Vec<(usize, f64)> = plan
-                .sessions
-                .iter()
-                .map(|s| s.session_index)
-                .zip(upper_bounds)
-                .collect();
-            // Stage 2: exact evaluation in decreasing upper-bound order.
-            // Inherently serial — each solve may prove the answer complete —
-            // but every solve still flows through the engine's unit cache.
-            bounded.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-            let union_of: HashMap<usize, &PatternUnion> = plan
-                .sessions
-                .iter()
-                .map(|s| (s.session_index, &*s.union))
-                .collect();
-            scores = evaluate_in_bound_order(&bounded, k, |session_index| {
-                let union = union_of
-                    .get(&session_index)
-                    .expect("bounded sessions come from the plan");
-                let request = request_for(prel, &plan.labeling, session_index, union);
-                Ok(engine.solve_requests(&[request], false)?[0])
-            })?;
-            stats.exact_evaluations += scores.len();
+        };
+        of_session.push(index);
+    }
+    Ok((relaxed, of_session))
+}
+
+/// The second stage of a `top(Q, k)`: from the first stage's per-session
+/// values to the ranked answer. Under [`TopKStrategy::Naive`] the values
+/// *are* the probabilities and there is nothing left to do; under
+/// [`TopKStrategy::UpperBound`] they are bounds, and sessions are evaluated
+/// exactly in decreasing bound order until the answer is certain —
+/// inherently serial, each evaluation may prove the answer complete.
+///
+/// The walk is resumable: [`SecondStage::advance`] stops where its `solve`
+/// has no value to give, so the plan stage can take it as far as the cache
+/// reaches and the execute stage pick it up from there.
+pub(crate) struct SecondStage {
+    /// The sessions with their bounds, by decreasing bound — the walk's
+    /// order; empty under [`TopKStrategy::Naive`].
+    bounded: Vec<(usize, f64)>,
+    /// Sessions whose probability is in so far, in evaluation order.
+    scores: Vec<SessionScore>,
+    upper_bounds_computed: usize,
+}
+
+impl SecondStage {
+    /// Opens the second stage on the first stage's values, in plan order.
+    pub(crate) fn begin(
+        tail: &TopKTail<'_>,
+        sessions: &[SessionQuery],
+        first_stage: Vec<f64>,
+    ) -> Self {
+        let by_session = sessions.iter().map(|s| s.session_index).zip(first_stage);
+        match tail.strategy {
+            TopKStrategy::Naive => Self {
+                bounded: Vec::new(),
+                scores: by_session
+                    .map(|(session_index, probability)| SessionScore {
+                        session_index,
+                        probability,
+                    })
+                    .collect(),
+                upper_bounds_computed: 0,
+            },
+            TopKStrategy::UpperBound { .. } => {
+                let mut bounded: Vec<(usize, f64)> = by_session.collect();
+                bounded.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+                Self {
+                    bounded,
+                    scores: Vec::new(),
+                    upper_bounds_computed: sessions.len(),
+                }
+            }
         }
     }
-    scores.sort_by(|a, b| {
-        b.probability
-            .partial_cmp(&a.probability)
-            .unwrap()
-            .then(a.session_index.cmp(&b.session_index))
-    });
-    scores.truncate(k);
-    Ok((scores, stats))
+
+    /// Walks on from where the last call stopped. `solve` answers a
+    /// session's full-union request, or `None` to stop the walk there.
+    /// Returns whether the answer is now certain.
+    pub(crate) fn advance(
+        &mut self,
+        tail: &TopKTail<'_>,
+        sessions: &[SessionQuery],
+        mut solve: impl FnMut(UnitRequest<'_, '_>) -> Result<Option<f64>>,
+    ) -> Result<bool> {
+        let union_of: HashMap<usize, &PatternUnion> = sessions
+            .iter()
+            .map(|s| (s.session_index, &*s.union))
+            .collect();
+        evaluate_in_bound_order(&self.bounded, tail.k, &mut self.scores, |session_index| {
+            solve(UnitRequest {
+                session: &tail.prel.sessions()[session_index],
+                labeling: &tail.labeling,
+                union: union_of
+                    .get(&session_index)
+                    .expect("bounded sessions come from the plan"),
+            })
+        })
+    }
+
+    /// The ranked answer of a walk [`SecondStage::advance`] reported certain.
+    pub(crate) fn finish(mut self, k: usize) -> (Vec<SessionScore>, TopKStats) {
+        let stats = TopKStats {
+            exact_evaluations: self.scores.len(),
+            upper_bounds_computed: self.upper_bounds_computed,
+        };
+        self.scores.sort_by(|a, b| {
+            b.probability
+                .partial_cmp(&a.probability)
+                .unwrap()
+                .then(a.session_index.cmp(&b.session_index))
+        });
+        self.scores.truncate(k);
+        (self.scores, stats)
+    }
 }
 
 /// The upper-bound strategy's early-terminating walk: solves sessions in the
@@ -215,22 +252,28 @@ pub(crate) fn most_probable_with_engine(
 /// sessions tied at exactly the k-th score the chosen indices may differ
 /// from Naive's index-ascending tie-break.
 ///
-/// Returns the evaluated scores in evaluation order (the caller sorts and
-/// truncates); its length is the number of exact evaluations performed.
+/// `scores` holds the sessions evaluated so far, in evaluation order — one
+/// per walked entry of `bounded`, so its length is where the walk stands and
+/// the number of exact evaluations performed. The walk resumes from there
+/// and stops early, returning `false`, at the first session `solve` answers
+/// `None` for; `true` means the answer is certain (the caller sorts and
+/// truncates).
 fn evaluate_in_bound_order(
     bounded: &[(usize, f64)],
     k: usize,
-    mut solve: impl FnMut(usize) -> Result<f64>,
-) -> Result<Vec<SessionScore>> {
+    scores: &mut Vec<SessionScore>,
+    mut solve: impl FnMut(usize) -> Result<Option<f64>>,
+) -> Result<bool> {
     if k == 0 {
         // Nothing can enter an empty top-k; Naive answers it with an empty
         // truncation, and so must the walk (indexing `exact_so_far[k - 1]`
         // would underflow).
-        return Ok(Vec::new());
+        return Ok(true);
     }
-    let mut scores: Vec<SessionScore> = Vec::new();
-    for (pos, &(session_index, _ub)) in bounded.iter().enumerate() {
-        let p = solve(session_index)?;
+    while let Some(&(session_index, _ub)) = bounded.get(scores.len()) {
+        let Some(p) = solve(session_index)? else {
+            return Ok(false);
+        };
         scores.push(SessionScore {
             session_index,
             probability: p,
@@ -239,13 +282,13 @@ fn evaluate_in_bound_order(
             let mut exact_so_far: Vec<f64> = scores.iter().map(|s| s.probability).collect();
             exact_so_far.sort_by(|a, b| b.partial_cmp(a).unwrap());
             let kth = exact_so_far[k - 1];
-            let next_ub = bounded.get(pos + 1).map(|&(_, ub)| ub).unwrap_or(0.0);
+            let next_ub = bounded.get(scores.len()).map(|&(_, ub)| ub).unwrap_or(0.0);
             if kth >= next_ub {
                 break;
             }
         }
     }
-    Ok(scores)
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -362,15 +405,17 @@ mod tests {
         // is session 1 at exactly 0.4. The strict test must keep walking.
         let bounded = vec![(0usize, 0.5), (1usize, 0.4)];
         let mut evaluated = Vec::new();
-        let scores = evaluate_in_bound_order(&bounded, 1, |session_index| {
+        let mut scores = Vec::new();
+        let certain = evaluate_in_bound_order(&bounded, 1, &mut scores, |session_index| {
             evaluated.push(session_index);
-            Ok(match session_index {
+            Ok(Some(match session_index {
                 0 => 0.4 - 1e-13,
                 1 => 0.4,
                 _ => unreachable!("only two sessions are bounded"),
-            })
+            }))
         })
         .unwrap();
+        assert!(certain);
         assert_eq!(
             evaluated,
             vec![0, 1],
@@ -391,13 +436,39 @@ mod tests {
         // the skipping power the optimizer exists for.
         let bounded = vec![(0usize, 0.5), (1usize, 0.4), (2usize, 0.4)];
         let mut evaluated = Vec::new();
-        let scores = evaluate_in_bound_order(&bounded, 1, |session_index| {
+        let mut scores = Vec::new();
+        let certain = evaluate_in_bound_order(&bounded, 1, &mut scores, |session_index| {
             evaluated.push(session_index);
-            Ok(0.4)
+            Ok(Some(0.4))
         })
         .unwrap();
+        assert!(certain);
         assert_eq!(evaluated, vec![0]);
         assert_eq!(scores.len(), 1);
+    }
+
+    #[test]
+    fn a_walk_stopped_for_want_of_a_value_resumes_where_it_stood() {
+        // Session 0's probability is at hand, session 1's is not: the walk
+        // stops there undecided, and picks up at session 1 — not at the top
+        // — once told to solve.
+        let bounded = vec![(0usize, 0.9), (1usize, 0.8), (2usize, 0.1)];
+        let mut scores = Vec::new();
+        let certain = evaluate_in_bound_order(&bounded, 1, &mut scores, |session_index| {
+            Ok((session_index == 0).then_some(0.3))
+        })
+        .unwrap();
+        assert!(!certain);
+        assert_eq!(scores.len(), 1);
+        let mut evaluated = Vec::new();
+        let certain = evaluate_in_bound_order(&bounded, 1, &mut scores, |session_index| {
+            evaluated.push(session_index);
+            Ok(Some(0.5))
+        })
+        .unwrap();
+        assert!(certain);
+        assert_eq!(evaluated, vec![1], "0.5 dominates session 2's bound of 0.1");
+        assert_eq!(scores.len(), 2);
     }
 
     #[test]

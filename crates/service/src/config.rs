@@ -22,13 +22,18 @@ pub struct ServiceConfig {
     /// bound so a batch flood sheds from its own lane while interactive
     /// admission stays open (clamped to at least 1).
     pub max_queue_batch: usize,
-    /// Most queries coalesced into one wave (clamped to at least 1). `1`
-    /// disables batching: every query is its own wave.
+    /// Most requests coalesced into one wave (clamped to at least 1). `1`
+    /// disables batching: every request is its own wave.
     pub max_batch: usize,
-    /// How long the dispatcher holds a wave open after its first query
-    /// arrives, waiting for more to coalesce. `Duration::ZERO` means "take
-    /// whatever is queued right now" — batching still happens under
-    /// backlog, but an idle service answers a lone query immediately.
+    /// Upper bound of the hold a wave with unsolved units takes. A wave is
+    /// whatever is queued when the dispatcher looks (at most
+    /// [`max_batch`](ServiceConfig::max_batch)), and it is planned at once;
+    /// a wave the cache answers whole never waits. Only if the plan leaves
+    /// units to solve does the dispatcher hold the wave open — until
+    /// `max_wait` after it first saw the wave's first request, or
+    /// `max_batch` requests — so that requests arriving meanwhile share its
+    /// solves. `Duration::ZERO` means "never hold": batching still happens
+    /// under backlog.
     pub max_wait: Duration,
     /// The evaluation-engine configuration (solver, seed, threads, cache
     /// sharding/capacity) behind this service.
@@ -81,7 +86,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the batching window.
+    /// Sets the batching window: the upper bound of the hold a wave with
+    /// unsolved units takes (see [`ServiceConfig::max_wait`]).
     pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
         self.max_wait = max_wait;
         self

@@ -14,12 +14,14 @@
 //!    │ (unknown id fails fast)   │ interactive lane ████│──┐  wave: interactive
 //!    ├──────────admit───────────▶│ batch lane       ██  │  │  sub-batches first,
 //!    │  per-class bounds;        └──────────────────────┘  │  then batch, grouped
-//!    ▼  `Overloaded` when full      │ batching window:     │  by tenant
-//!  Ticket ◀─────────────────────────┤ wait ≤ max_wait for  ├─▶ engine("polls")
-//!    │ deadline? then waits         ▼ ≤ max_batch queries  ├─▶ engine("movies")
-//!    ▼ resolve `DeadlineExceeded`  [ wave ]                │   units deduplicated,
-//!  wait() ◀── answer streams back as soon as ──────────────┘   cost-ordered, solved
-//!             *its* units finish; cancelled/expired             across the pool
+//!    ▼  `Overloaded` when full      │ pop what is queued   │  by tenant
+//!  Ticket ◀────── cache hits ───────┤ (≤ max_batch), plan: ├─▶ engine("polls")
+//!    │ answered from the plan       ▼ ground, dedup, cache ├─▶ engine("movies")
+//!    │                           [ wave ] units unsolved?  │   units deduplicated,
+//!    │ deadline? then waits         │ only then hold the   │   cost-ordered, solved
+//!    ▼ resolve `DeadlineExceeded`   ▼ window ≤ max_wait    │   across the pool
+//!  wait() ◀── answer streams back as soon as ──────────────┘
+//!             *its* units finish; cancelled/expired
 //!             queries release their units
 //! ```
 //!
@@ -45,12 +47,16 @@
 //!   still wins the race). Expired or dropped tickets cancel their request:
 //!   the engine skips any work units every remaining dependent of which is
 //!   cancelled, without touching co-batched queries.
-//! * **Wave batching + streamed answers**: the dispatcher coalesces queued
-//!   queries into waves of at most [`ServiceConfig::max_batch`], waiting at
-//!   most [`ServiceConfig::max_wait`]; co-waved queries on one tenant share
-//!   deduplicated work units (the paper's Section 6.4 grouping applied
-//!   *between* clients), and each ticket resolves as soon as the last unit
-//!   *its* query needs completes.
+//! * **Wave batching + streamed answers**: the dispatcher pops whatever is
+//!   queued (at most [`ServiceConfig::max_batch`]) and *plans* it first;
+//!   co-waved queries on one tenant share deduplicated work units (the
+//!   paper's Section 6.4 grouping applied *between* clients), and a query
+//!   the cache answers whole is delivered from the plan. Only a wave whose
+//!   plan left units to **solve** holds its batching window — at most
+//!   [`ServiceConfig::max_wait`] from its first sighting — since only a
+//!   solve can be shared; requests arriving meanwhile join its pending
+//!   units, and a queued update closes the window. Each ticket resolves as
+//!   soon as the last unit *its* query needs completes.
 //! * **Per-request error budgets** ([`SubmitOptions::with_error_budget`],
 //!   wire fields `epsilon`/`confidence`): a request may override its
 //!   tenant's solver with an accuracy target — each per-unit marginal lands

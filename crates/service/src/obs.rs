@@ -41,7 +41,7 @@ pub(crate) struct ServiceObs {
     deadline_expired: Counter,
     /// Submission-to-wave-pop wait.
     queue_wait: Histogram,
-    /// How long the dispatcher held each wave open for stragglers.
+    /// How long each wave held its batching window open for joiners.
     wave_window: Histogram,
     /// Per-tenant group size within a wave, indexed like the router's
     /// tenants.
@@ -104,7 +104,7 @@ impl ServiceObs {
             ),
             wave_window: registry.histogram(
                 "ppd_wave_window_seconds",
-                "Time the dispatcher held each wave open to coalesce",
+                "Time each wave held its batching window open for joiners",
                 &[],
                 SECONDS_PER_NANO,
             ),
@@ -129,18 +129,12 @@ impl ServiceObs {
         EngineObs::new(&self.registry, &[("tenant", tenant)]).with_trace(Arc::clone(&self.trace))
     }
 
-    /// Records one submission's `admitted` span. Called *before* the job is
-    /// pushed into its lane: the dispatcher may pop the job (and record
-    /// `wave-joined`) the instant it is visible, so recording afterwards
-    /// would let a traced timeline start mid-wave. `depth` is therefore the
-    /// submitter's pre-push estimate of where the job will land.
-    pub(crate) fn admission_span(
-        &self,
-        trace: u64,
-        tenant: &str,
-        class: AdmissionClass,
-        depth: usize,
-    ) {
+    /// One submission entered its lane at `depth`: records its `admitted`
+    /// span and the lane gauge. Called from inside the admission push,
+    /// *before* the job is visible to the dispatcher, which may pop it (and
+    /// record `wave-joined`) the instant it is: recording afterwards would
+    /// let a traced timeline start mid-wave.
+    pub(crate) fn admitted(&self, trace: u64, tenant: &str, class: AdmissionClass, depth: usize) {
         if self.trace.traced(trace) {
             self.trace.record(
                 trace,
@@ -151,10 +145,6 @@ impl ServiceObs {
                 },
             );
         }
-    }
-
-    /// The push succeeded at the lane's true depth: update the gauge.
-    pub(crate) fn admitted_depth(&self, class: AdmissionClass, depth: usize) {
         self.lane_depth[class.lane()].set(depth as i64);
     }
 
@@ -163,9 +153,8 @@ impl ServiceObs {
         self.shed_total[class.lane()].inc();
     }
 
-    /// Admission refused a submission whose `admitted` span was already
-    /// recorded: close the timeline with a terminal `failed` event so it
-    /// does not dangle.
+    /// Admission refused a submission (lane full, or shutting down): its
+    /// timeline is the one terminal `failed` event.
     pub(crate) fn rejected(&self, trace: u64, error: &ServiceError) {
         if self.trace.traced(trace) {
             self.trace.record(
@@ -178,19 +167,20 @@ impl ServiceObs {
         }
     }
 
-    /// The dispatcher popped a wave: record the coalescing window and the
-    /// post-pop lane depths, and count the wave in flight.
-    pub(crate) fn wave_started(
-        &self,
-        window: Duration,
-        interactive_depth: usize,
-        batch_depth: usize,
-    ) {
-        self.wave_window.record_duration(window);
-        self.lane_depth[0].set(interactive_depth as i64);
-        self.lane_depth[1].set(batch_depth as i64);
+    /// The dispatcher popped a wave: record the lane depths it left behind
+    /// and count the wave in flight.
+    pub(crate) fn wave_started(&self, depths: [usize; 2]) {
+        for (gauge, depth) in self.lane_depth.iter().zip(depths) {
+            gauge.set(depth as i64);
+        }
         let live = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.in_flight_waves.set(live as i64);
+    }
+
+    /// How long the wave held its batching window open — zero for a wave
+    /// whose plan left nothing to solve.
+    pub(crate) fn wave_window(&self, held: Duration) {
+        self.wave_window.record_duration(held);
     }
 
     /// The wave's last group finished.
@@ -270,11 +260,11 @@ mod tests {
     fn admitted_and_finished_record_spans_and_counters() {
         let obs = ServiceObs::new(&ObsConfig::full(), &["a", "b"]);
         let trace = obs.trace().assign();
-        obs.admission_span(trace, "a", AdmissionClass::Interactive, 3);
-        obs.admitted_depth(AdmissionClass::Interactive, 3);
+        obs.admitted(trace, "a", AdmissionClass::Interactive, 3);
         obs.queue_wait(Duration::from_micros(40));
         // The pop drains the lane: the wave resets the post-pop depths.
-        obs.wave_started(Duration::from_micros(10), 2, 0);
+        obs.wave_started([2, 0]);
+        obs.wave_window(Duration::from_micros(10));
         obs.wave_group(0, 2);
         obs.wave_group(99, 2); // out of range: ignored, not panicked
         obs.finished(
@@ -345,14 +335,12 @@ mod tests {
     fn rejected_submission_timeline_is_terminal() {
         let obs = ServiceObs::new(&ObsConfig::full(), &["a"]);
         let trace = obs.trace().assign();
-        obs.admission_span(trace, "a", AdmissionClass::Interactive, 9);
         obs.shed(AdmissionClass::Interactive);
         obs.rejected(trace, &ServiceError::Overloaded { depth: 9 });
         let events = obs.trace().events(trace);
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].event.name(), "admitted");
-        assert_eq!(events[1].event.name(), "failed");
-        assert!(events[1].event.is_terminal());
+        assert_eq!(events.len(), 1, "a shed submission never entered a lane");
+        assert_eq!(events[0].event.name(), "failed");
+        assert!(events[0].event.is_terminal());
         assert!(obs
             .render()
             .contains("ppd_shed_total{lane=\"interactive\"} 1"));
@@ -363,8 +351,7 @@ mod tests {
         let obs = ServiceObs::new(&ObsConfig::off(), &["a"]);
         let trace = obs.trace().assign();
         assert_ne!(trace, 0, "ids flow even with tracing off");
-        obs.admission_span(trace, "a", AdmissionClass::Batch, 1);
-        obs.admitted_depth(AdmissionClass::Batch, 1);
+        obs.admitted(trace, "a", AdmissionClass::Batch, 1);
         obs.finished(trace, &Err(ServiceError::Disconnected), Duration::ZERO);
         assert!(obs.trace().events(trace).is_empty());
         assert_eq!(obs.render(), "", "disabled registry renders nothing");

@@ -13,8 +13,8 @@
 
 use crate::request::ServiceError;
 use ppd_core::{
-    Engine, EngineObs, ErrorBudget, EvalConfig, PoolCache, PpdDatabase, PpdError, SolverChoice,
-    Update,
+    CacheStats, Engine, EngineObs, ErrorBudget, EvalConfig, PoolCache, PpdDatabase, PpdError,
+    SolverChoice, Update,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,16 +143,23 @@ impl Tenant {
         engine
     }
 
-    /// Cache counters over *all* of this tenant's engines: the base engine
-    /// plus every budget engine currently alive.
-    pub(crate) fn engine_cache_stats(&self) -> Vec<ppd_core::CacheStats> {
-        let mut all = vec![self.engine.cache_stats()];
+    /// Cache counters summed over *all* of this tenant's engines: the base
+    /// engine plus every budget engine currently alive. The proposal-pool
+    /// counters are the exception — every engine reports the one
+    /// [`PoolCache`] the tenant's engines share, so they count once.
+    pub(crate) fn cache_stats(&self) -> CacheStats {
+        let base = self.engine.cache_stats();
+        let mut total = base;
         let engines = self
             .budget_engines
             .lock()
             .expect("budget engine registry poisoned");
-        all.extend(engines.values().map(|slot| slot.engine.cache_stats()));
-        all
+        for slot in engines.values() {
+            total += slot.engine.cache_stats();
+        }
+        total.pools_built = base.pools_built;
+        total.pool_hits = base.pool_hits;
+        total
     }
 }
 
@@ -275,8 +282,7 @@ mod tests {
             confidence: 0.95,
         });
         assert!(!Arc::ptr_eq(&first, &other), "distinct budgets do not");
-        // Base engine + two budget engines.
-        assert_eq!(tenant.engine_cache_stats().len(), 3);
+        assert_eq!(tenant.budget_engines.lock().unwrap().len(), 2);
     }
 
     #[test]
@@ -314,6 +320,14 @@ mod tests {
             stats.pool_hits, built,
             "every budgeted unit must reuse the sibling's pool"
         );
+        // Three engines report the one shared pool cache; the tenant's
+        // total counts it once, while per-engine counters still add up.
+        let total = tenant.cache_stats();
+        assert_eq!((total.pools_built, total.pool_hits), (built, built));
+        assert_eq!(
+            total.marginal_misses,
+            loose.cache_stats().marginal_misses + stats.marginal_misses
+        );
     }
 
     #[test]
@@ -336,8 +350,8 @@ mod tests {
         // ...then overflow the bound, retiring it.
         tenant.budget_engine(budget(MAX_BUDGET_ENGINES));
         assert_eq!(
-            tenant.engine_cache_stats().len(),
-            1 + MAX_BUDGET_ENGINES,
+            tenant.budget_engines.lock().unwrap().len(),
+            MAX_BUDGET_ENGINES,
             "the registry must stay bounded"
         );
         assert!(

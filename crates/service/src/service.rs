@@ -2,7 +2,7 @@
 //! execution with class priority and cancellation, between-wave database
 //! updates, and graceful shutdown.
 
-use crate::admission::{AdmissionQueue, AdmitError};
+use crate::admission::{AdmissionQueue, AdmitError, Popped};
 use crate::config::ServiceConfig;
 use crate::deadline::CancelToken;
 use crate::obs::ServiceObs;
@@ -12,13 +12,14 @@ use crate::request::{
 use crate::router::{Router, Tenant};
 use crate::stats::{DeliveryKind, ServiceStats, StatsCollector};
 use ppd_core::{
-    BatchAnswer, CacheStats, ConjunctiveQuery, Engine, ErrorBudget, PpdDatabase, PpdError, Update,
+    CacheStats, ConjunctiveQuery, Engine, ErrorBudget, PpdDatabase, PpdError, Update, WaveAnswer,
+    WavePlan,
 };
 use ppd_obs::SpanRecord;
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc, Mutex, RwLockReadGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Database id [`Service::new`] registers its single database under.
 pub const DEFAULT_DATABASE: &str = "default";
@@ -245,16 +246,6 @@ impl Service {
             Work::Update(_) => None,
         };
         let trace = self.inner.obs.trace().assign();
-        // The admission span goes into the ring *before* the push makes the
-        // job visible: the dispatcher can pop it (recording `wave-joined`)
-        // before this thread resumes, and a traced timeline must still
-        // start at `admitted`. The depth is the pre-push estimate.
-        self.inner.obs.admission_span(
-            trace,
-            &self.inner.router.tenant(tenant).id,
-            options.class,
-            self.inner.queue.depth_of(options.class) + 1,
-        );
         let job = Job {
             tenant,
             work,
@@ -265,10 +256,18 @@ impl Service {
             trace,
             reply,
         };
-        match self.inner.queue.push(options.class, job) {
-            Ok(depth) => {
+        // The admission span goes into the ring from inside the push,
+        // *before* the job is visible: the dispatcher can pop it (recording
+        // `wave-joined`) before this thread resumes, and a traced timeline
+        // must still start at `admitted`.
+        let obs = &self.inner.obs;
+        let tenant_id = &self.inner.router.tenant(tenant).id;
+        let admitted = self.inner.queue.push(options.class, job, |depth| {
+            obs.admitted(trace, tenant_id, options.class, depth)
+        });
+        match admitted {
+            Ok(()) => {
                 self.lock_stats().record_submit(options.class);
-                self.inner.obs.admitted_depth(options.class, depth);
                 Ok((cancel, read_version, trace))
             }
             Err(AdmitError::Overloaded { depth }) => {
@@ -288,9 +287,10 @@ impl Service {
     /// Snapshot of the service's activity, including the engines' cache
     /// counters summed across tenants.
     pub fn stats(&self) -> ServiceStats {
+        let [interactive_depth, batch_depth] = self.inner.queue.depths();
         self.lock_stats().snapshot(
-            self.inner.queue.depth_of(AdmissionClass::Interactive),
-            self.inner.queue.depth_of(AdmissionClass::Batch),
+            interactive_depth,
+            batch_depth,
             self.inner.obs.uptime(),
             self.inner.obs.in_flight_waves(),
             self.aggregate_cache_stats(),
@@ -318,23 +318,7 @@ impl Service {
     fn aggregate_cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for tenant in self.inner.router.tenants() {
-            // Base engine plus every per-budget engine this tenant spawned.
-            for stats in tenant.engine_cache_stats() {
-                total.marginal_hits += stats.marginal_hits;
-                total.marginal_misses += stats.marginal_misses;
-                total.marginal_evictions += stats.marginal_evictions;
-                total.marginals_loaded += stats.marginals_loaded;
-                total.marginals_saved += stats.marginals_saved;
-                total.models_prepared += stats.models_prepared;
-                total.calibration_hits += stats.calibration_hits;
-                total.calibration_misses += stats.calibration_misses;
-                total.calibration_recorded += stats.calibration_recorded;
-                total.marginal_evicted_bytes += stats.marginal_evicted_bytes;
-                total.units_invalidated += stats.units_invalidated;
-                total.segment_live_bytes += stats.segment_live_bytes;
-                total.segment_dead_bytes += stats.segment_dead_bytes;
-                total.compactions += stats.compactions;
-            }
+            total += tenant.cache_stats();
         }
         total
     }
@@ -422,7 +406,7 @@ impl std::fmt::Debug for Service {
         f.debug_struct("Service")
             .field("config", &self.inner.config)
             .field("databases", &self.database_ids())
-            .field("queue_depth", &self.inner.queue.depth())
+            .field("queue_depths", &self.inner.queue.depths())
             .finish_non_exhaustive()
     }
 }
@@ -430,77 +414,254 @@ impl std::fmt::Debug for Service {
 /// The dispatcher: pops waves off the admission queue until shutdown has
 /// drained it.
 fn dispatch_loop(inner: &Inner) {
-    while let Some((wave, window)) = inner
-        .queue
-        .next_wave(inner.config.max_batch, inner.config.max_wait)
-    {
-        inner
-            .stats
-            .lock()
-            .expect("service stats poisoned")
-            .record_wave(wave.len());
-        inner.obs.wave_started(
-            window,
-            inner.queue.depth_of(AdmissionClass::Interactive),
-            inner.queue.depth_of(AdmissionClass::Batch),
-        );
-        run_wave(inner, wave);
+    while let Some(popped) = inner.queue.pop_wave(inner.config.max_batch) {
+        inner.obs.wave_started(popped.depths);
+        run_wave(inner, popped);
         inner.obs.wave_finished();
     }
 }
 
-/// Executes one wave. Updates apply first, in wave order (interactive lane
-/// before batch — the wave is already ordered that way), so every query in
-/// the wave observes one fixed post-update snapshot; queries admitted in
-/// the same wave as an update are answered against the version it produced,
-/// never a half-applied state. The remaining query jobs are grouped by
-/// `(tenant, class, error budget)` — each group is one engine batch against
-/// its tenant's database snapshot — and the groups run interactive-before-
-/// batch within each tenant, tenants in registration order, budget-less
-/// jobs before budgeted ones within a lane. Running the interactive
-/// sub-batch as its own engine wave (rather than mixing classes into one
-/// cost-ordered wave) is what makes the priority real: every interactive
-/// answer is delivered before the first batch unit starts. Grouping by
-/// budget bits keeps each engine batch homogeneous in solver choice, so
-/// co-batched queries still share deduplicated work units.
-fn run_wave(inner: &Inner, wave: Vec<Job>) {
-    type GroupKey = (usize, usize, Option<(u64, u64)>);
-    let mut groups: BTreeMap<GroupKey, Vec<Job>> = BTreeMap::new();
-    for job in wave {
+/// A wave's query groups, in execution order: tenants in registration
+/// order, the interactive lane before the batch lane within a tenant,
+/// budget-less jobs before budgeted ones within a lane.
+type Groups<'w> = BTreeMap<(usize, usize, Option<(u64, u64)>), Group<'w>>;
+
+/// One `(tenant, class, error budget)` group of a wave — one engine wave
+/// against its tenant's database snapshot. Grouping by budget bits keeps
+/// each engine wave homogeneous in solver choice, so co-batched queries
+/// still share deduplicated work units.
+struct Group<'w> {
+    db: &'w PpdDatabase,
+    /// The tenant's base engine, and the per-budget engine a budgeted group
+    /// runs on instead.
+    base_engine: &'w Engine,
+    budget_engine: Option<Arc<Engine>>,
+    plan: WavePlan<'w>,
+    /// The group's jobs by the plan's query index; each is taken by its
+    /// delivery.
+    jobs: Vec<Mutex<Option<Job>>>,
+    /// Their cancel tokens, by the same index.
+    cancels: Vec<CancelToken>,
+}
+
+/// Executes one wave: **plan first, hold the batching window only if the
+/// plan left something to solve.**
+///
+/// 1. Updates apply, in wave order (interactive lane before batch — the
+///    wave is already ordered that way), while no read guard is held — the
+///    only place a database is ever written. Every query of the wave then
+///    observes one fixed post-update snapshot, never a half-applied state.
+/// 2. The queries are planned, group by group: grounded, reduced to work
+///    units, looked up in the cache. Every query the cache answers whole is
+///    delivered here — a warm request never waits for anyone.
+/// 3. Only if some group is left with unsolved units is the window held:
+///    until [`ServiceConfig::max_wait`] after the wave's first sighting, or
+///    [`ServiceConfig::max_batch`] jobs, whichever comes first. Requests
+///    arriving meanwhile are planned into the same groups — so they share
+///    the wave's solves — and answered at once when they turn out cached.
+///    A queued update closes the window and, with everything admitted after
+///    it, waits for the next wave: the tenants' read guards are held from
+///    planning to the last delivery.
+/// 4. The groups execute in order. Running the interactive sub-batch as its
+///    own engine wave (rather than mixing classes into one cost-ordered
+///    wave) is what makes the priority real: every interactive answer is
+///    delivered before the first batch unit starts.
+fn run_wave(inner: &Inner, popped: Popped<Job>) {
+    let mut size = popped.items.len();
+    let mut queries: Vec<Job> = Vec::with_capacity(size);
+    for job in popped.items {
         inner.obs.queue_wait(job.submitted.elapsed());
         match &job.work {
             Work::Update(_) => run_update(inner, job),
-            Work::Query(_) => {
-                let budget_bits = job
-                    .budget
-                    .map(|b| (b.epsilon.to_bits(), b.confidence.to_bits()));
-                groups
-                    .entry((job.tenant, job.class.lane(), budget_bits))
-                    .or_default()
-                    .push(job);
-            }
+            Work::Query(_) => queries.push(job),
         }
     }
-    for ((tenant_index, _, _), jobs) in groups {
-        inner.obs.wave_group(tenant_index, jobs.len());
-        let tenant = inner.router.tenant(tenant_index);
-        // The read guard pins this group's snapshot: updates admitted after
-        // this wave formed wait for the next wave boundary.
-        let db = tenant.read_db();
-        match jobs[0].budget {
-            None => run_group(inner, &db, &tenant.engine, jobs),
-            Some(budget) => {
-                let engine = tenant.budget_engine(budget);
-                run_group(inner, &db, &engine, jobs);
+    // The read guards pin the wave's snapshots: updates admitted from here
+    // on wait for the next wave boundary.
+    let dbs: Vec<RwLockReadGuard<'_, PpdDatabase>> = if queries.is_empty() {
+        Vec::new()
+    } else {
+        inner.router.tenants().iter().map(Tenant::read_db).collect()
+    };
+    let mut groups = Groups::new();
+    plan_jobs(inner, &dbs, &mut groups, queries);
+    let mut held = Duration::ZERO;
+    if groups.values().any(|group| group.plan.unsolved_units() > 0) {
+        let hold_started = Instant::now();
+        let deadline = popped.sighted + inner.config.max_wait;
+        let mut open = true;
+        while open {
+            let room = inner.config.max_batch.max(1).saturating_sub(size);
+            let (joiners, still_open) = inner
+                .queue
+                .pop_joiners(room, deadline, |job| matches!(job.work, Work::Update(_)));
+            open = still_open;
+            size += joiners.len();
+            for job in &joiners {
+                inner.obs.queue_wait(job.submitted.elapsed());
+            }
+            plan_jobs(inner, &dbs, &mut groups, joiners);
+        }
+        held = hold_started.elapsed();
+    }
+    inner
+        .stats
+        .lock()
+        .expect("service stats poisoned")
+        .record_wave(size);
+    inner.obs.wave_window(held);
+    for ((tenant, _, _), group) in groups {
+        inner.obs.wave_group(tenant, group.jobs.len());
+        group.execute(inner);
+    }
+}
+
+/// Plans `jobs` (queries only) into their groups, creating the groups they
+/// are the first of.
+fn plan_jobs<'w>(
+    inner: &'w Inner,
+    dbs: &'w [RwLockReadGuard<'w, PpdDatabase>],
+    groups: &mut Groups<'w>,
+    jobs: Vec<Job>,
+) {
+    let mut arriving: BTreeMap<_, Vec<Job>> = BTreeMap::new();
+    for job in jobs {
+        let budget_bits = job
+            .budget
+            .map(|b| (b.epsilon.to_bits(), b.confidence.to_bits()));
+        arriving
+            .entry((job.tenant, job.class.lane(), budget_bits))
+            .or_default()
+            .push(job);
+    }
+    for (key, jobs) in arriving {
+        let tenant = inner.router.tenant(key.0);
+        let group = groups.entry(key).or_insert_with(|| Group {
+            db: &dbs[key.0],
+            base_engine: &tenant.engine,
+            budget_engine: jobs[0].budget.map(|budget| tenant.budget_engine(budget)),
+            plan: WavePlan::default(),
+            jobs: Vec::new(),
+            cancels: Vec::new(),
+        });
+        group.plan_jobs(inner, jobs);
+    }
+}
+
+impl Group<'_> {
+    /// The plan stage for `jobs`: the streamable kinds (Boolean / count /
+    /// per-session) in one planning pass, so they deduplicate against each
+    /// other cheaply, then the top-k queries one by one. Whatever the cache
+    /// answers whole is delivered from here.
+    fn plan_jobs(&mut self, inner: &Inner, jobs: Vec<Job>) {
+        let Group {
+            db,
+            base_engine,
+            budget_engine,
+            plan,
+            jobs: planned,
+            cancels,
+        } = self;
+        let engine = budget_engine.as_deref().unwrap_or(base_engine);
+        let (topk, streamable): (Vec<Job>, Vec<Job>) = jobs
+            .into_iter()
+            .partition(|job| matches!(job.request(), Request::TopK { .. }));
+
+        let queries: Vec<ConjunctiveQuery> = streamable
+            .iter()
+            .map(|job| job.request().query().clone())
+            .collect();
+        let traces: Vec<u64> = streamable.iter().map(|job| job.trace).collect();
+        // The engine numbers a wave's queries in planning order, across
+        // calls — each job's slot in `planned`.
+        for job in streamable {
+            cancels.push(job.cancel.clone());
+            planned.push(Mutex::new(Some(job)));
+        }
+        engine.plan_into(
+            plan,
+            db,
+            &queries,
+            &traces,
+            &|qi| cancels[qi].is_cancelled(),
+            &|qi, outcome| deliver(inner, planned, db.version(), qi, outcome),
+        );
+
+        for job in topk {
+            let Request::TopK { query, k, strategy } = job.request().clone() else {
+                unreachable!("partitioned on the request kind");
+            };
+            let trace = job.trace;
+            cancels.push(job.cancel.clone());
+            planned.push(Mutex::new(Some(job)));
+            engine.plan_topk_into(
+                plan,
+                db,
+                &query,
+                k,
+                strategy,
+                trace,
+                &|qi| cancels[qi].is_cancelled(),
+                &|qi, outcome| deliver(inner, planned, db.version(), qi, outcome),
+            );
+        }
+    }
+
+    /// The execute stage: one cancellable streamed engine wave over what the
+    /// plan left unsolved, each answer delivered the moment its units
+    /// finish.
+    fn execute(self, inner: &Inner) {
+        let Group {
+            db,
+            base_engine,
+            budget_engine,
+            plan,
+            jobs,
+            cancels,
+        } = self;
+        let engine = budget_engine.as_deref().unwrap_or(base_engine);
+        engine.execute_wave(
+            plan,
+            // `move` satisfies the engine's `'static` bound (the probe
+            // reaches exact DP kernels mid-solve); the tokens are Arc-backed.
+            move |qi| cancels[qi].is_cancelled(),
+            |qi, outcome| deliver(inner, &jobs, db.version(), qi, outcome),
+        );
+        // The engine delivers every query exactly once; anything still here
+        // would be a contract violation, surfaced instead of hung on.
+        for slot in &jobs {
+            if let Some(job) = slot.lock().expect("wave delivery slot poisoned").take() {
+                debug_assert!(false, "engine failed to deliver a planned query");
+                finish(inner, job, Err(ServiceError::Disconnected), 0);
             }
         }
     }
 }
 
+/// Hands one engine outcome to the job it belongs to. Exactly once per
+/// query, possibly from an engine worker thread — the hand-off is all that
+/// happens here.
+fn deliver(
+    inner: &Inner,
+    jobs: &[Mutex<Option<Job>>],
+    version: u64,
+    qi: usize,
+    outcome: Result<WaveAnswer, PpdError>,
+) {
+    let taken = jobs[qi].lock().expect("wave delivery slot poisoned").take();
+    if let Some(job) = taken {
+        let delivery = match outcome {
+            Ok(answer) => Ok(project(job.request(), answer)),
+            Err(e) => Err(eval_error(&job, e)),
+        };
+        finish(inner, job, delivery, version);
+    }
+}
+
 /// Applies one admitted update to its tenant's database and delivers the
-/// receipt. Runs on the dispatcher thread before the wave's query groups,
-/// while no wave holds a read guard — the only place the database is ever
-/// written.
+/// receipt. Runs on the dispatcher thread before the wave's queries are
+/// planned, while no wave holds a read guard — the only place the database
+/// is ever written.
 fn run_update(inner: &Inner, job: Job) {
     if job.cancel.is_cancelled() {
         let delivery = Err(eval_error(&job, PpdError::Cancelled));
@@ -536,81 +697,6 @@ fn run_update(inner: &Inner, job: Job) {
     }
 }
 
-/// Executes one same-tenant, same-class group: the streamable kinds
-/// (Boolean / count / per-session) go through the engine as a single
-/// cancellable streamed batch — sharing deduplicated work units and
-/// delivering each answer the moment its units finish — and top-k queries
-/// follow one by one on the same warm engine.
-fn run_group(inner: &Inner, db: &PpdDatabase, engine: &Engine, jobs: Vec<Job>) {
-    let version = db.version();
-    let mut batched: Vec<Mutex<Option<Job>>> = Vec::new();
-    let mut batched_queries: Vec<ConjunctiveQuery> = Vec::new();
-    let mut cancels: Vec<CancelToken> = Vec::new();
-    let mut traces: Vec<u64> = Vec::new();
-    let mut topk: Vec<Job> = Vec::new();
-    for job in jobs {
-        match job.request() {
-            Request::TopK { .. } => topk.push(job),
-            streamable => {
-                batched_queries.push(streamable.query().clone());
-                cancels.push(job.cancel.clone());
-                traces.push(job.trace);
-                batched.push(Mutex::new(Some(job)));
-            }
-        }
-    }
-
-    if !batched_queries.is_empty() {
-        engine.evaluate_batch_streamed_cancellable_traced(
-            db,
-            &batched_queries,
-            &traces,
-            // `move` satisfies the engine's `'static` bound (the probe now
-            // reaches exact DP kernels mid-solve); the tokens are Arc-backed.
-            move |qi| cancels[qi].is_cancelled(),
-            |qi, outcome| {
-                // Exactly-once per query, possibly from an engine worker
-                // thread — the hand-off below is all that happens here.
-                let taken = batched[qi]
-                    .lock()
-                    .expect("wave delivery slot poisoned")
-                    .take();
-                if let Some(job) = taken {
-                    let delivery = match outcome {
-                        Ok(answer) => Ok(project(job.request(), answer)),
-                        Err(e) => Err(eval_error(&job, e)),
-                    };
-                    finish(inner, job, delivery, version);
-                }
-            },
-        );
-        // The engine delivers every query exactly once; anything still here
-        // would be a contract violation, surfaced instead of hung on.
-        for slot in &batched {
-            if let Some(job) = slot.lock().expect("wave delivery slot poisoned").take() {
-                debug_assert!(false, "engine failed to deliver a batched query");
-                finish(inner, job, Err(ServiceError::Disconnected), 0);
-            }
-        }
-    }
-
-    for job in topk {
-        if job.cancel.is_cancelled() {
-            let delivery = Err(eval_error(&job, PpdError::Cancelled));
-            finish(inner, job, delivery, version);
-            continue;
-        }
-        let Request::TopK { query, k, strategy } = job.request() else {
-            unreachable!("only top-k jobs are deferred past the streamed batch");
-        };
-        let delivery = engine
-            .most_probable_sessions(db, query, *k, *strategy)
-            .map(|(scores, _stats)| Answer::TopK(scores))
-            .map_err(ServiceError::Eval);
-        finish(inner, job, delivery, version);
-    }
-}
-
 /// Maps an engine error onto the service error a client should see: a
 /// cancellation that stems from the job's deadline is `DeadlineExceeded`;
 /// everything else (including a cancellation from a dropped ticket, whose
@@ -622,15 +708,16 @@ fn eval_error(job: &Job, e: PpdError) -> ServiceError {
     }
 }
 
-/// Projects the engine's batch answer onto the shape the request asked for.
-fn project(request: &Request, answer: BatchAnswer) -> Answer {
-    match request {
-        Request::Boolean(_) => Answer::Boolean(answer.boolean),
-        Request::Count(_) => Answer::Count(answer.expected_count),
-        Request::SessionProbabilities(_) => {
+/// Projects the engine's answer onto the shape the request asked for.
+fn project(request: &Request, answer: WaveAnswer) -> Answer {
+    match (request, answer) {
+        (Request::Boolean(_), WaveAnswer::Batch(answer)) => Answer::Boolean(answer.boolean),
+        (Request::Count(_), WaveAnswer::Batch(answer)) => Answer::Count(answer.expected_count),
+        (Request::SessionProbabilities(_), WaveAnswer::Batch(answer)) => {
             Answer::SessionProbabilities(answer.session_probabilities)
         }
-        Request::TopK { .. } => unreachable!("top-k jobs are not batched"),
+        (Request::TopK { .. }, WaveAnswer::TopK(scores, _stats)) => Answer::TopK(scores),
+        (request, _) => unreachable!("{} was planned as another kind", request.query().name()),
     }
 }
 
@@ -806,6 +893,34 @@ mod tests {
             .evaluate_boolean(&db, &q)
             .unwrap();
         assert_eq!(exact, Answer::Boolean(direct_exact));
+    }
+
+    #[test]
+    fn stats_count_the_tenant_shared_pool_cache_once() {
+        // Zero threshold: every unit of a budgeted request is sampled, so
+        // each needs a proposal pool.
+        let eval = EvalConfig::exact().with_exact_cost_threshold(0.0);
+        let service = Service::new(tiny_db(), ServiceConfig::new(eval));
+        let ask = |epsilon: f64| {
+            service
+                .submit_with(
+                    Request::Boolean(polls_q1_query()),
+                    SubmitOptions::interactive().with_error_budget(epsilon, 0.9),
+                )
+                .unwrap()
+                .wait()
+                .unwrap()
+        };
+        ask(0.05);
+        let built = service.stats().cache.pools_built;
+        assert!(built > 0, "a budgeted request must build proposal pools");
+        assert_eq!(service.stats().cache.pool_hits, 0);
+        // A second budget is a second engine on the same pool cache: every
+        // pool is reused, and three engines reporting one cache do not
+        // triple the totals.
+        ask(0.02);
+        let cache = service.stats().cache;
+        assert_eq!((cache.pools_built, cache.pool_hits), (built, built));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! Run with `cargo run --release --example service_demo`.
 //!
 //! What to look for in the output:
-//! * clients submit concurrently, so the batching window coalesces their
-//!   queries into shared waves (see `waves (mean …)` in the stats line);
+//! * clients submit concurrently on a cold cache, so the first wave finds
+//!   units to solve, holds its batching window, and the others' queries
+//!   join it (see `waves (mean …)` in the stats line) — a warm service
+//!   would answer each from its plan without holding anything;
 //! * overlapping queries share deduplicated work units through the one
 //!   engine — the cache hit rate at the end is the work the service never
 //!   had to repeat;
@@ -24,8 +26,9 @@ fn main() {
         seed: 7,
     });
 
-    // One service, shared by reference across scoped client threads. The
-    // 5 ms window lets concurrent submissions coalesce into waves.
+    // One service, shared by reference across scoped client threads. A wave
+    // whose plan leaves units to solve holds its window up to 5 ms, so
+    // concurrent cold submissions coalesce and share those solves.
     let service = Service::new(
         db,
         ServiceConfig::new(EvalConfig::exact())
