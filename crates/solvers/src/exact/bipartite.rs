@@ -20,16 +20,19 @@
 //! **packed** kernel encodes a state — position slots plus one
 //! uncertain-edge bitmask field per member pattern — into a single
 //! `u64`/`u128` and advances a flat sorted frontier (see
-//! `exact::packed` for the determinism argument), while the
+//! `exact::packed` for the determinism argument, and for how a step whose
+//! item matches no entry costs one successor per gap between the stored
+//! positions instead of one per position), while the
 //! **reference** kernel keeps the original map-based formulation for the
 //! equivalence suite and as the fallback when the packing width exceeds
 //! 128 bits.
 
 use crate::budget::Budget;
-use crate::exact::packed::{self, Frontier, InsertionRow, Word};
+use crate::exact::packed::{self, Frontier, Slots, Word};
+use crate::exact::satisfiable_members;
 use crate::traits::ExactSolver;
 use crate::{Result, SolverError};
-use ppd_patterns::{Labeling, NodeSelector, PatternUnion, UnionClass};
+use ppd_patterns::{Labeling, NodeSelector, Pattern, PatternUnion, UnionClass};
 use ppd_rim::RimModel;
 use std::collections::BTreeMap;
 
@@ -101,8 +104,8 @@ impl BipartiteSolver {
         labeling: &Labeling,
         union: &PatternUnion,
     ) -> Option<u32> {
-        let union = union.prune_unsatisfiable(rim.sigma().items(), labeling)?;
-        let c = compile(rim, labeling, &union).ok()?;
+        let members = satisfiable_members(rim, labeling, union)?;
+        let c = compile(rim, labeling, &members).ok()?;
         let width = packed_width(rim.num_items(), &c);
         (width <= 128 && masks_fit(&c)).then_some(width)
     }
@@ -123,12 +126,12 @@ struct Compiled {
     last_r: Vec<usize>,
 }
 
-fn compile(rim: &RimModel, labeling: &Labeling, union: &PatternUnion) -> Result<Compiled> {
+fn compile(rim: &RimModel, labeling: &Labeling, members: &[&Pattern]) -> Result<Compiled> {
     let m = rim.num_items();
     let mut l_selectors: Vec<NodeSelector> = Vec::new();
     let mut r_selectors: Vec<NodeSelector> = Vec::new();
     let mut pattern_edges: Vec<Vec<(usize, usize)>> = Vec::new();
-    for pattern in union.patterns() {
+    for pattern in members {
         let mut edges = Vec::with_capacity(pattern.num_edges());
         for &(a, b) in pattern.edges() {
             let left = pattern.nodes()[a].clone();
@@ -171,8 +174,16 @@ fn compile(rim: &RimModel, labeling: &Labeling, union: &PatternUnion) -> Result<
                 .collect()
         })
         .collect();
+    // Every member that reaches here is satisfiable, so every entry has a
+    // candidate and its last step is a step that matches it — which is why a
+    // step that matches no entry can never be the one that violates an edge.
     let last_step = |matches: &Vec<Vec<bool>>, e: usize| -> usize {
-        (0..m).rev().find(|&i| matches[i][e]).unwrap_or(0)
+        let last = (0..m).rev().find(|&i| matches[i][e]);
+        debug_assert!(
+            last.is_some(),
+            "an entry of a satisfiable member matches no item"
+        );
+        last.unwrap_or(0)
     };
     let last_l = (0..l_selectors.len())
         .map(|e| last_step(&match_l, e))
@@ -329,16 +340,15 @@ impl ExactSolver for BipartiteSolver {
         if m == 0 {
             return Err(SolverError::InvalidInstance("empty item universe".into()));
         }
-        let union = match union.prune_unsatisfiable(rim.sigma().items(), labeling) {
-            Some(u) => u,
-            None => return Ok(0.0),
+        let Some(members) = satisfiable_members(rim, labeling, union) else {
+            return Ok(0.0);
         };
         // A satisfiable member without edges is satisfied by every ranking.
         // (Handled before kernel dispatch so all kernels agree exactly.)
-        if union.patterns().iter().any(|p| p.num_edges() == 0) {
+        if members.iter().any(|p| p.num_edges() == 0) {
             return Ok(1.0);
         }
-        let compiled = compile(rim, labeling, &union)?;
+        let compiled = compile(rim, labeling, &members)?;
         if !self.prune {
             return self.solve_basic(rim, &compiled);
         }
@@ -504,15 +514,13 @@ fn solve_pruned_packed<W: Word>(
     c: &Compiled,
     budget: Option<&Budget>,
 ) -> Result<f64> {
-    let m = rim.num_items();
-    let bits = packed::slot_bits(m);
-    let slot_mask = (1u32 << bits) - 1;
     let num_l = c.l_selectors.len();
     let num_r = c.r_selectors.len();
     let num_patterns = c.pattern_edges.len();
     let mask_bits: u32 = c.pattern_edges.iter().map(|e| e.len() as u32).sum();
-    // Position slot `idx` (α entries first, then β).
-    let shift_of = |idx: usize| mask_bits + bits * ((num_l + num_r - 1 - idx) as u32);
+    // Position slot `idx` (α entries first, then β), above the mask fields.
+    let slots = Slots::new(rim.num_items(), num_l + num_r, mask_bits);
+    let slot_mask = slots.mask();
     // Uncertain-mask field of pattern `p`.
     let mask_shift: Vec<u32> = {
         let mut shifts = vec![0u32; num_patterns];
@@ -531,14 +539,22 @@ fn solve_pruned_packed<W: Word>(
     }
 
     let mut frontier: Frontier<W> = Frontier::new(initial);
-    let mut row = InsertionRow::new(m);
     let mut satisfied_mass = 0.0;
-    for i in 0..m {
-        let row = row.fill(rim, i);
+    for (i, row) in rim.pi().iter().enumerate() {
         let match_l = &c.match_l[i];
         let match_r = &c.match_r[i];
+        // An item no entry matches only shifts the stored positions, which
+        // are exactly the ones the state's uncertain edges reference: no
+        // edge becomes satisfied (a shift keeps α < β as it is) and none
+        // becomes violated (the step is no entry's last), so the masks and
+        // the kept positions carry over unchanged.
+        let shifts_only = !match_l.iter().chain(match_r).any(|&is_match| is_match);
         let states = frontier.take_states();
         for &(state, prob) in &states {
+            if shifts_only {
+                frontier.push_shifts(state, prob, row, slots);
+                continue;
+            }
             // Entries needed by this state's uncertain edges.
             let mut track_l = 0u64;
             let mut track_r = 0u64;
@@ -561,7 +577,7 @@ fn solve_pruned_packed<W: Word>(
                     if track_l & (1u64 << e) == 0 {
                         continue;
                     }
-                    let shift = shift_of(e);
+                    let shift = slots.shift_of(e);
                     let mut v = packed::get_slot(state, shift, slot_mask);
                     if v >= jenc {
                         v += 1;
@@ -575,7 +591,7 @@ fn solve_pruned_packed<W: Word>(
                     if track_r & (1u64 << e) == 0 {
                         continue;
                     }
-                    let shift = shift_of(num_l + e);
+                    let shift = slots.shift_of(num_l + e);
                     let mut v = packed::get_slot(state, shift, slot_mask);
                     if v >= jenc {
                         v += 1;
@@ -586,8 +602,8 @@ fn solve_pruned_packed<W: Word>(
                     positions = positions.or(W::from_u32(v).shl(shift));
                 }
                 let edge_satisfied = |l: usize, r: usize| -> bool {
-                    let a = packed::get_slot(positions, shift_of(l), slot_mask);
-                    let b = packed::get_slot(positions, shift_of(num_l + r), slot_mask);
+                    let a = packed::get_slot(positions, slots.shift_of(l), slot_mask);
+                    let b = packed::get_slot(positions, slots.shift_of(num_l + r), slot_mask);
                     a != 0 && a < b
                 };
                 // Re-evaluate the uncertain edges of every pattern.
@@ -640,7 +656,7 @@ fn solve_pruned_packed<W: Word>(
                 // edges so behaviourally identical states merge.
                 for e in 0..num_l {
                     if keep_l & (1u64 << e) != 0 {
-                        let shift = shift_of(e);
+                        let shift = slots.shift_of(e);
                         new_state = new_state
                             .or(W::from_u32(packed::get_slot(positions, shift, slot_mask))
                                 .shl(shift));
@@ -648,7 +664,7 @@ fn solve_pruned_packed<W: Word>(
                 }
                 for e in 0..num_r {
                     if keep_r & (1u64 << e) != 0 {
-                        let shift = shift_of(num_l + e);
+                        let shift = slots.shift_of(num_l + e);
                         new_state = new_state
                             .or(W::from_u32(packed::get_slot(positions, shift, slot_mask))
                                 .shl(shift));

@@ -26,8 +26,11 @@
 //!
 //! # What the packed kernel compiles per solve
 //!
-//! "Does this placed prefix already embed the pattern?" is asked once per
-//! transition of a relevant step, so the packed kernel builds the question
+//! "Does this placed prefix already embed the pattern?" is asked on every
+//! relevant step, of every state, once per *gap* between the positions placed
+//! so far (the new item's order relative to every placed one — all the
+//! answer depends on — is the same across a gap; see
+//! `exact::packed::for_each_gap`), so the packed kernel builds the question
 //! once per solve — a [`CompiledPattern`]: the pattern's nodes in a
 //! topological order, each node's parents as ranks into that order, and each
 //! node's candidates as the *slot shifts* of the relevant items its selector
@@ -58,10 +61,17 @@
 //! skips add nothing to that sum — so no bit of the answer can move. The
 //! reference kernel keeps running all `m` steps; that is what makes it an
 //! oracle for this.
+//!
+//! The steps in between that place no relevant item only shift the placed
+//! ones, and cost one successor per gap instead of one per position
+//! (`Frontier::push_shifts`). On a relevant step the successor spells out the
+//! position taken and, un-shifted, the state it was taken from, so no two
+//! transitions share one and each is appended without a lookup
+//! (`Frontier::push_unshared`).
 
 use crate::budget::Budget;
 use crate::exact::bipartite::BipartiteSolver;
-use crate::exact::packed::{self, Frontier, InsertionRow, Word};
+use crate::exact::packed::{self, Frontier, Slots, Word};
 use crate::traits::ExactSolver;
 use crate::{Result, SolverError};
 use ppd_patterns::{
@@ -292,14 +302,11 @@ fn solve_general_packed<W: Word>(
     slot_of_step: &[Option<usize>],
     budget: Option<&Budget>,
 ) -> Result<f64> {
-    let m = rim.num_items();
-    let bits = packed::slot_bits(m);
-    let mask = (1u32 << bits) - 1;
-    let num_slots = relevant.len();
-    let shift_of = |r: usize| bits * ((num_slots - 1 - r) as u32);
+    let slots = Slots::new(rim.num_items(), relevant.len(), 0);
+    let mask = slots.mask();
 
     let check = CompiledPattern::new(pattern, candidates, |item| {
-        shift_of(
+        slots.shift_of(
             relevant
                 .binary_search(&item)
                 .expect("candidates are relevant"),
@@ -315,38 +322,36 @@ fn solve_general_packed<W: Word>(
         .map_or(0, |last| last + 1);
 
     let mut frontier: Frontier<W> = Frontier::new(W::ZERO);
-    let mut row = InsertionRow::new(m);
     let mut satisfied_mass = 0.0;
-    for (i, &step_slot) in slot_of_step.iter().enumerate().take(steps) {
+    for (i, (&step_slot, row)) in slot_of_step.iter().zip(rim.pi()).enumerate().take(steps) {
         let is_last = i + 1 == steps;
-        let row = row.fill(rim, i);
         let states = frontier.take_states();
         for &(state, prob) in &states {
-            for (j, &pj) in row.iter().enumerate() {
-                let jenc = j as u32 + 1;
-                let p_new = prob * pj;
-                // Shift the placed items at or below the insertion point.
-                let mut placed = W::ZERO;
-                for r in 0..num_slots {
-                    let shift = shift_of(r);
-                    let mut v = packed::get_slot(state, shift, mask);
-                    if v >= jenc {
-                        v += 1;
-                    }
-                    placed = placed.or(W::from_u32(v).shl(shift));
-                }
-                if let Some(r) = step_slot {
-                    placed = placed.or(W::from_u32(jenc).shl(shift_of(r)));
-                    let position = |shift| packed::get_slot(placed, shift, mask);
-                    if check.embeds(position, &mut chosen) {
+            let Some(r) = step_slot else {
+                // Any other item only shifts the placed ones: no relative
+                // order among them changes, hence no embedding. (Never the
+                // last step, which places a relevant item by definition.)
+                frontier.push_shifts(state, prob, row, slots);
+                continue;
+            };
+            // Across a gap the new item keeps its order relative to every
+            // placed one, so the embedding check has one verdict per gap;
+            // the mass still moves one position at a time, in order.
+            let own_shift = slots.shift_of(r);
+            packed::for_each_gap(state, row.len(), slots, |shifted, gap| {
+                let placed_at = |j: usize| shifted.or(W::from_u32(j as u32 + 1).shl(own_shift));
+                let placed = placed_at(gap.start);
+                let position = |shift| packed::get_slot(placed, shift, mask);
+                let embeds = check.embeds(position, &mut chosen);
+                for j in gap {
+                    let p_new = prob * row[j];
+                    if embeds {
                         satisfied_mass += p_new;
-                        continue;
+                    } else if !is_last {
+                        frontier.push_unshared(placed_at(j), p_new);
                     }
                 }
-                if !is_last {
-                    frontier.push(placed, p_new);
-                }
-            }
+            });
         }
         if is_last {
             break;

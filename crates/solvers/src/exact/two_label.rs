@@ -14,8 +14,10 @@
 //!
 //! * the **packed** kernel (default) encodes each state's `α`/`β` vector into
 //!   a single `u64`/`u128` (see `exact::packed`) and advances a flat
-//!   sorted frontier with reused buffers and a precomputed per-step insertion
-//!   row;
+//!   sorted frontier with reused buffers, accumulating each successor's mass
+//!   as its transitions are generated; a step whose item matches no tracked
+//!   selector costs one successor per *gap* between placed positions, not
+//!   one per position;
 //! * the **reference** kernel (`reference`) is the original
 //!   `BTreeMap<State, f64>` formulation, retained so the equivalence suite
 //!   can check — forever, and bit for bit — that packing changed nothing.
@@ -24,10 +26,11 @@
 //! distinct tracked selectors) the solver falls back to the reference kernel.
 
 use crate::budget::Budget;
-use crate::exact::packed::{self, Frontier, InsertionRow, Word};
+use crate::exact::packed::{self, Frontier, Slots, Word};
+use crate::exact::satisfiable_members;
 use crate::traits::ExactSolver;
 use crate::{Result, SolverError};
-use ppd_patterns::{Labeling, NodeSelector, PatternUnion, UnionClass};
+use ppd_patterns::{Labeling, NodeSelector, Pattern, PatternUnion, UnionClass};
 use ppd_rim::RimModel;
 
 /// Exact solver for unions of two-label patterns (Algorithm 3).
@@ -76,8 +79,8 @@ impl TwoLabelSolver {
         labeling: &Labeling,
         union: &PatternUnion,
     ) -> Option<u32> {
-        let union = union.prune_unsatisfiable(rim.sigma().items(), labeling)?;
-        let compiled = compile(rim, labeling, &union);
+        let members = satisfiable_members(rim, labeling, union)?;
+        let compiled = compile(rim, labeling, &members);
         let bits = packed::slot_bits(rim.num_items());
         let width = bits * (compiled.num_l() + compiled.num_r()) as u32;
         (width <= 128).then_some(width)
@@ -105,12 +108,12 @@ impl Compiled {
     }
 }
 
-pub(crate) fn compile(rim: &RimModel, labeling: &Labeling, union: &PatternUnion) -> Compiled {
+pub(crate) fn compile(rim: &RimModel, labeling: &Labeling, members: &[&Pattern]) -> Compiled {
     let m = rim.num_items();
     let mut l_selectors: Vec<NodeSelector> = Vec::new();
     let mut r_selectors: Vec<NodeSelector> = Vec::new();
     let mut edges: Vec<(usize, usize)> = Vec::new();
-    for pattern in union.patterns() {
+    for pattern in members {
         let (a, b) = pattern.edges()[0];
         let left = pattern.nodes()[a].clone();
         let right = pattern.nodes()[b].clone();
@@ -271,36 +274,39 @@ pub(crate) mod reference {
 }
 
 /// The packed kernel: states are single machine words, the frontier is a
-/// flat sorted vector, and both frontier buffers plus the insertion row are
-/// reused across all `m` steps.
+/// flat sorted vector, and its buffers are reused across all `m` steps.
 fn solve_packed<W: Word>(rim: &RimModel, c: &Compiled, budget: Option<&Budget>) -> Result<f64> {
     let m = rim.num_items();
-    let bits = packed::slot_bits(m);
-    let mask = (1u32 << bits) - 1;
     let num_l = c.num_l();
-    let total_slots = (num_l + c.num_r()) as u32;
     // Slot `idx` (α entries first, then β) sits at the packed offset that
     // makes integer comparison equal the reference state's lexicographic Ord.
-    let shift_of = |idx: usize| bits * (total_slots - 1 - idx as u32);
+    let slots = Slots::new(m, num_l + c.num_r(), 0);
+    let mask = slots.mask();
     let edge_shifts: Vec<(u32, u32)> = c
         .edges
         .iter()
-        .map(|&(l, r)| (shift_of(l), shift_of(num_l + r)))
+        .map(|&(l, r)| (slots.shift_of(l), slots.shift_of(num_l + r)))
         .collect();
 
     let mut frontier: Frontier<W> = Frontier::new(W::ZERO);
-    let mut row = InsertionRow::new(m);
-    for i in 0..m {
-        let row = row.fill(rim, i);
+    for (i, row) in rim.pi().iter().enumerate() {
         let match_l = &c.match_l[i];
         let match_r = &c.match_r[i];
+        // An item no selector matches only shifts the witnesses, and a shift
+        // keeps α < β as it is: no stored (violating) state comes to satisfy
+        // an edge, so every position survives.
+        let shifts_only = !match_l.iter().chain(match_r).any(|&is_match| is_match);
         let states = frontier.take_states();
         for &(state, prob) in &states {
+            if shifts_only {
+                frontier.push_shifts(state, prob, row, slots);
+                continue;
+            }
             'insertion: for (j, &pj) in row.iter().enumerate() {
                 let jenc = j as u32 + 1;
                 let mut next = W::ZERO;
                 for (e, &is_match) in match_l.iter().enumerate() {
-                    let shift = shift_of(e);
+                    let shift = slots.shift_of(e);
                     let mut v = packed::get_slot(state, shift, mask);
                     // Encoded positions are p+1, so `p >= j` is `v >= jenc`
                     // (v = 0 encodes "no witness" and jenc >= 1 skips it).
@@ -313,7 +319,7 @@ fn solve_packed<W: Word>(rim: &RimModel, c: &Compiled, budget: Option<&Budget>) 
                     next = next.or(W::from_u32(v).shl(shift));
                 }
                 for (e, &is_match) in match_r.iter().enumerate() {
-                    let shift = shift_of(num_l + e);
+                    let shift = slots.shift_of(num_l + e);
                     let mut v = packed::get_slot(state, shift, mask);
                     if v >= jenc {
                         v += 1;
@@ -363,15 +369,10 @@ impl ExactSolver for TwoLabelSolver {
         if m == 0 {
             return Err(SolverError::InvalidInstance("empty item universe".into()));
         }
-        let universe = rim.sigma().items();
-
-        // Members whose selectors match no item can never be satisfied and
-        // contribute nothing to the union.
-        let union = match union.prune_unsatisfiable(universe, labeling) {
-            Some(u) => u,
-            None => return Ok(0.0),
+        let Some(members) = satisfiable_members(rim, labeling, union) else {
+            return Ok(0.0);
         };
-        let compiled = compile(rim, labeling, &union);
+        let compiled = compile(rim, labeling, &members);
         let budget = self.budget.as_ref();
         let width = packed::slot_bits(m) * (compiled.num_l() + compiled.num_r()) as u32;
         if self.force_reference || width > 128 {

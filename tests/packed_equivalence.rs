@@ -8,6 +8,12 @@
 //! bit** — not merely within a tolerance. This suite pins that claim over
 //!
 //! * a menagerie sweep (`m ≤ 12`, `φ` and union shapes crossed),
+//! * the shapes production serves — an item-level `pair` and `chain3` —
+//!   over *every* placement of their items in σ, so every interleaving of
+//!   steps that place a tracked item and steps that only shift the placed
+//!   ones is covered,
+//! * a budget pinned to the distinct-state count of a wide-word instance
+//!   whose steps generate many more transitions than states,
 //! * deterministic property tests over random instances and unions, and
 //! * the packing-width fallback path (instances whose state exceeds 128
 //!   bits must transparently use the reference kernel and still agree with
@@ -16,7 +22,10 @@
 use ppd_patterns::{Labeling, NodeSelector, Pattern, PatternUnion, UnionClass};
 use ppd_rim::{MallowsModel, Ranking, RimModel};
 use ppd_solvers::testutil::{cyclic_labeling, rim, sel};
-use ppd_solvers::{BipartiteSolver, BruteForceSolver, ExactSolver, PatternSolver, TwoLabelSolver};
+use ppd_solvers::{
+    BipartiteSolver, BruteForceSolver, Budget, ExactSolver, GeneralSolver, PatternSolver,
+    SolverError, TwoLabelSolver,
+};
 use proptest::prelude::*;
 
 fn two_label_unions() -> Vec<PatternUnion> {
@@ -184,6 +193,155 @@ fn item_pattern_menagerie_bitwise() {
             }
         }
     }
+}
+
+/// The item-level `pair` query (`cand_a ≻ cand_b`, one label per item) at the
+/// serving size, wherever the two items sit in σ: 132 ordered placements, on
+/// both kernels that solve it. Two of the twelve steps place a tracked item;
+/// the other ten take the one-successor-per-gap path, before, between and
+/// after them.
+#[test]
+fn item_pair_at_every_placement_bitwise() {
+    let m = 12usize;
+    let lab = cyclic_labeling(m, m as u32);
+    for &phi in &[0.2, 0.5, 0.8] {
+        let model = rim(m, phi);
+        for a in 0..m as u32 {
+            for b in (0..m as u32).filter(|&b| b != a) {
+                let union = PatternUnion::singleton(Pattern::two_label(sel(a), sel(b))).unwrap();
+                let two = TwoLabelSolver::new().solve(&model, &lab, &union).unwrap();
+                let two_ref = TwoLabelSolver::reference()
+                    .solve(&model, &lab, &union)
+                    .unwrap();
+                assert_eq!(
+                    two.to_bits(),
+                    two_ref.to_bits(),
+                    "two-label phi={phi} {a}>{b}: packed {two} vs reference {two_ref}"
+                );
+                let bip = BipartiteSolver::new().solve(&model, &lab, &union).unwrap();
+                let bip_ref = BipartiteSolver::reference()
+                    .solve(&model, &lab, &union)
+                    .unwrap();
+                assert_eq!(
+                    bip.to_bits(),
+                    bip_ref.to_bits(),
+                    "bipartite phi={phi} {a}>{b}: packed {bip} vs reference {bip_ref}"
+                );
+            }
+        }
+    }
+}
+
+/// The item-level `chain3` query (`cand_a ≻ cand_b ≻ cand_c`) over all 720
+/// ordered placements at m = 10, through the pattern solver and through the
+/// general solver that production reaches it by (a singleton union is one
+/// inclusion–exclusion term, so the bits are the pattern solver's).
+#[test]
+fn item_chain3_at_every_placement_bitwise() {
+    let m = 10usize;
+    let lab = cyclic_labeling(m, m as u32);
+    let model = rim(m, 0.5);
+    let items = 0..m as u32;
+    for a in items.clone() {
+        for b in items.clone().filter(|&b| b != a) {
+            for c in items.clone().filter(|&c| c != a && c != b) {
+                let chain =
+                    Pattern::new(vec![sel(a), sel(b), sel(c)], vec![(0, 1), (1, 2)]).unwrap();
+                let packed = PatternSolver::new()
+                    .solve_pattern(&model, &lab, &chain)
+                    .unwrap();
+                let reference = PatternSolver::reference()
+                    .solve_pattern(&model, &lab, &chain)
+                    .unwrap();
+                assert_eq!(
+                    packed.to_bits(),
+                    reference.to_bits(),
+                    "{a}>{b}>{c}: packed {packed} vs reference {reference}"
+                );
+                let general = GeneralSolver::new()
+                    .solve(&model, &lab, &PatternUnion::singleton(chain).unwrap())
+                    .unwrap();
+                assert_eq!(
+                    general.to_bits(),
+                    reference.to_bits(),
+                    "{a}>{b}>{c}: general {general} vs reference {reference}"
+                );
+            }
+        }
+    }
+}
+
+/// A state wider than 64 bits over a small state space: nine `l_k ≻ r_k`
+/// members track 18 selectors (18 slots × 4 bits, plus nine mask bits in the
+/// bipartite kernel), but only items 2 and 9 carry `l` labels and only items
+/// 5 and 12 carry `r` labels, so a state is four positions seen through 18
+/// slots and the other ten steps only shift them — each frontier state
+/// spends its `i + 1` transitions on a handful of successors.
+fn wide_word_narrow_frontier() -> (RimModel, Labeling, PatternUnion) {
+    let m = 14usize;
+    let mut lab = Labeling::new();
+    for k in 0..9u32 {
+        lab.add(if k < 5 { 2 } else { 9 }, k);
+        lab.add(if k % 2 == 0 { 5 } else { 12 }, 100 + k);
+    }
+    let members: Vec<Pattern> = (0..9u32)
+        .map(|k| Pattern::two_label(sel(k), sel(100 + k)))
+        .collect();
+    (rim(m, 0.6), lab, PatternUnion::new(members).unwrap())
+}
+
+#[test]
+fn wide_word_narrow_frontier_bitwise() {
+    let (model, lab, union) = wide_word_narrow_frontier();
+    assert_eq!(
+        TwoLabelSolver::packed_state_width(&model, &lab, &union),
+        Some(72),
+        "the instance must need the u128 word"
+    );
+    assert_eq!(
+        BipartiteSolver::packed_state_width(&model, &lab, &union),
+        Some(81)
+    );
+    let two = TwoLabelSolver::new().solve(&model, &lab, &union).unwrap();
+    let two_ref = TwoLabelSolver::reference()
+        .solve(&model, &lab, &union)
+        .unwrap();
+    assert_eq!(two.to_bits(), two_ref.to_bits(), "{two} vs {two_ref}");
+    let bip = BipartiteSolver::new().solve(&model, &lab, &union).unwrap();
+    let bip_ref = BipartiteSolver::reference()
+        .solve(&model, &lab, &union)
+        .unwrap();
+    assert_eq!(bip.to_bits(), bip_ref.to_bits(), "{bip} vs {bip_ref}");
+}
+
+/// `Budget::with_max_states` counts the *distinct* states a step leaves
+/// behind, not the transitions that fed them: the packed kernel passes at
+/// exactly the cap the reference kernel's map length passes at, and fails one
+/// below it.
+#[test]
+fn budget_counts_distinct_states_not_transitions() {
+    let (model, lab, union) = wide_word_narrow_frontier();
+    let solve = |solver: BipartiteSolver, cap: usize| {
+        solver
+            .with_budget(Budget::with_max_states(cap))
+            .solve(&model, &lab, &union)
+    };
+    // The widest frontier of the reference kernel, found from below.
+    let widest = (1..)
+        .find(|&cap| solve(BipartiteSolver::reference(), cap).is_ok())
+        .unwrap();
+    // Each state of a late step has 12–14 insertion positions, so a count of
+    // transitions would overshoot this cap many times over.
+    assert!((8..200).contains(&widest), "widest frontier: {widest}");
+    let at_cap = solve(BipartiteSolver::new(), widest).unwrap();
+    let unbounded = BipartiteSolver::reference()
+        .solve(&model, &lab, &union)
+        .unwrap();
+    assert_eq!(at_cap.to_bits(), unbounded.to_bits());
+    assert!(matches!(
+        solve(BipartiteSolver::new(), widest - 1),
+        Err(SolverError::BudgetExceeded(_))
+    ));
 }
 
 /// Instances between 65 and 128 bits, so the `u128` instantiation of the
