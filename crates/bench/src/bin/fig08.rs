@@ -2,9 +2,7 @@
 //! evaluation vs. the 1-edge and 2-edge upper-bound strategies.
 
 use ppd_bench::{print_table, timed, write_results, Scale};
-use ppd_core::{
-    most_probable_sessions, CompareOp, ConjunctiveQuery, EvalConfig, Term as T, TopKStrategy,
-};
+use ppd_core::{CompareOp, ConjunctiveQuery, Engine, EvalConfig, Term as T, TopKStrategy};
 use ppd_datagen::{polls_database, PollsConfig};
 use serde_json::json;
 
@@ -114,7 +112,8 @@ fn main() {
         let mut reference: Option<Vec<usize>> = None;
         for (name, strategy) in strategies {
             let ((scores, stats), elapsed) = timed(|| {
-                most_probable_sessions(&db, &q, k, strategy, &EvalConfig::exact())
+                Engine::new(EvalConfig::exact())
+                    .most_probable_sessions(&db, &q, k, strategy)
                     .expect("top-k evaluation")
             });
             let ids: Vec<usize> = scores.iter().map(|s| s.session_index).collect();

@@ -12,9 +12,6 @@
 //! * `paper` — the parameter ranges of the paper (some runs take hours, as
 //!   they did for the authors).
 //!
-//! The Criterion benches (`cargo bench -p ppd-bench`) cover the solver
-//! kernels and the ablations called out in DESIGN.md.
-//!
 //! Latency percentiles in the harnesses come from [`ppd_obs::Histogram`] —
 //! the same log-bucketed recorder the served `metrics` verb exposes — so
 //! the benches and the service report quantiles through one implementation.

@@ -4,9 +4,9 @@ use crate::relation::Relation;
 use crate::session::{PreferenceRelation, Session};
 use crate::value::Value;
 use crate::{PpdError, Result};
-use ppd_patterns::{LabelId, LabelInterner, Labeling};
+use ppd_patterns::{LabelInterner, Labeling};
 use ppd_rim::Item;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One mutation of a live database, applied with [`PpdDatabase::apply`].
 ///
@@ -47,8 +47,6 @@ pub enum Update {
 pub struct PpdDatabase {
     item_relation: Relation,
     item_key_column: usize,
-    item_names: Vec<String>,
-    item_ids: HashMap<String, Item>,
     relations: HashMap<String, Relation>,
     preference_relations: HashMap<String, PreferenceRelation>,
     interner: LabelInterner,
@@ -64,22 +62,12 @@ impl PpdDatabase {
 
     /// Number of items described by the item relation.
     pub fn num_items(&self) -> usize {
-        self.item_names.len()
+        self.item_relation.len()
     }
 
     /// All item identifiers, in item-relation order.
     pub fn items(&self) -> Vec<Item> {
         (0..self.num_items() as Item).collect()
-    }
-
-    /// The id of an item given its key value, if it exists.
-    pub fn item_id(&self, name: &str) -> Option<Item> {
-        self.item_ids.get(name).copied()
-    }
-
-    /// The key value (name) of an item.
-    pub fn item_name(&self, item: Item) -> Option<&str> {
-        self.item_names.get(item as usize).map(|s| s.as_str())
     }
 
     /// The item relation (e.g. `Candidates` or `Movies`).
@@ -88,7 +76,7 @@ impl PpdDatabase {
     }
 
     /// Index of the item relation's key column.
-    pub fn item_key_column(&self) -> usize {
+    pub(crate) fn item_key_column(&self) -> usize {
         self.item_key_column
     }
 
@@ -135,18 +123,6 @@ impl PpdDatabase {
         &self.labeling
     }
 
-    /// The label for `column=value`, if any item carries it.
-    pub fn attribute_label(&self, column: &str, value: &Value) -> Option<LabelId> {
-        self.interner.get(&format!("{column}={}", value.render()))
-    }
-
-    /// The identity label of an item (`@item=<key>`), used to express
-    /// preferences over item constants.
-    pub fn identity_label(&self, item: Item) -> Option<LabelId> {
-        let name = self.item_name(item)?;
-        self.interner.get(&format!("@item={name}"))
-    }
-
     /// The database's version id: `1` for a freshly built database, bumped
     /// by one on every successful [`PpdDatabase::apply`]. Monotone, never
     /// reused — engines use it to tell which snapshot an answer was
@@ -177,7 +153,7 @@ impl PpdDatabase {
             &update
         {
             for &item in session.model().sigma().items() {
-                if item as usize >= self.item_names.len() {
+                if item as usize >= self.num_items() {
                     return Err(PpdError::Malformed(format!(
                         "p-relation {name}: update ranks unknown item {item}"
                     )));
@@ -255,19 +231,17 @@ impl DatabaseBuilder {
             .column_index(&key_column)
             .ok_or_else(|| PpdError::UnknownName(format!("key column {key_column}")))?;
 
-        let mut item_names = Vec::with_capacity(item_relation.len());
-        let mut item_ids = HashMap::with_capacity(item_relation.len());
+        let mut item_keys = HashSet::with_capacity(item_relation.len());
         let mut interner = LabelInterner::new();
         let mut labeling = Labeling::new();
         for (idx, tuple) in item_relation.tuples().iter().enumerate() {
             let name = tuple[item_key_column].render();
-            if item_ids.insert(name.clone(), idx as Item).is_some() {
+            if !item_keys.insert(name.clone()) {
                 return Err(PpdError::Malformed(format!(
                     "duplicate item key {name} in relation {}",
                     item_relation.name()
                 )));
             }
-            item_names.push(name.clone());
             let item = idx as Item;
             labeling.add_item(item);
             labeling.add(item, interner.intern(&format!("@item={name}")));
@@ -289,7 +263,7 @@ impl DatabaseBuilder {
         for p in self.preference_relations {
             for (si, session) in p.sessions().iter().enumerate() {
                 for &item in session.model().sigma().items() {
-                    if item as usize >= item_names.len() {
+                    if item as usize >= item_relation.len() {
                         return Err(PpdError::Malformed(format!(
                             "p-relation {} session {si} ranks unknown item {item}",
                             p.name()
@@ -308,8 +282,6 @@ impl DatabaseBuilder {
         Ok(PpdDatabase {
             item_relation,
             item_key_column,
-            item_names,
-            item_ids,
             relations,
             preference_relations,
             interner,
@@ -329,17 +301,14 @@ mod tests {
     fn labels_are_derived_from_item_attributes() {
         let db = polling_database();
         assert_eq!(db.num_items(), 4);
-        assert_eq!(db.item_id("Clinton"), Some(1));
-        assert_eq!(db.item_name(3), Some("Rubio"));
-        assert_eq!(db.item_name(99), None);
-        let f = db.attribute_label("sex", &Value::from("F")).unwrap();
-        let m = db.attribute_label("sex", &Value::from("M")).unwrap();
+        let f = db.interner().get("sex=F").unwrap();
+        let m = db.interner().get("sex=M").unwrap();
         assert!(db.labeling().has_label(1, f));
         assert!(db.labeling().has_label(0, m));
         assert!(!db.labeling().has_label(0, f));
-        assert!(db.attribute_label("sex", &Value::from("X")).is_none());
+        assert!(db.interner().get("sex=X").is_none());
         // Identity labels exist and are unique to their item.
-        let id_label = db.identity_label(2).unwrap();
+        let id_label = db.interner().get("@item=Sanders").unwrap();
         assert!(db.labeling().has_label(2, id_label));
         assert!(!db.labeling().has_label(1, id_label));
         assert_eq!(

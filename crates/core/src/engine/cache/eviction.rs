@@ -307,12 +307,6 @@ impl Shard {
             .iter()
             .flat_map(|(&hash, slot)| slot.values.iter().map(move |&(f, p)| (hash, f, p)))
     }
-
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.recency.clear();
-        self.weight = 0;
-    }
 }
 
 #[cfg(test)]

@@ -334,10 +334,6 @@ impl PoolCache {
             .expect("pool cache poisoned")
             .retain(|hash, _| !hashes.contains(hash));
     }
-
-    pub(crate) fn clear(&self) {
-        self.map.lock().expect("pool cache poisoned").clear();
-    }
 }
 
 /// The model-content key of [`ModelCache`]: [`Session::model_key`].
@@ -372,10 +368,6 @@ impl ModelCache {
 
     pub(crate) fn len(&self) -> usize {
         self.map.lock().expect("model cache poisoned").len()
-    }
-
-    pub(crate) fn clear(&self) {
-        self.map.lock().expect("model cache poisoned").clear();
     }
 }
 
@@ -412,8 +404,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert_eq!(cache.len(), 0);
     }
 
     #[test]

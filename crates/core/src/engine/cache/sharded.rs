@@ -197,12 +197,6 @@ impl MarginalCache {
             .sum()
     }
 
-    pub(crate) fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().expect("marginal cache shard poisoned").clear();
-        }
-    }
-
     pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }

@@ -266,41 +266,6 @@ impl CalibrationStore {
             .map(|(sum, count)| (sum / *count as f64).exp())
     }
 
-    /// A machine-specific static-cost threshold suggestion for the
-    /// exact-vs-budgeted crossover, derived from retained timings:
-    /// the geomean wall-clock of budgeted solves divided by the geomean
-    /// seconds-per-static-cost-unit of exact solves. A unit whose static
-    /// cost exceeds the returned value is predicted to take longer exactly
-    /// than the typical budgeted solve on this hardware. Report-only:
-    /// `None` until both exact and budgeted timings exist, and never read
-    /// by solver selection (which uses only the explicit
-    /// `EvalConfig::exact_cost_threshold`).
-    pub(crate) fn suggested_exact_cost_threshold(&self) -> Option<f64> {
-        let mut exact_ln_sum = 0.0;
-        let mut exact_count = 0u64;
-        let mut budgeted_ln_sum = 0.0;
-        let mut budgeted_count = 0u64;
-        for (_, _, bucket, seconds, ln_ratio) in self.snapshot() {
-            match bucket.solver {
-                0 | 1 => {
-                    exact_ln_sum += ln_ratio;
-                    exact_count += 1;
-                }
-                3 => {
-                    budgeted_ln_sum += seconds.max(MIN_SECONDS).ln();
-                    budgeted_count += 1;
-                }
-                _ => {}
-            }
-        }
-        if exact_count == 0 || budgeted_count == 0 {
-            return None;
-        }
-        let exact_factor = (exact_ln_sum / exact_count as f64).exp();
-        let budgeted_seconds = (budgeted_ln_sum / budgeted_count as f64).exp();
-        Some(budgeted_seconds / (NOMINAL_SECONDS_PER_COST * exact_factor))
-    }
-
     /// Installs snapshot entries (latest wins on key conflicts, honouring
     /// the FIFO bound), counted separately from live recordings.
     pub(crate) fn absorb(
@@ -402,18 +367,6 @@ impl CalibrationStore {
                     .len()
             })
             .sum()
-    }
-
-    pub(crate) fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock().expect("calibration shard poisoned");
-            shard.entries.clear();
-            shard.queue.clear();
-        }
-        self.aggregates
-            .lock()
-            .expect("calibration aggregates poisoned")
-            .clear();
     }
 
     pub(crate) fn hits(&self) -> u64 {
@@ -636,54 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn suggested_threshold_needs_both_sides_and_ignores_fixed_budget_arm() {
-        let store = CalibrationStore::new(2, 1024);
-        assert_eq!(store.suggested_exact_cost_threshold(), None);
-
-        // Exact timings alone are not enough: without a budgeted baseline
-        // there is nothing to cross over against.
-        let exact = bucket(0, 8);
-        store.record(1, FP, exact, 100.0 * NOMINAL_SECONDS_PER_COST, 1.0);
-        let general = SolverFingerprint::GeneralExact;
-        let general_bucket = BucketKey::from_parts(2, 8, general);
-        store.record(
-            2,
-            general,
-            general_bucket,
-            10_000.0 * NOMINAL_SECONDS_PER_COST,
-            1.0,
-        );
-        assert_eq!(store.suggested_exact_cost_threshold(), None);
-
-        // Budgeted timings of 2ms and 8ms (geomean 4ms) against exact
-        // ratios of 100× and 10000× (geomean 1000×): the crossover is
-        // 4e-3 / (1e-9 × 1000) = 4000 static-cost units.
-        let budgeted = SolverFingerprint::ErrorBudget {
-            epsilon_bits: 0.05f64.to_bits(),
-            confidence_bits: 0.9f64.to_bits(),
-            base_seed: 7,
-        };
-        let budgeted_bucket = BucketKey::from_parts(0, 8, budgeted);
-        store.record(3, budgeted, budgeted_bucket, 2e-3, 1.0);
-        store.record(4, budgeted, budgeted_bucket, 8e-3, 1.0);
-        let suggested = store.suggested_exact_cost_threshold().unwrap();
-        assert!(
-            (suggested / 4_000.0 - 1.0).abs() < 1e-9,
-            "got {suggested}, want 4000"
-        );
-
-        // Fixed-budget sampler timings (tag 2) are neither exact nor
-        // budgeted and must not move the suggestion.
-        let approx = SolverFingerprint::Approx {
-            samples_per_proposal: 300,
-            base_seed: 7,
-        };
-        store.record(5, approx, BucketKey::from_parts(0, 8, approx), 1e3, 1.0);
-        let unchanged = store.suggested_exact_cost_threshold().unwrap();
-        assert!((unchanged / suggested - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn re_recording_replaces_and_keeps_aggregates_consistent() {
         let store = CalibrationStore::new(2, 1024);
         let b = bucket(0, 4);
@@ -710,9 +615,6 @@ mod tests {
         // All retained entries have ratio 10 — so must the aggregate.
         let factor = store.bucket_factor(b).unwrap();
         assert!((factor / 10.0 - 1.0).abs() < 1e-9, "got {factor}");
-        store.clear();
-        assert_eq!(store.len(), 0);
-        assert!(store.bucket_factor(b).is_none());
     }
 
     #[test]

@@ -26,13 +26,12 @@
 //! deduplicates and consults the cache — and already delivers every query
 //! the cache answers whole — and an *execute* stage
 //! ([`Engine::execute_wave`]) that solves what is left and streams answers
-//! out. The `evaluate_batch*` methods run the two back to back; a serving
-//! layer that batches requests over time keeps the [`WavePlan`] between
-//! them and lets later requests join it.
+//! out. Every evaluation method runs the two back to back — a single query
+//! is a wave of one, a blocking call a wave streamed into a collector; a
+//! serving layer that batches requests over time keeps the [`WavePlan`]
+//! between them and lets later requests join it.
 //!
-//! The free functions in [`crate::eval`], [`crate::count`], and
-//! [`crate::topk`] construct a transient engine per call; long-running
-//! services should hold one [`Engine`] and feed it queries (or batches via
+//! Hold one [`Engine`] and feed it queries (or batches via
 //! [`Engine::evaluate_batch`]) to benefit from the caches.
 
 mod cache;
@@ -47,20 +46,18 @@ pub use cache::{CacheCapacity, CacheStats, PoolCache, PreparedModel};
 pub use obs::EngineObs;
 use unit::{PlannedUnit, UnionResolver};
 pub use unit::{UnitKey, WorkUnit};
+use wave::CancelFn;
 pub(crate) use wave::UnitRequest;
-use wave::{boolean_from, count_from, UnitSet};
 pub use wave::{BatchAnswer, WaveAnswer, WavePlan};
 
 use crate::database::{PpdDatabase, Update};
 use crate::eval::EvalConfig;
 use crate::query::ConjunctiveQuery;
-use crate::session::PreferenceRelation;
-use crate::topk::{self, SessionScore, TopKStats, TopKStrategy};
-use crate::translate::{ground_query, GroundedSessionQuery, SessionQuery};
+use crate::topk::{SessionScore, TopKStats, TopKStrategy};
+use crate::translate::ground_query;
 use crate::{PpdError, Result};
 use cache::{MarginalCache, ModelCache};
 use calibrate::CalibrationStore;
-use ppd_patterns::Labeling;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,8 +180,7 @@ impl Engine {
         &self.config
     }
 
-    /// Snapshot of cache activity since construction (or the last
-    /// [`Engine::clear_caches`]).
+    /// Snapshot of cache activity since construction.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             marginal_hits: self.marginals.hits(),
@@ -379,25 +375,6 @@ impl Engine {
         self.calibration.len()
     }
 
-    /// A machine-specific suggestion for
-    /// [`EvalConfig::exact_cost_threshold`](crate::eval::EvalConfig::exact_cost_threshold),
-    /// derived from this engine's retained calibration timings: the
-    /// geometric-mean wall-clock of budgeted (`mis-amp-budgeted`) solves
-    /// divided by the geometric-mean seconds-per-static-cost-unit of exact
-    /// solves. A unit whose static cost exceeds the suggestion is
-    /// predicted to take longer to solve exactly than the typical budgeted
-    /// solve did on this hardware, so feeding the value back via
-    /// [`EvalConfig::with_exact_cost_threshold`](crate::eval::EvalConfig::with_exact_cost_threshold)
-    /// pins a calibrated crossover for future runs.
-    ///
-    /// Report-only: returns `None` until the store holds at least one
-    /// exact and one budgeted timing, and solver selection never reads
-    /// it — only the explicit config value — so a warming store cannot
-    /// flip answers mid-session.
-    pub fn suggested_exact_cost_threshold(&self) -> Option<f64> {
-        self.calibration.suggested_exact_cost_threshold()
-    }
-
     /// Copies every calibration timing this engine retains into `target`'s
     /// store (latest wins on key conflicts, honouring the bound) and
     /// returns the number of entries donated. Serving layers use this to
@@ -409,24 +386,6 @@ impl Engine {
         let donated = entries.len() as u64;
         target.calibration.absorb(entries);
         donated
-    }
-
-    /// Drops all cached marginals, prepared models, and measured timings
-    /// (e.g. after swapping the underlying database for one with different
-    /// content).
-    pub fn clear_caches(&self) {
-        self.marginals.clear();
-        self.models.clear();
-        self.calibration.clear();
-        self.pools.clear();
-        self.covered
-            .lock()
-            .expect("invalidation index poisoned")
-            .clear();
-        self.pending_tombstones
-            .lock()
-            .expect("tombstone queue poisoned")
-            .clear();
     }
 
     /// Records that the unit with content hash `unit_hash` covers a
@@ -474,103 +433,40 @@ impl Engine {
         Ok(units)
     }
 
-    /// The cost picture of the wave `query` would submit right now: one
-    /// [`WaveCostEstimate`] per deduplicated, cache-missed unit, pairing
-    /// the static formula with the blended scheduling estimate the
-    /// calibration store currently produces. Nothing is solved and no
-    /// timings are recorded; on a cold store (or with calibration off) the
-    /// two costs order identically, and after evaluation the same units
-    /// are marginal-cache hits and the profile is empty — profile first,
-    /// or use a fresh engine warm-started via [`Engine::load_calibration`].
-    pub fn wave_cost_profile(
-        &self,
-        db: &PpdDatabase,
-        query: &ConjunctiveQuery,
-    ) -> Result<Vec<WaveCostEstimate>> {
-        let plan = ground_query(db, query)?;
-        let prel = db
-            .preference_relation(&plan.prelation)
-            .ok_or_else(|| PpdError::UnknownName(plan.prelation.clone()))?;
-        let labeling = Arc::new(plan.labeling);
-        let mut units = UnitSet::default();
-        self.plan_requests(
-            &mut units,
-            &session_requests(prel, &labeling, &plan.sessions),
-            false,
-        );
-        Ok(units
-            .pending
-            .iter()
-            .map(|unit| WaveCostEstimate {
-                unit_hash: unit.hash,
-                static_cost: unit.static_cost,
-                scheduling_cost: self.scheduling_cost(unit),
-            })
-            .collect())
-    }
-
     /// Computes, for every qualifying session, the probability that the
-    /// query holds in that session.
+    /// query holds in that session. Sessions that cannot satisfy the query
+    /// are omitted (their probability is zero).
     pub fn session_probabilities(
         &self,
         db: &PpdDatabase,
         query: &ConjunctiveQuery,
     ) -> Result<Vec<(usize, f64)>> {
-        let plan = ground_query(db, query)?;
-        self.solve_grounded(db, &plan.prelation, Arc::new(plan.labeling), &plan.sessions)
-    }
-
-    /// Like [`Engine::session_probabilities`] but starting from an
-    /// already-grounded plan (whose labeling is copied: work units own
-    /// their share of the plan they came from).
-    pub fn session_probabilities_for_plan(
-        &self,
-        db: &PpdDatabase,
-        plan: &GroundedSessionQuery,
-    ) -> Result<Vec<(usize, f64)>> {
-        self.solve_grounded(
-            db,
-            &plan.prelation,
-            Arc::new(plan.labeling.clone()),
-            &plan.sessions,
-        )
-    }
-
-    fn solve_grounded(
-        &self,
-        db: &PpdDatabase,
-        prelation: &str,
-        labeling: Arc<Labeling>,
-        sessions: &[SessionQuery],
-    ) -> Result<Vec<(usize, f64)>> {
-        self.note_planned_version(db);
-        let prel = db
-            .preference_relation(prelation)
-            .ok_or_else(|| PpdError::UnknownName(prelation.to_string()))?;
-        let probabilities = self.solve_requests(&session_requests(prel, &labeling, sessions))?;
-        Ok(sessions
-            .iter()
-            .map(|squery| squery.session_index)
-            .zip(probabilities)
-            .collect())
+        Ok(self.answer(db, query)?.session_probabilities)
     }
 
     /// Evaluates a Boolean query: the probability that *some* session
     /// satisfies it, assuming session independence: `1 − Π_i (1 − Pr(Q | s_i))`.
     pub fn evaluate_boolean(&self, db: &PpdDatabase, query: &ConjunctiveQuery) -> Result<f64> {
-        let per_session = self.session_probabilities(db, query)?;
-        Ok(boolean_from(&per_session))
+        Ok(self.answer(db, query)?.boolean)
     }
 
-    /// Evaluates `count(Q)`: the expected number of satisfying sessions,
-    /// `Σ_i Pr(Q | s_i)`.
+    /// Evaluates `count(Q)`: under the possible-world semantics the count of
+    /// sessions satisfying `Q` is a random variable whose expectation is the
+    /// sum of the per-session probabilities, `Σ_i Pr(Q | s_i)`.
     pub fn count_sessions(&self, db: &PpdDatabase, query: &ConjunctiveQuery) -> Result<f64> {
-        let per_session = self.session_probabilities(db, query)?;
-        Ok(count_from(&per_session))
+        Ok(self.answer(db, query)?.expected_count)
+    }
+
+    /// One query's answer: a wave of one.
+    fn answer(&self, db: &PpdDatabase, query: &ConjunctiveQuery) -> Result<BatchAnswer> {
+        let mut answers = self.evaluate_batch(db, std::slice::from_ref(query))?;
+        Ok(answers.pop().expect("one answer per query"))
     }
 
     /// Evaluates `top(Q, k)`: the `k` sessions with the highest probability
-    /// of satisfying `Q`, with the strategy's statistics.
+    /// of satisfying `Q`, with the strategy's statistics. A wave of one: the
+    /// first stage is planned and solved like any query's requests, the
+    /// second walks behind it.
     pub fn most_probable_sessions(
         &self,
         db: &PpdDatabase,
@@ -578,7 +474,18 @@ impl Engine {
         k: usize,
         strategy: TopKStrategy,
     ) -> Result<(Vec<SessionScore>, TopKStats)> {
-        topk::most_probable_with_engine(self, db, query, k, strategy)
+        let answer = Mutex::new(None);
+        let deliver = |_, delivered: Result<WaveAnswer>| {
+            *answer.lock().expect("top-k answer slot poisoned") = Some(delivered);
+        };
+        let mut wave = WavePlan::default();
+        self.plan_topk_into(&mut wave, db, query, k, strategy, 0, &|_| false, &deliver);
+        self.run_wave(wave, None, deliver);
+        let answer = answer.into_inner().expect("top-k answer slot poisoned");
+        match answer.expect("a wave delivers every planned query exactly once")? {
+            WaveAnswer::TopK(scores, stats) => Ok((scores, stats)),
+            WaveAnswer::Batch(_) => unreachable!("a planned top-k is answered as one"),
+        }
     }
 
     /// Evaluates a batch of queries in **one scheduling wave**: every query
@@ -590,10 +497,10 @@ impl Engine {
     /// units of cheap and expensive queries on the pool and shares marginals
     /// between queries within the same wave.
     ///
-    /// This is the collecting form of [`Engine::evaluate_batch_streamed`]
-    /// (one pipeline, so the two can never diverge): all answers are
-    /// gathered and returned together, and if any query fails, the first
-    /// failure in query order is returned for the whole batch.
+    /// This is [`Engine::evaluate_batch_streamed`] into a collector (one
+    /// pipeline, so the two can never diverge) that nobody can cancel: all
+    /// answers are gathered and returned together, and if any query fails,
+    /// the first failure in query order is returned for the whole batch.
     pub fn evaluate_batch(
         &self,
         db: &PpdDatabase,
@@ -601,7 +508,7 @@ impl Engine {
     ) -> Result<Vec<BatchAnswer>> {
         let answers: Mutex<Vec<Option<Result<BatchAnswer>>>> =
             Mutex::new((0..queries.len()).map(|_| None).collect());
-        self.evaluate_batch_streamed(db, queries, |query_index, answer| {
+        self.run_batch(db, queries, &[], None, |query_index, answer| {
             answers.lock().expect("batch answer slots poisoned")[query_index] = Some(answer);
         });
         answers
@@ -630,49 +537,43 @@ impl Engine {
     /// it down a channel — and must not call back into this engine, or the
     /// wave's workers may deadlock behind it.
     ///
+    /// Cancellation: a query for which `cancelled(query_index)` fires —
+    /// polled once at planning, before each unit solve, and mid-solve by the
+    /// exact DP kernels — is delivered [`PpdError::Cancelled`] exactly once,
+    /// and a unit nobody live waits on is never solved. See
+    /// [`Engine::execute_wave`] for the contract; co-batched queries are
+    /// never affected. Pass `|_| false` for a batch nobody cancels.
+    ///
+    /// Tracing: `traces[query_index]` is the submission's trace id (`0` or
+    /// out of range = untraced, so `&[]` traces nothing). For sampled traces
+    /// the engine records `wave-joined` when the query is planned and one
+    /// `unit-solved` per completed unit the query depended on, into the
+    /// [`ppd_obs::TraceLog`] attached via [`EngineObs::with_trace`]. Purely
+    /// observational: the trace ids never reach seeds, cache keys, or
+    /// scheduling.
+    ///
     /// Determinism: the delivered answers are bit-identical to
-    /// [`Engine::evaluate_batch`] on the same queries — streaming changes
-    /// *when* an answer is released, never its bits.
+    /// [`Engine::evaluate_batch`] on the same queries — streaming, tracing
+    /// and the cancellation of *other* queries change when an answer is
+    /// released, never its bits.
     pub fn evaluate_batch_streamed(
-        &self,
-        db: &PpdDatabase,
-        queries: &[ConjunctiveQuery],
-        deliver: impl Fn(usize, Result<BatchAnswer>) + Sync,
-    ) {
-        self.evaluate_batch_streamed_cancellable(db, queries, |_| false, deliver);
-    }
-
-    /// [`Engine::evaluate_batch_streamed`] with cancellation: a query for
-    /// which `cancelled(query_index)` fires — polled once at planning,
-    /// before each unit solve, and mid-solve by the exact DP kernels — is
-    /// delivered [`PpdError::Cancelled`] exactly once, and a unit nobody
-    /// live waits on is never solved. See [`Engine::execute_wave`] for the
-    /// contract; co-batched queries are never affected.
-    pub fn evaluate_batch_streamed_cancellable(
-        &self,
-        db: &PpdDatabase,
-        queries: &[ConjunctiveQuery],
-        cancelled: impl Fn(usize) -> bool + Send + Sync + 'static,
-        deliver: impl Fn(usize, Result<BatchAnswer>) + Sync,
-    ) {
-        self.evaluate_batch_streamed_cancellable_traced(db, queries, &[], cancelled, deliver);
-    }
-
-    /// [`Engine::evaluate_batch_streamed_cancellable`] with trace ids
-    /// attached: `traces[query_index]` is the submission's trace id (`0` or
-    /// out of range = untraced). For sampled traces the engine records
-    /// `wave-joined` when the query is planned and one `unit-solved` per
-    /// completed unit the query depended on, into the [`ppd_obs::TraceLog`]
-    /// attached via [`EngineObs::with_trace`]. Purely observational: the
-    /// trace ids never reach seeds, cache keys, or scheduling, and the
-    /// delivered answers are bit-identical with tracing off, on, or
-    /// partially sampled.
-    pub fn evaluate_batch_streamed_cancellable_traced(
         &self,
         db: &PpdDatabase,
         queries: &[ConjunctiveQuery],
         traces: &[u64],
         cancelled: impl Fn(usize) -> bool + Send + Sync + 'static,
+        deliver: impl Fn(usize, Result<BatchAnswer>) + Sync,
+    ) {
+        self.run_batch(db, queries, traces, Some(Arc::new(cancelled)), deliver);
+    }
+
+    /// Plans `queries` into a fresh wave and executes it.
+    fn run_batch(
+        &self,
+        db: &PpdDatabase,
+        queries: &[ConjunctiveQuery],
+        traces: &[u64],
+        cancelled: Option<Arc<CancelFn>>,
         deliver: impl Fn(usize, Result<BatchAnswer>) + Sync,
     ) {
         let deliver = |query_index, answer: Result<WaveAnswer>| {
@@ -684,26 +585,11 @@ impl Engine {
                 }),
             )
         };
+        let is_cancelled = |query_index| cancelled.as_ref().is_some_and(|c| c(query_index));
         let mut wave = WavePlan::default();
-        self.plan_into(&mut wave, db, queries, traces, &cancelled, &deliver);
-        self.execute_wave(wave, cancelled, deliver);
+        self.plan_into(&mut wave, db, queries, traces, &is_cancelled, &deliver);
+        self.run_wave(wave, cancelled, deliver);
     }
-}
-
-/// One request per grounded session of a plan, in plan order.
-fn session_requests<'db, 'p>(
-    prel: &'db PreferenceRelation,
-    labeling: &'p Arc<Labeling>,
-    sessions: &'p [SessionQuery],
-) -> Vec<UnitRequest<'db, 'p>> {
-    sessions
-        .iter()
-        .map(|squery| UnitRequest {
-            session: &prel.sessions()[squery.session_index],
-            labeling,
-            union: &squery.union,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -746,16 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_free_function_evaluation() {
-        let db = polling_database();
-        let engine = Engine::new(EvalConfig::exact());
-        let from_engine = engine.session_probabilities(&db, &q1()).unwrap();
-        let from_free =
-            crate::eval::session_probabilities(&db, &q1(), &EvalConfig::exact()).unwrap();
-        assert_eq!(from_engine, from_free);
-    }
-
-    #[test]
     fn marginal_cache_persists_across_queries() {
         let db = polling_database();
         let engine = Engine::new(EvalConfig::exact());
@@ -772,8 +648,6 @@ mod tests {
             stats_after_first.marginal_misses
         );
         assert!(stats_after_second.marginal_hits >= first.len() as u64);
-        engine.clear_caches();
-        assert_eq!(engine.cached_marginals(), 0);
     }
 
     #[test]
@@ -852,11 +726,17 @@ mod tests {
         for threads in [1usize, 4] {
             let engine = Engine::new(EvalConfig::exact().with_threads(threads));
             let delivered: Mutex<Vec<Option<BatchAnswer>>> = Mutex::new(vec![None; queries.len()]);
-            engine.evaluate_batch_streamed(&db, &queries, |qi, answer| {
-                let slot = &mut delivered.lock().unwrap()[qi];
-                assert!(slot.is_none(), "each query is delivered exactly once");
-                *slot = Some(answer.unwrap());
-            });
+            engine.evaluate_batch_streamed(
+                &db,
+                &queries,
+                &[],
+                |_| false,
+                |qi, answer| {
+                    let slot = &mut delivered.lock().unwrap()[qi];
+                    assert!(slot.is_none(), "each query is delivered exactly once");
+                    *slot = Some(answer.unwrap());
+                },
+            );
             let delivered = delivered.into_inner().unwrap();
             for (expect, got) in blocking.iter().zip(&delivered) {
                 let got = got.as_ref().expect("every query is delivered");
@@ -882,9 +762,15 @@ mod tests {
         let queries = vec![q1(), bad];
         let engine = Engine::new(EvalConfig::exact());
         let delivered: Mutex<Vec<Option<Result<BatchAnswer>>>> = Mutex::new(vec![None, None]);
-        engine.evaluate_batch_streamed(&db, &queries, |qi, answer| {
-            delivered.lock().unwrap()[qi] = Some(answer);
-        });
+        engine.evaluate_batch_streamed(
+            &db,
+            &queries,
+            &[],
+            |_| false,
+            |qi, answer| {
+                delivered.lock().unwrap()[qi] = Some(answer);
+            },
+        );
         let delivered = delivered.into_inner().unwrap();
         assert!(delivered[0].as_ref().unwrap().is_ok());
         assert!(matches!(
@@ -900,9 +786,15 @@ mod tests {
         engine.session_probabilities(&db, &q1()).unwrap();
         let misses_before = engine.cache_stats().marginal_misses;
         let delivered = Mutex::new(Vec::new());
-        engine.evaluate_batch_streamed(&db, &[q1()], |qi, answer| {
-            delivered.lock().unwrap().push((qi, answer.unwrap()));
-        });
+        engine.evaluate_batch_streamed(
+            &db,
+            &[q1()],
+            &[],
+            |_| false,
+            |qi, answer| {
+                delivered.lock().unwrap().push((qi, answer.unwrap()));
+            },
+        );
         assert_eq!(delivered.into_inner().unwrap().len(), 1);
         assert_eq!(
             engine.cache_stats().marginal_misses,
@@ -925,9 +817,10 @@ mod tests {
             .unwrap();
         let engine = Engine::new(EvalConfig::exact());
         let delivered: Mutex<Vec<Option<Result<BatchAnswer>>>> = Mutex::new(vec![None, None]);
-        engine.evaluate_batch_streamed_cancellable(
+        engine.evaluate_batch_streamed(
             &db,
             &[q1(), q2],
+            &[],
             |qi| qi == 0,
             |qi, answer| {
                 let slot = &mut delivered.lock().unwrap()[qi];
@@ -948,9 +841,10 @@ mod tests {
         let db = polling_database();
         let engine = Engine::new(EvalConfig::exact());
         let delivered = Mutex::new(Vec::new());
-        engine.evaluate_batch_streamed_cancellable(
+        engine.evaluate_batch_streamed(
             &db,
             &[q1()],
+            &[],
             |_| true,
             |qi, answer| delivered.lock().unwrap().push((qi, answer)),
         );

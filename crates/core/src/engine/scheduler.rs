@@ -4,16 +4,15 @@
 //! dominates query cost, as both the consensus-answers and the
 //! probabilistic-database dichotomy lines of work observe), so the scheduler
 //! is deliberately simple: `threads` scoped workers pull unit indices from a
-//! shared atomic counter and record `(index, result)` pairs locally, which
-//! the caller merges back into index order. Dynamic (counter-based) pulling
-//! balances load when unit costs are skewed — one hard union does not idle
-//! the rest of the pool the way static chunking would.
+//! shared atomic counter and run the caller's closure on each. Dynamic
+//! (counter-based) pulling balances load when unit costs are skewed — one
+//! hard union does not idle the rest of the pool the way static chunking
+//! would.
 //!
 //! Determinism: the scheduler imposes no ordering on *execution*, so
 //! everything order-dependent (RNG seeds, cache keys) must be a pure
 //! function of the unit itself — which [`UnitKey`](crate::engine::UnitKey)
-//! guarantees. Results are returned in index order regardless of which
-//! thread solved what.
+//! guarantees.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,82 +29,39 @@ pub(crate) fn effective_threads(configured: usize, num_units: usize) -> usize {
     requested.min(num_units).max(1)
 }
 
-/// Runs `f` over the index space `0..n` on `threads` workers (after
-/// [`effective_threads`] resolution) and returns the results in index order.
+/// Runs `f` once for every index of `0..n` on `threads` workers (after
+/// [`effective_threads`] resolution) and returns when all of them have.
+/// Whatever an index produces, `f` hands on itself — the engine's wave
+/// releases a query's answer from inside `f` the moment its last unit lands,
+/// so nothing waits for the join.
 ///
-/// With one effective worker the closure runs on the caller's thread with no
-/// synchronization — the engine's `threads = 1` mode therefore *is* the
-/// serial evaluation path, not a degenerate pool.
-pub(crate) fn run_indexed<T, F>(n: usize, configured_threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_notify(n, configured_threads, f, |_, _| {})
-}
-
-/// [`run_indexed`] with **per-unit completion notification**: `notify(i,
-/// &result)` fires on the worker that solved index `i`, immediately after
-/// `f(i)` returns and before the wave as a whole completes. This is what
-/// streamed evaluation builds on — a caller can release per-query answers
-/// as their last unit lands instead of waiting for the join.
-///
-/// Guarantees: `notify` is called exactly once per index, concurrently from
-/// worker threads (it must be `Sync`), and with one effective worker the
-/// calls arrive in index order on the caller's thread. No ordering is
-/// promised across workers; anything order-sensitive must live behind the
-/// caller's own synchronization.
-pub(crate) fn run_indexed_notify<T, F, N>(
-    n: usize,
-    configured_threads: usize,
-    f: F,
-    notify: N,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    N: Fn(usize, &T) + Sync,
-{
+/// `f` runs concurrently on worker threads, in no promised order across
+/// them; anything order-sensitive must live behind the caller's own
+/// synchronization. With one effective worker it runs on the caller's thread
+/// in index order with no synchronization — the engine's `threads = 1` mode
+/// therefore *is* the serial evaluation path, not a degenerate pool.
+pub(crate) fn run_indexed(n: usize, configured_threads: usize, f: impl Fn(usize) + Sync) {
     let threads = effective_threads(configured_threads, n);
     if threads <= 1 {
-        return (0..n)
-            .map(|i| {
-                let value = f(i);
-                notify(i, &value);
-                value
-            })
-            .collect();
+        return (0..n).for_each(f);
     }
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let value = f(i);
-                        notify(i, &value);
-                        local.push((i, value));
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
                     }
-                    local
+                    f(i);
                 })
             })
             .collect();
         for worker in workers {
-            for (i, value) in worker.join().expect("engine worker panicked") {
-                slots[i] = Some(value);
-            }
+            worker.join().expect("engine worker panicked");
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index in 0..n is claimed exactly once"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -122,43 +78,26 @@ mod tests {
     }
 
     #[test]
-    fn results_are_in_index_order_for_any_thread_count() {
-        for threads in [1usize, 2, 4, 7] {
-            let out = run_indexed(33, threads, |i| i * i);
-            assert_eq!(out, (0..33).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<usize> = run_indexed(0, 4, |i| i);
-        assert!(out.is_empty());
+        run_indexed(0, 4, |i| panic!("index {i} of an empty space was run"));
     }
 
     #[test]
     fn notify_fires_exactly_once_per_index_before_the_wave_joins() {
-        use std::collections::HashSet;
+        // What an index produces it hands on from inside `f`: `f` is the
+        // notification, and it runs once per index.
         use std::sync::Mutex;
         for threads in [1usize, 3] {
-            let notified = Mutex::new(Vec::new());
-            let out = run_indexed_notify(
-                17,
-                threads,
-                |i| i + 100,
-                |i, &v| {
-                    assert_eq!(v, i + 100, "notification carries the unit's result");
-                    notified.lock().unwrap().push(i);
-                },
-            );
-            let notified = notified.into_inner().unwrap();
-            assert_eq!(out, (100..117).collect::<Vec<_>>());
-            assert_eq!(notified.len(), 17);
-            assert_eq!(notified.iter().collect::<HashSet<_>>().len(), 17);
+            let ran = Mutex::new(Vec::new());
+            run_indexed(17, threads, |i| ran.lock().unwrap().push(i));
+            let mut ran = ran.into_inner().unwrap();
             if threads == 1 {
-                // The serial path notifies in index order on the caller's
+                // The serial path runs in index order on the caller's
                 // thread — the property streamed-delivery tests pin on.
-                assert_eq!(notified, (0..17).collect::<Vec<_>>());
+                assert_eq!(ran, (0..17).collect::<Vec<_>>());
             }
+            ran.sort_unstable();
+            assert_eq!(ran, (0..17).collect::<Vec<_>>());
         }
     }
 
@@ -166,12 +105,12 @@ mod tests {
     fn workers_share_the_index_space() {
         use std::collections::HashSet;
         use std::sync::Mutex;
-        let seen = Mutex::new(HashSet::new());
-        let out = run_indexed(100, 4, |i| {
-            seen.lock().unwrap().insert(i);
-            i
-        });
-        assert_eq!(out.len(), 100);
-        assert_eq!(seen.lock().unwrap().len(), 100);
+        for threads in [2usize, 4, 7] {
+            let seen = Mutex::new(HashSet::new());
+            run_indexed(100, threads, |i| {
+                assert!(seen.lock().unwrap().insert(i), "index {i} ran twice");
+            });
+            assert_eq!(seen.lock().unwrap().len(), 100);
+        }
     }
 }

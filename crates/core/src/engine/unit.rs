@@ -93,7 +93,7 @@ impl UnitKey {
     /// [`UnitKey::stable_hash`] — the engine computes that hash once per
     /// request for cache addressing and reuses it here rather than walking
     /// the key content again.
-    pub fn seed_from_stable_hash(stable_hash: u64, base_seed: u64) -> u64 {
+    pub(crate) fn seed_from_stable_hash(stable_hash: u64, base_seed: u64) -> u64 {
         splitmix64(base_seed ^ stable_hash)
     }
 }

@@ -27,7 +27,7 @@
 use super::cache::SolverFingerprint;
 use super::calibrate::BucketKey;
 use super::unit::{PlannedUnit, UnionResolver};
-use super::{cost, obs, scheduler, Engine, UnitKey};
+use super::{cost, obs, scheduler, Engine, UnitKey, WaveCostEstimate};
 use crate::database::PpdDatabase;
 use crate::eval::SolverChoice;
 use crate::query::ConjunctiveQuery;
@@ -58,10 +58,10 @@ pub(crate) struct UnitRequest<'db, 'p> {
 /// One deduplicated, cache-missed unit of a wave, ready to solve. Owns its
 /// share of the plan that produced it, so a wave can keep its units while
 /// further queries are grounded and planned into it.
-pub(crate) struct Pending<'db> {
+struct Pending<'db> {
     /// The key's stable content hash: the cache address and the seed
     /// ingredient, computed once per request.
-    pub(crate) hash: u64,
+    hash: u64,
     /// The session's model content hash — the invalidation reverse-index
     /// key under which this unit is filed when its value is cached.
     model_hash: u64,
@@ -73,11 +73,11 @@ pub(crate) struct Pending<'db> {
     /// because [`SolverChoice::ErrorBudget`] picks exact DP or the budgeted
     /// sampler unit by unit (on the static cost alone), and because a
     /// top-k bound is solved exactly whatever the engine's choice.
-    pub(crate) fingerprint: SolverFingerprint,
+    fingerprint: SolverFingerprint,
     /// The static cost estimate — a pure function of unit content and
     /// configuration, used as the calibration baseline and the cold-store
     /// scheduling cost.
-    pub(crate) static_cost: f64,
+    static_cost: f64,
     /// The calibration bucket measured timings of this unit generalize
     /// into.
     bucket: BucketKey,
@@ -85,7 +85,7 @@ pub(crate) struct Pending<'db> {
 
 /// Where a request's probability comes from after planning.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Source {
+enum Source {
     /// Served from the marginal cache during planning.
     Cached(f64),
     /// Solved by the pending unit with this index.
@@ -96,9 +96,9 @@ pub(crate) enum Source {
 /// far and, per request in planning order, where its probability will come
 /// from. [`Engine::plan_requests`] extends it.
 #[derive(Default)]
-pub(crate) struct UnitSet<'db> {
-    pub(crate) pending: Vec<Pending<'db>>,
-    pub(crate) sources: Vec<Source>,
+struct UnitSet<'db> {
+    pending: Vec<Pending<'db>>,
+    sources: Vec<Source>,
     /// Cache identity → pending index over the units earlier planning calls
     /// left behind, so a later call's requests join them instead of solving
     /// a twin. Filled at the start of the next call: a set planned once
@@ -176,6 +176,19 @@ impl WavePlan<'_> {
             .count();
         self.units.pending.len() + stopped_walks
     }
+}
+
+/// A wave's cancellation predicate, over wave-wide query indices.
+pub(super) type CancelFn = dyn Fn(usize) -> bool + Send + Sync;
+
+/// What [`Engine::request_value`] does about a value the cache does not hold.
+#[derive(Clone, Copy)]
+enum OnMiss<'a> {
+    /// Reports it: the plan stage solves nothing.
+    Stop,
+    /// Solves it, abandoning the solve when the probe — if the wave can be
+    /// cancelled at all — fires.
+    Solve(Option<&'a CancelProbe>),
 }
 
 /// Per-wave completion state shared by the pool's workers.
@@ -374,7 +387,7 @@ impl Engine {
         // waits, where it stopped, for the execute stage.
         let mut stage = SecondStage::begin(tail, &query.sessions, values);
         match stage.advance(tail, &query.sessions, |request| {
-            Ok(self.cached_request(&request))
+            self.request_value(&request, OnMiss::Stop)
         }) {
             Ok(true) => {
                 let (scores, stats) = stage.finish(tail.k);
@@ -388,21 +401,50 @@ impl Engine {
         }
     }
 
-    /// The cached probability of one request under the engine's configured
-    /// solver, if the marginal cache holds it. A value that is not there is
-    /// not counted as a miss — the solve that follows counts it.
-    fn cached_request(&self, request: &UnitRequest<'_, '_>) -> Option<f64> {
-        if !self.config.group_identical {
-            return None;
+    /// The value of one request *now*, under the engine's configured solver:
+    /// what the marginal cache holds for it, or — where `on_miss` allows — a
+    /// solve on the calling thread, cached like any wave unit's. This is how
+    /// a `top(Q, k)` walk gets each next session's probability; `None` means
+    /// the walk stops here.
+    fn request_value(
+        &self,
+        request: &UnitRequest<'_, '_>,
+        on_miss: OnMiss<'_>,
+    ) -> Result<Option<f64>> {
+        if let OnMiss::Solve(Some(probe)) = on_miss {
+            if probe.is_cancelled() {
+                return Err(PpdError::Cancelled);
+            }
         }
+        let grouping = self.config.group_identical;
         let sigma = request.session.model().sigma().items();
         let mut resolver = UnionResolver::default();
         let resolved = resolver.resolve(request.union, request.labeling, sigma);
-        let hash = resolved.stable_hash(request.session.model_key_hash());
+        let model_hash = request.session.model_key_hash();
+        let hash = resolved.stable_hash(model_hash);
         let fingerprint = self.unit_fingerprint(request.union, sigma.len(), false);
-        let p = self.marginals.get_if_present(hash, fingerprint)?;
-        self.obs.cache_hit();
-        Some(p)
+        if grouping {
+            // A value the walk will not go on to solve is not counted as a
+            // miss — the solve that follows, in the execute stage, counts it.
+            let found = match on_miss {
+                OnMiss::Stop => self.marginals.get_if_present(hash, fingerprint),
+                OnMiss::Solve(_) => self.marginals.get(hash, fingerprint),
+            };
+            if let Some(p) = found {
+                self.obs.cache_hit();
+                return Ok(Some(p));
+            }
+        }
+        let OnMiss::Solve(probe) = on_miss else {
+            return Ok(None);
+        };
+        if grouping {
+            self.obs.cache_miss();
+        }
+        let unit = self.pending_unit(request, &resolved.ordered, hash, model_hash, fingerprint);
+        let (p, seconds, _) = self.solve_pending(&unit, probe.cloned())?;
+        self.cache_solved(&unit, p, seconds);
+        Ok(Some(p))
     }
 
     /// The execute stage: solves the wave's unsolved units across the worker
@@ -436,6 +478,18 @@ impl Engine {
         cancelled: impl Fn(usize) -> bool + Send + Sync + 'static,
         deliver: impl Fn(usize, Result<WaveAnswer>) + Sync,
     ) {
+        self.run_wave(wave, Some(Arc::new(cancelled)), deliver);
+    }
+
+    /// [`Engine::execute_wave`], for callers inside the engine too: the
+    /// blocking entry points hand in no `cancelled` at all, and a wave
+    /// nobody can cancel builds no probes and polls nothing.
+    pub(super) fn run_wave(
+        &self,
+        wave: WavePlan<'_>,
+        cancelled: Option<Arc<CancelFn>>,
+        deliver: impl Fn(usize, Result<WaveAnswer>) + Sync,
+    ) {
         let WavePlan {
             units, mut waiting, ..
         } = wave;
@@ -454,8 +508,6 @@ impl Engine {
                 .filter_map(|(qi, query)| Some((qi, query.second_stage.take()?)))
                 .collect(),
         );
-        let grouping = self.config.group_identical;
-        let cancelled: Arc<dyn Fn(usize) -> bool + Send + Sync> = Arc::new(cancelled);
         // Per unit, the waiting queries that depend on it. Arc-owned, like
         // the queries' wave-wide indices, so the per-unit cancel probes
         // (which must be `'static`) can share them.
@@ -474,131 +526,114 @@ impl Engine {
         }));
 
         let order = self.wave_order(&pending);
-        scheduler::run_indexed_notify(
-            order.len(),
-            self.config.threads,
-            |slot| {
-                let unit = order[slot];
-                // Cancellation sweep at solve time: dependents whose
-                // predicate now fires resolve `Cancelled` and release their
-                // refcounts; if nothing live is left waiting on this unit,
-                // the solve itself is skipped.
-                let mut dropped: Vec<usize> = Vec::new();
-                let mut live = false;
-                {
+        scheduler::run_indexed(order.len(), self.config.threads, |slot| {
+            let unit = order[slot];
+            // Sweep at solve time: dependents whose predicate now fires
+            // resolve `Cancelled` and release their refcounts; if nothing
+            // live is left waiting on this unit, the solve itself is
+            // skipped.
+            let mut dropped: Vec<usize> = Vec::new();
+            let mut live = false;
+            {
+                let mut t = tracker.lock().expect("streaming tracker poisoned");
+                for &qi in &dependents[unit] {
+                    if t.done[qi] {
+                        continue;
+                    }
+                    if cancelled.as_ref().is_some_and(|c| c(index_of[qi])) {
+                        t.done[qi] = true;
+                        dropped.push(qi);
+                    } else {
+                        live = true;
+                    }
+                }
+            }
+            for qi in dropped {
+                deliver(index_of[qi], Err(PpdError::Cancelled));
+            }
+            if !live {
+                return;
+            }
+            // Mid-solve cancellation: the probe fires once every dependent
+            // of this unit is delivered or cancelled, and the exact DP
+            // kernels poll it per insertion step.
+            let probe = cancelled.as_ref().map(|cancelled| {
+                let tracker = Arc::clone(&tracker);
+                let dependents = Arc::clone(&dependents);
+                let index_of = Arc::clone(&index_of);
+                let cancelled = Arc::clone(cancelled);
+                CancelProbe::new(move || {
+                    let t = tracker.lock().expect("streaming tracker poisoned");
+                    dependents[unit]
+                        .iter()
+                        .all(|&qi| t.done[qi] || cancelled(index_of[qi]))
+                })
+            });
+            let outcome = self.solve_pending(&pending[unit], probe);
+            // Queries completed by this unit, with their requests'
+            // probabilities (or the unit's error); answered after the
+            // tracker lock is released so a slow consumer never serializes
+            // the other workers' completions.
+            let mut finished: Vec<(usize, Result<Vec<f64>>)> = Vec::new();
+            match outcome {
+                Ok((p, seconds, elapsed_ns)) => {
+                    self.cache_solved(&pending[unit], p, seconds);
+                    let mut t = tracker.lock().expect("streaming tracker poisoned");
+                    t.values[unit] = Some(p);
+                    for &qi in &dependents[unit] {
+                        if t.done[qi] {
+                            continue;
+                        }
+                        // The span goes into the ring while the lock still
+                        // hides the decrement: whichever worker completes
+                        // the query's last unit — and hands the answer to
+                        // `deliver` — does so after every `unit-solved` of
+                        // that query is recorded.
+                        if let Some(log) = self.obs.trace() {
+                            log.record(
+                                waiting[qi].trace,
+                                ppd_obs::SpanEvent::UnitSolved {
+                                    unit_hash: pending[unit].hash,
+                                    solver: obs::solver_tag(pending[unit].fingerprint),
+                                    micros: elapsed_ns / 1_000,
+                                },
+                            );
+                        }
+                        t.remaining[qi] -= 1;
+                        if t.remaining[qi] == 0 {
+                            t.done[qi] = true;
+                            let probabilities =
+                                probabilities(&sources[waiting[qi].span.clone()], &t.values);
+                            finished.push((qi, Ok(probabilities)));
+                        }
+                    }
+                }
+                Err(e) => {
                     let mut t = tracker.lock().expect("streaming tracker poisoned");
                     for &qi in &dependents[unit] {
                         if t.done[qi] {
                             continue;
                         }
-                        if cancelled(index_of[qi]) {
-                            t.done[qi] = true;
-                            dropped.push(qi);
-                        } else {
-                            live = true;
-                        }
+                        t.done[qi] = true;
+                        finished.push((qi, Err(e.clone())));
                     }
                 }
-                for qi in dropped {
-                    deliver(index_of[qi], Err(PpdError::Cancelled));
+            }
+            for (qi, probabilities) in finished {
+                let query = &waiting[qi];
+                match (probabilities, &query.topk) {
+                    (Ok(bounds), Some(tail)) => second_stage
+                        .lock()
+                        .expect("second-stage list poisoned")
+                        .push((qi, SecondStage::begin(tail, &query.sessions, bounds))),
+                    (Ok(probabilities), None) => deliver(
+                        query.index,
+                        Ok(batch_answer(&query.sessions, probabilities)),
+                    ),
+                    (Err(e), _) => deliver(query.index, Err(e)),
                 }
-                if !live {
-                    return (unit, None);
-                }
-                // Mid-solve cancellation: the probe fires once every
-                // dependent of this unit is delivered or cancelled, and the
-                // exact DP kernels poll it per insertion step.
-                let probe = {
-                    let tracker = Arc::clone(&tracker);
-                    let dependents = Arc::clone(&dependents);
-                    let index_of = Arc::clone(&index_of);
-                    let cancelled = Arc::clone(&cancelled);
-                    CancelProbe::new(move || {
-                        let t = tracker.lock().expect("streaming tracker poisoned");
-                        dependents[unit]
-                            .iter()
-                            .all(|&qi| t.done[qi] || cancelled(index_of[qi]))
-                    })
-                };
-                (unit, Some(self.solve_pending(&pending[unit], Some(probe))))
-            },
-            |_slot, (unit, outcome)| {
-                let unit = *unit;
-                // Queries completed by this unit, with their requests'
-                // probabilities (or the unit's error); answered after the
-                // tracker lock is released so a slow consumer never
-                // serializes the other workers' completions.
-                let mut finished: Vec<(usize, Result<Vec<f64>>)> = Vec::new();
-                match outcome {
-                    None => {} // skipped: every dependent cancelled or done
-                    Some(Ok((p, seconds, elapsed_ns))) => {
-                        if grouping {
-                            let evicted_bytes = self.marginals.insert_costed(
-                                pending[unit].hash,
-                                pending[unit].fingerprint,
-                                *p,
-                                *seconds,
-                            );
-                            self.obs.evicted_bytes(evicted_bytes);
-                            self.index_unit(pending[unit].model_hash, pending[unit].hash);
-                        }
-                        let mut t = tracker.lock().expect("streaming tracker poisoned");
-                        t.values[unit] = Some(*p);
-                        for &qi in &dependents[unit] {
-                            if t.done[qi] {
-                                continue;
-                            }
-                            // The span goes into the ring while the lock
-                            // still hides the decrement: whichever worker
-                            // completes the query's last unit — and hands
-                            // the answer to `deliver` — does so after every
-                            // `unit-solved` of that query is recorded.
-                            if let Some(log) = self.obs.trace() {
-                                log.record(
-                                    waiting[qi].trace,
-                                    ppd_obs::SpanEvent::UnitSolved {
-                                        unit_hash: pending[unit].hash,
-                                        solver: obs::solver_tag(pending[unit].fingerprint),
-                                        micros: elapsed_ns / 1_000,
-                                    },
-                                );
-                            }
-                            t.remaining[qi] -= 1;
-                            if t.remaining[qi] == 0 {
-                                t.done[qi] = true;
-                                let probabilities =
-                                    probabilities(&sources[waiting[qi].span.clone()], &t.values);
-                                finished.push((qi, Ok(probabilities)));
-                            }
-                        }
-                    }
-                    Some(Err(e)) => {
-                        let mut t = tracker.lock().expect("streaming tracker poisoned");
-                        for &qi in &dependents[unit] {
-                            if t.done[qi] {
-                                continue;
-                            }
-                            t.done[qi] = true;
-                            finished.push((qi, Err(e.clone())));
-                        }
-                    }
-                }
-                for (qi, probabilities) in finished {
-                    let query = &waiting[qi];
-                    match (probabilities, &query.topk) {
-                        (Ok(bounds), Some(tail)) => second_stage
-                            .lock()
-                            .expect("second-stage list poisoned")
-                            .push((qi, SecondStage::begin(tail, &query.sessions, bounds))),
-                        (Ok(probabilities), None) => deliver(
-                            query.index,
-                            Ok(batch_answer(&query.sessions, probabilities)),
-                        ),
-                        (Err(e), _) => deliver(query.index, Err(e)),
-                    }
-                }
-            },
-        );
+            }
+        });
 
         let mut second_stage = second_stage
             .into_inner()
@@ -607,12 +642,18 @@ impl Engine {
         for (qi, mut stage) in second_stage {
             let query = &waiting[qi];
             let tail = query.topk.as_ref().expect("only a top-k has two stages");
-            let answer = if cancelled(query.index) {
+            // The walk polls its query's predicate before each session and
+            // hands it to the exact kernels of every solve it runs.
+            let probe = cancelled.as_ref().map(|cancelled| {
+                let (cancelled, index) = (Arc::clone(cancelled), query.index);
+                CancelProbe::new(move || cancelled(index))
+            });
+            let answer = if probe.as_ref().is_some_and(CancelProbe::is_cancelled) {
                 Err(PpdError::Cancelled)
             } else {
                 stage
                     .advance(tail, &query.sessions, |request| {
-                        Ok(Some(self.solve_requests(&[request])?[0]))
+                        self.request_value(&request, OnMiss::Solve(probe.as_ref()))
                     })
                     .map(|_certain| {
                         let (scores, stats) = stage.finish(tail.k);
@@ -623,52 +664,17 @@ impl Engine {
         }
     }
 
-    /// Solves a slice of unit requests and returns their probabilities in
-    /// request order: content-based deduplication, cache lookup, one
-    /// parallel pass over the remaining units, cache fill. The blocking
-    /// form of the wave pipeline, for callers that need every number before
-    /// they can go on (a single query's sessions; a top-k walk's next
-    /// candidate).
-    ///
-    /// When [`EvalConfig::group_identical`](crate::eval::EvalConfig) is
-    /// off, every request becomes its own unit and the cache is bypassed;
-    /// seeds still derive from unit keys, so the answers are identical
-    /// either way (a property the test suite pins).
-    pub(crate) fn solve_requests(&self, requests: &[UnitRequest<'_, '_>]) -> Result<Vec<f64>> {
-        let grouping = self.config.group_identical;
-        let mut units = UnitSet::default();
-        self.plan_requests(&mut units, requests, false);
-        let UnitSet {
-            pending, sources, ..
-        } = units;
-        let order = self.wave_order(&pending);
-        // Units are *executed* in cost order but *recorded* in unit order:
-        // the pool pulls slots off the shared counter, so slot `s` runs
-        // `pending[order[s]]`, and the results are scattered back.
-        type SlotOutcome = (usize, Result<(f64, f64, u64)>);
-        let solved_by_slot: Vec<SlotOutcome> =
-            scheduler::run_indexed(order.len(), self.config.threads, |slot| {
-                let unit = order[slot];
-                (unit, self.solve_pending(&pending[unit], None))
-            });
-        let mut solved: Vec<Option<Result<(f64, f64, u64)>>> =
-            (0..pending.len()).map(|_| None).collect();
-        for (unit, outcome) in solved_by_slot {
-            solved[unit] = Some(outcome);
+    /// Files a solved unit's value: into the marginal cache under its
+    /// content hash and solver fingerprint, and into the invalidation
+    /// reverse index under its model. Without grouping nothing is cached.
+    fn cache_solved(&self, unit: &Pending<'_>, p: f64, seconds: f64) {
+        if self.config.group_identical {
+            let evicted_bytes =
+                self.marginals
+                    .insert_costed(unit.hash, unit.fingerprint, p, seconds);
+            self.obs.evicted_bytes(evicted_bytes);
+            self.index_unit(unit.model_hash, unit.hash);
         }
-        let mut values = Vec::with_capacity(pending.len());
-        for (unit, outcome) in pending.iter().zip(solved) {
-            let (p, seconds, _) = outcome.expect("every unit is scheduled exactly once")?;
-            if grouping {
-                let evicted_bytes =
-                    self.marginals
-                        .insert_costed(unit.hash, unit.fingerprint, p, seconds);
-                self.obs.evicted_bytes(evicted_bytes);
-                self.index_unit(unit.model_hash, unit.hash);
-            }
-            values.push(Some(p));
-        }
-        Ok(probabilities(&sources, &values))
     }
 
     /// Reduces a slice of requests to unsolved units, appending to `set`:
@@ -680,7 +686,7 @@ impl Engine {
     /// With `force_exact` the units use the automatically selected exact
     /// solver regardless of the configured [`SolverChoice`] — the top-k
     /// optimizer's upper bounds must be sound, so they are never estimated.
-    pub(crate) fn plan_requests<'db>(
+    fn plan_requests<'db>(
         &self,
         set: &mut UnitSet<'db>,
         requests: &[UnitRequest<'db, '_>],
@@ -694,15 +700,6 @@ impl Engine {
                 set.joined.insert((pending.hash, pending.fingerprint), unit);
             }
         }
-        let approx_budget = match (&self.config.solver, force_exact) {
-            (
-                SolverChoice::Approximate {
-                    samples_per_proposal,
-                },
-                false,
-            ) => Some(*samples_per_proposal),
-            _ => None,
-        };
         // What a request shares with the other sessions of its query — the
         // union's canonical form — is resolved once for all of them; per
         // request only the model is folded in.
@@ -740,30 +737,92 @@ impl Engine {
             if grouping {
                 unit_of.insert(planned, unit);
             }
-            let class = match request.union.classify() {
-                UnionClass::TwoLabel => 0u8,
-                UnionClass::Bipartite => 1,
-                UnionClass::General => 2,
-            };
-            set.pending.push(Pending {
-                union: Arc::clone(&resolved.ordered),
+            set.pending.push(self.pending_unit(
+                request,
+                &resolved.ordered,
                 hash,
                 model_hash,
-                session: request.session,
-                labeling: Arc::clone(request.labeling),
                 fingerprint,
-                static_cost: cost::unit_cost(request.union, m, approx_budget),
-                bucket: BucketKey::from_parts(class, m, fingerprint),
-            });
+            ));
             set.sources.push(Source::Unit(unit));
         }
+    }
+
+    /// The unit that solves `request`, whose union in canonical member order
+    /// is `ordered`, under the solver `fingerprint` names.
+    fn pending_unit<'db>(
+        &self,
+        request: &UnitRequest<'db, '_>,
+        ordered: &Arc<PatternUnion>,
+        hash: u64,
+        model_hash: u64,
+        fingerprint: SolverFingerprint,
+    ) -> Pending<'db> {
+        let m = request.session.model().sigma().len();
+        let approx_budget = match fingerprint {
+            SolverFingerprint::Approx {
+                samples_per_proposal,
+                ..
+            } => Some(samples_per_proposal),
+            _ => None,
+        };
+        let class = match request.union.classify() {
+            UnionClass::TwoLabel => 0u8,
+            UnionClass::Bipartite => 1,
+            UnionClass::General => 2,
+        };
+        Pending {
+            union: Arc::clone(ordered),
+            hash,
+            model_hash,
+            session: request.session,
+            labeling: Arc::clone(request.labeling),
+            fingerprint,
+            static_cost: cost::unit_cost(request.union, m, approx_budget),
+            bucket: BucketKey::from_parts(class, m, fingerprint),
+        }
+    }
+
+    /// The cost picture of the wave `query` would submit right now: one
+    /// [`WaveCostEstimate`] per deduplicated, cache-missed unit, pairing
+    /// the static formula with the blended scheduling estimate the
+    /// calibration store currently produces. Nothing is solved and no
+    /// timings are recorded; on a cold store (or with calibration off) the
+    /// two costs order identically, and after evaluation the same units
+    /// are marginal-cache hits and the profile is empty — profile first,
+    /// or use a fresh engine warm-started via [`Engine::load_calibration`].
+    pub fn wave_cost_profile(
+        &self,
+        db: &PpdDatabase,
+        query: &ConjunctiveQuery,
+    ) -> Result<Vec<WaveCostEstimate>> {
+        let (prel, labeling, sessions) = ground_on(db, query)?;
+        let requests: Vec<UnitRequest<'_, '_>> = sessions
+            .iter()
+            .map(|squery| UnitRequest {
+                session: &prel.sessions()[squery.session_index],
+                labeling: &labeling,
+                union: &squery.union,
+            })
+            .collect();
+        let mut units = UnitSet::default();
+        self.plan_requests(&mut units, &requests, false);
+        Ok(units
+            .pending
+            .iter()
+            .map(|unit| WaveCostEstimate {
+                unit_hash: unit.hash,
+                static_cost: unit.static_cost,
+                scheduling_cost: self.scheduling_cost(unit),
+            })
+            .collect())
     }
 
     /// The cost the scheduler sorts one unit by: with calibration on, the
     /// blended estimate (measured seconds on an exact key hit, else static ×
     /// bucket geomean, else static); with it off — or on a cold store — the
     /// static formula alone.
-    pub(crate) fn scheduling_cost(&self, unit: &Pending<'_>) -> f64 {
+    fn scheduling_cost(&self, unit: &Pending<'_>) -> f64 {
         if self.config.calibrate {
             self.calibration.cost_estimate(
                 unit.hash,
@@ -984,12 +1043,12 @@ fn batch_answer(sessions: &[SessionQuery], probabilities: Vec<f64>) -> WaveAnswe
 }
 
 /// `1 − Π_i (1 − pᵢ)` over per-session probabilities.
-pub(crate) fn boolean_from(per_session: &[(usize, f64)]) -> f64 {
+fn boolean_from(per_session: &[(usize, f64)]) -> f64 {
     1.0 - per_session.iter().map(|&(_, p)| 1.0 - p).product::<f64>()
 }
 
 /// `Σ_i pᵢ` over per-session probabilities.
-pub(crate) fn count_from(per_session: &[(usize, f64)]) -> f64 {
+fn count_from(per_session: &[(usize, f64)]) -> f64 {
     per_session.iter().map(|&(_, p)| p).sum()
 }
 
@@ -1058,7 +1117,7 @@ mod tests {
             let log = Arc::new(TraceLog::new(TraceMode::All, 4096));
             let obs = EngineObs::new(&Registry::new(false), &[]).with_trace(Arc::clone(&log));
             let engine = Engine::with_obs(EvalConfig::exact().with_threads(4), obs);
-            engine.evaluate_batch_streamed_cancellable_traced(
+            engine.evaluate_batch_streamed(
                 &db,
                 &queries,
                 &traces,
@@ -1252,6 +1311,67 @@ mod tests {
             alone_stats.exact_evaluations - warm_stats.exact_evaluations,
             "each full union the walk went on to is solved, and missed, once"
         );
+    }
+
+    #[test]
+    fn a_topk_cancelled_after_its_first_stage_stops_walking() {
+        // Cold engine, so the plan stage counts every miss of the first
+        // stage: eight bounds and the batch query's eight units. The token
+        // fires once the walk behind them has missed three times.
+        let db = wide_database(8);
+        let query = clinton_over_trump().prefer(
+            "Polls",
+            vec![T::any(), T::any()],
+            T::val("Clinton"),
+            T::val("Rubio"),
+        );
+        let strategy = TopKStrategy::UpperBound {
+            edges_per_pattern: 1,
+        };
+        let uncancelled = Engine::new(EvalConfig::exact())
+            .evaluate_batch(&db, &[sanders_over_rubio()])
+            .unwrap();
+        let engine = Arc::new(Engine::new(EvalConfig::exact().with_threads(2)));
+        let delivered: Mutex<Vec<Option<Result<WaveAnswer>>>> = Mutex::new(vec![None, None]);
+        let deliver = |qi: usize, answer: Result<WaveAnswer>| {
+            let slot = &mut delivered.lock().unwrap()[qi];
+            assert!(slot.is_none(), "each query is delivered exactly once");
+            *slot = Some(answer);
+        };
+        let mut wave = WavePlan::default();
+        engine.plan_topk_into(&mut wave, &db, &query, 8, strategy, 0, &|_| false, &deliver);
+        engine.plan_into(
+            &mut wave,
+            &db,
+            &[sanders_over_rubio()],
+            &[],
+            &|_| false,
+            &deliver,
+        );
+        assert_eq!(engine.marginals.misses(), 16);
+        let token = Arc::clone(&engine);
+        engine.execute_wave(
+            wave,
+            move |qi| qi == 0 && token.marginals.misses() >= 19,
+            deliver,
+        );
+        let delivered = delivered.into_inner().unwrap();
+        assert!(matches!(delivered[0], Some(Err(PpdError::Cancelled))));
+        assert_eq!(
+            engine.marginals.misses(),
+            19,
+            "k = 8 walks all eight sessions unless the token stops it"
+        );
+        match &delivered[1] {
+            Some(Ok(WaveAnswer::Batch(answer))) => {
+                assert_eq!(
+                    answer.session_probabilities,
+                    uncancelled[0].session_probabilities
+                );
+                assert_eq!(answer.boolean.to_bits(), uncancelled[0].boolean.to_bits());
+            }
+            other => panic!("the batch query was not answered: {other:?}"),
+        }
     }
 
     #[test]

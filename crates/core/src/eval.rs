@@ -1,12 +1,7 @@
-//! Evaluation of Boolean conjunctive queries: the user-facing configuration
-//! and the free-function entry points, all routed through the
-//! [`crate::engine::Engine`].
+//! The user-facing configuration of query evaluation. Evaluation itself is
+//! the [`crate::engine::Engine`]'s.
 
-use crate::database::PpdDatabase;
-use crate::engine::{CacheCapacity, Engine};
-use crate::query::ConjunctiveQuery;
-use crate::translate::GroundedSessionQuery;
-use crate::Result;
+use crate::engine::CacheCapacity;
 
 /// An accuracy target for [`SolverChoice::ErrorBudget`]: the per-unit
 /// marginal must land within `±epsilon` of the exact value at the given
@@ -92,11 +87,8 @@ pub struct EvalConfig {
     /// value run the exact DP, the rest run the budgeted estimator. Part of
     /// the configuration precisely so that selection — hence the answer's
     /// bits — stays a pure function of unit content and explicit
-    /// configuration; the engine never reads a measured or suggested value
-    /// here on its own. Deployments wanting a machine-specific setting can
-    /// feed
-    /// [`Engine::suggested_exact_cost_threshold`](crate::engine::Engine::suggested_exact_cost_threshold)
-    /// back into this field between engine generations. Default: `1e5`.
+    /// configuration; the engine never reads a measured value here on its
+    /// own. Default: `1e5`.
     pub exact_cost_threshold: f64,
 }
 
@@ -185,43 +177,11 @@ impl EvalConfig {
     }
 }
 
-/// Computes, for every qualifying session, the probability that the query
-/// holds in that session. Sessions that cannot satisfy the query are omitted
-/// (their probability is zero).
-///
-/// Constructs a transient [`Engine`] per call; long-running services should
-/// hold an [`Engine`] instead to reuse its cross-query caches.
-pub fn session_probabilities(
-    db: &PpdDatabase,
-    query: &ConjunctiveQuery,
-    config: &EvalConfig,
-) -> Result<Vec<(usize, f64)>> {
-    Engine::new(config.clone()).session_probabilities(db, query)
-}
-
-/// Like [`session_probabilities`] but starting from an already-grounded plan
-/// (lets experiment harnesses time grounding and inference separately).
-pub fn session_probabilities_for_plan(
-    db: &PpdDatabase,
-    plan: &GroundedSessionQuery,
-    config: &EvalConfig,
-) -> Result<Vec<(usize, f64)>> {
-    Engine::new(config.clone()).session_probabilities_for_plan(db, plan)
-}
-
-/// Evaluates a Boolean query: the probability that *some* session satisfies
-/// it, assuming session independence: `1 − Π_i (1 − Pr(Q | s_i))`.
-pub fn evaluate_boolean(
-    db: &PpdDatabase,
-    query: &ConjunctiveQuery,
-    config: &EvalConfig,
-) -> Result<f64> {
-    Engine::new(config.clone()).evaluate_boolean(db, query)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::PpdDatabase;
+    use crate::engine::Engine;
     use crate::query::{CompareOp, ConjunctiveQuery, Term as T};
     use crate::testdb::polling_database;
     use crate::translate::ground_query;
@@ -287,7 +247,9 @@ mod tests {
     fn per_session_probabilities_match_brute_force() {
         let db = polling_database();
         let q = q1();
-        let per_session = session_probabilities(&db, &q, &EvalConfig::exact()).unwrap();
+        let per_session = Engine::new(EvalConfig::exact())
+            .session_probabilities(&db, &q)
+            .unwrap();
         assert_eq!(per_session.len(), 3);
         for &(sidx, p) in &per_session {
             let expected = brute_session_probability(&db, &q, sidx);
@@ -299,20 +261,86 @@ mod tests {
     fn boolean_aggregation_uses_independence() {
         let db = polling_database();
         let q = q1();
-        let per_session = session_probabilities(&db, &q, &EvalConfig::exact()).unwrap();
+        let per_session = Engine::new(EvalConfig::exact())
+            .session_probabilities(&db, &q)
+            .unwrap();
         let expected = 1.0 - per_session.iter().map(|&(_, p)| 1.0 - p).product::<f64>();
-        let got = evaluate_boolean(&db, &q, &EvalConfig::exact()).unwrap();
+        let got = Engine::new(EvalConfig::exact())
+            .evaluate_boolean(&db, &q)
+            .unwrap();
         assert!((expected - got).abs() < 1e-12);
         assert!(got > 0.0 && got <= 1.0);
+    }
+
+    #[test]
+    fn count_is_sum_of_session_probabilities() {
+        let db = polling_database();
+        let q = q1();
+        let per_session = Engine::new(EvalConfig::exact())
+            .session_probabilities(&db, &q)
+            .unwrap();
+        let expected: f64 = per_session.iter().map(|&(_, p)| p).sum();
+        let count = Engine::new(EvalConfig::exact())
+            .count_sessions(&db, &q)
+            .unwrap();
+        assert!((count - expected).abs() < 1e-12);
+        // Three sessions, each with probability in (0, 1).
+        assert!(count > 0.0 && count < 3.0);
+    }
+
+    #[test]
+    fn count_of_certain_query_equals_number_of_sessions() {
+        // With φ > 0 every pairwise order has positive probability; a query
+        // that is certain (an item preferred to itself is impossible, so use
+        // a tautology-like union via two opposite constants) is approximated
+        // here by "Clinton before Trump OR Trump before Clinton" expressed as
+        // a count of a single certain direction per session being < 1 while
+        // the total stays below the number of sessions.
+        let db = polling_database();
+        let q = ConjunctiveQuery::new("single-direction").prefer(
+            "Polls",
+            vec![T::any(), T::any()],
+            T::val("Clinton"),
+            T::val("Trump"),
+        );
+        let count = Engine::new(EvalConfig::exact())
+            .count_sessions(&db, &q)
+            .unwrap();
+        assert!(count > 0.0 && count < 3.0);
+    }
+
+    #[test]
+    fn count_of_unsatisfiable_query_is_zero() {
+        let db = polling_database();
+        let q = ConjunctiveQuery::new("impossible")
+            .prefer(
+                "Polls",
+                vec![T::any(), T::any()],
+                T::val("Clinton"),
+                T::val("Trump"),
+            )
+            .prefer(
+                "Polls",
+                vec![T::any(), T::any()],
+                T::val("Trump"),
+                T::val("Clinton"),
+            );
+        let count = Engine::new(EvalConfig::exact())
+            .count_sessions(&db, &q)
+            .unwrap();
+        assert_eq!(count, 0.0);
     }
 
     #[test]
     fn grouping_does_not_change_results() {
         let db = polling_database();
         let q = q1();
-        let grouped = session_probabilities(&db, &q, &EvalConfig::exact()).unwrap();
-        let ungrouped =
-            session_probabilities(&db, &q, &EvalConfig::exact().without_grouping()).unwrap();
+        let grouped = Engine::new(EvalConfig::exact())
+            .session_probabilities(&db, &q)
+            .unwrap();
+        let ungrouped = Engine::new(EvalConfig::exact().without_grouping())
+            .session_probabilities(&db, &q)
+            .unwrap();
         assert_eq!(grouped.len(), ungrouped.len());
         for (a, b) in grouped.iter().zip(&ungrouped) {
             assert_eq!(a.0, b.0);
@@ -324,12 +352,16 @@ mod tests {
     fn general_solver_choice_agrees_with_auto() {
         let db = polling_database();
         let q = q1();
-        let auto = session_probabilities(&db, &q, &EvalConfig::exact()).unwrap();
+        let auto = Engine::new(EvalConfig::exact())
+            .session_probabilities(&db, &q)
+            .unwrap();
         let config = EvalConfig {
             solver: SolverChoice::GeneralExact,
             ..EvalConfig::default()
         };
-        let general = session_probabilities(&db, &q, &config).unwrap();
+        let general = Engine::new(config.clone())
+            .session_probabilities(&db, &q)
+            .unwrap();
         for (a, b) in auto.iter().zip(&general) {
             assert!((a.1 - b.1).abs() < 1e-9);
         }
@@ -342,8 +374,12 @@ mod tests {
         let db = polling_database();
         let q = q1();
         let config = EvalConfig::approximate(300);
-        let grouped = session_probabilities(&db, &q, &config).unwrap();
-        let ungrouped = session_probabilities(&db, &q, &config.clone().without_grouping()).unwrap();
+        let grouped = Engine::new(config.clone())
+            .session_probabilities(&db, &q)
+            .unwrap();
+        let ungrouped = Engine::new(config.clone().without_grouping())
+            .session_probabilities(&db, &q)
+            .unwrap();
         assert_eq!(grouped, ungrouped);
     }
 
@@ -351,8 +387,12 @@ mod tests {
     fn approximate_evaluation_is_close_to_exact() {
         let db = polling_database();
         let q = q1();
-        let exact = evaluate_boolean(&db, &q, &EvalConfig::exact()).unwrap();
-        let approx = evaluate_boolean(&db, &q, &EvalConfig::approximate(1_500)).unwrap();
+        let exact = Engine::new(EvalConfig::exact())
+            .evaluate_boolean(&db, &q)
+            .unwrap();
+        let approx = Engine::new(EvalConfig::approximate(1_500))
+            .evaluate_boolean(&db, &q)
+            .unwrap();
         assert!(
             (exact - approx).abs() < 0.05,
             "exact {exact}, approximate {approx}"
@@ -392,7 +432,9 @@ mod tests {
                     T::any(),
                 ],
             );
-        let per_session = session_probabilities(&db, &q, &EvalConfig::exact()).unwrap();
+        let per_session = Engine::new(EvalConfig::exact())
+            .session_probabilities(&db, &q)
+            .unwrap();
         assert_eq!(per_session.len(), 3);
         for &(sidx, p) in &per_session {
             let expected = brute_session_probability(&db, &q, sidx);
@@ -417,7 +459,9 @@ mod tests {
                 T::val("Trump"),
             )
             .compare("d", CompareOp::Eq, "6/5");
-        let per_session = session_probabilities(&db, &q, &EvalConfig::exact()).unwrap();
+        let per_session = Engine::new(EvalConfig::exact())
+            .session_probabilities(&db, &q)
+            .unwrap();
         assert_eq!(per_session.len(), 1);
         assert_eq!(per_session[0].0, 2);
     }

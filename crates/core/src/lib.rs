@@ -26,19 +26,17 @@
 //!    marginal probability over the session's model is computed with the
 //!    solvers of `ppd-solvers`;
 //! 4. per-session probabilities are aggregated: Boolean queries use
-//!    `1 − Π(1 − pᵢ)`, [`count_sessions`] sums them, and
-//!    [`most_probable_sessions`] ranks sessions (optionally with the
+//!    `1 − Π(1 − pᵢ)`, [`Engine::count_sessions`] sums them, and
+//!    [`Engine::most_probable_sessions`] ranks sessions (optionally with the
 //!    upper-bound top-k optimization of Section 3.2).
 //!
 //! Evaluation runs on the [`engine::Engine`]: identical `(model, pattern
 //! union)` instances across sessions — and across queries — are deduplicated
 //! into content-addressed work units (Section 6.4), solved once across a
 //! worker pool, and cached, which is what makes evaluation over hundreds of
-//! thousands of sessions practical. The free functions construct a transient
-//! engine per call; services should hold an [`Engine`] to amortize its
-//! caches and prepared per-model state across queries.
+//! thousands of sessions practical. Hold one [`Engine`] to amortize its caches
+//! and prepared per-model state across queries.
 
-pub mod count;
 pub mod database;
 pub mod engine;
 pub mod eval;
@@ -49,16 +47,12 @@ pub mod topk;
 pub mod translate;
 pub mod value;
 
-pub use count::count_sessions;
 pub use database::{DatabaseBuilder, PpdDatabase, Update};
 pub use engine::{
     BatchAnswer, CacheCapacity, CacheStats, Engine, EngineObs, PoolCache, PreparedModel, UnitKey,
     WaveAnswer, WaveCostEstimate, WavePlan, WorkUnit,
 };
-pub use eval::{
-    evaluate_boolean, session_probabilities, session_probabilities_for_plan, ErrorBudget,
-    EvalConfig, SolverChoice,
-};
+pub use eval::{ErrorBudget, EvalConfig, SolverChoice};
 pub use query::{CompareOp, Comparison, ConjunctiveQuery, PreferenceAtom, RelationAtom, Term};
 pub use relation::Relation;
 pub use session::{PreferenceRelation, Session};
@@ -66,7 +60,7 @@ pub use session::{PreferenceRelation, Session};
 // crate's public surface (e.g. for constructing `Update`s); re-exported so
 // downstream crates need no direct `ppd_rim` dependency.
 pub use ppd_rim::{MallowsModel, Ranking};
-pub use topk::{most_probable_sessions, SessionScore, TopKStats, TopKStrategy};
+pub use topk::{SessionScore, TopKStats, TopKStrategy};
 pub use translate::{ground_query, GroundedSessionQuery, QueryShape, SessionQuery};
 pub use value::Value;
 
@@ -95,7 +89,7 @@ pub enum PpdError {
     /// (I/O failure, bad magic/version, or a malformed body).
     Persist(String),
     /// The caller cancelled the query before its answer was assembled (see
-    /// `Engine::evaluate_batch_streamed_cancellable`); any still-pending
+    /// `Engine::evaluate_batch_streamed`); any still-pending
     /// work the query depended on alone is skipped.
     Cancelled,
 }
@@ -173,7 +167,7 @@ pub(crate) mod testdb {
     use ppd_rim::{MallowsModel, Ranking};
 
     /// Items: 0 = Trump, 1 = Clinton, 2 = Sanders, 3 = Rubio.
-    pub fn polling_database() -> PpdDatabase {
+    pub(crate) fn polling_database() -> PpdDatabase {
         let candidates = Relation::new(
             "Candidates",
             vec!["candidate", "party", "sex", "age", "edu", "reg"],

@@ -55,17 +55,9 @@ impl Term {
     }
 
     /// The variable name, if this is a variable.
-    pub fn as_var(&self) -> Option<&str> {
+    pub(crate) fn as_var(&self) -> Option<&str> {
         match self {
             Term::Var(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The constant value, if this is a constant.
-    pub fn as_const(&self) -> Option<&Value> {
-        match self {
-            Term::Const(v) => Some(v),
             _ => None,
         }
     }
@@ -235,24 +227,8 @@ impl ConjunctiveQuery {
     }
 
     /// Comparisons constraining a particular variable.
-    pub fn comparisons_on(&self, var: &str) -> Vec<&Comparison> {
+    pub(crate) fn comparisons_on(&self, var: &str) -> Vec<&Comparison> {
         self.comparisons.iter().filter(|c| c.var == var).collect()
-    }
-
-    /// Names of the item variables (variables used as preferred or
-    /// less-preferred terms of preference atoms).
-    pub fn item_variables(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for atom in &self.preference_atoms {
-            for term in [&atom.left, &atom.right] {
-                if let Some(v) = term.as_var() {
-                    if !out.iter().any(|x| x == v) {
-                        out.push(v.to_string());
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -271,7 +247,6 @@ mod tests {
         assert_eq!(q.preference_atoms().len(), 2);
         assert_eq!(q.relation_atoms().len(), 1);
         assert_eq!(q.comparisons().len(), 1);
-        assert_eq!(q.item_variables(), vec!["x".to_string(), "y".to_string()]);
         assert_eq!(q.comparisons_on("a").len(), 1);
         assert_eq!(q.comparisons_on("b").len(), 0);
     }
@@ -279,9 +254,7 @@ mod tests {
     #[test]
     fn term_helpers() {
         assert_eq!(Term::var("x").as_var(), Some("x"));
-        assert_eq!(Term::val(3).as_const(), Some(&Value::Int(3)));
         assert_eq!(Term::any().as_var(), None);
-        assert_eq!(Term::any().as_const(), None);
     }
 
     #[test]

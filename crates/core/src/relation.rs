@@ -74,7 +74,7 @@ impl Relation {
     }
 
     /// Index of a column by name.
-    pub fn column_index(&self, column: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, column: &str) -> Option<usize> {
         self.columns.iter().position(|c| c == column)
     }
 
@@ -111,7 +111,7 @@ impl Relation {
     }
 
     /// The tuples whose value in `column_index` semantically equals `value`.
-    pub fn select_eq(&self, column_index: usize, value: &Value) -> Vec<&Vec<Value>> {
+    pub(crate) fn select_eq(&self, column_index: usize, value: &Value) -> Vec<&Vec<Value>> {
         self.tuples
             .iter()
             .filter(|t| t[column_index].semantically_equals(value))

@@ -132,11 +132,6 @@ impl PreferenceRelation {
         &self.session_columns
     }
 
-    /// Index of a session column by name.
-    pub fn session_column_index(&self, column: &str) -> Option<usize> {
-        self.session_columns.iter().position(|c| c == column)
-    }
-
     /// The sessions.
     pub fn sessions(&self) -> &[Session] {
         &self.sessions
@@ -217,8 +212,6 @@ mod tests {
                 model(0.5)
             ))
             .is_err());
-        assert_eq!(p.session_column_index("voter"), Some(0));
-        assert_eq!(p.session_column_index("date"), None);
     }
 
     #[test]

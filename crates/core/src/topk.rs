@@ -9,17 +9,14 @@
 //! repeated top-k queries — or a top-k after a Boolean query — reuse
 //! earlier work.
 
-use crate::database::PpdDatabase;
-use crate::engine::{Engine, UnitRequest, WaveAnswer, WavePlan};
-use crate::eval::EvalConfig;
-use crate::query::ConjunctiveQuery;
+use crate::engine::UnitRequest;
 use crate::session::PreferenceRelation;
 use crate::translate::SessionQuery;
 use crate::Result;
 use ppd_patterns::{relaxed_upper_bound_union, Labeling, PatternUnion};
 use ppd_rim::Item;
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Evaluation strategy for `top(Q, k)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +48,10 @@ pub struct SessionScore {
 ///
 /// Both counters tally the sessions each strategy *requested* an answer for
 /// — the quantity the paper's strategy comparison is about. Since evaluation
-/// runs on the [`Engine`], a request may be served from the engine's
-/// marginal cache (e.g. on a warm engine, or when sessions share a work
-/// unit) without invoking a solver; use [`Engine::cache_stats`] to see how
+/// runs on the [`Engine`](crate::engine::Engine), a request may be served
+/// from the engine's marginal cache (e.g. on a warm engine, or when sessions
+/// share a work unit) without invoking a solver; use
+/// [`Engine::cache_stats`](crate::engine::Engine::cache_stats) to see how
 /// much inference actually ran.
 #[derive(Debug, Clone, Default)]
 pub struct TopKStats {
@@ -62,44 +60,6 @@ pub struct TopKStats {
     pub exact_evaluations: usize,
     /// Number of sessions whose upper bound was requested.
     pub upper_bounds_computed: usize,
-}
-
-/// Evaluates `top(Q, k)`: the `k` sessions with the highest probability of
-/// satisfying `Q`, together with evaluation statistics.
-///
-/// Constructs a transient [`Engine`] per call; hold an [`Engine`] and use
-/// [`Engine::most_probable_sessions`] to reuse caches across queries.
-pub fn most_probable_sessions(
-    db: &PpdDatabase,
-    query: &ConjunctiveQuery,
-    k: usize,
-    strategy: TopKStrategy,
-    config: &EvalConfig,
-) -> Result<(Vec<SessionScore>, TopKStats)> {
-    Engine::new(config.clone()).most_probable_sessions(db, query, k, strategy)
-}
-
-/// The engine-backed top-k evaluation both [`most_probable_sessions`] and
-/// [`Engine::most_probable_sessions`] delegate to: a wave of one.
-pub(crate) fn most_probable_with_engine(
-    engine: &Engine,
-    db: &PpdDatabase,
-    query: &ConjunctiveQuery,
-    k: usize,
-    strategy: TopKStrategy,
-) -> Result<(Vec<SessionScore>, TopKStats)> {
-    let answer = Mutex::new(None);
-    let deliver = |_, delivered: Result<WaveAnswer>| {
-        *answer.lock().expect("top-k answer slot poisoned") = Some(delivered);
-    };
-    let mut wave = WavePlan::default();
-    engine.plan_topk_into(&mut wave, db, query, k, strategy, 0, &|_| false, &deliver);
-    engine.execute_wave(wave, |_| false, deliver);
-    let answer = answer.into_inner().expect("top-k answer slot poisoned");
-    match answer.expect("a wave delivers every planned query exactly once")? {
-        WaveAnswer::TopK(scores, stats) => Ok((scores, stats)),
-        WaveAnswer::Batch(_) => unreachable!("a planned top-k is answered as one"),
-    }
 }
 
 /// What a planned `top(Q, k)` carries from its first stage (every session's
@@ -294,7 +254,9 @@ fn evaluate_in_bound_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Term as T;
+    use crate::engine::Engine;
+    use crate::eval::EvalConfig;
+    use crate::query::{ConjunctiveQuery, Term as T};
     use crate::testdb::polling_database;
 
     fn query_f_over_m() -> ConjunctiveQuery {
@@ -334,20 +296,20 @@ mod tests {
         let db = polling_database();
         let q = query_f_over_m();
         for k in 1..=3 {
-            let (naive, _) =
-                most_probable_sessions(&db, &q, k, TopKStrategy::Naive, &EvalConfig::exact())
-                    .unwrap();
-            for edges in 1..=2 {
-                let (optimized, stats) = most_probable_sessions(
-                    &db,
-                    &q,
-                    k,
-                    TopKStrategy::UpperBound {
-                        edges_per_pattern: edges,
-                    },
-                    &EvalConfig::exact(),
-                )
+            let (naive, _) = Engine::new(EvalConfig::exact())
+                .most_probable_sessions(&db, &q, k, TopKStrategy::Naive)
                 .unwrap();
+            for edges in 1..=2 {
+                let (optimized, stats) = Engine::new(EvalConfig::exact())
+                    .most_probable_sessions(
+                        &db,
+                        &q,
+                        k,
+                        TopKStrategy::UpperBound {
+                            edges_per_pattern: edges,
+                        },
+                    )
+                    .unwrap();
                 assert_eq!(naive.len(), optimized.len());
                 for (a, b) in naive.iter().zip(&optimized) {
                     assert_eq!(a.session_index, b.session_index);
@@ -377,21 +339,22 @@ mod tests {
                 T::val("Clinton"),
                 T::val("Rubio"),
             );
-        let (top, stats) = most_probable_sessions(
-            &db,
-            &q,
-            1,
-            TopKStrategy::UpperBound {
-                edges_per_pattern: 2,
-            },
-            &EvalConfig::exact(),
-        )
-        .unwrap();
+        let (top, stats) = Engine::new(EvalConfig::exact())
+            .most_probable_sessions(
+                &db,
+                &q,
+                1,
+                TopKStrategy::UpperBound {
+                    edges_per_pattern: 2,
+                },
+            )
+            .unwrap();
         assert_eq!(top.len(), 1);
         assert!(top[0].session_index == 0 || top[0].session_index == 2);
         assert!(stats.exact_evaluations <= 3);
-        let (naive, naive_stats) =
-            most_probable_sessions(&db, &q, 1, TopKStrategy::Naive, &EvalConfig::exact()).unwrap();
+        let (naive, naive_stats) = Engine::new(EvalConfig::exact())
+            .most_probable_sessions(&db, &q, 1, TopKStrategy::Naive)
+            .unwrap();
         assert_eq!(naive_stats.exact_evaluations, 3);
         assert!((naive[0].probability - top[0].probability).abs() < 1e-9);
     }
@@ -484,20 +447,20 @@ mod tests {
             T::val("Trump"),
         );
         for k in 1..=3 {
-            let (naive, _) =
-                most_probable_sessions(&db, &q, k, TopKStrategy::Naive, &EvalConfig::exact())
-                    .unwrap();
-            for edges in 1..=2 {
-                let (optimized, _) = most_probable_sessions(
-                    &db,
-                    &q,
-                    k,
-                    TopKStrategy::UpperBound {
-                        edges_per_pattern: edges,
-                    },
-                    &EvalConfig::exact(),
-                )
+            let (naive, _) = Engine::new(EvalConfig::exact())
+                .most_probable_sessions(&db, &q, k, TopKStrategy::Naive)
                 .unwrap();
+            for edges in 1..=2 {
+                let (optimized, _) = Engine::new(EvalConfig::exact())
+                    .most_probable_sessions(
+                        &db,
+                        &q,
+                        k,
+                        TopKStrategy::UpperBound {
+                            edges_per_pattern: edges,
+                        },
+                    )
+                    .unwrap();
                 let naive_set: Vec<usize> = naive.iter().map(|s| s.session_index).collect();
                 let optimized_set: Vec<usize> = optimized.iter().map(|s| s.session_index).collect();
                 assert_eq!(naive_set, optimized_set, "k={k} edges={edges}");
@@ -509,19 +472,20 @@ mod tests {
     fn k_of_zero_is_empty_for_both_strategies() {
         let db = polling_database();
         let q = query_f_over_m();
-        let (naive, _) =
-            most_probable_sessions(&db, &q, 0, TopKStrategy::Naive, &EvalConfig::exact()).unwrap();
+        let (naive, _) = Engine::new(EvalConfig::exact())
+            .most_probable_sessions(&db, &q, 0, TopKStrategy::Naive)
+            .unwrap();
         assert!(naive.is_empty());
-        let (bounded, _) = most_probable_sessions(
-            &db,
-            &q,
-            0,
-            TopKStrategy::UpperBound {
-                edges_per_pattern: 1,
-            },
-            &EvalConfig::exact(),
-        )
-        .unwrap();
+        let (bounded, _) = Engine::new(EvalConfig::exact())
+            .most_probable_sessions(
+                &db,
+                &q,
+                0,
+                TopKStrategy::UpperBound {
+                    edges_per_pattern: 1,
+                },
+            )
+            .unwrap();
         assert!(bounded.is_empty());
     }
 
@@ -529,8 +493,9 @@ mod tests {
     fn k_larger_than_session_count_returns_everything() {
         let db = polling_database();
         let q = query_f_over_m();
-        let (top, _) =
-            most_probable_sessions(&db, &q, 10, TopKStrategy::Naive, &EvalConfig::exact()).unwrap();
+        let (top, _) = Engine::new(EvalConfig::exact())
+            .most_probable_sessions(&db, &q, 10, TopKStrategy::Naive)
+            .unwrap();
         assert_eq!(top.len(), 3);
         // Scores are sorted in decreasing order.
         for w in top.windows(2) {

@@ -85,7 +85,7 @@ impl Value {
 
     /// Semantic equality: integers and numeric strings representing the same
     /// number are equal, otherwise the rendered strings are compared.
-    pub fn semantically_equals(&self, other: &Value) -> bool {
+    pub(crate) fn semantically_equals(&self, other: &Value) -> bool {
         if self.is_null() || other.is_null() {
             return false;
         }

@@ -16,8 +16,7 @@
 //!
 //! The real MovieLens ratings and CrowdRank HITs are not redistributable
 //! inputs, so the generators reproduce their *statistical shape* (catalogue
-//! sizes, number of mixture components, attribute distributions); see
-//! DESIGN.md's substitution table.
+//! sizes, number of mixture components, attribute distributions).
 
 pub mod benchmarks;
 pub mod crowdrank;

@@ -163,7 +163,7 @@ pub fn polls_database(config: &PollsConfig) -> PpdDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppd_core::{evaluate_boolean, ConjunctiveQuery, EvalConfig, Term as T};
+    use ppd_core::{ConjunctiveQuery, Engine, EvalConfig, Term as T};
 
     #[test]
     fn generates_requested_sizes() {
@@ -234,7 +234,9 @@ mod tests {
                     T::any(),
                 ],
             );
-        let p = evaluate_boolean(&db, &q, &EvalConfig::exact()).unwrap();
+        let p = Engine::new(EvalConfig::exact())
+            .evaluate_boolean(&db, &q)
+            .unwrap();
         assert!((0.0..=1.0).contains(&p));
     }
 }

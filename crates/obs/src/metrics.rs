@@ -457,7 +457,7 @@ impl ExpositionBuilder {
     }
 
     /// Emits the `# HELP` / `# TYPE` preamble for a family.
-    pub fn type_line(&mut self, name: &str, help: &str, kind: &str) {
+    fn type_line(&mut self, name: &str, help: &str, kind: &str) {
         if !help.is_empty() {
             self.out.push_str(&format!("# HELP {name} {help}\n"));
         }
@@ -487,7 +487,7 @@ impl ExpositionBuilder {
 
     /// Emits a histogram's cumulative `_bucket` series (non-empty buckets
     /// plus `+Inf`), `_sum`, and `_count`.
-    pub fn histogram_samples(
+    fn histogram_samples(
         &mut self,
         name: &str,
         labels: &[(&str, &str)],

@@ -154,7 +154,7 @@ impl TraceLog {
     }
 
     /// Microseconds since the log was created (the timeline's time base).
-    pub fn now_micros(&self) -> u64 {
+    fn now_micros(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
@@ -187,12 +187,6 @@ impl TraceLog {
             .filter(|r| r.trace == trace)
             .cloned()
             .collect()
-    }
-
-    /// Every buffered event, in recording order (for stats dumps).
-    pub fn all_events(&self) -> Vec<SpanRecord> {
-        let ring = self.ring.lock().expect("trace ring poisoned");
-        ring.events.iter().cloned().collect()
     }
 
     /// Total events recorded since creation (monotone; not bounded by

@@ -50,7 +50,7 @@ pub struct UnionDecomposition {
 /// Decomposes a single pattern into its item-level partial orders under the
 /// given labeling: one partial order per assignment of candidate items to
 /// pattern nodes that does not contradict itself.
-pub fn decompose_pattern(
+fn decompose_pattern(
     pattern: &Pattern,
     universe: &[Item],
     labeling: &Labeling,
@@ -248,8 +248,8 @@ mod tests {
 
     #[test]
     fn union_decomposition_equivalence() {
-        // Invariant from DESIGN.md: a ranking satisfies the union iff it is
-        // consistent with at least one decomposed sub-ranking.
+        // Invariant: a ranking satisfies the union iff it is consistent with
+        // at least one decomposed sub-ranking.
         let lab = labeling();
         let universe = [0u32, 1, 2, 3, 4];
         let g1 = Pattern::new(vec![sel(0), sel(1), sel(2)], vec![(0, 1), (1, 2)]).unwrap();

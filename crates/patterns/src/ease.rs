@@ -21,7 +21,7 @@ use ppd_rim::Ranking;
 /// matching the left selector, measured in the centre ranking `σ`. Larger
 /// values mean the preference `l ≻ l'` is easier for a random permutation to
 /// satisfy. Returns `None` when either selector matches no item of `σ`.
-pub fn edge_ease(
+fn edge_ease(
     left: &NodeSelector,
     right: &NodeSelector,
     sigma: &Ranking,
@@ -48,7 +48,7 @@ pub fn edge_ease(
 /// hardest constraints), which give the tightest cheap upper bound. Edges
 /// whose ease is undefined (selector matches nothing in `σ`) are treated as
 /// hardest of all.
-pub fn select_hardest_edges(
+fn select_hardest_edges(
     pattern: &Pattern,
     sigma: &Ranking,
     labeling: &Labeling,

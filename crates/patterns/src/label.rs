@@ -55,11 +55,6 @@ impl LabelInterner {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
-
-    /// Convenience: interns an `attribute=value` pair.
-    pub fn intern_attr(&mut self, attribute: &str, value: &str) -> LabelId {
-        self.intern(&format!("{attribute}={value}"))
-    }
 }
 
 /// The labeling function `λ`: maps each item to the set of labels it carries.
@@ -90,11 +85,6 @@ impl Labeling {
         self.labels_of.entry(item).or_default();
     }
 
-    /// The labels of an item (`λ(item)`), empty if unknown.
-    pub fn labels_of(&self, item: Item) -> BTreeSet<LabelId> {
-        self.labels_of.get(&item).cloned().unwrap_or_default()
-    }
-
     /// `true` when `item` carries `label`.
     pub fn has_label(&self, item: Item, label: LabelId) -> bool {
         self.labels_of
@@ -104,7 +94,7 @@ impl Labeling {
     }
 
     /// `true` when `item` carries every label in `labels`.
-    pub fn has_all_labels(&self, item: Item, labels: &BTreeSet<LabelId>) -> bool {
+    pub(crate) fn has_all_labels(&self, item: Item, labels: &BTreeSet<LabelId>) -> bool {
         match self.labels_of.get(&item) {
             Some(set) => labels.iter().all(|l| set.contains(l)),
             None => labels.is_empty(),
@@ -117,7 +107,11 @@ impl Labeling {
     }
 
     /// Items carrying every label in `labels`, restricted to `universe`.
-    pub fn matching_items(&self, universe: &[Item], labels: &BTreeSet<LabelId>) -> Vec<Item> {
+    pub(crate) fn matching_items(
+        &self,
+        universe: &[Item],
+        labels: &BTreeSet<LabelId>,
+    ) -> Vec<Item> {
         universe
             .iter()
             .copied()
@@ -152,7 +146,6 @@ mod tests {
         assert_eq!(interner.name(f), Some("sex=F"));
         assert_eq!(interner.name(99), None);
         assert_eq!(interner.len(), 2);
-        assert_eq!(interner.intern_attr("party", "D"), 2);
     }
 
     #[test]

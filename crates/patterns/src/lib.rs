@@ -32,8 +32,8 @@ pub mod pattern;
 pub mod satisfy;
 pub mod union;
 
-pub use decompose::{decompose_pattern, decompose_union, DecompositionLimits, UnionDecomposition};
-pub use ease::{edge_ease, relaxed_upper_bound_union, select_hardest_edges};
+pub use decompose::{decompose_union, DecompositionLimits, UnionDecomposition};
+pub use ease::relaxed_upper_bound_union;
 pub use label::{LabelId, LabelInterner, Labeling};
 pub use node::NodeSelector;
 pub use pattern::{Pattern, PatternEdge};

@@ -36,9 +36,9 @@ impl Pattern {
         }
     }
 
-    /// Starts an empty pattern to be grown with [`Pattern::push_node`] and
-    /// [`Pattern::push_edge`].
-    pub fn builder() -> Pattern {
+    /// Starts an empty pattern to be grown with `Pattern::push_node` and
+    /// `Pattern::push_edge`.
+    pub(crate) fn builder() -> Pattern {
         Pattern {
             nodes: Vec::new(),
             edges: Vec::new(),
@@ -46,14 +46,14 @@ impl Pattern {
     }
 
     /// Adds a node and returns its index.
-    pub fn push_node(&mut self, node: NodeSelector) -> usize {
+    pub(crate) fn push_node(&mut self, node: NodeSelector) -> usize {
         self.nodes.push(node);
         self.nodes.len() - 1
     }
 
     /// Adds the edge `from ≻ to`. Indices are validated by
     /// [`Pattern::validate`] / [`Pattern::new`].
-    pub fn push_edge(&mut self, from: usize, to: usize) {
+    pub(crate) fn push_edge(&mut self, from: usize, to: usize) {
         self.edges.push((from, to));
     }
 
@@ -171,7 +171,7 @@ impl Pattern {
 
     /// `true` when this is a *two-label pattern*: a single preference edge
     /// between two selectors (Section 4.2).
-    pub fn is_two_label(&self) -> bool {
+    pub(crate) fn is_two_label(&self) -> bool {
         self.nodes.len() == 2 && self.edges.len() == 1
     }
 
@@ -192,20 +192,6 @@ impl Pattern {
             let (s, t) = (is_source[i], is_target[i]);
             (s || t) && !(s && t)
         })
-    }
-
-    /// L-type node indices (only meaningful for bipartite patterns): nodes
-    /// used as the preferred side of at least one edge.
-    pub fn l_nodes(&self) -> Vec<usize> {
-        let set: BTreeSet<usize> = self.edges.iter().map(|&(a, _)| a).collect();
-        set.into_iter().collect()
-    }
-
-    /// R-type node indices: nodes used as the less-preferred side of at least
-    /// one edge.
-    pub fn r_nodes(&self) -> Vec<usize> {
-        let set: BTreeSet<usize> = self.edges.iter().map(|&(_, b)| b).collect();
-        set.into_iter().collect()
     }
 
     /// The conjunction `g ∧ g'` used by the inclusion–exclusion general
@@ -281,8 +267,6 @@ mod tests {
         .unwrap();
         assert!(!bip.is_two_label());
         assert!(bip.is_bipartite());
-        assert_eq!(bip.l_nodes(), vec![0, 1]);
-        assert_eq!(bip.r_nodes(), vec![2, 3]);
 
         // Chain l0 ≻ l1 ≻ l2 : not bipartite (node 1 is both source and target).
         let chain = Pattern::new(vec![sel(0), sel(1), sel(2)], vec![(0, 1), (1, 2)]).unwrap();

@@ -77,7 +77,7 @@ impl CompiledPattern {
     /// Compiles `pattern` for rankings over (subsets of) `universe`: the
     /// candidates are the items of `universe` each selector matches under
     /// `labeling`, keyed by item id.
-    pub fn for_items(pattern: &Pattern, universe: &[Item], labeling: &Labeling) -> Result<Self> {
+    fn for_items(pattern: &Pattern, universe: &[Item], labeling: &Labeling) -> Result<Self> {
         let candidates: Vec<Vec<Item>> = pattern
             .nodes()
             .iter()
@@ -160,7 +160,7 @@ pub struct CompiledUnion {
 }
 
 impl CompiledUnion {
-    /// Compiles every member with [`CompiledPattern::for_items`]. A cyclic
+    /// Compiles every member with `CompiledPattern::for_items`. A cyclic
     /// member can never be embedded and is dropped.
     pub fn new(union: &PatternUnion, universe: &[Item], labeling: &Labeling) -> Self {
         CompiledUnion {

@@ -1,9 +1,7 @@
 //! Pattern unions `G = g₁ ∪ … ∪ g_z` and their classification.
 
-use crate::label::Labeling;
 use crate::pattern::Pattern;
 use crate::{PatternError, Result};
-use ppd_rim::Item;
 
 /// Classification of a pattern union, determining which specialized exact
 /// solver applies (Section 4 of the paper).
@@ -91,29 +89,6 @@ impl PatternUnion {
         }
         Ok(acc)
     }
-
-    /// Drops member patterns that cannot be satisfied because some selector
-    /// has no candidate item in the universe. Returns `None` when no member
-    /// survives (the union has probability 0).
-    pub fn prune_unsatisfiable(
-        &self,
-        universe: &[Item],
-        labeling: &Labeling,
-    ) -> Option<PatternUnion> {
-        let surviving: Vec<Pattern> = self
-            .patterns
-            .iter()
-            .filter(|p| p.is_satisfiable_universe(universe, labeling))
-            .cloned()
-            .collect();
-        if surviving.is_empty() {
-            None
-        } else {
-            Some(PatternUnion {
-                patterns: surviving,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,20 +143,6 @@ mod tests {
         assert_eq!(c.num_edges(), 2);
         assert!(union.conjunction_of(&[]).is_err());
         assert!(union.conjunction_of(&[5]).is_err());
-    }
-
-    #[test]
-    fn prune_unsatisfiable_members() {
-        let mut lab = Labeling::new();
-        lab.add(0, 0);
-        lab.add(1, 1);
-        let good = Pattern::two_label(sel(0), sel(1));
-        let bad = Pattern::two_label(sel(0), sel(9));
-        let union = PatternUnion::new(vec![good.clone(), bad.clone()]).unwrap();
-        let pruned = union.prune_unsatisfiable(&[0, 1], &lab).unwrap();
-        assert_eq!(pruned.num_patterns(), 1);
-        let all_bad = PatternUnion::new(vec![bad]).unwrap();
-        assert!(all_bad.prune_unsatisfiable(&[0, 1], &lab).is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! `PartialOrder` is touched per draw. The public methods taking or
 //! returning a [`Ranking`] translate at the edge and run the same two walks
 //! ([`AmpSampler::sample_with_prob_into`] and
-//! [`AmpSampler::prob_of_with_scratch`] are thin adapters), and
+//! `AmpSampler::prob_of_with_scratch` are thin adapters), and
 //! [`AmpMixture`] runs a whole balance-heuristic pass over a pool of
 //! samplers without leaving integer arrays.
 //!
@@ -201,7 +201,7 @@ impl AmpSampler {
     }
 
     /// [`AmpSampler::prob_of`] with reused buffers; bit-identical results.
-    pub fn prob_of_with_scratch(&self, tau: &Ranking, scratch: &mut AmpScratch) -> f64 {
+    pub(crate) fn prob_of_with_scratch(&self, tau: &Ranking, scratch: &mut AmpScratch) -> f64 {
         if tau.len() != self.center.len() {
             return 0.0;
         }
@@ -225,7 +225,7 @@ impl AmpSampler {
     /// drawn from it. Components with a zero coefficient contribute no
     /// density and are skipped without evaluating their `O(m²)` insertion
     /// walk. Each evaluated component performs bit-for-bit the arithmetic of
-    /// [`AmpSampler::prob_of_with_scratch`]; the combination order is the
+    /// `AmpSampler::prob_of_with_scratch`; the combination order is the
     /// fixed slice order, so the result is deterministic for a fixed pool.
     /// A sampling loop that evaluates this once per draw should run on
     /// [`AmpMixture`] instead, which never materialises `tau`.

@@ -123,7 +123,7 @@ pub fn mix_prob_of(proposals: &[AmpReference], coefficients: &[f64], tau: &Ranki
 
 /// `φ^{dist(σ, τ)} / Z` for `τ` over `σ`'s items, with the distance counted
 /// pair by pair and `Z` multiplied up from `m` separately summed factors.
-pub fn mallows_prob_of(sigma: &Ranking, phi: f64, tau: &Ranking) -> f64 {
+fn mallows_prob_of(sigma: &Ranking, phi: f64, tau: &Ranking) -> f64 {
     let items = sigma.items();
     let mut distance = 0;
     for (i, &x) in items.iter().enumerate() {

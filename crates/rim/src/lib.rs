@@ -42,10 +42,10 @@ pub mod rim;
 pub mod subranking;
 
 pub use amp::{AmpMixture, AmpSampler, AmpScratch};
-pub use kendall::{kendall_tau, kendall_tau_between_sets, normalized_kendall_tau};
+pub use kendall::{kendall_tau, normalized_kendall_tau};
 pub use mallows::MallowsModel;
 pub use mixture::{MallowsMixture, MixtureComponent};
-pub use modal::{approximate_distance, greedy_modals, subranking_distance_to_center};
+pub use modal::{approximate_distance, greedy_modals};
 pub use partial_order::PartialOrder;
 pub use ranking::Ranking;
 pub use rim::RimModel;

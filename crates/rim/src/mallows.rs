@@ -71,7 +71,7 @@ impl MallowsModel {
     /// A loop over many rankings of one model should still call this once
     /// (as [`crate::AmpMixture`] does) rather than through
     /// [`MallowsModel::prob_of`].
-    pub fn partition_function(&self) -> f64 {
+    pub(crate) fn partition_function(&self) -> f64 {
         let mut z = 1.0;
         let mut geometric_sum = 0.0;
         for k in 0..self.num_items() {
@@ -91,42 +91,9 @@ impl MallowsModel {
         pow_phi(self.phi, d) / self.partition_function()
     }
 
-    /// Natural log of [`MallowsModel::prob_of`]; `None` when the probability
-    /// is zero.
-    pub fn log_prob_of(&self, tau: &Ranking) -> Option<f64> {
-        let p = self.prob_of(tau);
-        if p > 0.0 {
-            Some(p.ln())
-        } else {
-            None
-        }
-    }
-
-    /// Kendall-tau distance of a ranking from the centre.
-    pub fn distance_from_center(&self, tau: &Ranking) -> usize {
-        kendall_tau(&self.sigma, tau)
-    }
-
     /// Draws a random ranking via the repeated insertion procedure.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Ranking {
         self.to_rim().sample(rng)
-    }
-
-    /// Draws `n` random rankings (convenience wrapper around
-    /// [`MallowsModel::sample`] that converts the model to RIM form once).
-    pub fn sample_many<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Ranking> {
-        let rim = self.to_rim();
-        (0..n).map(|_| rim.sample(rng)).collect()
-    }
-
-    /// Re-centres the model on a different ranking, keeping `φ`. Used by the
-    /// multiple-importance-sampling solvers, which build Mallows models
-    /// centred at posterior modes.
-    pub fn with_center(&self, sigma: Ranking) -> MallowsModel {
-        MallowsModel {
-            sigma,
-            phi: self.phi,
-        }
     }
 }
 
@@ -223,7 +190,7 @@ mod tests {
         assert!(mal.prob_of(&near) > mal.prob_of(&far));
         // Ratio equals φ^{Δdist}.
         let ratio = mal.prob_of(&far) / mal.prob_of(&near);
-        let delta = mal.distance_from_center(&far) - mal.distance_from_center(&near);
+        let delta = kendall_tau(mal.sigma(), &far) - kendall_tau(mal.sigma(), &near);
         assert!((ratio - 0.4f64.powi(delta as i32)).abs() < 1e-12);
     }
 
@@ -234,22 +201,13 @@ mod tests {
         let mean_dist = |phi: f64, rng: &mut StdRng| {
             let mal = MallowsModel::new(sigma.clone(), phi).unwrap();
             let n = 2000;
-            mal.sample_many(n, rng)
-                .iter()
-                .map(|t| mal.distance_from_center(t) as f64)
+            (0..n)
+                .map(|_| kendall_tau(mal.sigma(), &mal.sample(rng)) as f64)
                 .sum::<f64>()
                 / n as f64
         };
         let d_small = mean_dist(0.1, &mut rng);
         let d_large = mean_dist(0.9, &mut rng);
         assert!(d_small < d_large);
-    }
-
-    #[test]
-    fn with_center_keeps_phi() {
-        let mal = MallowsModel::new(Ranking::identity(3), 0.25).unwrap();
-        let re = mal.with_center(Ranking::new(vec![2, 1, 0]).unwrap());
-        assert_eq!(re.phi(), 0.25);
-        assert_eq!(re.sigma().items(), &[2, 1, 0]);
     }
 }

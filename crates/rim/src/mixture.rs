@@ -89,7 +89,7 @@ impl MallowsMixture {
     }
 
     /// Draws a component index according to the mixing weights.
-    pub fn sample_component<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    fn sample_component<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let weights: Vec<f64> = self.components.iter().map(|c| c.weight).collect();
         crate::rim::sample_index(&weights, rng)
     }
@@ -224,7 +224,7 @@ fn borda_center(cluster: &[&Ranking]) -> Ranking {
 /// Expected Kendall-tau distance from the centre under `MAL(·, φ)` with `m`
 /// items, derived from the insertion view: step `i` contributes the mean of
 /// `0..i` weighted by `φ^k`.
-pub fn expected_kendall_distance(m: usize, phi: f64) -> f64 {
+fn expected_kendall_distance(m: usize, phi: f64) -> f64 {
     let mut total = 0.0;
     for i in 1..m {
         // Inserting the (i+1)-th item creates j displacements with weight φ^j.
@@ -335,8 +335,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let c1 = MallowsModel::new(Ranking::identity(6), 0.2).unwrap();
         let c2 = MallowsModel::new(Ranking::new(vec![5, 4, 3, 2, 1, 0]).unwrap(), 0.2).unwrap();
-        let mut data = c1.sample_many(150, &mut rng);
-        data.extend(c2.sample_many(150, &mut rng));
+        let mut data: Vec<Ranking> = (0..150).map(|_| c1.sample(&mut rng)).collect();
+        data.extend((0..150).map(|_| c2.sample(&mut rng)));
         let mix = MallowsMixture::fit(&data, 2, 5, &mut rng).unwrap();
         assert_eq!(mix.num_components(), 2);
         // Each fitted centre should be close to one of the true centres.

@@ -6,7 +6,7 @@ use crate::{Ranking, SubRanking};
 /// Distance `dist(ψ, σ)` between a sub-ranking and a reference ranking, used
 /// while greedily growing sub-rankings in Algorithms 5 and 6: the number of
 /// item pairs within `ψ` whose order disagrees with `σ`.
-pub fn subranking_distance_to_center(psi: &SubRanking, sigma: &Ranking) -> usize {
+fn subranking_distance_to_center(psi: &SubRanking, sigma: &Ranking) -> usize {
     psi.discordant_pairs_with(sigma)
 }
 
@@ -239,13 +239,13 @@ mod tests {
         let est = approximate_distance(&psi, &sigma);
         let mal = MallowsModel::new(sigma.clone(), 0.5).unwrap();
         for modal in &modals {
-            assert_eq!(mal.distance_from_center(modal), est);
+            assert_eq!(crate::kendall_tau(mal.sigma(), modal), est);
         }
         // Exhaustively verify no consistent completion is strictly closer.
         let best_exhaustive = Ranking::enumerate_all(sigma.items())
             .into_iter()
             .filter(|t| psi.is_consistent(t))
-            .map(|t| mal.distance_from_center(&t))
+            .map(|t| crate::kendall_tau(mal.sigma(), &t))
             .min()
             .unwrap();
         assert!(est >= best_exhaustive);

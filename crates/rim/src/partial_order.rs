@@ -56,7 +56,7 @@ impl PartialOrder {
     }
 
     /// Adds the constraint `a ≻ b`. Self-loops are rejected.
-    pub fn add_edge(&mut self, a: Item, b: Item) -> Result<()> {
+    pub(crate) fn add_edge(&mut self, a: Item, b: Item) -> Result<()> {
         if a == b {
             return Err(RimError::CyclicPartialOrder);
         }

@@ -104,7 +104,7 @@ impl RimModel {
 
     /// Natural logarithm of [`RimModel::prob_of`], or `None` when the ranking
     /// is not over the model's item set or has probability zero.
-    pub fn log_prob_of(&self, tau: &Ranking) -> Option<f64> {
+    fn log_prob_of(&self, tau: &Ranking) -> Option<f64> {
         let m = self.num_items();
         if tau.len() != m {
             return None;
@@ -119,25 +119,6 @@ impl RimModel {
             logp += p.ln();
         }
         Some(logp)
-    }
-
-    /// The sequence of insertion positions that the RIM process must take to
-    /// produce `τ` (0-based positions), or `None` if `τ` does not contain all
-    /// reference items.
-    pub fn insertion_positions_of(&self, tau: &Ranking) -> Option<Vec<usize>> {
-        (0..self.num_items())
-            .map(|i| insertion_position(&self.sigma, tau, i))
-            .collect()
-    }
-
-    /// The total-variation-free sanity check used in tests: the probabilities
-    /// of all `m!` rankings sum to 1. Only available for small `m`.
-    #[doc(hidden)]
-    pub fn total_probability_mass(&self) -> f64 {
-        Ranking::enumerate_all(self.sigma.items())
-            .iter()
-            .map(|tau| self.prob_of(tau))
-            .sum()
     }
 }
 
@@ -198,7 +179,11 @@ mod tests {
     #[test]
     fn probabilities_sum_to_one() {
         let rim = simple_rim();
-        assert!((rim.total_probability_mass() - 1.0).abs() < 1e-9);
+        let mass: f64 = Ranking::enumerate_all(rim.sigma().items())
+            .iter()
+            .map(|tau| rim.prob_of(tau))
+            .sum();
+        assert!((mass - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -255,10 +240,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..50 {
             let tau = rim.sample(&mut rng);
-            let positions = rim.insertion_positions_of(&tau).unwrap();
             // Rebuild the ranking from the positions and compare.
             let mut items: Vec<Item> = Vec::new();
-            for (i, &j) in positions.iter().enumerate() {
+            for i in 0..rim.num_items() {
+                let j = insertion_position(rim.sigma(), &tau, i).unwrap();
                 items.insert(j, rim.sigma().item_at(i));
             }
             assert_eq!(items, tau.items());

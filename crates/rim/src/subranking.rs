@@ -100,7 +100,7 @@ impl SubRanking {
 
     /// Converts the sub-ranking into a full [`Ranking`] (only meaningful when
     /// it actually covers all items the caller cares about).
-    pub fn to_ranking(&self) -> Ranking {
+    pub(crate) fn to_ranking(&self) -> Ranking {
         Ranking::new(self.items.clone()).expect("sub-ranking items are distinct")
     }
 
@@ -108,7 +108,7 @@ impl SubRanking {
     /// ranking `σ`, counted over the items present in the sub-ranking
     /// (pairs ordered one way here and the other way in `σ`). This is the
     /// notion of `dist(ψ, σ)` used by Algorithms 5 and 6 of the paper.
-    pub fn discordant_pairs_with(&self, sigma: &Ranking) -> usize {
+    pub(crate) fn discordant_pairs_with(&self, sigma: &Ranking) -> usize {
         let ranks: Vec<usize> = self
             .items
             .iter()

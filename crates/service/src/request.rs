@@ -308,7 +308,8 @@ impl Ticket {
 
     /// The routed database's version id current when this request was
     /// admitted. Updates queued ahead of the request may still apply before
-    /// it runs — compare with [`Ticket::computed_version`] to tell.
+    /// it runs — compare with the version [`Ticket::wait_versioned`] returns to
+    /// tell.
     pub fn read_version(&self) -> u64 {
         self.read_version
     }
@@ -317,7 +318,7 @@ impl Ticket {
     /// `None` until an answer (or versioned error) has been received
     /// through [`Ticket::try_wait`] / [`Ticket::wait_timeout`], or when the
     /// request failed before reaching a versioned snapshot.
-    pub fn computed_version(&self) -> Option<u64> {
+    pub(crate) fn computed_version(&self) -> Option<u64> {
         match self.computed_version.get() {
             0 => None,
             version => Some(version),

@@ -100,7 +100,7 @@ struct Inner {
 /// carries the version current at admission
 /// ([`read_version`](Ticket::read_version)) and reports the version its
 /// answer was computed against
-/// ([`computed_version`](Ticket::computed_version)).
+/// ([`wait_versioned`](Ticket::wait_versioned)).
 ///
 /// The service is `Sync`: share it by reference (e.g. across scoped
 /// threads) or behind an `Arc`. Dropping it shuts it down gracefully —
@@ -332,7 +332,7 @@ impl Service {
     }
 
     /// The engine serving the database registered under `id`.
-    pub fn engine_for(&self, id: &str) -> Option<&Engine> {
+    pub(crate) fn engine_for(&self, id: &str) -> Option<&Engine> {
         let index = self.inner.router.route(Some(id)).ok()?;
         Some(&self.inner.router.tenant(index).engine)
     }
@@ -353,7 +353,7 @@ impl Service {
 
     /// The registered database ids, in registration order (the first is
     /// the default route).
-    pub fn database_ids(&self) -> Vec<&str> {
+    pub(crate) fn database_ids(&self) -> Vec<&str> {
         self.inner
             .router
             .tenants()

@@ -518,7 +518,7 @@ impl WireClient {
     /// Sends one update frame without waiting; returns the frame id to
     /// pass to [`WireClient::recv`]. The answer is an [`Answer::Updated`]
     /// receipt ([`WireClient::apply_update`] unwraps it).
-    pub fn send_update(
+    fn send_update(
         &mut self,
         update: &Update,
         options: &SubmitOptions,

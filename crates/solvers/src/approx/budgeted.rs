@@ -86,7 +86,7 @@ impl MisAmpBudgeted {
     /// can pay for the decomposition once: this estimator always draws the
     /// same fixed `num_proposals` from the pool, so re-running from a shared
     /// pool is bit-identical to a fresh run (the non-decreasing-draws
-    /// contract of [`MisAmpLite::prepare_from_pool`] holds trivially).
+    /// contract of `MisAmpLite::prepare_from_pool` holds trivially).
     pub fn build_pool(
         &self,
         mallows: &MallowsModel,
@@ -120,7 +120,7 @@ impl MisAmpBudgeted {
     /// matching constructor — and as long as every estimator drawing from
     /// one pool uses the same `num_proposals` (this type never varies its
     /// draw), results are bit-identical to a cold [`MisAmpBudgeted::run`].
-    pub fn run_with_pool(
+    pub(crate) fn run_with_pool(
         &self,
         mallows: &MallowsModel,
         pool: &mut ProposalPool,

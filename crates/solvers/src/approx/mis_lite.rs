@@ -107,7 +107,7 @@ impl PreparedProposals {
 ///
 /// A pool is tied to the `(model, union, modal_cap, limits)` it was built
 /// with; as long as the proposal counts drawn from it never decrease,
-/// [`MisAmpLite::prepare_from_pool`] yields bit-identical proposals to a
+/// `MisAmpLite::prepare_from_pool` yields bit-identical proposals to a
 /// fresh [`MisAmpLite::prepare`] with the same configuration (see its
 /// documentation for the precise contract).
 ///
@@ -161,11 +161,6 @@ impl ProposalPool {
                 .sort_by(|(ma, _, da), (mb, _, db)| (da, ma.items()).cmp(&(db, mb.items())));
         }
     }
-
-    /// Number of sub-rankings in the full decomposition.
-    pub fn total_subrankings(&self) -> usize {
-        self.scored.len()
-    }
 }
 
 impl MisAmpLite {
@@ -187,7 +182,7 @@ impl MisAmpLite {
     /// Builds the reusable proposal pool for an instance: decomposes the
     /// union and scores its sub-rankings by estimated distance from the
     /// centre. The walk that generates greedy modals is performed lazily by
-    /// [`MisAmpLite::prepare_from_pool`].
+    /// `MisAmpLite::prepare_from_pool`.
     pub fn build_pool(
         &self,
         mallows: &MallowsModel,
@@ -239,7 +234,7 @@ impl MisAmpLite {
     /// a *smaller* count than an earlier one reuses the wider walk and
     /// yields different (more thoroughly compensated) factors than a fresh
     /// preparation would.
-    pub fn prepare_from_pool(&self, pool: &mut ProposalPool) -> Result<PreparedProposals> {
+    pub(crate) fn prepare_from_pool(&self, pool: &mut ProposalPool) -> Result<PreparedProposals> {
         if pool.unsatisfiable {
             return Ok(PreparedProposals::empty());
         }
@@ -329,7 +324,7 @@ impl MisAmpLite {
     /// (the extra squared-weight accumulator never feeds back into it). The
     /// error-budgeted estimator uses the moments to size its sample budget
     /// from the empirical variance.
-    pub fn estimate_prepared_with_moments(
+    pub(crate) fn estimate_prepared_with_moments(
         &self,
         mallows: &MallowsModel,
         prepared: &PreparedProposals,
@@ -395,7 +390,7 @@ impl MisAmpLite {
 }
 
 /// First and second moments of the per-sample MIS weights from one sampling
-/// pass, as reported by [`MisAmpLite::estimate_prepared_with_moments`]. The
+/// pass, as reported by `MisAmpLite::estimate_prepared_with_moments`. The
 /// mean of the weights estimates the covered-region probability; the moments
 /// give its empirical variance, which the error-budgeted estimator turns into
 /// a confidence-interval halfwidth.
@@ -437,7 +432,7 @@ impl SampleMoments {
     }
 
     /// Standard error of the mean weight.
-    pub fn standard_error(&self) -> f64 {
+    pub(crate) fn standard_error(&self) -> f64 {
         if self.samples == 0 {
             0.0
         } else {

@@ -21,11 +21,6 @@ impl RejectionSampler {
         RejectionSampler { num_samples }
     }
 
-    /// Number of rankings drawn per estimate.
-    pub fn num_samples(&self) -> usize {
-        self.num_samples
-    }
-
     /// Draws samples until the running estimate is within `rel_tol` of the
     /// externally supplied ground truth, returning the number of samples
     /// used, or `None` if `max_samples` was reached first. This mirrors the

@@ -56,7 +56,7 @@ impl Default for Budget {
 
 impl Budget {
     /// A budget that never triggers.
-    pub fn unlimited() -> Self {
+    fn unlimited() -> Self {
         Budget {
             max_states: None,
             time_limit: None,
@@ -99,22 +99,10 @@ impl Budget {
         }
     }
 
-    /// Attaches a cancellation probe, polled at every [`Budget::check`].
-    pub fn with_cancel(mut self, probe: CancelProbe) -> Self {
-        self.cancel = Some(probe);
-        self
-    }
-
-    /// Restarts the wall clock (call right before a solve if the budget was
-    /// constructed earlier).
-    pub fn restart(&mut self) {
-        self.started = Instant::now();
-    }
-
     /// Polls only the cancellation probe (if any). Solvers whose progress
     /// metric is not a state count (e.g. the inclusion–exclusion loop over
     /// conjunctions) call this between units of work.
-    pub fn check_cancelled(&self) -> crate::Result<()> {
+    pub(crate) fn check_cancelled(&self) -> crate::Result<()> {
         if let Some(probe) = &self.cancel {
             if probe.is_cancelled() {
                 return Err(crate::SolverError::Cancelled);
@@ -179,12 +167,6 @@ mod tests {
             b.check_cancelled(),
             Err(crate::SolverError::Cancelled)
         ));
-        // The probe composes with other limits without weakening them.
-        let b2 = Budget::with_max_states(1).with_cancel(CancelProbe::new(|| false));
-        assert!(matches!(
-            b2.check(2),
-            Err(crate::SolverError::BudgetExceeded(_))
-        ));
     }
 
     #[test]
@@ -192,8 +174,8 @@ mod tests {
         let b = Budget::with_time_limit(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         assert!(b.check(0).is_err());
-        let mut b2 = Budget::with_time_limit(Duration::from_secs(60));
-        b2.restart();
-        assert!(b2.check(0).is_ok());
+        assert!(Budget::with_time_limit(Duration::from_secs(60))
+            .check(0)
+            .is_ok());
     }
 }

@@ -89,11 +89,6 @@ impl BipartiteSolver {
         self
     }
 
-    /// `true` when this instance prunes satisfied/violated bookkeeping.
-    pub fn prunes(&self) -> bool {
-        self.prune
-    }
-
     /// Width in bits of the packed state for this instance (position slots
     /// plus per-pattern uncertain-edge masks), or `None` when the instance
     /// exceeds 128 bits and the pruning solver falls back to the reference

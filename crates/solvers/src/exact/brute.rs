@@ -11,27 +11,16 @@ use ppd_rim::{Ranking, RimModel};
 /// other solver (unit tests, property tests, and the accuracy experiments on
 /// small instances).
 #[derive(Debug, Clone, Default)]
-pub struct BruteForceSolver {
-    /// Largest `m` the solver will accept (guards against accidental
-    /// factorial blow-ups in experiments); defaults to 9.
-    max_items: Option<usize>,
-}
+pub struct BruteForceSolver;
+
+/// Largest `m` the solver will accept (guards against accidental factorial
+/// blow-ups in experiments).
+const MAX_ITEMS: usize = 9;
 
 impl BruteForceSolver {
-    /// Creates a brute-force solver with the default item cap (9).
+    /// Creates a brute-force solver.
     pub fn new() -> Self {
-        BruteForceSolver::default()
-    }
-
-    /// Overrides the item cap.
-    pub fn with_max_items(max_items: usize) -> Self {
-        BruteForceSolver {
-            max_items: Some(max_items),
-        }
-    }
-
-    fn cap(&self) -> usize {
-        self.max_items.unwrap_or(9)
+        BruteForceSolver
     }
 }
 
@@ -45,10 +34,9 @@ impl ExactSolver for BruteForceSolver {
         if m == 0 {
             return Err(SolverError::InvalidInstance("empty item universe".into()));
         }
-        if m > self.cap() {
+        if m > MAX_ITEMS {
             return Err(SolverError::Unsupported(format!(
-                "brute force refuses m = {m} > {}",
-                self.cap()
+                "brute force refuses m = {m} > {MAX_ITEMS}"
             )));
         }
         let check = CompiledUnion::new(union, rim.sigma().items(), labeling);

@@ -44,15 +44,6 @@ impl GeneralSolver {
         self
     }
 
-    /// Overrides the maximum number of union members accepted. Whatever the
-    /// cap, a union of more than 63 satisfiable members is
-    /// [`SolverError::Unsupported`]: its subsets are enumerated as `u64`
-    /// masks.
-    pub fn with_max_union_size(mut self, max: usize) -> Self {
-        self.max_union_size = Some(max);
-        self
-    }
-
     fn cap(&self) -> usize {
         self.max_union_size.unwrap_or(16).min(MAX_MASK_MEMBERS)
     }
@@ -124,7 +115,7 @@ impl GeneralSolver {
     /// (`g ∧ g = g` — an embedding of each copy is an embedding of one), so
     /// distinct member subsets can share one evaluation. The count is
     /// exposed for the memoization tests and the experiment harnesses.
-    pub fn solve_counting(
+    fn solve_counting(
         &self,
         rim: &RimModel,
         labeling: &Labeling,
@@ -277,7 +268,10 @@ mod tests {
         let lab = cyclic_labeling(5, 3);
         let members: Vec<Pattern> = (0..5).map(|_| Pattern::two_label(sel(1), sel(0))).collect();
         let union = PatternUnion::new(members).unwrap();
-        let solver = GeneralSolver::new().with_max_union_size(3);
+        let solver = GeneralSolver {
+            max_union_size: Some(3),
+            ..GeneralSolver::new()
+        };
         assert!(matches!(
             solver.solve(&model, &lab, &union),
             Err(SolverError::Unsupported(_))
@@ -295,7 +289,10 @@ mod tests {
             .collect();
         let union = PatternUnion::new(members).unwrap();
         for cap in [64, 65, usize::MAX] {
-            let solver = GeneralSolver::new().with_max_union_size(cap);
+            let solver = GeneralSolver {
+                max_union_size: Some(cap),
+                ..GeneralSolver::new()
+            };
             assert!(
                 matches!(
                     solver.solve(&model, &lab, &union),

@@ -3,7 +3,7 @@
 //! every conjunction of union members.
 //!
 //! The paper delegates this step to the LTM solver of Cohen et al.
-//! (SIGMOD'18). We substitute two exact strategies (see DESIGN.md):
+//! (SIGMOD'18). We substitute two exact strategies:
 //!
 //! * bipartite (including two-label) patterns are dispatched to the
 //!   min/max-position DP of [`crate::BipartiteSolver`];

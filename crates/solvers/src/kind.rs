@@ -5,7 +5,7 @@
 //! exact dynamic program or a seeded Monte-Carlo estimator. [`SolverKind`]
 //! wraps either family behind one value that is `Send + Sync` (so a single
 //! handle can be shared by worker threads) and exposes a single
-//! [`SolverKind::solve_seeded`] entry point whose determinism contract is
+//! [`SolverKind::solve_seeded_detailed`] entry point whose determinism contract is
 //! explicit: the result depends only on the instance and the seed, never on
 //! ambient state such as evaluation order or the calling thread.
 
@@ -67,38 +67,20 @@ impl SolverKind {
         }
     }
 
-    /// Whether the handle wraps an exact solver.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, SolverKind::Exact(_))
-    }
-
-    /// Computes (or estimates) `Pr(G | σ, Π, λ)`, clamped to `[0, 1]`.
+    /// Computes (or estimates) `Pr(G | σ, Π, λ)`, clamped to `[0, 1]`, with
+    /// sampling-health statistics; the budgeted arm optionally reuses a
+    /// prepared [`ProposalPool`].
     ///
     /// The exact arm consumes the RIM insertion-probability form, which the
     /// caller supplies *lazily* — an engine that prepares one `RimModel` per
     /// distinct model passes an accessor to the shared instance, and an
     /// approximate engine never pays for the expansion at all. `seed` fully
     /// determines the approximate arm's randomness.
-    pub fn solve_seeded<'m>(
-        &self,
-        mallows: &MallowsModel,
-        rim: impl FnOnce() -> &'m RimModel,
-        labeling: &Labeling,
-        union: &PatternUnion,
-        seed: u64,
-    ) -> Result<f64> {
-        self.solve_seeded_detailed(mallows, rim, labeling, union, seed, None)
-            .map(|detail| detail.probability)
-    }
-
-    /// [`SolverKind::solve_seeded`], additionally reporting sampling-health
-    /// statistics and, for the budgeted arm, optionally reusing a prepared
-    /// [`ProposalPool`].
     ///
-    /// The probability is bit-identical to [`SolverKind::solve_seeded`]:
-    /// supplying a pool skips the union decomposition and greedy-modal walk,
-    /// neither of which consumes randomness or alters the prepared proposals
-    /// (pool preparation is deterministic in the instance). Non-budgeted arms
+    /// The probability is bit-identical with or without a pool: supplying
+    /// one skips the union decomposition and greedy-modal walk, neither of
+    /// which consumes randomness or alters the prepared proposals (pool
+    /// preparation is deterministic in the instance). Non-budgeted arms
     /// ignore the pool.
     pub fn solve_seeded_detailed<'m>(
         &self,
@@ -177,6 +159,19 @@ mod tests {
     use crate::{BruteForceSolver, MisAmpAdaptive, RejectionSampler};
     use ppd_patterns::Pattern;
 
+    fn solve(
+        kind: &SolverKind,
+        model: &MallowsModel,
+        rim: &RimModel,
+        lab: &Labeling,
+        union: &PatternUnion,
+        seed: u64,
+    ) -> f64 {
+        kind.solve_seeded_detailed(model, || rim, lab, union, seed, None)
+            .unwrap()
+            .probability
+    }
+
     fn instance() -> (MallowsModel, Labeling, PatternUnion) {
         let model = mallows(5, 0.4);
         let lab = cyclic_labeling(5, 3);
@@ -187,12 +182,10 @@ mod tests {
     #[test]
     fn handles_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
-        let exact = SolverKind::exact(Box::new(BruteForceSolver::default()));
+        let exact = SolverKind::exact(Box::new(BruteForceSolver::new()));
         let approx = SolverKind::approx(Box::new(RejectionSampler::new(10)));
         assert_send_sync(&exact);
         assert_send_sync(&approx);
-        assert!(exact.is_exact());
-        assert!(!approx.is_exact());
     }
 
     #[test]
@@ -201,10 +194,8 @@ mod tests {
         let rim = model.to_rim();
         let direct = BruteForceSolver::new().solve(&rim, &lab, &union).unwrap();
         let kind = SolverKind::exact_auto(&union);
-        let a = kind.solve_seeded(&model, || &rim, &lab, &union, 1).unwrap();
-        let b = kind
-            .solve_seeded(&model, || &rim, &lab, &union, 999)
-            .unwrap();
+        let a = solve(&kind, &model, &rim, &lab, &union, 1);
+        let b = solve(&kind, &model, &rim, &lab, &union, 999);
         assert_eq!(a, b);
         assert!((a - direct).abs() < 1e-12);
     }
@@ -215,9 +206,8 @@ mod tests {
         let rim = model.to_rim();
         let exact = BruteForceSolver::new().solve(&rim, &lab, &union).unwrap();
         let kind = SolverKind::budgeted(MisAmpBudgeted::new(0.02, 0.95));
-        assert!(!kind.is_exact());
-        let a = kind.solve_seeded(&model, || &rim, &lab, &union, 5).unwrap();
-        let b = kind.solve_seeded(&model, || &rim, &lab, &union, 5).unwrap();
+        let a = solve(&kind, &model, &rim, &lab, &union, 5);
+        let b = solve(&kind, &model, &rim, &lab, &union, 5);
         assert_eq!(a.to_bits(), b.to_bits());
         assert!((a - exact).abs() < 0.05, "exact {exact}, estimate {a}");
     }
@@ -235,7 +225,7 @@ mod tests {
             ..MisAmpBudgeted::new(1e-9, 0.999)
         };
         let kind = SolverKind::budgeted(solver);
-        let p = kind.solve_seeded(&model, || &rim, &lab, &union, 3).unwrap();
+        let p = solve(&kind, &model, &rim, &lab, &union, 3);
         assert!((p - exact).abs() < 1e-12, "exact {exact}, got {p}");
     }
 
@@ -244,9 +234,9 @@ mod tests {
         let (model, lab, union) = instance();
         let rim = model.to_rim();
         let kind = SolverKind::approx(Box::new(MisAmpAdaptive::new(200)));
-        let a = kind.solve_seeded(&model, || &rim, &lab, &union, 7).unwrap();
-        let b = kind.solve_seeded(&model, || &rim, &lab, &union, 7).unwrap();
-        let c = kind.solve_seeded(&model, || &rim, &lab, &union, 8).unwrap();
+        let a = solve(&kind, &model, &rim, &lab, &union, 7);
+        let b = solve(&kind, &model, &rim, &lab, &union, 7);
+        let c = solve(&kind, &model, &rim, &lab, &union, 8);
         assert_eq!(a, b);
         // A different seed draws different samples (with overwhelming
         // probability on this instance).

@@ -21,8 +21,8 @@
 //! * [`PatternSolver`] — exact marginal of a *single* arbitrary pattern; this
 //!   is the subroutine the paper delegates to LTM (Cohen et al., SIGMOD'18).
 //!   Bipartite patterns are dispatched to the bipartite DP; general DAG
-//!   patterns use an exact relevant-item-position DP (see DESIGN.md for the
-//!   substitution note).
+//!   patterns use an exact relevant-item-position DP (the substitution is
+//!   described in `exact/pattern.rs`).
 //! * [`GeneralSolver`] — Section 4.1: inclusion–exclusion over the union,
 //!   calling [`PatternSolver`] on every conjunction of members.
 //!

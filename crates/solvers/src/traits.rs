@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn traits_are_object_safe() {
-        let exact: Box<dyn ExactSolver> = Box::new(BruteForceSolver::default());
+        let exact: Box<dyn ExactSolver> = Box::new(BruteForceSolver::new());
         let approx: Box<dyn ApproxSolver> = Box::new(RejectionSampler::new(10));
         assert_eq!(exact.name(), "brute-force");
         assert_eq!(approx.name(), "rejection-sampling");

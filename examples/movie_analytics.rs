@@ -56,8 +56,12 @@ fn main() {
         )
         .compare("y1", CompareOp::Ge, 1990)
         .compare("y2", CompareOp::Lt, 1990);
-    let p = evaluate_boolean(&db, &q_era, &EvalConfig::approximate(150)).unwrap();
-    let expected = count_sessions(&db, &q_era, &EvalConfig::approximate(150)).unwrap();
+    let p = Engine::new(EvalConfig::approximate(150))
+        .evaluate_boolean(&db, &q_era)
+        .unwrap();
+    let expected = Engine::new(EvalConfig::approximate(150))
+        .count_sessions(&db, &q_era)
+        .unwrap();
     println!("\n[boolean] some user prefers a 90s+ movie to an older same-genre movie: {p:.4}");
     println!("[count]   expected number of such users: {expected:.1}");
 
@@ -89,8 +93,12 @@ fn main() {
                 Term::any(),
             ],
         );
-    let exact = count_sessions(&db, &q_thriller, &EvalConfig::exact()).unwrap();
-    let approx = count_sessions(&db, &q_thriller, &EvalConfig::approximate(200)).unwrap();
+    let exact = Engine::new(EvalConfig::exact())
+        .count_sessions(&db, &q_thriller)
+        .unwrap();
+    let approx = Engine::new(EvalConfig::approximate(200))
+        .count_sessions(&db, &q_thriller)
+        .unwrap();
     println!("\n[count]   users preferring a short thriller to a long drama:");
     println!("            exact   = {exact:.2}");
     println!("            MIS-AMP = {approx:.2}");
@@ -123,8 +131,9 @@ fn main() {
                 Term::any(),
             ],
         );
-    let (top, _) =
-        most_probable_sessions(&db, &q_lead, 3, TopKStrategy::Naive, &EvalConfig::exact()).unwrap();
+    let (top, _) = Engine::new(EvalConfig::exact())
+        .most_probable_sessions(&db, &q_lead, 3, TopKStrategy::Naive)
+        .unwrap();
     println!("\n[top-k] users most likely to rank some female-led movie above a male-led one:");
     for score in top {
         println!(

@@ -49,7 +49,9 @@ fn main() {
                 Term::any(),
             ],
         );
-    let expected_sessions = count_sessions(&db, &q_gender, &EvalConfig::exact()).unwrap();
+    let expected_sessions = Engine::new(EvalConfig::exact())
+        .count_sessions(&db, &q_gender)
+        .unwrap();
     println!(
         "\n[count]  expected #sessions preferring a female to a male candidate: {expected_sessions:.1}"
     );
@@ -86,7 +88,9 @@ fn main() {
                 Term::any(),
             ],
         );
-    let p_exact = evaluate_boolean(&db, &q_same_party, &EvalConfig::exact()).unwrap();
+    let p_exact = Engine::new(EvalConfig::exact())
+        .evaluate_boolean(&db, &q_same_party)
+        .unwrap();
     println!("\n[boolean] same-party query, exact:        {p_exact:.6}");
     // The exact-vs-approximate comparison runs on a smaller sub-database:
     // MIS-AMP-adaptive costs seconds per session when its convergence check
@@ -97,9 +101,12 @@ fn main() {
         num_voters: 25,
         seed: 21,
     });
-    let p_small_exact = evaluate_boolean(&db_small, &q_same_party, &EvalConfig::exact()).unwrap();
-    let p_small_approx =
-        evaluate_boolean(&db_small, &q_same_party, &EvalConfig::approximate(200)).unwrap();
+    let p_small_exact = Engine::new(EvalConfig::exact())
+        .evaluate_boolean(&db_small, &q_same_party)
+        .unwrap();
+    let p_small_approx = Engine::new(EvalConfig::approximate(200))
+        .evaluate_boolean(&db_small, &q_same_party)
+        .unwrap();
     println!("[boolean] same query, 25-voter subset, exact:   {p_small_exact:.6}");
     println!("[boolean] same query, 25-voter subset, MIS-AMP: {p_small_approx:.6}");
 
@@ -137,7 +144,9 @@ fn main() {
         )
         .compare("a", CompareOp::Lt, 60)
         .compare("d", CompareOp::Eq, "5/5");
-    let per_session = session_probabilities(&db, &q_under60_ne, &EvalConfig::exact()).unwrap();
+    let per_session = Engine::new(EvalConfig::exact())
+        .session_probabilities(&db, &q_under60_ne)
+        .unwrap();
     println!(
         "\n[sessions] {} sessions qualify for the 5/5 under-60-NE query",
         per_session.len()
@@ -181,16 +190,16 @@ fn main() {
                 Term::any(),
             ],
         );
-    let (top, stats) = most_probable_sessions(
-        &db,
-        &q2,
-        5,
-        TopKStrategy::UpperBound {
-            edges_per_pattern: 1,
-        },
-        &EvalConfig::exact(),
-    )
-    .unwrap();
+    let (top, stats) = Engine::new(EvalConfig::exact())
+        .most_probable_sessions(
+            &db,
+            &q2,
+            5,
+            TopKStrategy::UpperBound {
+                edges_per_pattern: 1,
+            },
+        )
+        .unwrap();
     println!(
         "\n[top-k] 5 most supportive sessions for Q2 (exact evaluations: {}):",
         stats.exact_evaluations

@@ -86,32 +86,35 @@ fn main() {
         );
 
     // ---- 4. Exact evaluation (auto-selected two-label solver per session).
-    let exact = evaluate_boolean(&db, &q2, &EvalConfig::exact()).expect("exact evaluation");
+    // One engine serves every query below: what one solves, the next reuses.
+    let engine = Engine::new(EvalConfig::exact());
+    let exact = engine.evaluate_boolean(&db, &q2).expect("exact evaluation");
     println!("Pr(Q2 holds in some session), exact        = {exact:.6}");
 
     // Per-session probabilities and the expected number of supporting sessions.
-    for (session, p) in session_probabilities(&db, &q2, &EvalConfig::exact()).unwrap() {
+    for (session, p) in engine.session_probabilities(&db, &q2).unwrap() {
         println!("  session #{session}: Pr(Q2) = {p:.6}");
     }
-    let count = count_sessions(&db, &q2, &EvalConfig::exact()).unwrap();
+    let count = engine.count_sessions(&db, &q2).unwrap();
     println!("expected number of supporting sessions     = {count:.4}");
 
     // ---- 5. Approximate evaluation with MIS-AMP-adaptive.
-    let approx = evaluate_boolean(&db, &q2, &EvalConfig::approximate(1_000))
+    let approx = Engine::new(EvalConfig::approximate(1_000))
+        .evaluate_boolean(&db, &q2)
         .expect("approximate evaluation");
     println!("Pr(Q2 holds in some session), MIS-AMP      = {approx:.6}");
 
     // ---- 6. Which sessions support Q2 the most? (Most-Probable-Session.)
-    let (top, _) = most_probable_sessions(
-        &db,
-        &q2,
-        2,
-        TopKStrategy::UpperBound {
-            edges_per_pattern: 1,
-        },
-        &EvalConfig::exact(),
-    )
-    .expect("top-k evaluation");
+    let (top, _) = engine
+        .most_probable_sessions(
+            &db,
+            &q2,
+            2,
+            TopKStrategy::UpperBound {
+                edges_per_pattern: 1,
+            },
+        )
+        .expect("top-k evaluation");
     println!("top-2 supporting sessions:");
     for score in top {
         println!(

@@ -62,7 +62,9 @@ fn main() {
 
     // Expected number of workers for whom the statement holds.
     let start = Instant::now();
-    let expected = count_sessions(&db, &query, &EvalConfig::exact()).unwrap();
+    let expected = Engine::new(EvalConfig::exact())
+        .count_sessions(&db, &query)
+        .unwrap();
     let grouped_elapsed = start.elapsed();
     println!(
         "\n[count] expected #workers satisfying the personalised query: {expected:.0} \
@@ -79,22 +81,24 @@ fn main() {
         seed: 99,
     });
     let start = Instant::now();
-    let _ = count_sessions(&small_db, &query, &EvalConfig::exact().without_grouping()).unwrap();
+    let _ = Engine::new(EvalConfig::exact().without_grouping())
+        .count_sessions(&small_db, &query)
+        .unwrap();
     let naive_elapsed = start.elapsed();
     println!("[count] naive (ungrouped) evaluation over just 500 workers took {naive_elapsed:.2?}");
 
     // Top-5 workers most likely to satisfy the query, with the upper-bound
     // optimization.
-    let (top, stats) = most_probable_sessions(
-        &db,
-        &query,
-        5,
-        TopKStrategy::UpperBound {
-            edges_per_pattern: 1,
-        },
-        &EvalConfig::exact(),
-    )
-    .unwrap();
+    let (top, stats) = Engine::new(EvalConfig::exact())
+        .most_probable_sessions(
+            &db,
+            &query,
+            5,
+            TopKStrategy::UpperBound {
+                edges_per_pattern: 1,
+            },
+        )
+        .unwrap();
     println!(
         "\n[top-k] most supportive workers (exact evaluations performed: {} of {}):",
         stats.exact_evaluations,

@@ -14,9 +14,10 @@
 //!   decomposition, upper-bound relaxations;
 //! * [`solvers`] — the exact (two-label, bipartite, general) and approximate
 //!   (rejection, IS-AMP, MIS-AMP-lite/adaptive) solvers;
-//! * [`core`] — the RIM-PPD database, conjunctive queries, and the Boolean /
-//!   Count-Session / Most-Probable-Session evaluators, all running on the
-//!   parallel, cache-backed [`core::engine::Engine`];
+//! * [`core`] — the RIM-PPD database, conjunctive queries, and the parallel,
+//!   cache-backed [`core::engine::Engine`] whose methods evaluate Boolean,
+//!   Count-Session and Most-Probable-Session queries, one by one or in
+//!   batches;
 //! * [`service`] — the multi-tenant query front door: per-database engines
 //!   behind one two-class admission layer, wave batching, deadlines with
 //!   cancellation, streamed per-query answers, and a line-delimited JSON
@@ -27,8 +28,8 @@
 //!   verbs;
 //! * [`datagen`] — generators for the paper's experimental datasets.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md for the
-//! full system inventory.
+//! See `examples/quickstart.rs` for a five-minute tour and README.md
+//! ("Workspace layout" onwards) for the full system inventory.
 
 pub use ppd_core as core;
 pub use ppd_datagen as datagen;
@@ -41,7 +42,6 @@ pub use ppd_solvers as solvers;
 /// Commonly used types, re-exported flat for convenience.
 pub mod prelude {
     pub use ppd_core::{
-        count_sessions, evaluate_boolean, most_probable_sessions, session_probabilities,
         BatchAnswer, CacheCapacity, CacheStats, CompareOp, ConjunctiveQuery, DatabaseBuilder,
         Engine, EngineObs, ErrorBudget, EvalConfig, PoolCache, PpdDatabase, PreferenceRelation,
         Relation, Session, SolverChoice, Term, TopKStrategy, Update, Value,

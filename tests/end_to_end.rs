@@ -133,7 +133,9 @@ fn q0_constant_query_matches_brute_force() {
             Term::val("Trump"),
             Term::val("Rubio"),
         );
-    let exact = evaluate_boolean(&db, &q0, &EvalConfig::exact()).unwrap();
+    let exact = Engine::new(EvalConfig::exact())
+        .evaluate_boolean(&db, &q0)
+        .unwrap();
     let expected = brute_force_session_probability(&db, &q0, 0);
     assert!((exact - expected).abs() < 1e-9);
     // Ann's model is centred on Clinton ≻ Sanders ≻ Rubio ≻ Trump with a small
@@ -148,7 +150,9 @@ fn q2_hard_query_full_pipeline_matches_brute_force() {
     let plan = ground_query(&db, &q).unwrap();
     assert!(matches!(plan.shape, QueryShape::NonItemwise { .. }));
 
-    let per_session = session_probabilities(&db, &q, &EvalConfig::exact()).unwrap();
+    let per_session = Engine::new(EvalConfig::exact())
+        .session_probabilities(&db, &q)
+        .unwrap();
     assert_eq!(per_session.len(), 3);
     let mut product = 1.0;
     for &(sidx, p) in &per_session {
@@ -156,10 +160,14 @@ fn q2_hard_query_full_pipeline_matches_brute_force() {
         assert!((p - expected).abs() < 1e-9, "session {sidx}");
         product *= 1.0 - p;
     }
-    let boolean = evaluate_boolean(&db, &q, &EvalConfig::exact()).unwrap();
+    let boolean = Engine::new(EvalConfig::exact())
+        .evaluate_boolean(&db, &q)
+        .unwrap();
     assert!((boolean - (1.0 - product)).abs() < 1e-12);
 
-    let count = count_sessions(&db, &q, &EvalConfig::exact()).unwrap();
+    let count = Engine::new(EvalConfig::exact())
+        .count_sessions(&db, &q)
+        .unwrap();
     let expected_count: f64 = per_session.iter().map(|&(_, p)| p).sum();
     assert!((count - expected_count).abs() < 1e-12);
 }
@@ -168,8 +176,12 @@ fn q2_hard_query_full_pipeline_matches_brute_force() {
 fn exact_and_approximate_evaluation_agree() {
     let db = small_db();
     let q = q2();
-    let exact = evaluate_boolean(&db, &q, &EvalConfig::exact()).unwrap();
-    let approx = evaluate_boolean(&db, &q, &EvalConfig::approximate(2_000)).unwrap();
+    let exact = Engine::new(EvalConfig::exact())
+        .evaluate_boolean(&db, &q)
+        .unwrap();
+    let approx = Engine::new(EvalConfig::approximate(2_000))
+        .evaluate_boolean(&db, &q)
+        .unwrap();
     assert!(
         (exact - approx).abs() < 0.05,
         "exact {exact} vs approximate {approx}"
@@ -180,19 +192,20 @@ fn exact_and_approximate_evaluation_agree() {
 fn top_k_strategies_agree_end_to_end() {
     let db = small_db();
     let q = q2();
-    let (naive, _) =
-        most_probable_sessions(&db, &q, 2, TopKStrategy::Naive, &EvalConfig::exact()).unwrap();
-    for edges in 1..=2 {
-        let (optimized, _) = most_probable_sessions(
-            &db,
-            &q,
-            2,
-            TopKStrategy::UpperBound {
-                edges_per_pattern: edges,
-            },
-            &EvalConfig::exact(),
-        )
+    let (naive, _) = Engine::new(EvalConfig::exact())
+        .most_probable_sessions(&db, &q, 2, TopKStrategy::Naive)
         .unwrap();
+    for edges in 1..=2 {
+        let (optimized, _) = Engine::new(EvalConfig::exact())
+            .most_probable_sessions(
+                &db,
+                &q,
+                2,
+                TopKStrategy::UpperBound {
+                    edges_per_pattern: edges,
+                },
+            )
+            .unwrap();
         assert_eq!(naive.len(), optimized.len());
         for (a, b) in naive.iter().zip(&optimized) {
             assert_eq!(a.session_index, b.session_index);
@@ -282,7 +295,9 @@ fn evaluators_agree_on_hand_computed_two_candidate_database() {
     );
 
     let expected = [2.0 / 3.0, 0.5, 1.0 / 3.0];
-    let per_session = session_probabilities(&db, &q, &EvalConfig::exact()).unwrap();
+    let per_session = Engine::new(EvalConfig::exact())
+        .session_probabilities(&db, &q)
+        .unwrap();
     assert_eq!(per_session.len(), 3);
     for &(sidx, p) in &per_session {
         assert!(
@@ -292,10 +307,14 @@ fn evaluators_agree_on_hand_computed_two_candidate_database() {
         );
     }
 
-    let boolean = evaluate_boolean(&db, &q, &EvalConfig::exact()).unwrap();
+    let boolean = Engine::new(EvalConfig::exact())
+        .evaluate_boolean(&db, &q)
+        .unwrap();
     assert!((boolean - 8.0 / 9.0).abs() < 1e-12, "boolean = {boolean}");
 
-    let count = count_sessions(&db, &q, &EvalConfig::exact()).unwrap();
+    let count = Engine::new(EvalConfig::exact())
+        .count_sessions(&db, &q)
+        .unwrap();
     assert!((count - 1.5).abs() < 1e-12, "count = {count}");
 
     for strategy in [
@@ -307,7 +326,9 @@ fn evaluators_agree_on_hand_computed_two_candidate_database() {
             edges_per_pattern: 2,
         },
     ] {
-        let (top, _) = most_probable_sessions(&db, &q, 2, strategy, &EvalConfig::exact()).unwrap();
+        let (top, _) = Engine::new(EvalConfig::exact())
+            .most_probable_sessions(&db, &q, 2, strategy)
+            .unwrap();
         assert_eq!(top.len(), 2, "{strategy:?}");
         assert_eq!(top[0].session_index, 0);
         assert_eq!(top[1].session_index, 1);
@@ -357,8 +378,12 @@ fn grouping_matches_naive_on_crowdrank_subset() {
                 Term::any(),
             ],
         );
-    let grouped = session_probabilities(&db, &q, &EvalConfig::exact()).unwrap();
-    let naive = session_probabilities(&db, &q, &EvalConfig::exact().without_grouping()).unwrap();
+    let grouped = Engine::new(EvalConfig::exact())
+        .session_probabilities(&db, &q)
+        .unwrap();
+    let naive = Engine::new(EvalConfig::exact().without_grouping())
+        .session_probabilities(&db, &q)
+        .unwrap();
     assert_eq!(grouped.len(), naive.len());
     for (a, b) in grouped.iter().zip(&naive) {
         assert_eq!(a.0, b.0);

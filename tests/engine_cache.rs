@@ -59,7 +59,9 @@ fn results_are_bit_identical_across_shards_and_eviction_capacity() {
     let db = db();
     let q = polls_q1_query();
     for (name, solver) in solver_choices() {
-        let reference = session_probabilities(&db, &q, &config_with(&solver)).unwrap();
+        let reference = Engine::new(config_with(&solver))
+            .session_probabilities(&db, &q)
+            .unwrap();
         assert!(!reference.is_empty());
         for shards in [1usize, 4, 16] {
             for capacity in [CacheCapacity::Unbounded, CacheCapacity::Entries(2)] {
@@ -172,7 +174,9 @@ fn persistence_round_trip_serves_the_saved_bits() {
 fn persistence_composes_with_sharding_and_eviction() {
     let db = db();
     let q = polls_q1_query();
-    let reference = session_probabilities(&db, &q, &EvalConfig::exact()).unwrap();
+    let reference = Engine::new(EvalConfig::exact())
+        .session_probabilities(&db, &q)
+        .unwrap();
     let path = scratch("composed");
     let warm = Engine::new(EvalConfig::exact());
     warm.session_probabilities(&db, &q).unwrap();
@@ -329,8 +333,9 @@ fn topk_strategies_agree_under_sharded_bounded_caches() {
     let db = db();
     let q = polls_q1_query();
     let k = 4;
-    let (reference, _) =
-        most_probable_sessions(&db, &q, k, TopKStrategy::Naive, &EvalConfig::exact()).unwrap();
+    let (reference, _) = Engine::new(EvalConfig::exact())
+        .most_probable_sessions(&db, &q, k, TopKStrategy::Naive)
+        .unwrap();
     for shards in [1usize, 16] {
         for capacity in [CacheCapacity::Unbounded, CacheCapacity::Entries(2)] {
             let engine = Engine::new(

@@ -45,15 +45,14 @@ fn results_are_bit_identical_across_threads_and_grouping() {
     let db = db();
     let q = polls_q1_query();
     for (name, solver) in solver_choices() {
-        let reference = session_probabilities(
-            &db,
-            &q,
-            &EvalConfig {
+        let reference = Engine::new(
+            EvalConfig {
                 solver: solver.clone(),
                 ..EvalConfig::default()
             }
             .with_threads(1),
         )
+        .session_probabilities(&db, &q)
         .unwrap();
         assert!(!reference.is_empty());
         for threads in [1usize, 4, 0] {
@@ -66,7 +65,9 @@ fn results_are_bit_identical_across_threads_and_grouping() {
                 if !grouping {
                     config = config.without_grouping();
                 }
-                let run = session_probabilities(&db, &q, &config).unwrap();
+                let run = Engine::new(config.clone())
+                    .session_probabilities(&db, &q)
+                    .unwrap();
                 assert_eq!(
                     reference, run,
                     "{name}: threads={threads} grouping={grouping} diverged"
@@ -99,8 +100,12 @@ fn results_are_bit_identical_under_session_reordering() {
             solver,
             ..EvalConfig::default()
         };
-        let fwd = session_probabilities(&forward, &q, &config).unwrap();
-        let rev = session_probabilities(&reversed, &q, &config).unwrap();
+        let fwd = Engine::new(config.clone())
+            .session_probabilities(&forward, &q)
+            .unwrap();
+        let rev = Engine::new(config.clone())
+            .session_probabilities(&reversed, &q)
+            .unwrap();
         assert_eq!(fwd.len(), rev.len(), "{name}");
         for &(idx, p) in &fwd {
             let mirrored = n - 1 - idx;
@@ -220,28 +225,25 @@ fn topk_strategies_agree_on_the_engine_for_every_thread_count() {
     let db = db();
     let q = polls_q1_query();
     let k = 5;
-    let reference = most_probable_sessions(
-        &db,
-        &q,
-        k,
-        TopKStrategy::Naive,
-        &EvalConfig::exact().with_threads(1),
-    )
-    .unwrap()
-    .0;
+    let reference = Engine::new(EvalConfig::exact().with_threads(1))
+        .most_probable_sessions(&db, &q, k, TopKStrategy::Naive)
+        .unwrap()
+        .0;
     for threads in [1usize, 4, 0] {
         let config = EvalConfig::exact().with_threads(threads);
-        let (naive, _) = most_probable_sessions(&db, &q, k, TopKStrategy::Naive, &config).unwrap();
-        let (bounded, stats) = most_probable_sessions(
-            &db,
-            &q,
-            k,
-            TopKStrategy::UpperBound {
-                edges_per_pattern: 2,
-            },
-            &config,
-        )
-        .unwrap();
+        let (naive, _) = Engine::new(config.clone())
+            .most_probable_sessions(&db, &q, k, TopKStrategy::Naive)
+            .unwrap();
+        let (bounded, stats) = Engine::new(config.clone())
+            .most_probable_sessions(
+                &db,
+                &q,
+                k,
+                TopKStrategy::UpperBound {
+                    edges_per_pattern: 2,
+                },
+            )
+            .unwrap();
         assert_eq!(
             naive, reference,
             "naive top-k diverged at threads={threads}"
@@ -322,7 +324,7 @@ fn trace_sampling_never_changes_streamed_answer_bits() {
         }
         let engine = Engine::with_obs(EvalConfig::exact(), obs);
         let answers = Mutex::new(vec![None, None]);
-        engine.evaluate_batch_streamed_cancellable_traced(
+        engine.evaluate_batch_streamed(
             &db,
             &queries,
             &traces,

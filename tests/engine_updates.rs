@@ -180,6 +180,63 @@ fn invalidation_is_surgical_not_a_cache_wipe() {
 }
 
 #[test]
+fn a_burst_invalidates_at_most_the_cache_and_hit_rate_recovers_in_a_round() {
+    // 24 voters × 8 candidates, a burst of 3 replacements spread across the
+    // relation, the same query in rounds around it.
+    let (num_voters, num_candidates, burst) = (24usize, 8usize, 3usize);
+    let q = polls_q1_query();
+    let mut live = polls_database(&PollsConfig {
+        num_candidates,
+        num_voters,
+        seed: 2020,
+    });
+    let engine = Engine::new(EvalConfig::exact());
+    // One round's hit rate, from the counters it moved.
+    let mut last = (0u64, 0u64);
+    let mut round = |db: &PpdDatabase| {
+        engine.session_probabilities(db, &q).unwrap();
+        let stats = engine.cache_stats();
+        let (hits, misses) = (stats.marginal_hits - last.0, stats.marginal_misses - last.1);
+        last = (stats.marginal_hits, stats.marginal_misses);
+        hits as f64 / (hits + misses).max(1) as f64
+    };
+    round(&live);
+    round(&live);
+    let steady = round(&live);
+    assert_eq!(steady, 1.0, "the third identical round is all hits");
+
+    let cached_before = engine.cached_marginals();
+    let rel = relation_of(&live);
+    let stride = num_voters / burst;
+    let mut invalidated = 0u64;
+    for i in 0..burst {
+        let rotated = (0..num_candidates)
+            .map(|j| ((j + i + 1) % num_candidates) as u32)
+            .collect();
+        let replace = Update::ReplaceSession {
+            prelation: rel.clone(),
+            index: i * stride,
+            session: session(&live, &format!("upd{i}-"), rotated, 0.34 + 0.04 * i as f64),
+        };
+        invalidated += engine.apply_update(&mut live, replace).unwrap().1;
+    }
+    assert!(
+        invalidated as usize <= cached_before,
+        "invalidation is bounded by the covering units \
+         ({invalidated} dropped of {cached_before} cached)"
+    );
+
+    let degraded = round(&live);
+    assert!(degraded < steady, "the burst's sessions must be re-solved");
+    let recovered = round(&live);
+    assert!(
+        recovered >= 0.8 * steady,
+        "hit rate must recover to ≥ 80 % of steady state one round after \
+         the burst (steady {steady:.3}, recovered {recovered:.3})"
+    );
+}
+
+#[test]
 fn kill_and_reload_mid_churn_misses_only_churned_units() {
     let q = polls_q1_query();
     let path = scratch("mid-churn");

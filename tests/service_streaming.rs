@@ -77,10 +77,16 @@ fn cheap_query_is_delivered_before_cobatched_expensive_query() {
     let cold = Engine::new(EvalConfig::exact().with_threads(1));
     let queries = vec![pair_query(), chain_for_one_voter()];
     let deliveries: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    cold.evaluate_batch_streamed(&db, &queries, |qi, answer| {
-        answer.expect("both queries answer");
-        deliveries.lock().unwrap().push(qi);
-    });
+    cold.evaluate_batch_streamed(
+        &db,
+        &queries,
+        &[],
+        |_| false,
+        |qi, answer| {
+            answer.expect("both queries answer");
+            deliveries.lock().unwrap().push(qi);
+        },
+    );
     assert_eq!(
         deliveries.into_inner().unwrap(),
         vec![1, 0],
