@@ -19,7 +19,11 @@
 //! back shows up here first. Each family sweeps label-level unions *and* the
 //! item-level shapes production solves (`pair`, `chain3`, one label per item,
 //! 2–3 of the m items tracked); the two cost very differently, and a sweep of
-//! only the former once let a 37 µs unit read as 8 µs.
+//! only the former once let a 37 µs unit read as 8 µs. The packed general-DAG
+//! kernel also drops the prefixes no placement of the remaining items can
+//! complete, which the reference kernel carries to the end: the item-level
+//! `chain3` / `diamond` points — and `chain4` at paper scale — are where
+//! that shows.
 //!
 //! Environment:
 //! * `PPD_SCALE`       — `small` (default) or `paper` (larger `m` sweep);
@@ -216,6 +220,25 @@ fn main() {
             m,
             m as u32,
             diamond,
+        ));
+    }
+    // One node more (`a ≻ b ≻ c ≻ d`, items spread over σ, the preferred
+    // ones late): from the second item on, the prefixes no placement of the
+    // missing items can complete are most of what an unpruned kernel carries.
+    // The reference kernel carries them to the end; paper scale only.
+    let chain4_ms: Vec<usize> = scale.pick(vec![], vec![12, 16]);
+    for &m in chain4_ms.iter().filter(|&&m| m <= max_m) {
+        let m32 = m as u32;
+        let chain = Pattern::new(
+            vec![sel(m32 - 2), sel(m32 / 3), sel(1), sel(2 * m32 / 3)],
+            vec![(0, 1), (1, 2), (2, 3)],
+        )
+        .unwrap();
+        points.push(pattern_point(
+            format!("pattern m={m} item chain4"),
+            m,
+            m32,
+            chain,
         ));
     }
 

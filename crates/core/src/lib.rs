@@ -219,6 +219,56 @@ pub(crate) mod testdb {
             .unwrap()
     }
 
+    /// A Polls-shaped database of 24 voters × 8 candidates (`cand0` …
+    /// `cand7`, sexes and parties mixed): eight distinct centre rankings, three
+    /// voters to each, dispersions 0.2 / 0.5 / 0.8.
+    pub(crate) fn polls_24_by_8() -> PpdDatabase {
+        let row =
+            |cells: &[&str]| -> Vec<Value> { cells.iter().copied().map(Value::from).collect() };
+        let candidates = Relation::new(
+            "Candidates",
+            vec!["candidate", "party", "sex", "age", "edu", "reg"],
+            (0..8usize)
+                .map(|c| {
+                    let (party, sex) = (["D", "R"][c / 2 % 2], ["F", "M", "M"][c % 3]);
+                    row(&[&format!("cand{c}"), party, sex, "50", "BS", "NE"])
+                })
+                .collect(),
+        )
+        .unwrap();
+        let voters = Relation::new(
+            "Voters",
+            vec!["voter", "sex", "age", "edu"],
+            (0..24)
+                .map(|v| row(&[&format!("voter{v}"), "F", "30", "BS"]))
+                .collect(),
+        )
+        .unwrap();
+        // Eight centre rankings: a multiplicative walk over the items, then
+        // a rotation — fixed, distinct, and far from each other.
+        let centres: Vec<Ranking> = (0..8u32)
+            .map(|c| {
+                let stride = [1, 3, 5, 7][c as usize % 4];
+                Ranking::new((0..8).map(|i| (i * stride + c) % 8).collect()).unwrap()
+            })
+            .collect();
+        let sessions = (0..24usize)
+            .map(|v| {
+                Session::new(
+                    vec![Value::from(format!("voter{v}")), Value::from("5/5")],
+                    MallowsModel::new(centres[v * 5 % 8].clone(), [0.2, 0.5, 0.8][v % 3]).unwrap(),
+                )
+            })
+            .collect();
+        let polls = PreferenceRelation::new("Polls", vec!["voter", "date"], sessions).unwrap();
+        DatabaseBuilder::new()
+            .item_relation(candidates, "candidate")
+            .relation(voters)
+            .preference_relation(polls)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn polling_database_builds() {
         let db = polling_database();

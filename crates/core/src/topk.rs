@@ -73,9 +73,16 @@ pub(crate) struct TopKTail<'db> {
 }
 
 /// The relaxed upper-bound unions of a grounded query and, per session in
-/// plan order, which of them bounds it. The relaxation reads the union and
-/// the centre ranking only, so sessions sharing both share one relaxed
-/// union.
+/// plan order, which of them bounds it. The relaxation reads the union and,
+/// to rank a member's transitive-closure edges by `ease`, the centre ranking
+/// — so sessions sharing both share one relaxed union. A union none of whose
+/// members has a second edge leaves `ease` nothing to rank: every member
+/// keeps its one edge whatever σ says, the relaxed union is the same for
+/// every centre ranking, and it is built (and later resolved to its
+/// [`UnitKey`](crate::engine::UnitKey) share) once for all the sessions that
+/// carry the union. Two kept edges are already too many for that: `ease`
+/// decides which comes first, and with it the node order of the relaxed
+/// pattern, which the unit's key and the solver's arithmetic both read.
 pub(crate) fn relax(
     prel: &PreferenceRelation,
     labeling: &Labeling,
@@ -83,11 +90,16 @@ pub(crate) fn relax(
     edges_per_pattern: usize,
 ) -> Result<(Vec<PatternUnion>, Vec<usize>)> {
     let mut relaxed: Vec<PatternUnion> = Vec::new();
-    let mut relaxed_of: HashMap<(*const PatternUnion, &[Item]), usize> = HashMap::new();
+    // `None` for the centre ranking of a union whose relaxation ignores it.
+    let mut relaxed_of: HashMap<(*const PatternUnion, Option<&[Item]>), usize> = HashMap::new();
     let mut of_session = Vec::with_capacity(sessions.len());
     for squery in sessions {
         let sigma = prel.sessions()[squery.session_index].model().sigma();
-        let index = match relaxed_of.entry((Arc::as_ptr(&squery.union), sigma.items())) {
+        let key = (
+            Arc::as_ptr(&squery.union),
+            relaxation_reads_sigma(&squery.union).then_some(sigma.items()),
+        );
+        let index = match relaxed_of.entry(key) {
             Entry::Occupied(known) => *known.get(),
             Entry::Vacant(new) => {
                 relaxed.push(relaxed_upper_bound_union(
@@ -102,6 +114,16 @@ pub(crate) fn relax(
         of_session.push(index);
     }
     Ok((relaxed, of_session))
+}
+
+/// Whether [`relaxed_upper_bound_union`] of `union` depends on the centre
+/// ranking it is given: it does as soon as one member has two edges to rank.
+fn relaxation_reads_sigma(union: &PatternUnion) -> bool {
+    #[cfg(test)]
+    if tests::KEY_EVERY_UNION_BY_SIGMA.get() {
+        return true;
+    }
+    union.patterns().iter().any(|g| g.num_edges() > 1)
 }
 
 /// The second stage of a `top(Q, k)`: from the first stage's per-session
@@ -257,7 +279,8 @@ mod tests {
     use crate::engine::Engine;
     use crate::eval::EvalConfig;
     use crate::query::{ConjunctiveQuery, Term as T};
-    use crate::testdb::polling_database;
+    use crate::testdb::{polling_database, polls_24_by_8};
+    use crate::translate::ground_query;
 
     fn query_f_over_m() -> ConjunctiveQuery {
         ConjunctiveQuery::new("topk-f-over-m")
@@ -289,6 +312,129 @@ mod tests {
                     T::any(),
                 ],
             )
+    }
+
+    thread_local! {
+        /// The oracle of the relaxation tests: while set, [`relax`] on this
+        /// thread keys every relaxed union by its centre ranking, as it did
+        /// before it knew which relaxations ignore it.
+        pub(super) static KEY_EVERY_UNION_BY_SIGMA: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
+
+    /// Runs `run` with [`relax`] keyed per centre ranking throughout.
+    fn keyed_by_sigma<T>(run: impl FnOnce() -> T) -> T {
+        KEY_EVERY_UNION_BY_SIGMA.set(true);
+        let out = run();
+        KEY_EVERY_UNION_BY_SIGMA.set(false);
+        out
+    }
+
+    fn prefers(query: ConjunctiveQuery, better: &str, worse: &str) -> ConjunctiveQuery {
+        query.prefer(
+            "Polls",
+            vec![T::any(), T::any()],
+            T::val(better),
+            T::val(worse),
+        )
+    }
+
+    /// Q1 (one edge a member), an item chain (three closure edges) and an
+    /// item vee (two).
+    fn relaxation_queries() -> [ConjunctiveQuery; 3] {
+        let chain = ConjunctiveQuery::new("chain");
+        let vee = ConjunctiveQuery::new("vee");
+        [
+            query_f_over_m(),
+            prefers(prefers(chain, "cand0", "cand1"), "cand1", "cand2"),
+            prefers(prefers(vee, "cand0", "cand1"), "cand0", "cand2"),
+        ]
+    }
+
+    #[test]
+    fn a_relaxation_that_ignores_the_centre_ranking_is_built_once() {
+        let db = polls_24_by_8();
+        let [q1, chain, vee] = relaxation_queries();
+        let relaxed_unions = |query: &ConjunctiveQuery, edges_per_pattern: usize| {
+            let grounded = ground_query(&db, query).unwrap();
+            let prel = db.preference_relation(&grounded.prelation).unwrap();
+            let sigma_of = |s: &SessionQuery| prel.sessions()[s.session_index].model().sigma();
+            let distinct_sigmas: std::collections::HashSet<&[Item]> = grounded
+                .sessions
+                .iter()
+                .map(|s| sigma_of(s).items())
+                .collect();
+            assert_eq!(grounded.sessions.len(), 24);
+            let relax = || {
+                relax(
+                    prel,
+                    &grounded.labeling,
+                    &grounded.sessions,
+                    edges_per_pattern,
+                )
+            };
+            let (relaxed, of_session) = relax().unwrap();
+            // Session by session, the union `relax` hands out is the one the
+            // session's own centre ranking gives — under either keying.
+            let (per_sigma, per_sigma_of_session) = keyed_by_sigma(relax).unwrap();
+            assert_eq!(per_sigma.len(), distinct_sigmas.len());
+            for (i, squery) in grounded.sessions.iter().enumerate() {
+                let own = relaxed_upper_bound_union(
+                    &squery.union,
+                    sigma_of(squery),
+                    &grounded.labeling,
+                    edges_per_pattern,
+                )
+                .unwrap();
+                assert_eq!(relaxed[of_session[i]], own, "session {i}");
+                assert_eq!(per_sigma[per_sigma_of_session[i]], own, "session {i}");
+            }
+            (relaxed, distinct_sigmas.len())
+        };
+        for edges_per_pattern in [1, 2] {
+            let (relaxed, _) = relaxed_unions(&q1, edges_per_pattern);
+            assert_eq!(relaxed.len(), 1, "Q1 keeps its one edge a member");
+            for query in [&chain, &vee] {
+                let (relaxed, sigmas) = relaxed_unions(query, edges_per_pattern);
+                assert_eq!(relaxed.len(), sigmas, "{}", query.name());
+            }
+        }
+        // Why two kept edges are one too many to share: the vee keeps both
+        // of its edges under a budget of 2, in an order `ease` reads off σ.
+        let (relaxed, _) = relaxed_unions(&vee, 2);
+        assert!(relaxed.iter().all(|u| u.patterns()[0].num_edges() == 2));
+        assert!(relaxed.iter().any(|u| u != &relaxed[0]));
+    }
+
+    #[test]
+    fn top_k_is_the_per_sigma_relaxation_s_to_the_bit_and_to_the_counter() {
+        let db = polls_24_by_8();
+        let answer = |query: &ConjunctiveQuery, edges_per_pattern: usize| {
+            let engine = Engine::new(EvalConfig::exact());
+            let strategy = TopKStrategy::UpperBound { edges_per_pattern };
+            let (scores, stats) = engine
+                .most_probable_sessions(&db, query, 5, strategy)
+                .unwrap();
+            let scores: Vec<(usize, u64)> = scores
+                .iter()
+                .map(|s| (s.session_index, s.probability.to_bits()))
+                .collect();
+            let cache = engine.cache_stats();
+            (
+                scores,
+                (stats.exact_evaluations, stats.upper_bounds_computed),
+                (cache.marginal_hits, cache.marginal_misses),
+            )
+        };
+        for query in &relaxation_queries() {
+            for edges_per_pattern in [1, 2] {
+                let got = answer(query, edges_per_pattern);
+                let expected = keyed_by_sigma(|| answer(query, edges_per_pattern));
+                assert_eq!(got, expected, "{} under {edges_per_pattern}", query.name());
+                assert_eq!(got.0.len(), 5);
+                assert_eq!(got.1 .1, 24);
+            }
+        }
     }
 
     #[test]

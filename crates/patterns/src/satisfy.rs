@@ -27,6 +27,10 @@ use ppd_rim::{Item, Ranking};
 /// sound and complete. It depends only on the relative order of the encoded
 /// positions, so any order-isomorphic encoding (absolute positions in a
 /// prefix with gaps, ranks in a full ranking) gives the same answer.
+///
+/// On a prefix that does not embed yet, [`CompiledPattern::can_complete`]
+/// answers the other structural question an insertion DP has: whether the
+/// items still to come can change that.
 #[derive(Debug, Clone)]
 pub struct CompiledPattern {
     /// Node indices in the topological order the check walks.
@@ -87,7 +91,7 @@ impl CompiledPattern {
     }
 
     /// Number of pattern nodes — the length of the `chosen` scratch buffer
-    /// [`CompiledPattern::embeds`] needs.
+    /// [`CompiledPattern::embeds`] and [`CompiledPattern::can_complete`] need.
     pub fn num_nodes(&self) -> usize {
         self.order.len()
     }
@@ -98,6 +102,41 @@ impl CompiledPattern {
     /// the earliest embedding's encoded position per topological rank.
     #[inline]
     pub fn embeds(&self, encoded_position: impl Fn(u32) -> u32, chosen: &mut [u32]) -> bool {
+        self.walk::<false>(encoded_position, chosen)
+    }
+
+    /// The optimistic twin of [`CompiledPattern::embeds`], for a *prefix*:
+    /// `false` only when no placement of the items still unplaced (encoded
+    /// position `0`), wherever among the placed ones each of them lands, can
+    /// make the pattern embed. Same walk, same `chosen` scratch, but a node
+    /// that still has an unplaced candidate takes its parents' bound instead
+    /// of looking for a placed one: that candidate may yet land right below
+    /// them, so the node asks nothing more of its descendants than its
+    /// parents already do.
+    ///
+    /// Sound: if some completion embeds through `f`, then by induction over
+    /// the topological order `chosen[u]` is at most the encoded position of
+    /// the lowest-ranked *placed* image `f(v)` over `u` and its ancestors `v`
+    /// — a node whose candidates are all placed finds `f(u)` itself above
+    /// that bound — so the walk never fails on a prefix that can still embed.
+    /// Exact when every node has one candidate and no two nodes share it
+    /// (landing each missing item right below its node's bound, in
+    /// topological order, is then a completion that embeds); with shared or
+    /// several candidates it may keep a prefix whose unplaced item is wanted
+    /// in two places at once.
+    #[inline]
+    pub fn can_complete(&self, encoded_position: impl Fn(u32) -> u32, chosen: &mut [u32]) -> bool {
+        self.walk::<true>(encoded_position, chosen)
+    }
+
+    /// The greedy walk behind [`CompiledPattern::embeds`] (`OPTIMISTIC` off)
+    /// and [`CompiledPattern::can_complete`] (on).
+    #[inline(always)]
+    fn walk<const OPTIMISTIC: bool>(
+        &self,
+        encoded_position: impl Fn(u32) -> u32,
+        chosen: &mut [u32],
+    ) -> bool {
         let (mut parent_start, mut key_start) = (0, 0);
         for rank in 0..self.order.len() {
             let (parent_end, key_end) = (self.parent_ends[rank], self.key_ends[rank]);
@@ -108,6 +147,10 @@ impl CompiledPattern {
             let mut earliest = u32::MAX;
             for &key in &self.keys[key_start..key_end] {
                 let position = encoded_position(key);
+                if OPTIMISTIC && position == 0 {
+                    earliest = above;
+                    break;
+                }
                 if position > above && position < earliest {
                     earliest = position;
                 }
@@ -303,9 +346,10 @@ mod tests {
         lab
     }
 
-    #[test]
-    fn compiled_check_equals_the_definition_on_the_menagerie() {
-        let patterns = vec![
+    /// Shapes the solvers meet, over labels 0..=4 of [`overlapping_labeling`]
+    /// (label 9 matches nothing).
+    fn menagerie() -> Vec<Pattern> {
+        vec![
             // The shapes of `ppd_solvers::testutil::sample_unions()`.
             Pattern::two_label(sel(0), sel(1)),
             Pattern::two_label(sel(2), sel(0)),
@@ -330,12 +374,133 @@ mod tests {
             // Edgeless, and a node listed before its parent.
             Pattern::new(vec![sel(2), sel(3)], vec![]).unwrap(),
             Pattern::new(vec![sel(2), sel(1), sel(0)], vec![(2, 1), (1, 0), (2, 0)]).unwrap(),
-        ];
+        ]
+    }
+
+    #[test]
+    fn compiled_check_equals_the_definition_on_the_menagerie() {
         let items: Vec<Item> = (0..7).collect();
         let lab = overlapping_labeling(7);
-        for pattern in &patterns {
+        for pattern in &menagerie() {
             assert_compiled_matches_definition(pattern, &items, &lab);
         }
+    }
+
+    /// Every placed prefix — a ranking of a subset of `items` — that some
+    /// ranking of all of them which embeds the pattern extends.
+    fn live_prefixes(
+        compiled: &CompiledPattern,
+        items: &[Item],
+    ) -> std::collections::HashSet<Vec<Item>> {
+        let mut live = std::collections::HashSet::new();
+        for full in Ranking::enumerate_all(items) {
+            if compiled.satisfied_by(&full) {
+                for subset in 0u32..1 << items.len() {
+                    let kept =
+                        |item: &Item| subset & (1 << items.binary_search(item).unwrap()) != 0;
+                    live.insert(full.items().iter().copied().filter(kept).collect());
+                }
+            }
+        }
+        live
+    }
+
+    /// Holds the optimistic walk to the definition of a live prefix on every
+    /// ranking of every subset of `items` (sorted): it never gives up a
+    /// prefix some completion embeds, and — where `exact` — keeps no other.
+    fn assert_walk_keeps_live_prefixes(
+        pattern: &Pattern,
+        items: &[Item],
+        lab: &Labeling,
+        exact: bool,
+    ) {
+        let compiled = CompiledPattern::for_items(pattern, items, lab).unwrap();
+        let live = live_prefixes(&compiled, items);
+        let mut chosen = vec![0u32; compiled.num_nodes()];
+        for tau in rankings_of_all_subsets(items) {
+            let is_live = live.contains(tau.items());
+            let kept = compiled.can_complete(encoded_positions(&tau), &mut chosen);
+            assert!(
+                kept || !is_live,
+                "gave up a live prefix: pattern {pattern:?}, prefix {tau}"
+            );
+            assert!(
+                kept == is_live || !exact,
+                "kept a dead prefix: pattern {pattern:?}, prefix {tau}"
+            );
+            // Through an encoding with gaps, as the DP kernel reads it.
+            let gapped = |item| tau.position_of(item).map_or(0, |pos| 3 * pos as u32 + 2);
+            assert_eq!(compiled.can_complete(gapped, &mut chosen), kept);
+        }
+    }
+
+    #[test]
+    fn optimistic_walk_never_gives_up_a_live_prefix() {
+        // Nodes that share candidates and have several each, m = 6 and 5.
+        for m in [6usize, 5] {
+            let items: Vec<Item> = (0..m as Item).collect();
+            let lab = overlapping_labeling(m);
+            let mut patterns = menagerie();
+            patterns.extend([
+                // A chain and a diamond whose every node has 2–3 candidates,
+                // the ends of each sharing theirs.
+                Pattern::new(vec![sel(0), sel(3), sel(0)], vec![(0, 1), (1, 2)]).unwrap(),
+                Pattern::new(
+                    vec![sel(3), sel(0), sel(1), sel(3)],
+                    vec![(0, 1), (0, 2), (1, 3), (2, 3)],
+                )
+                .unwrap(),
+                // Every node matches every item.
+                Pattern::new(vec![NodeSelector::any(); 3], vec![(0, 1), (1, 2)]).unwrap(),
+            ]);
+            for pattern in &patterns {
+                assert_walk_keeps_live_prefixes(pattern, &items, &lab, false);
+            }
+        }
+    }
+
+    #[test]
+    fn optimistic_walk_is_exact_when_every_node_names_its_own_item() {
+        // One label per item: a selector names one item, and no two nodes of
+        // these patterns name the same one.
+        let items: Vec<Item> = (0..6).collect();
+        let mut lab = Labeling::new();
+        for &item in &items {
+            lab.add(item, item);
+        }
+        let patterns = [
+            Pattern::new(vec![sel(4), sel(1), sel(3)], vec![(0, 1), (1, 2)]).unwrap(),
+            Pattern::new(
+                vec![sel(5), sel(0), sel(3), sel(2)],
+                vec![(0, 1), (1, 2), (2, 3)],
+            )
+            .unwrap(),
+            Pattern::new(
+                vec![sel(2), sel(0), sel(5), sel(1)],
+                vec![(0, 1), (0, 2), (1, 3), (2, 3)],
+            )
+            .unwrap(),
+            // An N: 0 ≻ 2, 1 ≻ 2, 1 ≻ 3, its nodes listed sinks first.
+            Pattern::new(
+                vec![sel(3), sel(1), sel(4), sel(0)],
+                vec![(2, 0), (3, 0), (3, 1)],
+            )
+            .unwrap(),
+            Pattern::new(vec![sel(0), sel(1), sel(4)], vec![(0, 1)]).unwrap(),
+        ];
+        for pattern in &patterns {
+            assert_walk_keeps_live_prefixes(pattern, &items, &lab, true);
+        }
+        // Two nodes naming one item is where exactness ends: `x ≻ a` and
+        // `b ≻ x` with `a` placed above `b` want `x` on both sides, and the
+        // walk, node by node, still sees room for it.
+        let torn =
+            Pattern::new(vec![sel(2), sel(0), sel(1), sel(2)], vec![(0, 1), (2, 3)]).unwrap();
+        assert_walk_keeps_live_prefixes(&torn, &items[..3], &lab, false);
+        let compiled = CompiledPattern::for_items(&torn, &items[..3], &lab).unwrap();
+        let prefix = Ranking::new(vec![0, 1]).unwrap();
+        assert!(!live_prefixes(&compiled, &items[..3]).contains(prefix.items()));
+        assert!(compiled.can_complete(encoded_positions(&prefix), &mut [0; 4]));
     }
 
     proptest! {

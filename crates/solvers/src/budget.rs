@@ -65,7 +65,11 @@ impl Budget {
         }
     }
 
-    /// Limits the number of simultaneously tracked DP states.
+    /// Limits the number of simultaneously tracked DP states: the distinct
+    /// states a kernel carries from one insertion step to the next. For the
+    /// packed general-DAG kernel those are the *live* ones — a prefix no
+    /// placement of the remaining items can complete is dropped, not carried
+    /// (see [`PatternSolver::with_budget`](crate::PatternSolver::with_budget)).
     pub fn with_max_states(max_states: usize) -> Self {
         Budget {
             max_states: Some(max_states),

@@ -143,6 +143,17 @@ impl GeneralSolver {
                 self.cap()
             )));
         }
+        let solver = self.pattern_solver();
+        if let [(pattern, candidates)] = &members[..] {
+            // One member is its own expansion: `0.0 + p` is `p`, so there is
+            // no subset to enumerate and nothing to memoise. Polled once,
+            // like the one mask the loop below would have visited.
+            if let Some(budget) = &self.budget {
+                budget.check_cancelled()?;
+            }
+            let p = solver.solve_with_candidates(rim, labeling, pattern, candidates)?;
+            return Ok((p.clamp(0.0, 1.0), 1));
+        }
         // Content classes: members with structurally equal patterns share a
         // class, named by the bit of the class's first occurrence.
         let class_bit: Vec<u64> = (0..z)
@@ -151,7 +162,6 @@ impl GeneralSolver {
                 1 << first.unwrap_or(i)
             })
             .collect();
-        let solver = self.pattern_solver();
         let mut memo: HashMap<u64, f64> = HashMap::new();
         let mut total = 0.0;
         // Iterate over all non-empty subsets of members.

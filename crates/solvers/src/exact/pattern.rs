@@ -68,6 +68,35 @@
 //! position taken and, un-shifted, the state it was taken from, so no two
 //! transitions share one and each is appended without a lookup
 //! (`Frontier::push_unshared`).
+//!
+//! # Which prefixes the kernel keeps
+//!
+//! A prefix that does not embed the pattern yet is worth carrying only if the
+//! items still to come can change that. Whether they can is a question about
+//! the pattern and the *order* of the placed relevant items, not about mass:
+//! on a step that places a relevant item the packed kernel asks it once per
+//! gap, right after the embedding check and of the same packed word
+//! ([`CompiledPattern::can_complete`], the check's optimistic twin — a node
+//! that still has an unplaced candidate takes its parents' bound instead of
+//! failing), and pushes nothing for a gap whose prefix is dead. On `a ≻ b ≻ c`
+//! over three items that is half the frontier from the second item on (the two
+//! placed items are in the wrong order, and stay so through every shift step
+//! up to the third), and the share grows with the number of nodes — where the
+//! exponent of Section 4.1 lives. The walk never calls a prefix dead
+//! that some completion embeds; with shared or several candidates per node it
+//! may keep one that none does, which costs time and no correctness.
+//!
+//! No bit of the answer can move. Dead mass never reaches `satisfied_mass`:
+//! a step that places no relevant item changes no relative order, hence no
+//! verdict, and a successor of a dead prefix on a relevant step is dead too
+//! (a completion of the successor is one of the prefix). Read the other way, a
+//! live state has only live predecessors, so every transition into a state the
+//! kernel keeps comes from a state it kept: the survivors' `+=` keep their
+//! operands and — sources ascending by key, positions ascending, closed by
+//! `Frontier::merge_step`'s sort — their order. The question is not asked on
+//! the last relevant step, which pushes nothing anyway. What does change is
+//! what a [`Budget`] sees: `with_max_states` now caps the *live* frontier. The
+//! reference kernel prunes nothing, which keeps it an oracle for this too.
 
 use crate::budget::Budget;
 use crate::exact::bipartite::BipartiteSolver;
@@ -100,6 +129,13 @@ impl PatternSolver {
     /// abort. A `with_max_states` cap or time limit that only those skipped
     /// steps would have tripped therefore no longer fails the solve, and a
     /// cancellation probe is polled that many times at most.
+    ///
+    /// The frontier a step leaves behind is the *live* one: prefixes no
+    /// placement of the remaining items can complete are dropped as they
+    /// arise (see "Which prefixes the kernel keeps" in the module docs) and
+    /// count against no cap. The map-based reference kernel drops nothing
+    /// and runs all `m` steps, so under the same cap it may fail where the
+    /// packed kernel does not.
     pub fn with_budget(budget: Budget) -> Self {
         PatternSolver {
             budget: Some(budget),
@@ -194,10 +230,7 @@ impl PatternSolver {
     ) -> Result<f64> {
         let m = rim.num_items();
         let relevant = relevant_items(candidates);
-        // Per insertion step: the relevant-item slot the step's item owns.
-        let slot_of_step: Vec<Option<usize>> = (0..m)
-            .map(|i| relevant.binary_search(&rim.sigma().item_at(i)).ok())
-            .collect();
+        let slot_of_step = slot_of_step(rim, &relevant);
         let budget = self.budget.as_ref();
         let width = packed::slot_bits(m) * relevant.len() as u32;
         if self.force_reference || width > 128 {
@@ -217,6 +250,13 @@ fn relevant_items(candidates: &[Vec<Item>]) -> Vec<Item> {
     relevant.sort_unstable();
     relevant.dedup();
     relevant
+}
+
+/// Per insertion step: the relevant-item slot the step's item owns.
+fn slot_of_step(rim: &RimModel, relevant: &[Item]) -> Vec<Option<usize>> {
+    (rim.sigma().items().iter())
+        .map(|item| relevant.binary_search(item).ok())
+        .collect()
 }
 
 /// The retained map-based general-DAG kernel. The state is the vector of
@@ -342,13 +382,16 @@ fn solve_general_packed<W: Word>(
                 let placed_at = |j: usize| shifted.or(W::from_u32(j as u32 + 1).shl(own_shift));
                 let placed = placed_at(gap.start);
                 let position = |shift| packed::get_slot(placed, shift, mask);
-                let embeds = check.embeds(position, &mut chosen);
-                for j in gap {
-                    let p_new = prob * row[j];
-                    if embeds {
-                        satisfied_mass += p_new;
-                    } else if !is_last {
-                        frontier.push_unshared(placed_at(j), p_new);
+                if check.embeds(position, &mut chosen) {
+                    for j in gap {
+                        satisfied_mass += prob * row[j];
+                    }
+                } else if !is_last && check.can_complete(position, &mut chosen) {
+                    // Still live: some placement of the items to come can
+                    // embed. A prefix none can is dropped here, with every
+                    // state it would have fanned out into.
+                    for j in gap {
+                        frontier.push_unshared(placed_at(j), prob * row[j]);
                     }
                 }
             });
@@ -394,6 +437,7 @@ mod tests {
     use crate::exact::brute::BruteForceSolver;
     use crate::testutil::{cyclic_labeling, rim, sel};
     use ppd_patterns::Pattern;
+    use proptest::prelude::*;
 
     #[test]
     fn chain_patterns_agree_with_brute_force() {
@@ -452,6 +496,168 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The general DP of all three kernels — packed in a `u64`, packed in a
+    /// `u128`, map-based reference — on any pattern whose selectors all match
+    /// something, bipartite and edgeless ones included (the solver routes
+    /// those elsewhere; the DP does not care).
+    fn general_dp_on_every_kernel(
+        model: &RimModel,
+        lab: &Labeling,
+        pattern: &Pattern,
+        budget: Option<&Budget>,
+    ) -> [Result<f64>; 3] {
+        let candidates = pattern
+            .candidate_sets(model.sigma().items(), lab)
+            .expect("every selector matches an item");
+        let relevant = relevant_items(&candidates);
+        let steps = slot_of_step(model, &relevant);
+        [
+            solve_general_packed::<u64>(model, pattern, &candidates, &relevant, &steps, budget),
+            solve_general_packed::<u128>(model, pattern, &candidates, &relevant, &steps, budget),
+            reference::solve(model, lab, pattern, &relevant, &steps, budget),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Generated DAGs: 2–5 nodes, each possible edge `a → b` (a < b,
+        /// nodes then listed from a random rotation so parents do not always
+        /// precede their children) present or not, over `labels` labels dealt
+        /// cyclically to 3–7 items — one label for all of them up to one
+        /// each, so nodes share candidates, have several, or name one item.
+        #[test]
+        fn pruned_kernel_equals_the_reference_on_generated_dags(
+            m in 3usize..=7,
+            label_draw in 0u32..7,
+            node_labels in proptest::collection::vec(0u32..7, 2..=5),
+            edge_bits in 0u32..1024,
+            rotate in 0usize..5,
+            phi_index in 0usize..4,
+        ) {
+            let labels = 1 + label_draw % m as u32;
+            let q = node_labels.len();
+            let at = |i: usize| (i + rotate) % q;
+            let mut nodes = vec![sel(0); q];
+            for (i, &l) in node_labels.iter().enumerate() {
+                nodes[at(i)] = sel(l % labels);
+            }
+            let mut edges = Vec::new();
+            let mut bit = 0;
+            for a in 0..q {
+                for b in a + 1..q {
+                    if edge_bits & (1 << bit) != 0 {
+                        edges.push((at(a), at(b)));
+                    }
+                    bit += 1;
+                }
+            }
+            let pattern = Pattern::new(nodes, edges).expect("edges go one way");
+            let phi = [0.0, 0.2, 0.5, 1.0][phi_index];
+            let (model, lab) = (rim(m, phi), cyclic_labeling(m, labels));
+            let [narrow, wide, reference] =
+                general_dp_on_every_kernel(&model, &lab, &pattern, None).map(Result::unwrap);
+            prop_assert_eq!(narrow.to_bits(), reference.to_bits(), "u64 {} vs {}", narrow, reference);
+            prop_assert_eq!(wide.to_bits(), reference.to_bits(), "u128 {} vs {}", wide, reference);
+            let brute = BruteForceSolver::new()
+                .solve(&model, &lab, &PatternUnion::singleton(pattern).unwrap())
+                .unwrap();
+            prop_assert!((narrow - brute).abs() < 1e-12, "{} vs brute force {}", narrow, brute);
+        }
+    }
+
+    /// What the kernel would carry without pruning: per executed step that
+    /// leaves a frontier behind, the number of ways to put the relevant items
+    /// inserted so far on distinct positions of the prefix without embedding
+    /// the pattern (embedding is monotone, so those are exactly the prefixes
+    /// no earlier step absorbed). Counted from the definition — positions
+    /// enumerated, `satisfies_pattern` on the ranking they spell.
+    fn unpruned_frontier_sizes(model: &RimModel, lab: &Labeling, pattern: &Pattern) -> Vec<usize> {
+        let sigma = model.sigma().items();
+        let candidates = pattern.candidate_sets(sigma, lab).unwrap();
+        let steps = slot_of_step(model, &relevant_items(&candidates));
+        let last = steps.iter().rposition(Option::is_some).unwrap_or(0);
+        (0..last)
+            .map(|step| {
+                let placed: Vec<Item> = (sigma[..=step].iter().zip(&steps))
+                    .filter_map(|(&item, slot)| slot.map(|_| item))
+                    .collect();
+                // Every injective map of `placed` into the step's positions.
+                let mut placements: Vec<Vec<usize>> = vec![vec![]];
+                for _ in &placed {
+                    placements = (placements.iter())
+                        .flat_map(|taken| {
+                            (0..=step).filter(|pos| !taken.contains(pos)).map(|pos| {
+                                let mut next = taken.clone();
+                                next.push(pos);
+                                next
+                            })
+                        })
+                        .collect();
+                }
+                (placements.iter())
+                    .filter(|positions| {
+                        let mut by_position: Vec<(usize, Item)> = positions
+                            .iter()
+                            .copied()
+                            .zip(placed.iter().copied())
+                            .collect();
+                        by_position.sort_unstable();
+                        let prefix =
+                            Ranking::new(by_position.into_iter().map(|(_, item)| item).collect())
+                                .unwrap();
+                        !satisfies_pattern(&prefix, lab, pattern)
+                    })
+                    .count()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_state_cap_counts_the_live_frontier() {
+        // `solver_kernels`' item chain3 at m = 12: items 10 ≻ 1 ≻ 6, inserted
+        // as 1, 6, 10. From step 6 on two of them are placed, in either
+        // order without pruning; only "1 before 6" can still embed.
+        let (model, lab) = (rim(12, 0.5), cyclic_labeling(12, 12));
+        let chain = Pattern::new(vec![sel(10), sel(1), sel(6)], vec![(0, 1), (1, 2)]).unwrap();
+        let unpruned_peak = *unpruned_frontier_sizes(&model, &lab, &chain)
+            .iter()
+            .max()
+            .unwrap();
+        assert_eq!(
+            unpruned_peak,
+            10 * 9,
+            "steps 6..=9: ordered pairs of positions"
+        );
+
+        let capped = |cap: usize| {
+            PatternSolver::with_budget(Budget::with_max_states(cap))
+                .solve_pattern(&model, &lab, &chain)
+        };
+        let live_peak = (0..=unpruned_peak)
+            .find(|&cap| capped(cap).is_ok())
+            .expect("the kernel carries no more than the unpruned frontier");
+        assert_eq!(live_peak, 10 * 9 / 2);
+        assert!(matches!(
+            capped(live_peak - 1),
+            Err(SolverError::BudgetExceeded(_))
+        ));
+        // The cap of the acceptance bar: met by the kernel, exceeded by the
+        // frontier it would carry unpruned — with the answer's bits in place.
+        let cap = unpruned_peak * 55 / 100;
+        assert!(live_peak <= cap && cap < unpruned_peak);
+        let unbudgeted = PatternSolver::new()
+            .solve_pattern(&model, &lab, &chain)
+            .unwrap();
+        assert_eq!(capped(cap).unwrap().to_bits(), unbudgeted.to_bits());
+        // The reference kernel drops nothing: it fails under the same cap.
+        let [narrow, wide, reference] =
+            general_dp_on_every_kernel(&model, &lab, &chain, Some(&Budget::with_max_states(cap)));
+        assert_eq!(narrow.unwrap().to_bits(), unbudgeted.to_bits());
+        assert_eq!(wide.unwrap().to_bits(), unbudgeted.to_bits());
+        assert!(matches!(reference, Err(SolverError::BudgetExceeded(_))));
     }
 
     #[test]
