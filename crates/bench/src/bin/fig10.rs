@@ -28,14 +28,16 @@ fn errors_for(
         }
     }
     for &d in proposal_counts {
+        // A failed estimate is counted, not folded into the median.
         let mut errs = Vec::new();
+        let mut failed = 0;
         for (idx, (inst, truth)) in with_truth.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(10_000 + (d * 100 + idx) as u64);
             let lite = MisAmpLite::new(d, samples);
-            let estimate = lite
-                .estimate(&inst.model, &inst.labeling, &inst.union, &mut rng)
-                .unwrap_or(f64::NAN);
-            errs.push(relative_error(*truth, estimate));
+            match lite.estimate(&inst.model, &inst.labeling, &inst.union, &mut rng) {
+                Ok(estimate) => errs.push(relative_error(*truth, estimate)),
+                Err(_) => failed += 1,
+            }
         }
         rows.push(vec![
             name.to_string(),
@@ -48,6 +50,7 @@ fn errors_for(
             "proposal_distributions": d,
             "median_relative_error": median(&errs),
             "instances": with_truth.len(),
+            "failed": failed,
         }));
     }
 }

@@ -79,8 +79,9 @@ fn main() {
                     continue;
                 };
                 let mut rng = StdRng::seed_from_u64(1300 + idx as u64);
+                let total = prepared.num_proposals() * samples;
                 let (_, sampling) =
-                    timed(|| lite.estimate_prepared(&inst.model, &prepared, &mut rng));
+                    timed(|| lite.estimate_prepared_total(&inst.model, &prepared, total, &mut rng));
                 sampling_times.push(sampling);
             }
             let median = median_duration(&sampling_times);

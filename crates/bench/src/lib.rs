@@ -69,13 +69,14 @@ pub fn median_duration(durations: &[Duration]) -> Duration {
     sorted[sorted.len() / 2]
 }
 
-/// Median of a slice of floats (returns NaN for an empty slice).
+/// Median of a slice of floats (returns NaN for an empty slice). Sorts by
+/// `f64::total_cmp`, so a NaN input sorts last instead of panicking.
 pub fn median(values: &[f64]) -> f64 {
     if values.is_empty() {
         return f64::NAN;
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     sorted[sorted.len() / 2]
 }
 
@@ -151,6 +152,14 @@ mod tests {
         );
         assert_eq!(relative_error(2.0, 1.0), 0.5);
         assert_eq!(relative_error(0.0, 0.25), 0.25);
+    }
+
+    #[test]
+    fn median_of_a_slice_with_a_nan_does_not_panic() {
+        // A positive NaN sorts after every number.
+        assert_eq!(median(&[3.0, f64::NAN, 1.0, 2.0]), 3.0);
+        assert_eq!(median(&[f64::NAN, 1.0, 2.0]), 2.0);
+        assert!(median(&[f64::NAN]).is_nan());
     }
 
     #[test]

@@ -280,12 +280,13 @@ impl std::fmt::Display for CacheStats {
 /// per-tenant budget engine, or a larger ε after invalidation of the
 /// marginal entry alone) skips it entirely.
 ///
-/// Safe to share across engines: the key is a *content* hash, so a model or
-/// union change addresses a different entry outright (stale pools can waste
+/// [`ProposalPool::build`] fixes the pool's shape itself, so the content
+/// hash is the whole key. Safe to share across engines: a model or union
+/// change addresses a different entry outright (stale pools can waste
 /// memory, never serve wrong proposals), and pool preparation draws no
 /// randomness, so a warm pool yields bit-identical answers to a cold build —
 /// a contract `warm_pool_reruns_are_bit_identical_to_cold_runs` pins at the
-/// solver layer and `tests/engine_determinism.rs` pins end to end.
+/// solver layer and `tests/engine_cache.rs` pins end to end.
 #[derive(Debug, Default)]
 pub struct PoolCache {
     map: Mutex<HashMap<u64, Arc<Mutex<ProposalPool>>>>,
@@ -314,7 +315,7 @@ impl PoolCache {
         Ok(Arc::clone(map.entry(hash).or_insert(pool)))
     }
 
-    /// Pools built since construction (or the last [`PoolCache::clear`]).
+    /// Pools built since construction.
     pub(crate) fn built(&self) -> u64 {
         self.built.load(Ordering::Relaxed)
     }
@@ -444,7 +445,6 @@ mod tests {
     #[test]
     fn pool_cache_counts_builds_and_reuses_by_content_hash() {
         use ppd_patterns::{Labeling, NodeSelector, Pattern, PatternUnion};
-        use ppd_solvers::MisAmpBudgeted;
         let model = MallowsModel::new(Ranking::identity(4), 0.4).unwrap();
         let mut lab = Labeling::new();
         for i in 0..4u32 {
@@ -455,10 +455,9 @@ mod tests {
             NodeSelector::single(0),
         ))
         .unwrap();
-        let solver = MisAmpBudgeted::new(0.05, 0.9);
         let cache = PoolCache::default();
         let a = cache
-            .get_or_build(7, || solver.build_pool(&model, &lab, &union))
+            .get_or_build(7, || ProposalPool::build(&model, &lab, &union))
             .unwrap();
         assert_eq!((cache.built(), cache.hits()), (1, 0));
         let b = cache
@@ -470,7 +469,7 @@ mod tests {
         assert_eq!((cache.built(), cache.hits()), (1, 1));
         cache.remove_hashes(&[7u64].into_iter().collect());
         cache
-            .get_or_build(7, || solver.build_pool(&model, &lab, &union))
+            .get_or_build(7, || ProposalPool::build(&model, &lab, &union))
             .unwrap();
         assert_eq!((cache.built(), cache.hits()), (2, 1));
     }

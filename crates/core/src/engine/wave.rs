@@ -38,7 +38,7 @@ use crate::{PpdError, Result};
 use ppd_patterns::{Labeling, PatternUnion, UnionClass};
 use ppd_solvers::{
     choose_exact_solver_with_budget, Budget, CancelProbe, GeneralSolver, MisAmpAdaptive,
-    MisAmpBudgeted, SolverKind,
+    MisAmpBudgeted, ProposalPool, SolverKind,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -860,10 +860,9 @@ impl Engine {
         // decomposition + greedy-modal walk) when one exists; a warm pool
         // only skips preparation work, the estimate's bits are identical.
         let pool = match (unit.fingerprint, &self.config.solver) {
-            (SolverFingerprint::ErrorBudget { .. }, SolverChoice::ErrorBudget(budget)) => {
-                let builder = MisAmpBudgeted::new(budget.epsilon, budget.confidence);
+            (SolverFingerprint::ErrorBudget { .. }, SolverChoice::ErrorBudget(_)) => {
                 Some(self.pools.get_or_build(unit.hash, || {
-                    builder.build_pool(prepared.mallows(), &unit.labeling, &unit.union)
+                    ProposalPool::build(prepared.mallows(), &unit.labeling, &unit.union)
                 })?)
             }
             _ => None,

@@ -5,22 +5,16 @@
 //! value depends on the instance: easy unions waste samples, hard ones come
 //! back noisier than the caller can tolerate. [`MisAmpBudgeted`] instead takes
 //! an *error budget* `(ε, confidence)` and runs MIS-AMP-lite in doubling
-//! rounds, after each round computing a normal-approximation confidence
-//! interval on the estimate from the empirical variance of the MIS weights
-//! ([`SampleMoments`]). It stops as soon as the interval's halfwidth is at
-//! most `ε`, or reports non-convergence after the final round so the caller
-//! can fall back to an exact solver.
-//!
-//! Determinism: the proposal preparation is deterministic, all rounds draw
-//! from one seeded RNG stream, and every stopping decision is a pure function
-//! of the recorded moments — so the total sample budget, and therefore the
-//! estimate, depend only on the instance and the seed. The evaluation
-//! engine's bit-reproducibility contract holds in error-budget mode exactly
-//! as it does for the fixed-budget estimators.
+//! rounds — the `DoubleBudget` schedule of the one MIS run loop (see
+//! `approx::mis_lite`) — until a normal-approximation confidence interval
+//! from the weights' empirical variance has halfwidth at most `ε`, or reports
+//! non-convergence after the final round so the caller can fall back to an
+//! exact solver. Every stopping decision is a pure function of the recorded
+//! moments, so the estimate depends only on the instance and the seed.
 
-use crate::approx::mis_lite::{compensate, MisAmpLite, ProposalPool, SampleMoments};
+use crate::approx::mis_lite::{MisAmpLite, MixtureOutcome, ProposalPool, Schedule};
 use crate::{Result, SolverError};
-use ppd_patterns::{DecompositionLimits, Labeling, PatternUnion};
+use ppd_patterns::{Labeling, PatternUnion};
 use ppd_rim::MallowsModel;
 use rand::RngCore;
 
@@ -33,28 +27,19 @@ pub struct MisAmpBudgeted {
     pub confidence: f64,
     /// Number of proposal distributions (fixed across rounds).
     pub num_proposals: usize,
-    /// Total mixture samples in the first round; each round doubles the
-    /// total. The budget is split across the proposal pool by stratified
-    /// allocation, so a round can be smaller than the proposal count —
-    /// easy unions converge on a handful of samples instead of a full
-    /// per-proposal quota.
+    /// Total mixture samples in the first round, doubled every round and
+    /// split across the pool — so easy unions can converge on fewer samples
+    /// than one per-proposal quota.
     pub initial_samples: usize,
     /// Maximum number of doubling rounds before giving up.
     pub max_rounds: usize,
-    /// Cap on modals per sub-ranking (forwarded to MIS-AMP-lite).
-    pub modal_cap: usize,
-    /// Decomposition caps (forwarded to MIS-AMP-lite).
-    pub limits: DecompositionLimits,
 }
 
 impl MisAmpBudgeted {
     /// A configuration targeting the given error budget with the default
-    /// sampling shape (10 proposals, 64 total initial samples, 12 doubling
+    /// sampling shape: 10 proposals, 64 total initial samples, 12 doubling
     /// rounds — a worst case of `64 × (2¹² − 1) ≈ 262k` samples before the
-    /// exact fallback). The first rounds are an order of magnitude smaller
-    /// than the per-proposal-quota scheme they replaced (which started at
-    /// `64 × 10` samples), so easy instances stop much earlier; the extra
-    /// rounds at the top keep the worst-case certification power.
+    /// exact fallback.
     pub fn new(epsilon: f64, confidence: f64) -> Self {
         MisAmpBudgeted {
             epsilon,
@@ -62,38 +47,7 @@ impl MisAmpBudgeted {
             num_proposals: 10,
             initial_samples: 64,
             max_rounds: 12,
-            modal_cap: 64,
-            limits: DecompositionLimits::default(),
         }
-    }
-
-    /// The MIS-AMP-lite configuration whose preparation and total-budget
-    /// sampling stage this estimator drives.
-    fn lite(&self) -> MisAmpLite {
-        MisAmpLite {
-            num_proposals: self.num_proposals,
-            samples_per_proposal: self.initial_samples.max(1),
-            compensation: true,
-            modal_cap: self.modal_cap,
-            limits: self.limits,
-        }
-    }
-
-    /// Builds the reusable proposal pool for an instance — the union
-    /// decomposition plus greedy-modal walk that [`MisAmpBudgeted::run`]
-    /// performs internally. Exposed so callers that re-estimate the same
-    /// instance under different budgets (the engine's proposal-pool cache)
-    /// can pay for the decomposition once: this estimator always draws the
-    /// same fixed `num_proposals` from the pool, so re-running from a shared
-    /// pool is bit-identical to a fresh run (the non-decreasing-draws
-    /// contract of `MisAmpLite::prepare_from_pool` holds trivially).
-    pub fn build_pool(
-        &self,
-        mallows: &MallowsModel,
-        labeling: &Labeling,
-        union: &PatternUnion,
-    ) -> Result<ProposalPool> {
-        self.lite().build_pool(mallows, labeling, union)
     }
 
     /// Runs the doubling loop. `converged = false` in the outcome means the
@@ -107,130 +61,39 @@ impl MisAmpBudgeted {
         labeling: &Labeling,
         union: &PatternUnion,
         rng: &mut dyn RngCore,
-    ) -> Result<BudgetedOutcome> {
-        self.validate()?;
-        let mut pool = self.build_pool(mallows, labeling, union)?;
-        self.run_with_pool(mallows, &mut pool, rng)
+    ) -> Result<MixtureOutcome> {
+        self.run_with_pool(mallows, labeling, union, None, rng)
     }
 
-    /// [`MisAmpBudgeted::run`] on an already-built proposal pool: skips the
-    /// union decomposition and reuses every greedy modal the pool has
-    /// already generated. The pool must have been built for the same
-    /// `(model, modal_cap, limits)` — [`MisAmpBudgeted::build_pool`] is the
-    /// matching constructor — and as long as every estimator drawing from
-    /// one pool uses the same `num_proposals` (this type never varies its
-    /// draw), results are bit-identical to a cold [`MisAmpBudgeted::run`].
+    /// [`MisAmpBudgeted::run`], optionally on an already-built proposal pool
+    /// for the same instance: that skips the union decomposition and reuses
+    /// every greedy modal the pool has generated. This estimator always
+    /// draws the same fixed `num_proposals`, so a run from a shared pool is
+    /// bit-identical to a cold one.
     pub(crate) fn run_with_pool(
         &self,
         mallows: &MallowsModel,
-        pool: &mut ProposalPool,
+        labeling: &Labeling,
+        union: &PatternUnion,
+        pool: Option<&mut ProposalPool>,
         rng: &mut dyn RngCore,
-    ) -> Result<BudgetedOutcome> {
-        self.validate()?;
-        let z = normal_quantile(0.5 + self.confidence / 2.0);
-        let lite = self.lite();
-        let prepared = lite.prepare_from_pool(pool)?;
-        if prepared.num_proposals() == 0 {
-            // Unsatisfiable union: the probability is exactly zero, with a
-            // zero-width interval.
-            return Ok(BudgetedOutcome {
-                estimate: 0.0,
-                total_samples: 0,
-                zero_density_samples: 0,
-                rounds: 0,
-                halfwidth: 0.0,
-                converged: true,
-            });
-        }
-        let factor = prepared.compensation_subrankings * prepared.compensation_modals;
-
-        let mut round_budget = self.initial_samples;
-        let mut total_samples = 0;
-        let mut zero_density_samples = 0;
-        let mut rounds = 0;
-        let mut estimate = 0.0;
-        let mut halfwidth = f64::INFINITY;
-        let mut converged = false;
-        while rounds < self.max_rounds.max(1) {
-            rounds += 1;
-            let (round_estimate, moments) =
-                lite.estimate_prepared_total(mallows, &prepared, round_budget, rng);
-            total_samples += moments.samples;
-            zero_density_samples += moments.zero_density;
-            estimate = round_estimate;
-            halfwidth = compensated_halfwidth(&moments, factor, z);
-            if halfwidth <= self.epsilon {
-                converged = true;
-                break;
-            }
-            round_budget *= 2;
-        }
-        Ok(BudgetedOutcome {
-            estimate,
-            total_samples,
-            zero_density_samples,
-            rounds,
-            halfwidth,
-            converged,
-        })
-    }
-
-    fn validate(&self) -> Result<()> {
-        if !self.epsilon.is_finite()
-            || self.epsilon <= 0.0
-            || self.confidence.is_nan()
-            || self.confidence <= 0.0
-            || self.confidence >= 1.0
-        {
+    ) -> Result<MixtureOutcome> {
+        // Written so that a NaN fails every comparison and is rejected.
+        let valid = self.epsilon.is_finite() && self.epsilon > 0.0;
+        if !(valid && self.confidence > 0.0 && self.confidence < 1.0) {
             return Err(SolverError::InvalidInstance(format!(
                 "error budget needs epsilon > 0 and confidence in (0, 1), got ({}, {})",
                 self.epsilon, self.confidence
             )));
         }
-        if self.num_proposals == 0 || self.initial_samples == 0 {
-            return Err(SolverError::InvalidInstance(
-                "error-budgeted MIS-AMP needs at least one proposal and one sample".into(),
-            ));
-        }
-        Ok(())
+        let lite = MisAmpLite::new(self.num_proposals, self.initial_samples);
+        let schedule = Schedule::DoubleBudget {
+            epsilon: self.epsilon,
+            z: normal_quantile(0.5 + self.confidence / 2.0),
+            max_rounds: self.max_rounds,
+        };
+        lite.run(mallows, labeling, union, pool, schedule, rng)
     }
-}
-
-/// Outcome of an error-budgeted run.
-#[derive(Debug, Clone)]
-pub struct BudgetedOutcome {
-    /// The final round's estimate.
-    pub estimate: f64,
-    /// Total samples drawn across all rounds.
-    pub total_samples: usize,
-    /// Samples (across all rounds) on which the proposal mixture had zero
-    /// density — drawn but contributing nothing. A health signal, surfaced
-    /// by the engine as the `ppd_sampler_zero_density_total` counter.
-    pub zero_density_samples: usize,
-    /// Number of doubling rounds executed.
-    pub rounds: usize,
-    /// Confidence-interval halfwidth of the final round.
-    pub halfwidth: f64,
-    /// Whether the halfwidth closed to `ε` (as opposed to exhausting
-    /// `max_rounds`).
-    pub converged: bool,
-}
-
-/// Confidence-interval halfwidth of the *compensated* estimate: the normal
-/// interval on the covered-region mean is mapped endpoint-wise through the
-/// odds-space compensation (a monotone map, so the image of an interval is an
-/// interval) and the halfwidth of the image is reported.
-fn compensated_halfwidth(moments: &SampleMoments, factor: f64, z: f64) -> f64 {
-    // Fewer than two samples carry no variance information: the empirical
-    // interval would collapse to a point and certify any ε vacuously.
-    if moments.samples < 2 {
-        return f64::INFINITY;
-    }
-    let se = moments.standard_error();
-    let mean = moments.mean().clamp(0.0, 1.0);
-    let lo = compensate((mean - z * se).clamp(0.0, 1.0), factor);
-    let hi = compensate((mean + z * se).clamp(0.0, 1.0), factor);
-    (hi - lo) / 2.0
 }
 
 /// Inverse of the standard normal CDF (Acklam's rational approximation,
@@ -384,12 +247,16 @@ mod tests {
         .unwrap();
         let loose = MisAmpBudgeted::new(0.05, 0.9);
         let tight = MisAmpBudgeted::new(0.01, 0.95);
-        let mut pool = loose.build_pool(&model, &lab, &union).unwrap();
+        let mut pool = ProposalPool::build(&model, &lab, &union).unwrap();
         let mut rng = StdRng::seed_from_u64(21);
-        let warm_loose = loose.run_with_pool(&model, &mut pool, &mut rng).unwrap();
+        let warm_loose = loose
+            .run_with_pool(&model, &lab, &union, Some(&mut pool), &mut rng)
+            .unwrap();
         // Re-estimation under a tighter budget reuses the same pool.
         let mut rng = StdRng::seed_from_u64(22);
-        let warm_tight = tight.run_with_pool(&model, &mut pool, &mut rng).unwrap();
+        let warm_tight = tight
+            .run_with_pool(&model, &lab, &union, Some(&mut pool), &mut rng)
+            .unwrap();
         let mut rng = StdRng::seed_from_u64(21);
         let cold_loose = loose.run(&model, &lab, &union, &mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(22);

@@ -1,13 +1,13 @@
-//! MIS-AMP-adaptive: repeatedly runs MIS-AMP-lite with more proposal
-//! distributions until the estimate converges (Section 5.5).
+//! MIS-AMP-adaptive: MIS-AMP-lite run again with more proposal distributions
+//! until the estimate converges (Section 5.5) — the `GrowProposals` schedule
+//! of the one MIS run loop (see `approx::mis_lite`).
 
-use crate::approx::mis_lite::{MisAmpLite, ProposalPool};
+use crate::approx::mis_lite::{MisAmpLite, MixtureOutcome, Schedule};
 use crate::traits::{ApproxSolver, EstimateStats};
-use crate::{Result, SolverError};
-use ppd_patterns::{DecompositionLimits, Labeling, PatternUnion};
+use crate::Result;
+use ppd_patterns::{Labeling, PatternUnion};
 use ppd_rim::MallowsModel;
 use rand::RngCore;
-use std::time::{Duration, Instant};
 
 /// Configuration of the adaptive estimator.
 #[derive(Debug, Clone)]
@@ -24,10 +24,6 @@ pub struct MisAmpAdaptive {
     /// Maximum number of rounds before giving up and returning the latest
     /// estimate.
     pub max_rounds: usize,
-    /// Cap on modals per sub-ranking (forwarded to MIS-AMP-lite).
-    pub modal_cap: usize,
-    /// Decomposition caps (forwarded to MIS-AMP-lite).
-    pub limits: DecompositionLimits,
 }
 
 impl Default for MisAmpAdaptive {
@@ -38,35 +34,8 @@ impl Default for MisAmpAdaptive {
             samples_per_proposal: 300,
             tolerance: 0.05,
             max_rounds: 8,
-            modal_cap: 64,
-            limits: DecompositionLimits::default(),
         }
     }
-}
-
-/// Detailed outcome of an adaptive run, separating the proposal-construction
-/// overhead from the sampling time (the two quantities Figure 13 reports).
-#[derive(Debug, Clone)]
-pub struct AdaptiveOutcome {
-    /// The final estimate.
-    pub estimate: f64,
-    /// Number of MIS-AMP-lite rounds executed.
-    pub rounds: usize,
-    /// Number of proposal distributions used in the final round.
-    pub proposals_used: usize,
-    /// Total time spent constructing proposal distributions
-    /// (decomposition + modal search + AMP construction).
-    pub preparation_time: Duration,
-    /// Total time spent drawing and re-weighting samples.
-    pub sampling_time: Duration,
-    /// Total samples drawn across all rounds.
-    pub total_samples: usize,
-    /// Samples (across all rounds) on which the proposal mixture had zero
-    /// density — drawn but contributing nothing to any round's estimate.
-    pub zero_density_samples: usize,
-    /// Whether the run stopped because consecutive estimates agreed (as
-    /// opposed to exhausting `max_rounds`).
-    pub converged: bool,
 }
 
 impl MisAmpAdaptive {
@@ -78,90 +47,22 @@ impl MisAmpAdaptive {
         }
     }
 
-    fn lite_for(&self, num_proposals: usize) -> MisAmpLite {
-        MisAmpLite {
-            num_proposals,
-            samples_per_proposal: self.samples_per_proposal,
-            compensation: true,
-            modal_cap: self.modal_cap,
-            limits: self.limits,
-        }
-    }
-
-    /// Runs the adaptive loop, returning the estimate together with timing
-    /// and convergence metadata.
+    /// Runs the adaptive schedule over one proposal pool, returning the
+    /// estimate together with its round count, samples and stop reason.
     pub fn run(
         &self,
         mallows: &MallowsModel,
         labeling: &Labeling,
         union: &PatternUnion,
         rng: &mut dyn RngCore,
-    ) -> Result<AdaptiveOutcome> {
-        if self.initial_proposals == 0 || self.samples_per_proposal == 0 {
-            return Err(SolverError::InvalidInstance(
-                "MIS-AMP-adaptive needs at least one proposal and one sample".into(),
-            ));
-        }
-        let mut num_proposals = self.initial_proposals;
-        let mut previous: Option<f64> = None;
-        let mut preparation_time = Duration::ZERO;
-        let mut sampling_time = Duration::ZERO;
-        let mut estimate = 0.0;
-        let mut rounds = 0;
-        let mut total_samples = 0;
-        let mut zero_density_samples = 0;
-        let mut converged = false;
-        // The union decomposition and the greedy-modal walk are shared by
-        // every round: build the proposal pool once and draw successively
-        // larger proposal sets from it instead of re-preparing from scratch.
-        let mut pool: Option<ProposalPool> = None;
-        while rounds < self.max_rounds.max(1) {
-            rounds += 1;
-            let lite = self.lite_for(num_proposals);
-            let t0 = Instant::now();
-            if pool.is_none() {
-                pool = Some(lite.build_pool(mallows, labeling, union)?);
-            }
-            let prepared = lite.prepare_from_pool(pool.as_mut().expect("pool just built"))?;
-            preparation_time += t0.elapsed();
-            let t1 = Instant::now();
-            let (round_estimate, moments) =
-                lite.estimate_prepared_with_moments(mallows, &prepared, rng);
-            estimate = round_estimate;
-            total_samples += moments.samples;
-            zero_density_samples += moments.zero_density;
-            sampling_time += t1.elapsed();
-            if prepared.num_proposals() == 0 {
-                // The union is unsatisfiable; nothing more to refine.
-                converged = true;
-                break;
-            }
-            if let Some(prev) = previous {
-                let denom = estimate.abs().max(1e-12);
-                if ((estimate - prev) / denom).abs() <= self.tolerance {
-                    converged = true;
-                    break;
-                }
-            }
-            // If the previous round already used every available proposal,
-            // adding more cannot change the answer.
-            if prepared.num_proposals() < num_proposals {
-                converged = true;
-                break;
-            }
-            previous = Some(estimate);
-            num_proposals += self.proposal_increment.max(1);
-        }
-        Ok(AdaptiveOutcome {
-            estimate,
-            rounds,
-            proposals_used: num_proposals,
-            preparation_time,
-            sampling_time,
-            total_samples,
-            zero_density_samples,
-            converged,
-        })
+    ) -> Result<MixtureOutcome> {
+        let lite = MisAmpLite::new(self.initial_proposals, self.samples_per_proposal);
+        let schedule = Schedule::GrowProposals {
+            step: self.proposal_increment,
+            tolerance: self.tolerance,
+            max_rounds: self.max_rounds,
+        };
+        lite.run(mallows, labeling, union, None, schedule, rng)
     }
 }
 
@@ -187,15 +88,8 @@ impl ApproxSolver for MisAmpAdaptive {
         union: &PatternUnion,
         rng: &mut dyn RngCore,
     ) -> Result<(f64, EstimateStats)> {
-        self.run(mallows, labeling, union, rng).map(|o| {
-            (
-                o.estimate,
-                EstimateStats {
-                    samples: o.total_samples,
-                    zero_density_samples: o.zero_density_samples,
-                },
-            )
-        })
+        self.run(mallows, labeling, union, rng)
+            .map(MixtureOutcome::with_stats)
     }
 }
 
@@ -247,20 +141,6 @@ mod tests {
         assert_eq!(outcome.estimate, 0.0);
         assert!(outcome.converged);
         assert_eq!(outcome.rounds, 1);
-    }
-
-    #[test]
-    fn timings_are_populated() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let model = mallows(7, 0.4);
-        let lab = cyclic_labeling(7, 3);
-        let union = PatternUnion::singleton(Pattern::two_label(sel(2), sel(0))).unwrap();
-        let outcome = MisAmpAdaptive::new(200)
-            .run(&model, &lab, &union, &mut rng)
-            .unwrap();
-        assert!(outcome.preparation_time > Duration::ZERO);
-        assert!(outcome.sampling_time > Duration::ZERO);
-        assert!(outcome.proposals_used >= 2);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! MIS-AMP-lite: multiple importance sampling for pattern unions with
-//! sub-ranking and modal pruning plus compensation (Section 5.5 of the paper).
+//! sub-ranking and modal pruning plus compensation (Section 5.5 of the paper)
+//! — and the one run loop the whole pattern-union MIS family shares.
 //!
 //! A pattern union corresponds to (possibly exponentially) many sub-rankings,
 //! each with several posterior modes. MIS-AMP-lite keeps only `d` proposal
@@ -9,6 +10,16 @@
 //! to the centre. Two compensation factors — `c_ψ` for the pruned
 //! sub-rankings and `c_r` for the pruned modals — rescale the estimate by the
 //! share of `φ^distance` mass the kept objects represent.
+//!
+//! MIS-AMP-adaptive is "run MIS-AMP-lite again with more proposals" and the
+//! error-budgeted estimator is MIS-AMP-lite sampled again with a doubled
+//! total, so all three are schedules — `Once`, `GrowProposals`,
+//! `DoubleBudget` — of one loop over one [`ProposalPool`] (`MisAmpLite::run`),
+//! reporting one [`MixtureOutcome`]. See also [`MisAmpAdaptive`] and
+//! [`MisAmpBudgeted`].
+//!
+//! [`MisAmpAdaptive`]: crate::MisAmpAdaptive
+//! [`MisAmpBudgeted`]: crate::MisAmpBudgeted
 
 use crate::approx::mixture::{mixture_coefficients, mixture_weight_moments, stratified_allocation};
 use crate::traits::{ApproxSolver, EstimateStats};
@@ -18,6 +29,12 @@ use ppd_rim::{
     approximate_distance, greedy_modals, kendall_tau, AmpSampler, MallowsModel, Ranking, SubRanking,
 };
 use rand::RngCore;
+
+/// Cap on the modals the greedy search keeps per sub-ranking. With the
+/// default [`DecompositionLimits`] it fixes a pool's shape, so a pool is a
+/// function of `(model, labeling, union)` alone — which is what lets the
+/// engine's pool cache key it by unit content.
+const MODAL_CAP: usize = 64;
 
 /// Configuration of the MIS-AMP-lite estimator.
 #[derive(Debug, Clone)]
@@ -29,95 +46,56 @@ pub struct MisAmpLite {
     /// Whether the compensation factors `c_ψ · c_r` are applied (Figure 11c
     /// and Figure 12 evaluate the estimator with this turned off).
     pub compensation: bool,
-    /// Cap on the number of modals kept per sub-ranking by the greedy modal
-    /// search.
-    pub modal_cap: usize,
-    /// Caps applied to the union decomposition.
-    pub limits: DecompositionLimits,
 }
 
-impl Default for MisAmpLite {
-    fn default() -> Self {
-        MisAmpLite {
-            num_proposals: 10,
-            samples_per_proposal: 300,
-            compensation: true,
-            modal_cap: 64,
-            limits: DecompositionLimits::default(),
-        }
-    }
-}
-
-/// Proposal distributions prepared for a particular (model, union) instance.
-/// Preparing the proposals (decomposition + modal search) is the expensive,
-/// sample-independent part of MIS-AMP-lite; Figure 13a reports it separately
-/// from the sampling time, so the two stages are exposed separately here too.
+/// Proposal distributions drawn from a [`ProposalPool`] for one proposal
+/// count. Preparing the proposals (decomposition + modal search) is the
+/// expensive, sample-independent part of MIS-AMP-lite; Figure 13a reports it
+/// separately from the sampling time, so the two stages are exposed
+/// separately here too.
 #[derive(Debug)]
 pub struct PreparedProposals {
     /// One AMP proposal sampler per kept modal, in pool order (modals
     /// closest to the Mallows centre first).
     samplers: Vec<AmpSampler>,
-    /// Compensation factor for pruned sub-rankings (`c_ψ ≥ 1`).
-    pub compensation_subrankings: f64,
-    /// Compensation factor for pruned modals (`c_r ≥ 1`).
-    pub compensation_modals: f64,
-    /// Number of sub-rankings in the full decomposition.
-    pub total_subrankings: usize,
-    /// Number of sub-rankings that contributed proposals.
-    pub selected_subrankings: usize,
+    /// Pruning compensation `c_ψ · c_r ≥ 1`: the `φ^distance` mass of every
+    /// sub-ranking over that of the walked ones, times the mass of every
+    /// generated modal over that of the kept ones.
+    pub compensation: f64,
 }
 
 impl PreparedProposals {
-    /// An empty preparation representing a union with probability zero.
-    fn empty() -> Self {
-        PreparedProposals {
-            samplers: Vec::new(),
-            compensation_subrankings: 1.0,
-            compensation_modals: 1.0,
-            total_subrankings: 0,
-            selected_subrankings: 0,
-        }
-    }
-
     /// Number of proposal distributions actually constructed.
     pub fn num_proposals(&self) -> usize {
         self.samplers.len()
     }
 
-    /// The kept proposal samplers, in pool order. The sampling stage splits
-    /// its budget across exactly this slice (see
-    /// [`crate::approx::mixture::stratified_allocation`]); exposing it lets
-    /// callers — benches, property tests — evaluate the same mixture the
-    /// estimator weights against.
+    /// The kept proposal samplers, in pool order: the mixture the sampling
+    /// stage splits its budget across and weights against.
     pub fn samplers(&self) -> &[AmpSampler] {
         &self.samplers
     }
 }
 
-/// The sample-independent state of MIS-AMP-lite for one `(model, union)`
-/// instance: the union decomposition, the distance-sorted sub-rankings, and
-/// the greedy modals generated so far.
+/// The sample-independent state of the MIS estimators for one `(model,
+/// labeling, union)` instance: the union decomposition, the distance-sorted
+/// sub-rankings, and the greedy modals generated so far.
 ///
 /// Building the pool (the decomposition) and extending its walk (the greedy
-/// modal search) are the expensive parts of proposal preparation; drawing a
-/// [`PreparedProposals`] for a given proposal count from an existing pool
-/// only replays cheap bookkeeping. [`MisAmpAdaptive`] builds one pool per
-/// instance and reuses it across its rounds of growing proposal counts,
-/// instead of re-decomposing the union every round.
-///
-/// A pool is tied to the `(model, union, modal_cap, limits)` it was built
-/// with; as long as the proposal counts drawn from it never decrease,
-/// `MisAmpLite::prepare_from_pool` yields bit-identical proposals to a
-/// fresh [`MisAmpLite::prepare`] with the same configuration (see its
-/// documentation for the precise contract).
-///
-/// [`MisAmpAdaptive`]: crate::MisAmpAdaptive
+/// modal search) are the expensive parts of proposal preparation; drawing
+/// [`PreparedProposals`] from an existing pool only replays cheap
+/// bookkeeping. As long as the proposal counts drawn from one pool never
+/// decrease, a draw is bit-identical to the same draw from a fresh pool: the
+/// walk only ever extends, so a *smaller* count than an earlier one would
+/// reuse the wider walk and compensate differently. The adaptive schedule
+/// grows its count; the budgeted one, the only one the engine hands a cached
+/// pool, always draws the same count.
 #[derive(Debug, Clone)]
 pub struct ProposalPool {
     sigma: Ranking,
     phi: f64,
-    modal_cap: usize,
-    /// Sub-rankings sorted by estimated distance from the centre.
+    /// Sub-rankings sorted by estimated distance from the centre (none when
+    /// the union has no satisfiable member).
     scored: Vec<(usize, SubRanking)>,
     /// Total `φ^distance` mass over every sub-ranking.
     mass_all: f64,
@@ -127,11 +105,44 @@ pub struct ProposalPool {
     mass_selected: f64,
     /// Modals generated so far: `(modal, sub-ranking, Kendall distance)`.
     available: Vec<(Ranking, SubRanking, usize)>,
-    /// The union had no satisfiable member.
-    unsatisfiable: bool,
 }
 
 impl ProposalPool {
+    /// Builds the pool for an instance: decomposes the union under the
+    /// default [`DecompositionLimits`] and scores its sub-rankings by
+    /// estimated distance from the centre. The greedy-modal walk happens
+    /// lazily, as draws ask for modals.
+    pub fn build(
+        mallows: &MallowsModel,
+        labeling: &Labeling,
+        union: &PatternUnion,
+    ) -> Result<ProposalPool> {
+        let sigma = mallows.sigma().clone();
+        let limits = DecompositionLimits::default();
+        let subrankings = match decompose_union(union, sigma.items(), labeling, &limits) {
+            Ok(decomposition) => decomposition.subrankings,
+            // No member is satisfiable: the probability is exactly zero.
+            Err(PatternError::EmptySelector(_)) => Vec::new(),
+            Err(e) => return Err(e.into()),
+        };
+        let mut scored: Vec<(usize, SubRanking)> = subrankings
+            .into_iter()
+            .map(|psi| (approximate_distance(&psi, &sigma), psi))
+            .collect();
+        scored.sort_by(|(da, pa), (db, pb)| (da, pa.items()).cmp(&(db, pb.items())));
+        let mut pool = ProposalPool {
+            sigma,
+            phi: mallows.phi(),
+            scored,
+            mass_all: 0.0,
+            walked: 0,
+            mass_selected: 0.0,
+            available: Vec::new(),
+        };
+        pool.mass_all = pool.scored.iter().map(|&(d, _)| pool.phi_pow(d)).sum();
+        Ok(pool)
+    }
+
     fn phi_pow(&self, d: usize) -> f64 {
         if d == 0 {
             1.0
@@ -148,7 +159,7 @@ impl ProposalPool {
         let before = self.available.len();
         while self.available.len() < d_target && self.walked < self.scored.len() {
             let (dist, psi) = self.scored[self.walked].clone();
-            let modals = greedy_modals(&psi, &self.sigma, self.modal_cap);
+            let modals = greedy_modals(&psi, &self.sigma, MODAL_CAP);
             self.mass_selected += self.phi_pow(dist);
             self.walked += 1;
             for modal in modals {
@@ -161,15 +172,109 @@ impl ProposalPool {
                 .sort_by(|(ma, _, da), (mb, _, db)| (da, ma.items()).cmp(&(db, mb.items())));
         }
     }
+
+    /// Draws the `d` proposals closest to the centre (at least one; fewer
+    /// when the decomposition runs out, none for an unsatisfiable union),
+    /// extending the greedy-modal walk as needed and reusing every modal
+    /// generated by earlier draws.
+    pub(crate) fn draw(&mut self, d: usize) -> Result<PreparedProposals> {
+        let d_target = d.max(1);
+        self.extend_to(d_target);
+        if self.available.is_empty() {
+            return Ok(PreparedProposals {
+                samplers: Vec::new(),
+                compensation: 1.0,
+            });
+        }
+
+        // Keep the d modals closest to the centre: `available` is sorted by
+        // `extend_to`, so the draw is a prefix slice — only the kept modals
+        // are cloned (to build their samplers), never the whole pool.
+        let kept = &self.available[..d_target.min(self.available.len())];
+        let mass = |modals: &[(Ranking, SubRanking, usize)]| -> f64 {
+            modals.iter().map(|&(_, _, d)| self.phi_pow(d)).sum()
+        };
+        let ratio = |all: f64, kept: f64| if kept > 0.0 { all / kept } else { 1.0 };
+        let mut samplers = Vec::with_capacity(kept.len());
+        for (modal, psi, _) in kept {
+            samplers.push(AmpSampler::for_subranking(modal.clone(), self.phi, psi)?);
+        }
+        Ok(PreparedProposals {
+            samplers,
+            compensation: ratio(self.mass_all, self.mass_selected)
+                * ratio(mass(&self.available), mass(kept)),
+        })
+    }
+}
+
+/// How the rounds of one run grow and when they stop. Every schedule ends
+/// after `max_rounds` rounds (at least one) if its own rule has not stopped
+/// it first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Schedule {
+    /// MIS-AMP-lite: one round of `d × samples_per_proposal`.
+    Once,
+    /// MIS-AMP-adaptive: every round keeps `d` proposals and samples
+    /// `kept × samples_per_proposal`, then grows `d` by `step`. Stops when the
+    /// estimate's relative change from the previous round is at most
+    /// `tolerance`, or when a draw keeps fewer proposals than it asked for.
+    GrowProposals {
+        step: usize,
+        tolerance: f64,
+        max_rounds: usize,
+    },
+    /// Error-budgeted: `d` is fixed, the first round samples
+    /// `samples_per_proposal` in total and every further round twice the
+    /// last. Stops when the compensated confidence interval at normal
+    /// quantile `z` has halfwidth at most `epsilon`.
+    DoubleBudget {
+        epsilon: f64,
+        z: f64,
+        max_rounds: usize,
+    },
+}
+
+/// What one run of the mixture estimator reports, whichever its schedule.
+#[derive(Debug, Clone, Default)]
+pub struct MixtureOutcome {
+    /// The final round's estimate.
+    pub estimate: f64,
+    /// Rounds executed.
+    pub rounds: usize,
+    /// Total samples drawn across all rounds.
+    pub total_samples: usize,
+    /// Samples (across all rounds) on which the proposal mixture had zero
+    /// density: drawn, but contributing nothing.
+    pub zero_density_samples: usize,
+    /// Confidence-interval halfwidth of the final round under the
+    /// error-budget schedule; `0` for an unsatisfiable union (the answer is
+    /// exactly zero), `∞` under schedules that compute no interval.
+    pub halfwidth: f64,
+    /// Whether the schedule's own stop rule ended the run (as opposed to
+    /// exhausting `max_rounds`).
+    pub converged: bool,
+}
+
+impl MixtureOutcome {
+    /// The estimate with the statistics [`ApproxSolver`] reports.
+    pub(crate) fn with_stats(self) -> (f64, EstimateStats) {
+        (
+            self.estimate,
+            EstimateStats {
+                samples: self.total_samples,
+                zero_density_samples: self.zero_density_samples,
+            },
+        )
+    }
 }
 
 impl MisAmpLite {
-    /// Convenience constructor fixing the two main knobs.
+    /// `d` proposals of `samples_per_proposal` draws each, compensated.
     pub fn new(num_proposals: usize, samples_per_proposal: usize) -> Self {
         MisAmpLite {
             num_proposals,
             samples_per_proposal,
-            ..MisAmpLite::default()
+            compensation: true,
         }
     }
 
@@ -179,107 +284,6 @@ impl MisAmpLite {
         self
     }
 
-    /// Builds the reusable proposal pool for an instance: decomposes the
-    /// union and scores its sub-rankings by estimated distance from the
-    /// centre. The walk that generates greedy modals is performed lazily by
-    /// `MisAmpLite::prepare_from_pool`.
-    pub fn build_pool(
-        &self,
-        mallows: &MallowsModel,
-        labeling: &Labeling,
-        union: &PatternUnion,
-    ) -> Result<ProposalPool> {
-        let universe = mallows.sigma().items();
-        let sigma = mallows.sigma().clone();
-        let phi = mallows.phi();
-        let mut pool = ProposalPool {
-            sigma,
-            phi,
-            modal_cap: self.modal_cap,
-            scored: Vec::new(),
-            mass_all: 0.0,
-            walked: 0,
-            mass_selected: 0.0,
-            available: Vec::new(),
-            unsatisfiable: false,
-        };
-        let decomposition = match decompose_union(union, universe, labeling, &self.limits) {
-            Ok(d) => d,
-            // No member is satisfiable: the probability is exactly zero.
-            Err(PatternError::EmptySelector(_)) => {
-                pool.unsatisfiable = true;
-                return Ok(pool);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let mut scored: Vec<(usize, SubRanking)> = decomposition
-            .subrankings
-            .into_iter()
-            .map(|psi| (approximate_distance(&psi, &pool.sigma), psi))
-            .collect();
-        scored.sort_by(|(da, pa), (db, pb)| (da, pa.items()).cmp(&(db, pb.items())));
-        pool.mass_all = scored.iter().map(|&(d, _)| pool.phi_pow(d)).sum();
-        pool.scored = scored;
-        Ok(pool)
-    }
-
-    /// Draws the proposal distributions for this configuration's
-    /// `num_proposals` from a pool, extending the pool's greedy-modal walk as
-    /// needed, reusing the decomposition and every modal generated by
-    /// earlier draws.
-    ///
-    /// Bit-identical with a fresh [`MisAmpLite::prepare`] **as long as the
-    /// proposal counts drawn from one pool never decrease** (the adaptive
-    /// solver's access pattern): the walk only ever extends, so a draw with
-    /// a *smaller* count than an earlier one reuses the wider walk and
-    /// yields different (more thoroughly compensated) factors than a fresh
-    /// preparation would.
-    pub(crate) fn prepare_from_pool(&self, pool: &mut ProposalPool) -> Result<PreparedProposals> {
-        if pool.unsatisfiable {
-            return Ok(PreparedProposals::empty());
-        }
-        let d_target = self.num_proposals.max(1);
-        pool.extend_to(d_target);
-        if pool.available.is_empty() {
-            return Ok(PreparedProposals::empty());
-        }
-
-        // Keep the d modals closest to the centre: `available` is sorted by
-        // `extend_to`, so the draw is a prefix slice — only the kept modals
-        // are cloned (to build their samplers), never the whole pool.
-        let mass_all_modals: f64 = pool
-            .available
-            .iter()
-            .map(|&(_, _, d)| pool.phi_pow(d))
-            .sum();
-        let kept: &[(Ranking, SubRanking, usize)] =
-            &pool.available[..d_target.min(pool.available.len())];
-        let mass_kept_modals: f64 = kept.iter().map(|&(_, _, d)| pool.phi_pow(d)).sum();
-
-        let compensation_subrankings = if pool.mass_selected > 0.0 {
-            pool.mass_all / pool.mass_selected
-        } else {
-            1.0
-        };
-        let compensation_modals = if mass_kept_modals > 0.0 {
-            mass_all_modals / mass_kept_modals
-        } else {
-            1.0
-        };
-
-        let mut samplers = Vec::with_capacity(kept.len());
-        for (modal, psi, _) in kept {
-            samplers.push(AmpSampler::for_subranking(modal.clone(), pool.phi, psi)?);
-        }
-        Ok(PreparedProposals {
-            samplers,
-            compensation_subrankings,
-            compensation_modals,
-            total_subrankings: pool.scored.len(),
-            selected_subrankings: pool.walked,
-        })
-    }
-
     /// Builds the proposal distributions for the given instance.
     pub fn prepare(
         &self,
@@ -287,66 +291,16 @@ impl MisAmpLite {
         labeling: &Labeling,
         union: &PatternUnion,
     ) -> Result<PreparedProposals> {
-        let mut pool = self.build_pool(mallows, labeling, union)?;
-        self.prepare_from_pool(&mut pool)
+        ProposalPool::build(mallows, labeling, union)?.draw(self.num_proposals)
     }
 
-    /// Runs the sampling stage on prepared proposals and returns the
-    /// (optionally compensated) estimate — a proper probability in `[0, 1]`
-    /// by construction. The total mixture budget is `d · samples_per_proposal`
-    /// (see [`MisAmpLite::estimate_prepared_total`] for an explicit budget).
-    ///
-    /// The plain MIS average estimates the probability of the **covered
-    /// region**: the rankings reachable from the kept proposals. Pruning
-    /// compensation extrapolates from there to the full union using the
-    /// `φ^distance` mass ratios `c_ψ · c_r ≥ 1`. Multiplying the covered
-    /// probability directly (the original Section 5.5 heuristic) over-counts
-    /// the overlap between sub-ranking events and pushed the raw estimator
-    /// above 1 on high-probability unions; the factors are therefore applied
-    /// in **odds space** (see `compensate` below), which agrees with the
-    /// multiplicative form to first order in the covered probability — the
-    /// rare-event regime compensation exists for — while saturating below 1
-    /// as the covered probability grows.
-    pub fn estimate_prepared(
-        &self,
-        mallows: &MallowsModel,
-        prepared: &PreparedProposals,
-        rng: &mut dyn RngCore,
-    ) -> f64 {
-        self.estimate_prepared_with_moments(mallows, prepared, rng)
-            .0
-    }
-
-    /// [`MisAmpLite::estimate_prepared`], additionally reporting the first
-    /// and second moments of the per-sample MIS weights. The estimate is
-    /// bit-identical to [`MisAmpLite::estimate_prepared`] with the same RNG
-    /// state: the weight sum is accumulated by exactly the same operations
-    /// (the extra squared-weight accumulator never feeds back into it). The
-    /// error-budgeted estimator uses the moments to size its sample budget
-    /// from the empirical variance.
-    pub(crate) fn estimate_prepared_with_moments(
-        &self,
-        mallows: &MallowsModel,
-        prepared: &PreparedProposals,
-        rng: &mut dyn RngCore,
-    ) -> (f64, SampleMoments) {
-        let total = prepared.num_proposals() * self.samples_per_proposal.max(1);
-        self.estimate_prepared_total(mallows, prepared, total, rng)
-    }
-
-    /// The sampling stage with an explicit **total** mixture budget: the
-    /// budget is split across the kept proposals by
-    /// [`stratified_allocation`] (in pool order — the closest modals take the
-    /// remainder), every sample is weighted against the balance-heuristic
-    /// mixture `Σ_i (n_i/N)·q_i` over **all** kept proposals, and the mean
-    /// weight (clamped, then compensated in odds space) is the estimate.
-    /// Samples where the mixture density vanishes contribute zero and are
-    /// counted in [`SampleMoments::zero_density`].
-    ///
-    /// This is the entry point the error-budgeted estimator doubles through:
-    /// growing `total` directly — rather than in per-proposal quota steps of
-    /// `d` — lets its confidence interval close at the smallest sufficient
-    /// budget.
+    /// The sampling stage, the one way into a mixture pass: draws a **total**
+    /// of `total_samples` from the kept proposals' balance-heuristic mixture
+    /// (see `approx::mixture`) and returns the mean weight with the weight
+    /// moments. The mean estimates the probability of the **covered region**,
+    /// the rankings reachable from the kept proposals; compensation (unless
+    /// disabled) extrapolates it to the full union in odds space (see
+    /// `compensate` below), so the estimate is a probability by construction.
     pub fn estimate_prepared_total(
         &self,
         mallows: &MallowsModel,
@@ -368,16 +322,11 @@ impl MisAmpLite {
             &coefficients,
             rng,
         );
-        // The uncompensated MIS average estimates the covered-region
-        // probability; finite-sample noise can stray marginally above 1, so
-        // clamp before compensating (exactly what the compensation-free
-        // estimator always did).
+        // Finite-sample noise can push the covered-region average marginally
+        // above 1: clamp before compensating.
         let covered = moments.mean().clamp(0.0, 1.0);
         let estimate = if self.compensation {
-            compensate(
-                covered,
-                prepared.compensation_subrankings * prepared.compensation_modals,
-            )
+            compensate(covered, prepared.compensation)
         } else {
             covered
         };
@@ -387,13 +336,98 @@ impl MisAmpLite {
         );
         (estimate.clamp(0.0, 1.0), moments)
     }
+
+    /// The one round loop of the MIS family: draws `num_proposals` from `pool`
+    /// (built from the instance when `None`), then every round samples and
+    /// asks `schedule` whether to stop or how to grow. `samples_per_proposal`
+    /// is the per-proposal quota, or the first total under `DoubleBudget`.
+    /// Draw counts never decrease and all samples come from one RNG stream,
+    /// so the outcome depends only on instance, configuration and seed.
+    pub(crate) fn run(
+        &self,
+        mallows: &MallowsModel,
+        labeling: &Labeling,
+        union: &PatternUnion,
+        pool: Option<&mut ProposalPool>,
+        schedule: Schedule,
+        rng: &mut dyn RngCore,
+    ) -> Result<MixtureOutcome> {
+        if self.num_proposals == 0 || self.samples_per_proposal == 0 {
+            return Err(SolverError::InvalidInstance(
+                "MIS-AMP needs at least one proposal and one sample".into(),
+            ));
+        }
+        let mut built = None;
+        let pool = match pool {
+            Some(pool) => pool,
+            None => built.insert(ProposalPool::build(mallows, labeling, union)?),
+        };
+        let (max_rounds, doubles) = match schedule {
+            Schedule::Once => (1, false),
+            Schedule::GrowProposals { max_rounds, .. } => (max_rounds.max(1), false),
+            Schedule::DoubleBudget { max_rounds, .. } => (max_rounds.max(1), true),
+        };
+        let mut d = self.num_proposals;
+        let mut prepared = pool.draw(d)?;
+        if prepared.num_proposals() == 0 {
+            // Unsatisfiable union: exactly zero, a zero-width interval. The
+            // adaptive estimator counts this empty draw as a round, the
+            // budgeted one only sampling rounds.
+            return Ok(MixtureOutcome {
+                rounds: usize::from(!doubles),
+                converged: true,
+                ..MixtureOutcome::default()
+            });
+        }
+        let mut total = if doubles {
+            self.samples_per_proposal
+        } else {
+            prepared.num_proposals() * self.samples_per_proposal
+        };
+        let mut outcome = MixtureOutcome {
+            halfwidth: f64::INFINITY,
+            ..MixtureOutcome::default()
+        };
+        let mut previous: Option<f64> = None;
+        loop {
+            outcome.rounds += 1;
+            let (estimate, moments) = self.estimate_prepared_total(mallows, &prepared, total, rng);
+            outcome.estimate = estimate;
+            outcome.total_samples += moments.samples;
+            outcome.zero_density_samples += moments.zero_density;
+            outcome.converged = match schedule {
+                Schedule::Once => true,
+                Schedule::GrowProposals { tolerance, .. } => {
+                    let settled = previous.is_some_and(|prev| {
+                        ((estimate - prev) / estimate.abs().max(1e-12)).abs() <= tolerance
+                    });
+                    previous = Some(estimate);
+                    // A draw that kept fewer proposals than it asked for
+                    // used the whole pool: more cannot change the answer.
+                    settled || prepared.num_proposals() < d
+                }
+                Schedule::DoubleBudget { epsilon, z, .. } => {
+                    outcome.halfwidth = compensated_halfwidth(&moments, prepared.compensation, z);
+                    outcome.halfwidth <= epsilon
+                }
+            };
+            if outcome.converged || outcome.rounds == max_rounds {
+                return Ok(outcome);
+            }
+            if let Schedule::GrowProposals { step, .. } = schedule {
+                d += step.max(1);
+                prepared = pool.draw(d)?;
+                total = prepared.num_proposals() * self.samples_per_proposal;
+            } else {
+                total *= 2;
+            }
+        }
+    }
 }
 
 /// First and second moments of the per-sample MIS weights from one sampling
-/// pass, as reported by `MisAmpLite::estimate_prepared_with_moments`. The
-/// mean of the weights estimates the covered-region probability; the moments
-/// give its empirical variance, which the error-budgeted estimator turns into
-/// a confidence-interval halfwidth.
+/// pass: the mean estimates the covered-region probability, the variance
+/// sizes the error-budgeted schedule's confidence interval.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SampleMoments {
     /// Sum of the per-sample weights (samples with zero mixture probability
@@ -430,15 +464,6 @@ impl SampleMoments {
         let mean = self.mean();
         ((self.sum_squares - n * mean * mean) / (n - 1.0)).max(0.0)
     }
-
-    /// Standard error of the mean weight.
-    pub(crate) fn standard_error(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            (self.variance() / self.samples as f64).sqrt()
-        }
-    }
 }
 
 /// Applies a pruning-compensation factor `c ≥ 1` to the covered-region
@@ -448,14 +473,33 @@ impl SampleMoments {
 /// This is the normalization that makes the compensated estimator a proper
 /// probability: for any `p ∈ [0, 1]` and `c ≥ 1` the result is in `[p, 1]`,
 /// and for small `p` it reduces to the multiplicative `c·p` (to first order)
-/// that the paper's compensation targets. `c = 1` (nothing pruned) is an
-/// exact no-op bit for bit.
-pub(crate) fn compensate(p: f64, c: f64) -> f64 {
+/// that the paper's compensation targets — the rare-event regime it exists
+/// for — where multiplying the probability itself over-counts the overlap of
+/// sub-ranking events and passes 1 on likely unions. `c = 1` (nothing
+/// pruned) is an exact no-op bit for bit.
+fn compensate(p: f64, c: f64) -> f64 {
     if c <= 1.0 {
         return p;
     }
     let scaled = c * p;
     scaled / (scaled + (1.0 - p))
+}
+
+/// Confidence-interval halfwidth of the *compensated* estimate: the normal
+/// interval on the covered-region mean is mapped endpoint-wise through the
+/// odds-space compensation (a monotone map, so the image of an interval is an
+/// interval) and the halfwidth of the image is reported.
+fn compensated_halfwidth(moments: &SampleMoments, factor: f64, z: f64) -> f64 {
+    // Fewer than two samples carry no variance information: the empirical
+    // interval would collapse to a point and certify any ε vacuously.
+    if moments.samples < 2 {
+        return f64::INFINITY;
+    }
+    let se = (moments.variance() / moments.samples as f64).sqrt();
+    let mean = moments.mean().clamp(0.0, 1.0);
+    let lo = compensate((mean - z * se).clamp(0.0, 1.0), factor);
+    let hi = compensate((mean + z * se).clamp(0.0, 1.0), factor);
+    (hi - lo) / 2.0
 }
 
 impl ApproxSolver for MisAmpLite {
@@ -470,13 +514,8 @@ impl ApproxSolver for MisAmpLite {
         union: &PatternUnion,
         rng: &mut dyn RngCore,
     ) -> Result<f64> {
-        if self.num_proposals == 0 || self.samples_per_proposal == 0 {
-            return Err(SolverError::InvalidInstance(
-                "MIS-AMP-lite needs at least one proposal and one sample".into(),
-            ));
-        }
-        let prepared = self.prepare(mallows, labeling, union)?;
-        Ok(self.estimate_prepared(mallows, &prepared, rng))
+        self.estimate_with_stats(mallows, labeling, union, rng)
+            .map(|(p, _)| p)
     }
 
     fn estimate_with_stats(
@@ -486,20 +525,8 @@ impl ApproxSolver for MisAmpLite {
         union: &PatternUnion,
         rng: &mut dyn RngCore,
     ) -> Result<(f64, EstimateStats)> {
-        if self.num_proposals == 0 || self.samples_per_proposal == 0 {
-            return Err(SolverError::InvalidInstance(
-                "MIS-AMP-lite needs at least one proposal and one sample".into(),
-            ));
-        }
-        let prepared = self.prepare(mallows, labeling, union)?;
-        let (estimate, moments) = self.estimate_prepared_with_moments(mallows, &prepared, rng);
-        Ok((
-            estimate,
-            EstimateStats {
-                samples: moments.samples,
-                zero_density_samples: moments.zero_density,
-            },
-        ))
+        self.run(mallows, labeling, union, None, Schedule::Once, rng)
+            .map(MixtureOutcome::with_stats)
     }
 }
 
@@ -514,6 +541,19 @@ mod tests {
     use ppd_rim::PartialOrder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The sampling stage at the estimator's own budget, `d × n`.
+    fn estimate_prepared(
+        solver: &MisAmpLite,
+        model: &MallowsModel,
+        prepared: &PreparedProposals,
+        rng: &mut StdRng,
+    ) -> f64 {
+        let total = prepared.num_proposals() * solver.samples_per_proposal;
+        solver
+            .estimate_prepared_total(model, prepared, total, rng)
+            .0
+    }
 
     fn relative_error(exact: f64, est: f64) -> f64 {
         if exact == 0.0 {
@@ -597,11 +637,10 @@ mod tests {
         let with = MisAmpLite::new(1, 500);
         let without = MisAmpLite::new(1, 500).without_compensation();
         let prepared = with.prepare(&model, &lab, &union).unwrap();
-        assert!(prepared.compensation_subrankings >= 1.0);
-        assert!(prepared.compensation_modals >= 1.0);
+        assert!(prepared.compensation >= 1.0);
         let mut rng2 = StdRng::seed_from_u64(61);
-        let est_with = with.estimate_prepared(&model, &prepared, &mut rng);
-        let est_without = without.estimate_prepared(&model, &prepared, &mut rng2);
+        let est_with = estimate_prepared(&with, &model, &prepared, &mut rng);
+        let est_without = estimate_prepared(&without, &model, &prepared, &mut rng2);
         assert!(est_with >= est_without);
     }
 
@@ -611,26 +650,18 @@ mod tests {
         let lab = cyclic_labeling(6, 3);
         let chain = Pattern::new(vec![sel(1), sel(2), sel(0)], vec![(0, 1), (1, 2)]).unwrap();
         let union = PatternUnion::new(vec![chain, Pattern::two_label(sel(2), sel(1))]).unwrap();
-        let mut pool = MisAmpLite::default()
-            .build_pool(&model, &lab, &union)
-            .unwrap();
+        let mut pool = ProposalPool::build(&model, &lab, &union).unwrap();
         // Growing proposal counts, as the adaptive solver requests them.
         for d in [1usize, 3, 6, 12] {
             let lite = MisAmpLite::new(d, 200);
             let fresh = lite.prepare(&model, &lab, &union).unwrap();
-            let pooled = lite.prepare_from_pool(&mut pool).unwrap();
+            let pooled = pool.draw(d).unwrap();
             assert_eq!(fresh.num_proposals(), pooled.num_proposals());
-            assert_eq!(
-                fresh.compensation_subrankings,
-                pooled.compensation_subrankings
-            );
-            assert_eq!(fresh.compensation_modals, pooled.compensation_modals);
-            assert_eq!(fresh.total_subrankings, pooled.total_subrankings);
-            assert_eq!(fresh.selected_subrankings, pooled.selected_subrankings);
+            assert_eq!(fresh.compensation, pooled.compensation);
             let mut rng_fresh = StdRng::seed_from_u64(99);
             let mut rng_pooled = StdRng::seed_from_u64(99);
-            let est_fresh = lite.estimate_prepared(&model, &fresh, &mut rng_fresh);
-            let est_pooled = lite.estimate_prepared(&model, &pooled, &mut rng_pooled);
+            let est_fresh = estimate_prepared(&lite, &model, &fresh, &mut rng_fresh);
+            let est_pooled = estimate_prepared(&lite, &model, &pooled, &mut rng_pooled);
             assert_eq!(est_fresh, est_pooled);
         }
     }
@@ -658,19 +689,20 @@ mod tests {
         let solver = MisAmpLite::new(1, 400);
         let prepared = solver.prepare(&model, &lab, &union).unwrap();
         let mut rng_nc = StdRng::seed_from_u64(13);
-        let uncompensated =
-            solver
-                .clone()
-                .without_compensation()
-                .estimate_prepared(&model, &prepared, &mut rng_nc);
-        let factors = prepared.compensation_subrankings * prepared.compensation_modals;
+        let uncompensated = estimate_prepared(
+            &solver.clone().without_compensation(),
+            &model,
+            &prepared,
+            &mut rng_nc,
+        );
+        let factors = prepared.compensation;
         assert!(
             uncompensated * factors > 1.0,
             "the regression premise needs the multiplicative form to overshoot, got {}",
             uncompensated * factors
         );
         let mut rng = StdRng::seed_from_u64(13);
-        let est = solver.estimate_prepared(&model, &prepared, &mut rng);
+        let est = estimate_prepared(&solver, &model, &prepared, &mut rng);
         assert!(
             (0.0..=1.0).contains(&est),
             "normalized compensation must stay a probability, got {est}"
@@ -710,8 +742,8 @@ mod tests {
         let union = PatternUnion::new(vec![chain, Pattern::two_label(sel(2), sel(1))]).unwrap();
         for &(seed, n) in &[(2024u64, 150usize), (7u64, 300)] {
             let solver = MisAmpLite::new(4, n);
-            let mut pool = solver.build_pool(&model, &lab, &union).unwrap();
-            let prepared = solver.prepare_from_pool(&mut pool).unwrap();
+            let mut pool = ProposalPool::build(&model, &lab, &union).unwrap();
+            let prepared = pool.draw(solver.num_proposals).unwrap();
             let d = prepared.num_proposals();
             assert!(d > 0);
             let total_budget = d * n;
@@ -728,12 +760,9 @@ mod tests {
                 &mut rng,
             );
             let covered = (total / total_budget as f64).clamp(0.0, 1.0);
-            let expected = super::compensate(
-                covered,
-                prepared.compensation_subrankings * prepared.compensation_modals,
-            );
+            let expected = super::compensate(covered, prepared.compensation);
             let mut rng = StdRng::seed_from_u64(seed);
-            let got = solver.estimate_prepared(&model, &prepared, &mut rng);
+            let got = estimate_prepared(&solver, &model, &prepared, &mut rng);
             assert_eq!(
                 expected.to_bits(),
                 got.to_bits(),
@@ -756,8 +785,8 @@ mod tests {
                 for (ui, union) in crate::testutil::sample_unions().iter().enumerate() {
                     for d in [1usize, 4, 12] {
                         let solver = MisAmpLite::new(d, 1);
-                        let mut pool = solver.build_pool(&model, &lab, union).unwrap();
-                        let prepared = solver.prepare_from_pool(&mut pool).unwrap();
+                        let mut pool = ProposalPool::build(&model, &lab, union).unwrap();
+                        let prepared = pool.draw(d).unwrap();
                         let kept = prepared.num_proposals();
                         assert!(kept > 0, "menagerie unions are satisfiable");
                         let references = reference_proposals(&pool, kept);
@@ -798,8 +827,8 @@ mod tests {
     fn total_budget_entry_point_allocates_stratified() {
         // A budget that does not divide evenly must still draw exactly
         // `total` samples, with the remainder going to the closest modals,
-        // and `d · n` budgets must match the per-proposal entry point bit
-        // for bit.
+        // and the estimator's one round must be the entry point at `d · n`
+        // bit for bit.
         let model = mallows(6, 0.4);
         let lab = cyclic_labeling(6, 3);
         let chain = Pattern::new(vec![sel(1), sel(2), sel(0)], vec![(0, 1), (1, 2)]).unwrap();
@@ -811,10 +840,12 @@ mod tests {
 
         let mut rng_a = StdRng::seed_from_u64(3);
         let mut rng_b = StdRng::seed_from_u64(3);
-        let (est_a, mom_a) = solver.estimate_prepared_with_moments(&model, &prepared, &mut rng_a);
+        let (est_a, stats_a) = solver
+            .estimate_with_stats(&model, &lab, &union, &mut rng_a)
+            .unwrap();
         let (est_b, mom_b) = solver.estimate_prepared_total(&model, &prepared, d * 100, &mut rng_b);
         assert_eq!(est_a.to_bits(), est_b.to_bits());
-        assert_eq!(mom_a.samples, mom_b.samples);
+        assert_eq!(stats_a.samples, mom_b.samples);
 
         let mut rng = StdRng::seed_from_u64(4);
         let (_, moments) = solver.estimate_prepared_total(&model, &prepared, 101, &mut rng);

@@ -1,28 +1,13 @@
-//! The shared mixture-sampling core of the MIS estimators: deterministic
-//! stratified allocation of one total sample budget across the prepared
-//! proposal pool, and the single-pass weighting loop that evaluates the
-//! balance-heuristic mixture density on [`ppd_rim::AmpMixture`]'s integer
-//! arrays.
-//!
-//! Every MIS estimator in this crate (`mis_amp_estimate`, [`MisAmpLite`],
-//! [`MisAmpBudgeted`], [`MisAmpAdaptive`]) draws its samples through this
-//! module: the budget `N` is split over the `d` kept proposals in **fixed
-//! pool order** (`⌈N/d⌉` for the first `N mod d` proposals — the modals
-//! closest to the centre — and `⌊N/d⌋` for the rest), each sample drawn from
-//! proposal `i` is weighted by `p(τ) / Σ_j (n_j/N)·q_j(τ)` (Veach & Guibas'
-//! balance heuristic, Eq. 6 of the paper, with the mixture coefficients
-//! `n_j/N` rather than the equal-quota `1/d`), and samples on which every
-//! proposal has zero density are counted instead of silently dropped.
-//!
-//! Determinism: the allocation is a pure function of `(N, d)`, proposals are
-//! visited in pool order, and all draws come from the caller's single seeded
-//! RNG stream — so the weight sums, and therefore every estimate built on
-//! them, depend only on the instance, the budget, and the seed.
+//! The shared mixture-sampling core of the MIS estimators (`mis_amp_estimate`
+//! and the one run loop behind [`MisAmpLite`] and its schedules): one total
+//! budget `N` split over the `d` kept proposals in fixed pool order, and one
+//! pass weighting every draw by Veach & Guibas' balance heuristic (Eq. 6 of
+//! the paper, with coefficients `n_j/N` rather than `1/d`). The allocation is
+//! a pure function of `(N, d)` and all draws come from the caller's one
+//! seeded RNG stream, so every estimate built on the weight sums depends only
+//! on the instance, the budget and the seed.
 //!
 //! [`MisAmpLite`]: crate::MisAmpLite
-//! [`MisAmpBudgeted`]: crate::MisAmpBudgeted
-//! [`MisAmpAdaptive`]: crate::MisAmpAdaptive
-//! [`mis_amp_estimate`]: crate::mis_amp_estimate
 
 use crate::approx::mis_lite::SampleMoments;
 use ppd_rim::{AmpMixture, AmpSampler, MallowsModel};
@@ -65,11 +50,8 @@ pub fn mixture_coefficients(allocation: &[usize], total: usize) -> Vec<f64> {
 /// contribute nothing to the sums and are counted in
 /// [`SampleMoments::zero_density`].
 ///
-/// The pass runs on [`AmpMixture`]: a draw is an array of ranks over the
-/// model's centre, `p(τ)` comes from its inversion count and a partition
-/// function computed once, and every proposal's density is one insertion
-/// walk over that array — no ranking is built and nothing is allocated per
-/// sample.
+/// The pass runs on [`AmpMixture`]'s integer arrays: no ranking is built and
+/// nothing is allocated per sample.
 pub(crate) fn mixture_weight_moments(
     mallows: &MallowsModel,
     samplers: &[AmpSampler],

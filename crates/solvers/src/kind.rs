@@ -103,10 +103,7 @@ impl SolverKind {
             }
             SolverKind::Budgeted(solver) => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let outcome = match pool {
-                    Some(pool) => solver.run_with_pool(mallows, pool, &mut rng)?,
-                    None => solver.run(mallows, labeling, union, &mut rng)?,
-                };
+                let outcome = solver.run_with_pool(mallows, labeling, union, pool, &mut rng)?;
                 detail.samples = outcome.total_samples;
                 detail.zero_density_samples = outcome.zero_density_samples;
                 if outcome.converged {

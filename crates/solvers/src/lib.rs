@@ -32,12 +32,11 @@
 //! * [`is_amp_estimate`] — IS-AMP for a single sub-ranking (Section 5.3).
 //! * [`mis_amp_estimate`] — MIS-AMP for a single sub-ranking with greedy
 //!   modal search (Section 5.4).
-//! * [`MisAmpLite`] — MIS-AMP-lite for pattern unions: prunes sub-rankings
-//!   and modals, then compensates for the pruned probability mass
-//!   (Section 5.5).
-//! * [`MisAmpAdaptive`] — repeatedly calls MIS-AMP-lite with more proposal
-//!   distributions until the estimate converges, reusing one [`ProposalPool`]
-//!   (the decomposition and greedy-modal walk) across rounds.
+//! * [`MisAmpLite`], [`MisAmpAdaptive`], [`MisAmpBudgeted`] — MIS-AMP for
+//!   pattern unions (Section 5.5), three schedules of one run over one
+//!   [`ProposalPool`] reporting one [`MixtureOutcome`]: lite samples once,
+//!   adaptive adds proposals until the estimate settles, budgeted doubles its
+//!   sample total until a confidence interval closes to `ε`.
 //!
 //! ## Unified dispatch
 //!
@@ -53,11 +52,13 @@ pub mod kind;
 pub mod select;
 pub mod traits;
 
-pub use approx::budgeted::{BudgetedOutcome, MisAmpBudgeted};
+pub use approx::budgeted::MisAmpBudgeted;
 pub use approx::is_amp::is_amp_estimate;
-pub use approx::mis_adaptive::{AdaptiveOutcome, MisAmpAdaptive};
+pub use approx::mis_adaptive::MisAmpAdaptive;
 pub use approx::mis_amp::mis_amp_estimate;
-pub use approx::mis_lite::{MisAmpLite, PreparedProposals, ProposalPool, SampleMoments};
+pub use approx::mis_lite::{
+    MisAmpLite, MixtureOutcome, PreparedProposals, ProposalPool, SampleMoments,
+};
 pub use approx::mixture::{mixture_coefficients, stratified_allocation};
 pub use approx::rejection::RejectionSampler;
 pub use budget::{Budget, CancelProbe};

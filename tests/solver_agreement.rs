@@ -256,9 +256,9 @@ fn budgeted_estimator_meets_its_epsilon_on_the_menagerie() {
 /// promised: `MisAmpBudgeted::new(0.05, 0.95)` over the six menagerie unions
 /// × 30 seeds at m = 6 (4 cyclic labels), counting the runs that converged
 /// *and* landed within ε of brute force. A 95 % interval should put at least
-/// 171 of 180 runs inside ε; at φ = 1.0 it does not (the normal interval on
-/// heavy-tailed importance weights is too narrow, and pruned-pool
-/// compensation adds bias). The counts are the ones measured before the
+/// 171 of 180 runs inside ε; at φ = 1.0 it does not (pruned-pool
+/// compensation bias and a normal interval on heavy-tailed importance
+/// weights are the suspects). The counts are the ones measured before the
 /// estimators became schedules of one run, so the harness pins the budgeted
 /// path bit for bit *and* records the shortfall: a fix that raises coverage
 /// changes sampled bits, and re-records these counts with its
@@ -382,7 +382,6 @@ fn mis_amp_adaptive_tracks_exact_answers() {
         samples_per_proposal: 400,
         tolerance: 0.02,
         max_rounds: 5,
-        ..MisAmpAdaptive::default()
     };
     assert_approx_solver_tracks_exact(&solver, 5, 0.06, 0.15);
 }
