@@ -618,3 +618,215 @@ proptest! {
         prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}: {} vs {}", pattern, a, b);
     }
 }
+
+/// Answers of states wider than 128 bits, recorded as literals while the
+/// solvers still ran them on the map-based kernels, so that whatever runs
+/// them later is held to the same bits — and, for two-label and bipartite,
+/// to the same state count: each case passes at its recorded
+/// `Budget::with_max_states` cap and fails one below it. The general-DAG
+/// cases pin bits only: the packed kernel drops dead prefixes the map-based
+/// one carries, so its cap differs legitimately.
+mod wide_state_goldens {
+    use super::*;
+
+    /// Every item carries every label: the complete 8×8 bipartite member
+    /// (64 deduplicated edges) at m = 2.
+    fn complete_member_8x8() -> (RimModel, Labeling, PatternUnion) {
+        let mut lab = Labeling::new();
+        for item in 0..2u32 {
+            for k in 0..8u32 {
+                lab.add(item, k);
+                lab.add(item, 100 + k);
+            }
+        }
+        (rim(2, 0.5), lab, member_8x8())
+    }
+
+    /// The same member over m = 3 with the L labels on items 0 and 1 and the
+    /// R labels on items 1 and 2: violated only by the ranking 2 ≻ 1 ≻ 0.
+    fn spread_member_8x8() -> (RimModel, Labeling, PatternUnion) {
+        let mut lab = Labeling::new();
+        for k in 0..8u32 {
+            lab.add(0, k);
+            lab.add(1, k);
+            lab.add(1, 100 + k);
+            lab.add(2, 100 + k);
+        }
+        (rim(3, 0.4), lab, member_8x8())
+    }
+
+    fn member_8x8() -> PatternUnion {
+        let mut nodes: Vec<NodeSelector> = (0..8).map(sel).collect();
+        nodes.extend((0..8u32).map(|k| sel(100 + k)));
+        let edges = (0..8).flat_map(|l| (8..16).map(move |r| (l, r))).collect();
+        PatternUnion::singleton(Pattern::new(nodes, edges).unwrap()).unwrap()
+    }
+
+    /// 65 members `l_k ≻ r` sharing one R selector at m = 2 (65 L entries),
+    /// every label on both items.
+    fn shared_right_65() -> (RimModel, Labeling, PatternUnion) {
+        let mut lab = Labeling::new();
+        for item in 0..2u32 {
+            (0..65u32).for_each(|k| lab.add(item, k));
+            lab.add(item, 100);
+        }
+        (rim(2, 0.3), lab, shared_right_union())
+    }
+
+    /// The same union with `l_k` on item `k mod 2` and `r` on item 1.
+    fn spread_shared_right_65() -> (RimModel, Labeling, PatternUnion) {
+        let mut lab = Labeling::new();
+        (0..65u32).for_each(|k| lab.add(k % 2, k));
+        lab.add(1, 100);
+        (rim(2, 0.3), lab, shared_right_union())
+    }
+
+    fn shared_right_union() -> PatternUnion {
+        let members = (0..65u32)
+            .map(|k| Pattern::two_label(sel(k), sel(100)))
+            .collect();
+        PatternUnion::new(members).unwrap()
+    }
+
+    /// 33 members `l_k ≻ r_k` (66 slots × 3 bits at m = 6) whose labels sit
+    /// on one item each, cycling over the item pairs 0 ≻ 3, 4 ≻ 1, 2 ≻ 5:
+    /// a frontier of tens of states, not one.
+    fn scattered_33() -> (RimModel, Labeling, PatternUnion) {
+        let pairs = [(0, 3), (4, 1), (2, 5)];
+        let mut lab = Labeling::new();
+        for k in 0..33u32 {
+            let (a, b) = pairs[k as usize % pairs.len()];
+            lab.add(a, k);
+            lab.add(b, 100 + k);
+        }
+        let members = (0..33u32)
+            .map(|k| Pattern::two_label(sel(k), sel(100 + k)))
+            .collect();
+        (rim(6, 0.7), lab, PatternUnion::new(members).unwrap())
+    }
+
+    /// `solve` answers `bits` at the state cap `cap` and exceeds the budget
+    /// one below it.
+    fn assert_pinned(
+        what: &str,
+        solve: impl Fn(Budget) -> Result<f64, SolverError>,
+        cap: usize,
+        bits: u64,
+    ) {
+        let p = solve(Budget::with_max_states(cap))
+            .unwrap_or_else(|e| panic!("{what}: fails at its cap of {cap}: {e}"));
+        assert_eq!(p.to_bits(), bits, "{what}: {p}");
+        assert!(
+            matches!(
+                solve(Budget::with_max_states(cap - 1)),
+                Err(SolverError::BudgetExceeded(_))
+            ),
+            "{what}: passes below its cap of {cap}"
+        );
+    }
+
+    #[test]
+    fn two_label_wide_states_keep_their_bits_and_caps() {
+        let cases = [
+            ("wide_instance", wide_instance(), 1, 0x3ff0000000000000),
+            (
+                "wide_word_narrow_frontier",
+                wide_word_narrow_frontier(),
+                4004,
+                0x3fefb551b4924137,
+            ),
+            (
+                "65 members sharing r",
+                shared_right_65(),
+                1,
+                0x3ff0000000000000,
+            ),
+            (
+                "65 members sharing r, spread",
+                spread_shared_right_65(),
+                1,
+                0x3fe89d89d89d89d9,
+            ),
+            (
+                "33 scattered members",
+                scattered_33(),
+                90,
+                0x3fedef35d8f2595f,
+            ),
+        ];
+        for (what, (model, lab, union), cap, bits) in cases {
+            let solve = |b| TwoLabelSolver::with_budget(b).solve(&model, &lab, &union);
+            assert_pinned(what, solve, cap, bits);
+        }
+    }
+
+    #[test]
+    fn bipartite_wide_states_keep_their_bits_and_caps() {
+        let cases = [
+            ("wide_instance", wide_instance(), 1, 0x3ff0000000000000),
+            (
+                "wide_word_narrow_frontier",
+                wide_word_narrow_frontier(),
+                110,
+                0x3fefb551b492413b,
+            ),
+            (
+                "65 members sharing r",
+                shared_right_65(),
+                1,
+                0x3fefffffffffffff,
+            ),
+            (
+                "65 members sharing r, spread",
+                spread_shared_right_65(),
+                1,
+                0x3fe89d89d89d89d8,
+            ),
+            (
+                "33 scattered members",
+                scattered_33(),
+                12,
+                0x3fedef35d8f25960,
+            ),
+            (
+                "complete 8x8 member",
+                complete_member_8x8(),
+                1,
+                0x3ff0000000000000,
+            ),
+            (
+                "complete 8x8 member, spread",
+                spread_member_8x8(),
+                1,
+                0x3fef0ff0ff0ff100,
+            ),
+        ];
+        for (what, (model, lab, union), cap, bits) in cases {
+            let solve = |b| {
+                BipartiteSolver::new()
+                    .with_budget(b)
+                    .solve(&model, &lab, &union)
+            };
+            assert_pinned(what, solve, cap, bits);
+        }
+    }
+
+    #[test]
+    fn general_dag_wide_states_keep_their_bits() {
+        // m = 26 with every item relevant: 26 slots × 5 bits = 130.
+        let m = 26usize;
+        let any = NodeSelector::any;
+        let rooted = Pattern::new(vec![sel(0), any(), any()], vec![(0, 1), (1, 2)]).unwrap();
+        let chain_of_any_4 = Pattern::new(vec![any(); 4], vec![(0, 1), (1, 2), (2, 3)]).unwrap();
+        let (model, lab) = (rim(m, 0.5), cyclic_labeling(m, 3));
+        for (what, pattern, bits) in [
+            ("rooted", rooted, 0x3feffffffffffff8u64),
+            ("chain_of_any(4)", chain_of_any_4, 0x3fefffffffffffff),
+        ] {
+            let p = PatternSolver::new()
+                .solve_pattern(&model, &lab, &pattern)
+                .unwrap();
+            assert_eq!(p.to_bits(), bits, "{what}: {p}");
+        }
+    }
+}
