@@ -2,7 +2,7 @@
 //! within a time budget, as a function of the number of items and of the
 //! number of patterns per union.
 
-use ppd_bench::{print_table, write_results, Scale};
+use ppd_bench::{finished_within_budget, print_table, write_results, Scale};
 use ppd_datagen::{benchmark_d, BenchmarkDConfig};
 use ppd_solvers::{Budget, ExactSolver, TwoLabelSolver};
 use serde_json::json;
@@ -32,10 +32,8 @@ fn main() {
             let mut finished = 0usize;
             for inst in &family {
                 let solver = TwoLabelSolver::with_budget(Budget::with_time_limit(time_limit));
-                if solver
-                    .solve(&inst.model.to_rim(), &inst.labeling, &inst.union)
-                    .is_ok()
-                {
+                let result = solver.solve(&inst.model.to_rim(), &inst.labeling, &inst.union);
+                if finished_within_budget(&result) {
                     finished += 1;
                 }
             }

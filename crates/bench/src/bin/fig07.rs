@@ -2,7 +2,9 @@
 //! (a) runtime vs. number of items and labels per pattern,
 //! (b) runtime vs. number of items and patterns per union.
 
-use ppd_bench::{median_duration, print_table, timed, write_results, Scale};
+use ppd_bench::{
+    finished_within_budget, median_duration, print_table, timed, write_results, Scale,
+};
 use ppd_datagen::{benchmark_c, BenchmarkCConfig};
 use ppd_solvers::{BipartiteSolver, Budget, ExactSolver};
 use serde_json::json;
@@ -16,9 +18,10 @@ fn run_cell(config: &BenchmarkCConfig, seed: u64, budget: Duration) -> (Duration
         let solver = BipartiteSolver::new().with_budget(Budget::with_time_limit(budget));
         let (result, elapsed) =
             timed(|| solver.solve(&inst.model.to_rim(), &inst.labeling, &inst.union));
-        match result {
-            Ok(_) => times.push(elapsed),
-            Err(_) => timeouts += 1,
+        if finished_within_budget(&result) {
+            times.push(elapsed);
+        } else {
+            timeouts += 1;
         }
     }
     (median_duration(&times), times.len(), timeouts)

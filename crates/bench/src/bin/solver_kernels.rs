@@ -1,6 +1,7 @@
 //! Solver-kernel microbenchmark: per-solve latency of the exact DP kernels
 //! (two-label, bipartite, pattern) across `m` and `z′` sweeps, packed kernel
-//! vs. the retained map-based reference kernel.
+//! vs. the map-based formulation it replaced — the test oracle
+//! `crates/solvers/src/exact/reference.rs`, included here by path.
 //!
 //! This is the repo's first solver-level perf baseline: every marginal the
 //! engine serves on a cache miss bottoms out in these kernels, so their
@@ -38,6 +39,9 @@ use ppd_rim::RimModel;
 use ppd_solvers::testutil::{cyclic_labeling, rim, sel};
 use ppd_solvers::{BipartiteSolver, ExactSolver, PatternSolver, TwoLabelSolver};
 use std::time::Duration;
+
+#[path = "../../../solvers/src/exact/reference.rs"]
+mod reference;
 
 /// Floors on each family's geometric-mean speedup over the reference. The
 /// two-label and bipartite floors sit between what the sort-merge kernels
@@ -123,9 +127,7 @@ fn main() {
                 model,
                 lab,
                 packed: Box::new(move |r, l| TwoLabelSolver::new().solve(r, l, &u1).unwrap()),
-                reference: Box::new(move |r, l| {
-                    TwoLabelSolver::reference().solve(r, l, &u2).unwrap()
-                }),
+                reference: Box::new(move |r, l| reference::two_label(r, l, &u2, None).unwrap()),
                 packed_width: width,
             }
         };
@@ -143,7 +145,7 @@ fn main() {
             model,
             lab,
             packed: Box::new(move |r, l| BipartiteSolver::new().solve(r, l, &u1).unwrap()),
-            reference: Box::new(move |r, l| BipartiteSolver::reference().solve(r, l, &u2).unwrap()),
+            reference: Box::new(move |r, l| reference::bipartite(r, l, &u2, None).unwrap()),
             packed_width: width,
         }
     };
@@ -187,9 +189,7 @@ fn main() {
             model,
             lab,
             packed: Box::new(move |r, l| PatternSolver::new().solve_pattern(r, l, &p1).unwrap()),
-            reference: Box::new(move |r, l| {
-                PatternSolver::reference().solve_pattern(r, l, &p2).unwrap()
-            }),
+            reference: Box::new(move |r, l| reference::pattern(r, l, &p2, None).unwrap()),
             packed_width: width,
         }
     };
@@ -293,7 +293,7 @@ fn main() {
             point.label.clone(),
             match point.packed_width {
                 Some(w) => format!("{w}b"),
-                None => "fallback".into(),
+                None => "wide".into(),
             },
             format!("{reference_us:.1}"),
             format!("{packed_us:.1}"),

@@ -16,6 +16,7 @@
 //! the same log-bucketed recorder the served `metrics` verb exposes — so
 //! the benches and the service report quantiles through one implementation.
 
+use ppd_solvers::SolverError;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -86,6 +87,20 @@ pub fn relative_error(exact: f64, estimate: f64) -> f64 {
         estimate.abs()
     } else {
         ((estimate - exact) / exact).abs()
+    }
+}
+
+/// Whether a solve run under a time or state budget finished: `true` for an
+/// answer, `false` for [`SolverError::BudgetExceeded`], the one error a
+/// completion-rate figure may count as "not finished within budget". Any
+/// other error — an `Unsupported` or `InvalidInstance` instance, a
+/// cancellation — says nothing about the solver's speed, so it panics
+/// instead of being counted as a timeout.
+pub fn finished_within_budget<T>(result: &Result<T, SolverError>) -> bool {
+    match result {
+        Ok(_) => true,
+        Err(SolverError::BudgetExceeded(_)) => false,
+        Err(e) => panic!("a budgeted solve failed with something other than its budget: {e}"),
     }
 }
 
@@ -160,6 +175,22 @@ mod tests {
         assert_eq!(median(&[3.0, f64::NAN, 1.0, 2.0]), 3.0);
         assert_eq!(median(&[f64::NAN, 1.0, 2.0]), 2.0);
         assert!(median(&[f64::NAN]).is_nan());
+    }
+
+    #[test]
+    fn only_an_exceeded_budget_counts_as_not_finished() {
+        assert!(finished_within_budget(&Ok(0.5)));
+        let timeout: Result<f64, _> = Err(SolverError::BudgetExceeded("1 s".into()));
+        assert!(!finished_within_budget(&timeout));
+        for error in [
+            SolverError::Unsupported("no such solver".into()),
+            SolverError::InvalidInstance("empty item universe".into()),
+            SolverError::Cancelled,
+        ] {
+            let failed: Result<f64, _> = Err(error);
+            let verdict = std::panic::catch_unwind(|| finished_within_budget(&failed));
+            assert!(verdict.is_err(), "{failed:?} must not read as a timeout");
+        }
     }
 
     #[test]

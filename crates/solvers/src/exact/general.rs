@@ -21,19 +21,18 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct GeneralSolver {
     budget: Option<Budget>,
-    max_union_size: Option<usize>,
 }
 
-/// Subsets of members are `u64` masks and the loop bound is `1 << z`.
-const MAX_MASK_MEMBERS: usize = 63;
+/// The most satisfiable members the solver expands: 2¹⁶ − 1 conjunctions.
+const MAX_MEMBERS: usize = 16;
 
 /// A union member that can be satisfied, with the candidate items of each of
 /// its nodes (all non-empty — that is what "can be satisfied" means here).
 type Member<'a> = (&'a Pattern, Vec<Vec<Item>>);
 
 impl GeneralSolver {
-    /// Creates a solver with the default union-size cap (16 members, i.e. at
-    /// most 65 535 conjunctions).
+    /// Creates a solver. Unions of more than 16 satisfiable members (more
+    /// than 65 535 conjunctions) are [`SolverError::Unsupported`].
     pub fn new() -> Self {
         GeneralSolver::default()
     }
@@ -42,10 +41,6 @@ impl GeneralSolver {
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = Some(budget);
         self
-    }
-
-    fn cap(&self) -> usize {
-        self.max_union_size.unwrap_or(16).min(MAX_MASK_MEMBERS)
     }
 
     fn pattern_solver(&self) -> PatternSolver {
@@ -137,10 +132,9 @@ impl GeneralSolver {
         if z == 0 {
             return Ok((0.0, 0));
         }
-        if z > self.cap() {
+        if z > MAX_MEMBERS {
             return Err(SolverError::Unsupported(format!(
-                "inclusion–exclusion over {z} members exceeds the cap of {}",
-                self.cap()
+                "inclusion–exclusion over {z} members exceeds the cap of {MAX_MEMBERS}"
             )));
         }
         let solver = self.pattern_solver();
@@ -276,39 +270,21 @@ mod tests {
     fn union_size_cap_enforced() {
         let model = rim(5, 0.5);
         let lab = cyclic_labeling(5, 3);
-        let members: Vec<Pattern> = (0..5).map(|_| Pattern::two_label(sel(1), sel(0))).collect();
-        let union = PatternUnion::new(members).unwrap();
-        let solver = GeneralSolver {
-            max_union_size: Some(3),
-            ..GeneralSolver::new()
+        let copies = |z: usize| {
+            let members = (0..z).map(|_| Pattern::two_label(sel(1), sel(0))).collect();
+            GeneralSolver::new().solve(&model, &lab, &PatternUnion::new(members).unwrap())
         };
-        assert!(matches!(
-            solver.solve(&model, &lab, &union),
-            Err(SolverError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn more_than_63_members_are_unsupported_whatever_the_cap() {
-        // Subsets are u64 masks: `1 << 64` would overflow (a debug panic, a
-        // release wrap to an empty loop and a silent 0.0).
-        let model = rim(5, 0.5);
-        let lab = cyclic_labeling(5, 3);
-        let members: Vec<Pattern> = (0..64)
-            .map(|_| Pattern::two_label(sel(1), sel(0)))
-            .collect();
-        let union = PatternUnion::new(members).unwrap();
-        for cap in [64, 65, usize::MAX] {
-            let solver = GeneralSolver {
-                max_union_size: Some(cap),
-                ..GeneralSolver::new()
-            };
+        // At the cap the expansion runs (65 535 subsets, one distinct
+        // conjunction) and sums back to the one member's probability.
+        let one = copies(1).unwrap();
+        assert!((copies(16).unwrap() - one).abs() < 1e-9);
+        // One member more is refused, and so are 64, where subsets as `u64`
+        // masks would overflow (`1 << 64`: a debug panic, a release wrap to
+        // an empty loop and a silent 0.0).
+        for z in [17, 64] {
             assert!(
-                matches!(
-                    solver.solve(&model, &lab, &union),
-                    Err(SolverError::Unsupported(_))
-                ),
-                "cap {cap}"
+                matches!(copies(z), Err(SolverError::Unsupported(_))),
+                "{z} members"
             );
         }
     }

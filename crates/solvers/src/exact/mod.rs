@@ -5,6 +5,9 @@ pub mod brute;
 pub mod general;
 pub(crate) mod packed;
 pub mod pattern;
+/// The map-based oracle of the three packed kernels, in tests only.
+#[cfg(test)]
+pub(crate) mod reference;
 pub mod two_label;
 
 use ppd_patterns::{Labeling, Pattern, PatternUnion};

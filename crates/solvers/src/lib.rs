@@ -17,7 +17,7 @@
 //!   insertions tracking min/max label positions of the *violating* states.
 //! * [`BipartiteSolver`] — Algorithm 4: DP over RIM insertions for unions of
 //!   bipartite patterns, with pruning of satisfied/violated edges and
-//!   patterns (a non-pruning "basic" variant is provided for ablations).
+//!   patterns.
 //! * [`PatternSolver`] — exact marginal of a *single* arbitrary pattern; this
 //!   is the subroutine the paper delegates to LTM (Cohen et al., SIGMOD'18).
 //!   Bipartite patterns are dispatched to the bipartite DP; general DAG
@@ -123,6 +123,12 @@ impl From<RimError> for SolverError {
 
 /// Convenience result alias for the solver layer.
 pub type Result<T> = std::result::Result<T, SolverError>;
+
+/// The exact kernels' oracle (`exact/reference.rs`) is written against the
+/// public API under the crate's own name, so that integration tests and
+/// benches can include the same file.
+#[cfg(test)]
+extern crate self as ppd_solvers;
 
 /// `ppd_rim`'s test-only oracle for AMP sampling and the mixture pass (one
 /// source file, compiled into both crates' tests): the estimators' bit pins

@@ -1,10 +1,10 @@
-//! Bitwise equivalence of the packed DP kernels and their retained map-based
-//! reference kernels (ISSUE 5).
+//! Bitwise equivalence of the packed DP kernels and the map-based oracle
+//! they replaced (`crates/solvers/src/exact/reference.rs`, included below).
 //!
-//! Three solvers grew packed kernels: two-label, bipartite (pruning variant),
-//! and the pattern solver's general-DAG DP. The packed encodings are
-//! order-isomorphic to the reference state structs and merge transition mass
-//! in generation order, so every result must match the reference **bit for
+//! Three solvers run packed kernels: two-label, bipartite (pruning), and the
+//! pattern solver's general-DAG DP. The packed encodings are
+//! order-isomorphic to the oracle's state structs and merge transition mass
+//! in generation order, so every result must match the oracle **bit for
 //! bit** — not merely within a tolerance. This suite pins that claim over
 //!
 //! * a menagerie sweep (`m ≤ 12`, `φ` and union shapes crossed),
@@ -14,10 +14,11 @@
 //!   ones is covered,
 //! * a budget pinned to the distinct-state count of a wide-word instance
 //!   whose steps generate many more transitions than states,
-//! * deterministic property tests over random instances and unions, and
-//! * the packing-width fallback path (instances whose state exceeds 128
-//!   bits must transparently use the reference kernel and still agree with
-//!   brute force).
+//! * deterministic property tests over random instances and unions,
+//! * states wider than 128 bits (the same kernels on a multiword key must
+//!   still match the oracle and agree with brute force), and
+//! * literal answer bits and state caps of wide states, recorded while the
+//!   oracle's map-based formulation still answered them in production.
 
 use ppd_patterns::{Labeling, NodeSelector, Pattern, PatternUnion, UnionClass};
 use ppd_rim::{MallowsModel, Ranking, RimModel};
@@ -27,6 +28,9 @@ use ppd_solvers::{
     SolverError, TwoLabelSolver,
 };
 use proptest::prelude::*;
+
+#[path = "../crates/solvers/src/exact/reference.rs"]
+mod reference;
 
 fn two_label_unions() -> Vec<PatternUnion> {
     vec![
@@ -75,7 +79,6 @@ fn general_patterns() -> Vec<Pattern> {
 #[test]
 fn two_label_menagerie_bitwise() {
     let packed = TwoLabelSolver::new();
-    let reference = TwoLabelSolver::reference();
     for &m in &[4usize, 6, 9, 12] {
         for &phi in &[0.0, 0.5, 1.0] {
             for &labels in &[3u32, 4] {
@@ -83,7 +86,7 @@ fn two_label_menagerie_bitwise() {
                 let lab = cyclic_labeling(m, labels);
                 for union in two_label_unions() {
                     let a = packed.solve(&model, &lab, &union).unwrap();
-                    let b = reference.solve(&model, &lab, &union).unwrap();
+                    let b = reference::two_label(&model, &lab, &union, None).unwrap();
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
@@ -98,7 +101,6 @@ fn two_label_menagerie_bitwise() {
 #[test]
 fn bipartite_menagerie_bitwise() {
     let packed = BipartiteSolver::new();
-    let reference = BipartiteSolver::reference();
     for &m in &[4usize, 6, 9, 12] {
         for &phi in &[0.0, 0.5, 1.0] {
             for &labels in &[3u32, 4] {
@@ -106,7 +108,7 @@ fn bipartite_menagerie_bitwise() {
                 let lab = cyclic_labeling(m, labels);
                 for union in bipartite_unions() {
                     let a = packed.solve(&model, &lab, &union).unwrap();
-                    let b = reference.solve(&model, &lab, &union).unwrap();
+                    let b = reference::bipartite(&model, &lab, &union, None).unwrap();
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
@@ -121,7 +123,6 @@ fn bipartite_menagerie_bitwise() {
 #[test]
 fn pattern_menagerie_bitwise() {
     let packed = PatternSolver::new();
-    let reference = PatternSolver::reference();
     for &m in &[4usize, 6, 8] {
         for &phi in &[0.0, 0.5, 1.0] {
             for &labels in &[3u32, 4] {
@@ -129,7 +130,7 @@ fn pattern_menagerie_bitwise() {
                 let lab = cyclic_labeling(m, labels);
                 for pattern in general_patterns() {
                     let a = packed.solve_pattern(&model, &lab, &pattern).unwrap();
-                    let b = reference.solve_pattern(&model, &lab, &pattern).unwrap();
+                    let b = reference::pattern(&model, &lab, &pattern, None).unwrap();
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
@@ -174,7 +175,6 @@ fn item_patterns([a, b, c, d]: [u32; 4]) -> Vec<Pattern> {
 #[test]
 fn item_pattern_menagerie_bitwise() {
     let packed = PatternSolver::new();
-    let reference = PatternSolver::reference();
     for &m in &[5usize, 9, 12] {
         let lab = cyclic_labeling(m, m as u32);
         for &phi in &[0.0, 0.5, 1.0] {
@@ -182,7 +182,7 @@ fn item_pattern_menagerie_bitwise() {
             for placement in placements(m) {
                 for pattern in item_patterns(placement) {
                     let a = packed.solve_pattern(&model, &lab, &pattern).unwrap();
-                    let b = reference.solve_pattern(&model, &lab, &pattern).unwrap();
+                    let b = reference::pattern(&model, &lab, &pattern, None).unwrap();
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
@@ -210,18 +210,14 @@ fn item_pair_at_every_placement_bitwise() {
             for b in (0..m as u32).filter(|&b| b != a) {
                 let union = PatternUnion::singleton(Pattern::two_label(sel(a), sel(b))).unwrap();
                 let two = TwoLabelSolver::new().solve(&model, &lab, &union).unwrap();
-                let two_ref = TwoLabelSolver::reference()
-                    .solve(&model, &lab, &union)
-                    .unwrap();
+                let two_ref = reference::two_label(&model, &lab, &union, None).unwrap();
                 assert_eq!(
                     two.to_bits(),
                     two_ref.to_bits(),
                     "two-label phi={phi} {a}>{b}: packed {two} vs reference {two_ref}"
                 );
                 let bip = BipartiteSolver::new().solve(&model, &lab, &union).unwrap();
-                let bip_ref = BipartiteSolver::reference()
-                    .solve(&model, &lab, &union)
-                    .unwrap();
+                let bip_ref = reference::bipartite(&model, &lab, &union, None).unwrap();
                 assert_eq!(
                     bip.to_bits(),
                     bip_ref.to_bits(),
@@ -250,9 +246,7 @@ fn item_chain3_at_every_placement_bitwise() {
                 let packed = PatternSolver::new()
                     .solve_pattern(&model, &lab, &chain)
                     .unwrap();
-                let reference = PatternSolver::reference()
-                    .solve_pattern(&model, &lab, &chain)
-                    .unwrap();
+                let reference = reference::pattern(&model, &lab, &chain, None).unwrap();
                 assert_eq!(
                     packed.to_bits(),
                     reference.to_bits(),
@@ -303,43 +297,38 @@ fn wide_word_narrow_frontier_bitwise() {
         Some(81)
     );
     let two = TwoLabelSolver::new().solve(&model, &lab, &union).unwrap();
-    let two_ref = TwoLabelSolver::reference()
-        .solve(&model, &lab, &union)
-        .unwrap();
+    let two_ref = reference::two_label(&model, &lab, &union, None).unwrap();
     assert_eq!(two.to_bits(), two_ref.to_bits(), "{two} vs {two_ref}");
     let bip = BipartiteSolver::new().solve(&model, &lab, &union).unwrap();
-    let bip_ref = BipartiteSolver::reference()
-        .solve(&model, &lab, &union)
-        .unwrap();
+    let bip_ref = reference::bipartite(&model, &lab, &union, None).unwrap();
     assert_eq!(bip.to_bits(), bip_ref.to_bits(), "{bip} vs {bip_ref}");
 }
 
 /// `Budget::with_max_states` counts the *distinct* states a step leaves
 /// behind, not the transitions that fed them: the packed kernel passes at
-/// exactly the cap the reference kernel's map length passes at, and fails one
-/// below it.
+/// exactly the cap the oracle's map length passes at, and fails one below it.
 #[test]
 fn budget_counts_distinct_states_not_transitions() {
     let (model, lab, union) = wide_word_narrow_frontier();
-    let solve = |solver: BipartiteSolver, cap: usize| {
-        solver
+    let solve = |cap: usize| {
+        BipartiteSolver::new()
             .with_budget(Budget::with_max_states(cap))
             .solve(&model, &lab, &union)
     };
-    // The widest frontier of the reference kernel, found from below.
+    // The widest frontier of the oracle, found from below.
     let widest = (1..)
-        .find(|&cap| solve(BipartiteSolver::reference(), cap).is_ok())
+        .find(|&cap| {
+            reference::bipartite(&model, &lab, &union, Some(&Budget::with_max_states(cap))).is_ok()
+        })
         .unwrap();
     // Each state of a late step has 12–14 insertion positions, so a count of
     // transitions would overshoot this cap many times over.
     assert!((8..200).contains(&widest), "widest frontier: {widest}");
-    let at_cap = solve(BipartiteSolver::new(), widest).unwrap();
-    let unbounded = BipartiteSolver::reference()
-        .solve(&model, &lab, &union)
-        .unwrap();
+    let at_cap = solve(widest).unwrap();
+    let unbounded = reference::bipartite(&model, &lab, &union, None).unwrap();
     assert_eq!(at_cap.to_bits(), unbounded.to_bits());
     assert!(matches!(
-        solve(BipartiteSolver::new(), widest - 1),
+        solve(widest - 1),
         Err(SolverError::BudgetExceeded(_))
     ));
 }
@@ -348,7 +337,7 @@ fn budget_counts_distinct_states_not_transitions() {
 /// kernel runs: m = 16 with every item relevant is 16 slots × 5 bits. What
 /// keeps them tractable is absorption: a pattern of selectors that match
 /// every item is embedded as soon as as many items are placed as its longest
-/// chain has nodes, so the frontier (and the reference's map) never holds
+/// chain has nodes, so the frontier (and the oracle's map) never holds
 /// more than a few hundred states and is empty long before step m.
 #[test]
 fn wide_word_patterns_bitwise() {
@@ -382,9 +371,7 @@ fn wide_word_patterns_bitwise() {
         let a = PatternSolver::new()
             .solve_pattern(&model, &lab, &pattern)
             .unwrap();
-        let b = PatternSolver::reference()
-            .solve_pattern(&model, &lab, &pattern)
-            .unwrap();
+        let b = reference::pattern(&model, &lab, &pattern, None).unwrap();
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
@@ -396,8 +383,8 @@ fn wide_word_patterns_bitwise() {
 /// An instance engineered to exceed the 128-bit packing width on a tiny,
 /// brute-forceable universe: every item carries every label, and the union
 /// tracks 33 distinct L and 33 distinct R selectors (66 slots × 2 bits over
-/// m = 3). Both specialised solvers must transparently fall back to the
-/// reference kernel and still agree with brute force.
+/// m = 3). Both specialised solvers must run their kernel on a multiword key,
+/// match the oracle and agree with brute force.
 fn wide_instance() -> (RimModel, Labeling, PatternUnion) {
     let m = 3usize;
     let model = rim(m, 0.4);
@@ -425,13 +412,11 @@ fn packing_width_fallback_two_label() {
     );
     let expected = BruteForceSolver::new().solve(&model, &lab, &union).unwrap();
     let fallback = TwoLabelSolver::new().solve(&model, &lab, &union).unwrap();
-    let reference = TwoLabelSolver::reference()
-        .solve(&model, &lab, &union)
-        .unwrap();
+    let reference = reference::two_label(&model, &lab, &union, None).unwrap();
     assert_eq!(
         fallback.to_bits(),
         reference.to_bits(),
-        "fallback must be the reference kernel"
+        "the wide kernel must match the oracle"
     );
     assert!(
         (expected - fallback).abs() < 1e-9,
@@ -449,13 +434,11 @@ fn packing_width_fallback_bipartite() {
     );
     let expected = BruteForceSolver::new().solve(&model, &lab, &union).unwrap();
     let fallback = BipartiteSolver::new().solve(&model, &lab, &union).unwrap();
-    let reference = BipartiteSolver::reference()
-        .solve(&model, &lab, &union)
-        .unwrap();
+    let reference = reference::bipartite(&model, &lab, &union, None).unwrap();
     assert_eq!(
         fallback.to_bits(),
         reference.to_bits(),
-        "fallback must be the reference kernel"
+        "the wide kernel must match the oracle"
     );
     assert!(
         (expected - fallback).abs() < 1e-9,
@@ -466,10 +449,8 @@ fn packing_width_fallback_bipartite() {
 #[test]
 fn packing_width_fallback_pattern_solver_width_only() {
     // For the general-DAG DP a beyond-128-bit state needs > 25 relevant
-    // items, whose reference DP is intractable by construction — the
-    // fallback is a safety net, not a runnable configuration. Pin the width
-    // decision instead: m = 26 with all items relevant needs 26 slots × 5
-    // bits = 130 > 128.
+    // items: m = 26 with all items relevant needs 26 slots × 5 bits = 130 >
+    // 128, a multiword key.
     let m = 26usize;
     let model = rim(m, 0.5);
     let lab = cyclic_labeling(m, 3);
@@ -485,6 +466,35 @@ fn packing_width_fallback_pattern_solver_width_only() {
         PatternSolver::packed_state_width(&small, &lab9, &chain),
         Some(36)
     );
+}
+
+/// The general-DAG kernel runs beyond 128 bits, not only decides to: with
+/// 26 relevant items absorption keeps the frontier small, as in
+/// `wide_word_patterns_bitwise`.
+#[test]
+fn wide_general_dag_state_runs_the_packed_kernel() {
+    let m = 26usize;
+    let any = NodeSelector::any;
+    let lab = cyclic_labeling(m, 3);
+    let rooted = Pattern::new(vec![sel(0), any(), any()], vec![(0, 1), (1, 2)]).unwrap();
+    let model = rim(m, 0.5);
+    assert_eq!(
+        PatternSolver::packed_state_width(&model, &lab, &rooted),
+        None
+    );
+    let a = PatternSolver::new()
+        .solve_pattern(&model, &lab, &rooted)
+        .unwrap();
+    let b = reference::pattern(&model, &lab, &rooted, None).unwrap();
+    assert_eq!(a.to_bits(), b.to_bits(), "packed {a} vs reference {b}");
+    // Any four placed items embed a chain of four unconstrained nodes, so
+    // every transition of the fourth step is absorbed; at φ = 0.7 the
+    // absorbed masses sum to exactly 1 (at φ = 0.5, one ulp short of it).
+    let chain = Pattern::new(vec![any(); 4], vec![(0, 1), (1, 2), (2, 3)]).unwrap();
+    let p = PatternSolver::new()
+        .solve_pattern(&rim(m, 0.7), &lab, &chain)
+        .unwrap();
+    assert_eq!(p, 1.0);
 }
 
 /// Strategy: a labeled Mallows instance with `m ∈ [4, 7]` items, 3 labels
@@ -546,7 +556,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Wherever a specialised packed kernel applies, its result is bitwise
-    /// equal to the retained reference kernel's.
+    /// equal to the oracle's.
     #[test]
     fn packed_kernels_match_reference_bitwise(
         (model, labeling) in arb_instance(),
@@ -555,15 +565,15 @@ proptest! {
         match union.classify() {
             UnionClass::TwoLabel => {
                 let a = TwoLabelSolver::new().solve(&model, &labeling, &union).unwrap();
-                let b = TwoLabelSolver::reference().solve(&model, &labeling, &union).unwrap();
+                let b = reference::two_label(&model, &labeling, &union, None).unwrap();
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "two-label: {} vs {}", a, b);
                 let c = BipartiteSolver::new().solve(&model, &labeling, &union).unwrap();
-                let d = BipartiteSolver::reference().solve(&model, &labeling, &union).unwrap();
+                let d = reference::bipartite(&model, &labeling, &union, None).unwrap();
                 prop_assert_eq!(c.to_bits(), d.to_bits(), "bipartite-on-two-label: {} vs {}", c, d);
             }
             UnionClass::Bipartite => {
                 let a = BipartiteSolver::new().solve(&model, &labeling, &union).unwrap();
-                let b = BipartiteSolver::reference().solve(&model, &labeling, &union).unwrap();
+                let b = reference::bipartite(&model, &labeling, &union, None).unwrap();
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "bipartite: {} vs {}", a, b);
             }
             UnionClass::General => {}
@@ -571,7 +581,7 @@ proptest! {
         // The pattern solver's general DP applies to any single member.
         let pattern = &union.patterns()[0];
         let a = PatternSolver::new().solve_pattern(&model, &labeling, pattern).unwrap();
-        let b = PatternSolver::reference().solve_pattern(&model, &labeling, pattern).unwrap();
+        let b = reference::pattern(&model, &labeling, pattern, None).unwrap();
         prop_assert_eq!(a.to_bits(), b.to_bits(), "pattern: {} vs {}", a, b);
     }
 
@@ -602,7 +612,7 @@ proptest! {
 
     /// Item-specific patterns at any m up to 12, wherever their relevant
     /// items sit in σ: the early-stopping packed kernel is bitwise equal to
-    /// the reference kernel, which runs all m steps.
+    /// the oracle, which runs all m steps.
     #[test]
     fn item_patterns_match_reference_bitwise(
         m in 5usize..=12,
@@ -614,7 +624,7 @@ proptest! {
         let lab = cyclic_labeling(m, m as u32);
         let pattern = item_patterns(placements(m)[placement]).swap_remove(shape);
         let a = PatternSolver::new().solve_pattern(&model, &lab, &pattern).unwrap();
-        let b = PatternSolver::reference().solve_pattern(&model, &lab, &pattern).unwrap();
+        let b = reference::pattern(&model, &lab, &pattern, None).unwrap();
         prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}: {} vs {}", pattern, a, b);
     }
 }
