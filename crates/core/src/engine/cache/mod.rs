@@ -153,14 +153,6 @@ pub struct CacheStats {
     pub marginals_saved: u64,
     /// Distinct models for which prepared state was built.
     pub models_prepared: u64,
-    /// Unit-cost lookups answered from an exact measured-time entry in the
-    /// calibration store.
-    pub calibration_hits: u64,
-    /// Unit-cost lookups that fell back to the per-bucket geomean or the
-    /// static formula (cold store).
-    pub calibration_misses: u64,
-    /// Wall-clock solve timings recorded into the calibration store.
-    pub calibration_recorded: u64,
     /// Cached marginal entries dropped by surgical invalidation after a
     /// database update ([`Engine::invalidate`]): exactly the entries whose
     /// unit covered a changed session's model, never the rest of the cache.
@@ -198,9 +190,6 @@ impl std::ops::AddAssign for CacheStats {
             marginals_loaded,
             marginals_saved,
             models_prepared,
-            calibration_hits,
-            calibration_misses,
-            calibration_recorded,
             units_invalidated,
             segment_live_bytes,
             segment_dead_bytes,
@@ -215,9 +204,6 @@ impl std::ops::AddAssign for CacheStats {
         self.marginals_loaded += marginals_loaded;
         self.marginals_saved += marginals_saved;
         self.models_prepared += models_prepared;
-        self.calibration_hits += calibration_hits;
-        self.calibration_misses += calibration_misses;
-        self.calibration_recorded += calibration_recorded;
         self.units_invalidated += units_invalidated;
         self.segment_live_bytes += segment_live_bytes;
         self.segment_dead_bytes += segment_dead_bytes;
@@ -248,8 +234,8 @@ impl std::fmt::Display for CacheStats {
         write!(
             f,
             "marginals {} hit / {} solved ({:.1}% hit rate), {} evicted ({}B), {} loaded, \
-             {} saved; {} models prepared; calibration {} hit / {} miss, {} recorded; \
-             {} invalidated; segments {}B live / {}B dead, {} compactions; \
+             {} saved; {} models prepared; {} invalidated; \
+             segments {}B live / {}B dead, {} compactions; \
              pools {} built / {} reused",
             self.marginal_hits,
             self.marginal_misses,
@@ -259,9 +245,6 @@ impl std::fmt::Display for CacheStats {
             self.marginals_loaded,
             self.marginals_saved,
             self.models_prepared,
-            self.calibration_hits,
-            self.calibration_misses,
-            self.calibration_recorded,
             self.units_invalidated,
             self.segment_live_bytes,
             self.segment_dead_bytes,

@@ -105,7 +105,7 @@ pub(crate) const FORMAT_VERSION: u32 = 1;
 /// instead of equal per-proposal quotas with an unweighted density average),
 /// changing every approximate estimate; the budgeted estimator's doubling
 /// rounds now also grow a *total* mixture budget.
-pub(crate) const SOLVER_REVISION: u32 = 4;
+const SOLVER_REVISION: u32 = 4;
 /// Header size in bytes: magic + format version + solver revision +
 /// record count.
 const HEADER_BYTES: usize = 8 + 4 + 4 + 8;
@@ -121,9 +121,7 @@ const KIND_TOMBSTONE: u8 = 1;
 const COMPACT_DEAD_RATIO: f64 = 0.5;
 
 /// The on-disk encoding of a fingerprint: `(tag, aux_a, aux_b, aux_c)`.
-/// Shared with the calibration store's snapshot format (`engine::calibrate`),
-/// which keys its entries by the same fingerprints.
-pub(crate) fn encode_fingerprint(fingerprint: SolverFingerprint) -> (u8, u64, u64, u64) {
+fn encode_fingerprint(fingerprint: SolverFingerprint) -> (u8, u64, u64, u64) {
     match fingerprint {
         SolverFingerprint::ExactAuto => (0, 0, 0, 0),
         SolverFingerprint::GeneralExact => (1, 0, 0, 0),
@@ -139,7 +137,7 @@ pub(crate) fn encode_fingerprint(fingerprint: SolverFingerprint) -> (u8, u64, u6
     }
 }
 
-pub(crate) fn decode_fingerprint(
+fn decode_fingerprint(
     tag: u8,
     aux_a: u64,
     aux_b: u64,

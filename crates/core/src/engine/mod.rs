@@ -35,7 +35,6 @@
 //! [`Engine::evaluate_batch`]) to benefit from the caches.
 
 mod cache;
-mod calibrate;
 mod cost;
 mod obs;
 mod scheduler;
@@ -57,36 +56,10 @@ use crate::topk::{SessionScore, TopKStats, TopKStrategy};
 use crate::translate::ground_query;
 use crate::{PpdError, Result};
 use cache::{MarginalCache, ModelCache};
-use calibrate::CalibrationStore;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Entry bound of the calibration store (split across the cache shards).
-/// Generous — calibration entries are ~100 bytes, so the bound caps the
-/// store near 6 MiB while retaining far more timings than any wave needs.
-const CALIBRATION_CAPACITY: usize = 1 << 16;
-
-/// One unsolved unit's cost picture as the planner sees it right now: the
-/// static formula next to the blended scheduling estimate. Returned by
-/// [`Engine::wave_cost_profile`] — introspection for benchmarks and
-/// capacity planning, never consulted on the answer path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WaveCostEstimate {
-    /// The unit's stable content hash — its cache and calibration address.
-    pub unit_hash: u64,
-    /// The static cost formula: a pure function of unit content and
-    /// configuration, dimensionless work units.
-    pub static_cost: f64,
-    /// The cost the scheduler would sort by right now: the measured solve
-    /// time in seconds on an exact calibration hit, the static cost under
-    /// a nominal seconds-per-cost constant (times the bucket's geomean
-    /// correction, when one exists) otherwise, and the raw static cost
-    /// with calibration off. Scales differ across those arms; only the
-    /// descending order matters, and it is what [`Engine`] runs waves in.
-    pub scheduling_cost: f64,
-}
 
 /// A reusable, thread-safe query-evaluation engine with cross-query caches.
 ///
@@ -98,7 +71,6 @@ pub struct Engine {
     config: EvalConfig,
     marginals: MarginalCache,
     models: ModelCache,
-    calibration: CalibrationStore,
     /// Invalidation reverse index: model content hash
     /// ([`Session::model_key_hash`](crate::session::Session::model_key_hash)) → the unit content hashes covering a
     /// session with that model. Populated at cache-insert time and from
@@ -157,12 +129,10 @@ impl Engine {
     /// warm pool reproduces a cold build's bits exactly.
     pub fn with_pool_cache(config: EvalConfig, obs: EngineObs, pools: Arc<PoolCache>) -> Self {
         let marginals = MarginalCache::new(config.cache_shards, config.cache_capacity);
-        let calibration = CalibrationStore::new(config.cache_shards, CALIBRATION_CAPACITY);
         Engine {
             config,
             marginals,
             models: ModelCache::default(),
-            calibration,
             covered: Mutex::new(HashMap::new()),
             pending_tombstones: Mutex::new(HashSet::new()),
             planned_version: AtomicU64::new(0),
@@ -190,9 +160,6 @@ impl Engine {
             marginals_loaded: self.marginals.loaded(),
             marginals_saved: self.marginals.saved(),
             models_prepared: self.models.len() as u64,
-            calibration_hits: self.calibration.hits(),
-            calibration_misses: self.calibration.misses(),
-            calibration_recorded: self.calibration.recorded(),
             units_invalidated: self.units_invalidated.load(Ordering::Relaxed),
             segment_live_bytes: self.segment_live_bytes.load(Ordering::Relaxed),
             segment_dead_bytes: self.segment_dead_bytes.load(Ordering::Relaxed),
@@ -217,9 +184,9 @@ impl Engine {
 
     /// Surgically drops every cached artifact covering the given model
     /// content hashes ([`Session::model_key_hash`](crate::session::Session::model_key_hash) of changed sessions):
-    /// their marginal-cache entries, calibration timings, and prepared
-    /// models — and nothing else; unrelated entries stay warm. The hashes
-    /// are also queued as segment tombstones so the next
+    /// their marginal-cache entries, proposal pools, and prepared models —
+    /// and nothing else; unrelated entries stay warm. The hashes are also
+    /// queued as segment tombstones so the next
     /// [`Engine::save_marginals`] kills their on-disk records. Returns the
     /// number of marginal entries dropped.
     ///
@@ -241,7 +208,6 @@ impl Engine {
         }
         let model_set: HashSet<u64> = changed_models.iter().copied().collect();
         self.models.remove_hashes(&model_set);
-        self.calibration.remove_hashes(&unit_hashes);
         self.pools.remove_hashes(&unit_hashes);
         let dropped = self.marginals.remove_hashes(&unit_hashes);
         self.pending_tombstones
@@ -349,45 +315,6 @@ impl Engine {
         self.marginals.len()
     }
 
-    /// Writes the calibration store (measured per-unit solve timings) to
-    /// `path` as a versioned, endian-stable snapshot and returns the number
-    /// of entries written. Like the marginal snapshot, the write is atomic
-    /// and a later [`Engine::load_calibration`] in any process warm-starts
-    /// cost estimates — affecting scheduling and eviction wall-clock only,
-    /// never answers.
-    pub fn save_calibration(&self, path: impl AsRef<Path>) -> Result<u64> {
-        calibrate::save(&self.calibration, path.as_ref())
-            .map_err(|e| PpdError::Persist(format!("save {}: {e}", path.as_ref().display())))
-    }
-
-    /// Warm-starts the calibration store from a snapshot written by
-    /// [`Engine::save_calibration`] and returns the number of entries read.
-    /// A corrupt or version-mismatched snapshot is rejected whole and the
-    /// store is left unchanged; a missing or rejected snapshot simply means
-    /// scheduling starts from the static cost formula.
-    pub fn load_calibration(&self, path: impl AsRef<Path>) -> Result<u64> {
-        calibrate::load(&self.calibration, path.as_ref())
-            .map_err(|e| PpdError::Persist(format!("load {}: {e}", path.as_ref().display())))
-    }
-
-    /// Number of measured unit timings currently retained.
-    pub fn calibrated_units(&self) -> usize {
-        self.calibration.len()
-    }
-
-    /// Copies every calibration timing this engine retains into `target`'s
-    /// store (latest wins on key conflicts, honouring the bound) and
-    /// returns the number of entries donated. Serving layers use this to
-    /// retire idle per-budget engines without discarding what they
-    /// measured: timings are keyed by unit content, so they transfer
-    /// safely and steer wall-clock only, never answers.
-    pub fn donate_calibration(&self, target: &Engine) -> u64 {
-        let entries = self.calibration.snapshot();
-        let donated = entries.len() as u64;
-        target.calibration.absorb(entries);
-        donated
-    }
-
     /// Records that the unit with content hash `unit_hash` covers a
     /// session whose model hashes to `model_hash`, so a later update to
     /// that session can invalidate it.
@@ -409,9 +336,9 @@ impl Engine {
         let prel = db
             .preference_relation(&plan.prelation)
             .ok_or_else(|| PpdError::UnknownName(plan.prelation.clone()))?;
-        // First-seen-wins over unit identities — the same rule `plan_wave`
-        // applies, so the reported units are exactly the ones a grouped
-        // evaluation would solve.
+        // First-seen-wins over unit identities — the same rule
+        // `plan_requests` applies, so the reported units are exactly the
+        // ones a grouped evaluation would solve.
         let mut resolver = UnionResolver::default();
         let mut seen: HashSet<PlannedUnit<'_>> = HashSet::new();
         let mut units = Vec::new();
@@ -880,70 +807,6 @@ mod tests {
             .most_probable_sessions(&db, &q, 3, strategy)
             .unwrap();
         assert_eq!(grouped, ungrouped);
-    }
-
-    #[test]
-    fn wave_cost_profile_reflects_calibration_state() {
-        let db = polling_database();
-        // Cold store: every pending unit's scheduling cost is the static
-        // cost rescaled by the nominal constant, so the two columns order
-        // identically.
-        let cold = Engine::new(EvalConfig::exact());
-        let profile = cold.wave_cost_profile(&db, &q1()).unwrap();
-        assert!(!profile.is_empty());
-        let static_order =
-            cost::schedule_order(&profile.iter().map(|u| u.static_cost).collect::<Vec<_>>());
-        let sched_order = cost::schedule_order(
-            &profile
-                .iter()
-                .map(|u| u.scheduling_cost)
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(
-            static_order, sched_order,
-            "cold store must keep static order"
-        );
-
-        // After evaluation the units are cache hits — the profile drains.
-        cold.session_probabilities(&db, &q1()).unwrap();
-        assert!(cold.wave_cost_profile(&db, &q1()).unwrap().is_empty());
-
-        // A fresh engine warm-started from the snapshot reports measured
-        // seconds for every unit the warm engine solved.
-        let dir = std::env::temp_dir().join(format!("ppd-wave-profile-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("calibration.bin");
-        cold.save_calibration(&path).unwrap();
-        let warm = Engine::new(EvalConfig::exact());
-        warm.load_calibration(&path).unwrap();
-        let warm_profile = warm.wave_cost_profile(&db, &q1()).unwrap();
-        assert_eq!(warm_profile.len(), profile.len());
-        for (c, w) in profile.iter().zip(&warm_profile) {
-            assert_eq!(c.unit_hash, w.unit_hash);
-            assert_eq!(c.static_cost, w.static_cost, "static cost is content-pure");
-            assert!(
-                w.scheduling_cost > 0.0 && w.scheduling_cost.is_finite(),
-                "warm estimate must be a measured positive duration"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn donated_calibration_carries_measured_timings_not_answers() {
-        let db = polling_database();
-        let source = Engine::new(EvalConfig::exact());
-        source.session_probabilities(&db, &q1()).unwrap();
-        let measured = source.calibrated_units();
-        assert!(measured > 0, "evaluation must record timings");
-
-        let target = Engine::new(EvalConfig::exact());
-        let reference = target.session_probabilities(&db, &q1()).unwrap();
-        let donated = source.donate_calibration(&target);
-        assert_eq!(donated as usize, measured);
-        assert!(target.calibrated_units() >= measured);
-        // Calibration steers scheduling only; answers cannot move.
-        assert_eq!(target.session_probabilities(&db, &q1()).unwrap(), reference);
     }
 
     #[test]

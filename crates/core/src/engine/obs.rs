@@ -20,8 +20,8 @@ use std::time::Duration;
 /// (`ppd_solvers`) where a kind exists.
 pub(crate) const SOLVER_TAGS: [&str; 4] = ["exact", "general-exact", "mis-amp", "mis-amp-budgeted"];
 
-/// Stable union-class labels, indexed by the calibration bucket's class
-/// tag (`0` two-label, `1` bipartite, `2` general).
+/// Stable union-class labels, indexed by a pending unit's class tag (`0`
+/// two-label, `1` bipartite, `2` general).
 pub(crate) const CLASS_TAGS: [&str; 3] = ["two-label", "bipartite", "general"];
 
 /// The histogram row a unit's solve timing lands in, from the solver

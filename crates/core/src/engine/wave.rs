@@ -25,9 +25,8 @@
 //! answer: seeds and cache keys are functions of unit content alone.
 
 use super::cache::SolverFingerprint;
-use super::calibrate::BucketKey;
 use super::unit::{PlannedUnit, UnionResolver};
-use super::{cost, obs, scheduler, Engine, UnitKey, WaveCostEstimate};
+use super::{cost, obs, scheduler, Engine, UnitKey};
 use crate::database::PpdDatabase;
 use crate::eval::SolverChoice;
 use crate::query::ConjunctiveQuery;
@@ -75,12 +74,11 @@ struct Pending<'db> {
     /// top-k bound is solved exactly whatever the engine's choice.
     fingerprint: SolverFingerprint,
     /// The static cost estimate — a pure function of unit content and
-    /// configuration, used as the calibration baseline and the cold-store
-    /// scheduling cost.
+    /// configuration, and what the wave is ordered by.
     static_cost: f64,
-    /// The calibration bucket measured timings of this unit generalize
-    /// into.
-    bucket: BucketKey,
+    /// The union class (`0` two-label, `1` bipartite, `2` general): the
+    /// solve-time histogram's column.
+    class: u8,
 }
 
 /// Where a request's probability comes from after planning.
@@ -525,7 +523,7 @@ impl Engine {
             done: vec![false; waiting.len()],
         }));
 
-        let order = self.wave_order(&pending);
+        let order = wave_order(&pending);
         scheduler::run_indexed(order.len(), self.config.threads, |slot| {
             let unit = order[slot];
             // Sweep at solve time: dependents whose predicate now fires
@@ -777,79 +775,14 @@ impl Engine {
             labeling: Arc::clone(request.labeling),
             fingerprint,
             static_cost: cost::unit_cost(request.union, m, approx_budget),
-            bucket: BucketKey::from_parts(class, m, fingerprint),
+            class,
         }
-    }
-
-    /// The cost picture of the wave `query` would submit right now: one
-    /// [`WaveCostEstimate`] per deduplicated, cache-missed unit, pairing
-    /// the static formula with the blended scheduling estimate the
-    /// calibration store currently produces. Nothing is solved and no
-    /// timings are recorded; on a cold store (or with calibration off) the
-    /// two costs order identically, and after evaluation the same units
-    /// are marginal-cache hits and the profile is empty — profile first,
-    /// or use a fresh engine warm-started via [`Engine::load_calibration`].
-    pub fn wave_cost_profile(
-        &self,
-        db: &PpdDatabase,
-        query: &ConjunctiveQuery,
-    ) -> Result<Vec<WaveCostEstimate>> {
-        let (prel, labeling, sessions) = ground_on(db, query)?;
-        let requests: Vec<UnitRequest<'_, '_>> = sessions
-            .iter()
-            .map(|squery| UnitRequest {
-                session: &prel.sessions()[squery.session_index],
-                labeling: &labeling,
-                union: &squery.union,
-            })
-            .collect();
-        let mut units = UnitSet::default();
-        self.plan_requests(&mut units, &requests, false);
-        Ok(units
-            .pending
-            .iter()
-            .map(|unit| WaveCostEstimate {
-                unit_hash: unit.hash,
-                static_cost: unit.static_cost,
-                scheduling_cost: self.scheduling_cost(unit),
-            })
-            .collect())
-    }
-
-    /// The cost the scheduler sorts one unit by: with calibration on, the
-    /// blended estimate (measured seconds on an exact key hit, else static ×
-    /// bucket geomean, else static); with it off — or on a cold store — the
-    /// static formula alone.
-    fn scheduling_cost(&self, unit: &Pending<'_>) -> f64 {
-        if self.config.calibrate {
-            self.calibration.cost_estimate(
-                unit.hash,
-                unit.fingerprint,
-                unit.bucket,
-                unit.static_cost,
-            )
-        } else {
-            unit.static_cost
-        }
-    }
-
-    /// The wave's execution order: pending-unit indices sorted descending by
-    /// [`Engine::scheduling_cost`], so the most expensive units start first
-    /// and the wave tail shrinks. Execution order never affects results —
-    /// seeds and cache keys are functions of unit content alone.
-    fn wave_order(&self, pending: &[Pending<'_>]) -> Vec<usize> {
-        let costs: Vec<f64> = pending
-            .iter()
-            .map(|unit| self.scheduling_cost(unit))
-            .collect();
-        cost::schedule_order(&costs)
     }
 
     /// Solves one pending unit: prepared-model lookup, solver selection, and
     /// a seeded solve whose result depends only on the unit's content and
     /// the engine's base seed. Returns `(probability, elapsed nanoseconds)`:
-    /// the elapsed time feeds the solve-time histogram, trace events and —
-    /// with calibration on — the calibration store that orders later waves,
+    /// the elapsed time feeds the solve-time histogram and trace events,
     /// never an answer. An optional [`CancelProbe`] is threaded into the
     /// exact DP kernels' budget checks for mid-solve cancellation.
     fn solve_pending(&self, unit: &Pending<'_>, probe: Option<CancelProbe>) -> Result<(f64, u64)> {
@@ -884,18 +817,8 @@ impl Engine {
         self.obs
             .zero_density_samples(detail.zero_density_samples as u64);
         let elapsed = started.elapsed();
-        self.obs
-            .record_solve(unit.fingerprint, unit.bucket.class, elapsed);
+        self.obs.record_solve(unit.fingerprint, unit.class, elapsed);
         let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        if self.config.calibrate {
-            self.calibration.record(
-                unit.hash,
-                unit.fingerprint,
-                unit.bucket,
-                elapsed.as_secs_f64(),
-                unit.static_cost,
-            );
-        }
         Ok((p, elapsed_ns))
     }
 
@@ -1001,6 +924,15 @@ fn ground_on<'db>(db: &'db PpdDatabase, query: &ConjunctiveQuery) -> Result<Grou
         .preference_relation(&prelation)
         .ok_or(PpdError::UnknownName(prelation))?;
     Ok((prel, Arc::new(labeling), sessions))
+}
+
+/// The wave's execution order: pending-unit indices sorted descending by
+/// static cost, so the most expensive units start first and the wave tail
+/// shrinks. Execution order never affects results — seeds and cache keys
+/// are functions of unit content alone.
+fn wave_order(pending: &[Pending<'_>]) -> Vec<usize> {
+    let costs: Vec<f64> = pending.iter().map(|unit| unit.static_cost).collect();
+    cost::schedule_order(&costs)
 }
 
 /// The probabilities of a query's requests, in request order, once every
@@ -1129,6 +1061,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn waves_start_their_statically_costliest_units_first() {
+        // Cheap two-label units planned ahead of general-class chains: the
+        // wave still starts every chain first, in descending static cost.
+        let db = wide_database(8);
+        let chain = clinton_over_trump().prefer(
+            "Polls",
+            vec![T::any(), T::any()],
+            T::val("Trump"),
+            T::val("Rubio"),
+        );
+        let engine = Engine::new(EvalConfig::exact());
+        let mut wave = WavePlan::default();
+        let deliver = |_: usize, _: Result<WaveAnswer>| panic!("nothing is cached yet");
+        engine.plan_into(
+            &mut wave,
+            &db,
+            &[sanders_over_rubio(), chain],
+            &[],
+            &|_| false,
+            &deliver,
+        );
+        let pending = &wave.units.pending;
+        let order = wave_order(pending);
+        let classes: Vec<u8> = order.iter().map(|&unit| pending[unit].class).collect();
+        assert_eq!(classes, [[2u8; 8], [0; 8]].concat());
+        assert!(order
+            .windows(2)
+            .all(|pair| pending[pair[0]].static_cost >= pending[pair[1]].static_cost));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum SolverChoice {
     /// `±epsilon` — and falls back to exact when it cannot. The selection
     /// thresholds the *static* formula, never measured timings, so which
     /// solver runs — hence the answer's bits — is a pure function of unit
-    /// content and configuration, warm or cold calibration store alike.
+    /// content and configuration.
     ErrorBudget(ErrorBudget),
 }
 
@@ -75,13 +75,6 @@ pub struct EvalConfig {
     /// results — an evicted unit is re-solved to the same bits on next
     /// demand.
     pub cache_capacity: CacheCapacity,
-    /// Whether the engine records each work unit's measured solve time and
-    /// feeds the calibrated cost back into wave ordering. Calibration steers
-    /// *wall-clock only*: seeds, cache keys, and solver selection stay pure
-    /// functions of content, so answers are bit-identical with calibration
-    /// on or off, warm or cold.
-    /// Default: `true`.
-    pub calibrate: bool,
     /// Static-cost threshold of [`SolverChoice::ErrorBudget`]'s per-unit
     /// solver selection: units whose static exact cost is at or under this
     /// value run the exact DP, the rest run the budgeted estimator. Part of
@@ -101,7 +94,6 @@ impl Default for EvalConfig {
             threads: 0,
             cache_shards: 16,
             cache_capacity: CacheCapacity::Unbounded,
-            calibrate: true,
             exact_cost_threshold: 1e5,
         }
     }
@@ -134,13 +126,6 @@ impl EvalConfig {
             }),
             ..EvalConfig::default()
         }
-    }
-
-    /// Disables measured-cost calibration: wave ordering and eviction
-    /// weights use the static cost formula only. Answers are unaffected.
-    pub fn without_calibration(mut self) -> Self {
-        self.calibrate = false;
-        self
     }
 
     /// Disables grouping of identical (model, union) requests.

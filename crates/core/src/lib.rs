@@ -50,7 +50,7 @@ pub mod value;
 pub use database::{DatabaseBuilder, PpdDatabase, Update};
 pub use engine::{
     BatchAnswer, CacheCapacity, CacheStats, Engine, EngineObs, PoolCache, PreparedModel, UnitKey,
-    WaveAnswer, WaveCostEstimate, WavePlan, WorkUnit,
+    WaveAnswer, WavePlan, WorkUnit,
 };
 pub use eval::{ErrorBudget, EvalConfig, SolverChoice};
 pub use query::{CompareOp, Comparison, ConjunctiveQuery, PreferenceAtom, RelationAtom, Term};

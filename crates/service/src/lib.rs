@@ -75,7 +75,7 @@
 //!   connection instead of stalling the dispatcher its replies are written
 //!   on. A `{"kind": "stats"}` control frame
 //!   ([`WireClient::stats`]) returns the [`ServiceStats`] snapshot plus
-//!   per-tenant cache/calibration counters as a [`WireStatsReport`].
+//!   per-tenant cache counters as a [`WireStatsReport`].
 //! * **Graceful shutdown + stats** ([`Service::shutdown`],
 //!   [`ServiceStats`]): shutdown drains every admitted query; the stats
 //!   snapshot reports per-class admission counters, queue depths, wave

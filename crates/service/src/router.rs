@@ -24,8 +24,7 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 /// carrying distinct error budgets legitimately produce different answer
 /// bits, so each distinct budget needs its own engine — but an unbounded
 /// registry would let a scan over budgets pin unbounded cache memory. Past
-/// this bound the least-recently-used engine is retired, donating its
-/// calibration timings to the tenant's base engine first.
+/// this bound the least-recently-used engine is retired.
 pub(crate) const MAX_BUDGET_ENGINES: usize = 8;
 
 /// One lazily created error-budget engine plus its last-use tick, the LRU
@@ -102,10 +101,8 @@ impl Tenant {
 
     /// The engine that serves requests carrying `budget`: created on first
     /// sight of that exact `(ε, confidence)` pair, reused afterwards so its
-    /// marginal and calibration caches warm up across requests. Creating
-    /// one past the [`MAX_BUDGET_ENGINES`] bound retires the least recently
-    /// used engine, donating its calibration timings to the base engine so
-    /// measured costs outlive the engine that measured them.
+    /// marginal cache warms up across requests. Creating one past the
+    /// [`MAX_BUDGET_ENGINES`] bound retires the least recently used engine.
     pub(crate) fn budget_engine(&self, budget: ErrorBudget) -> Arc<Engine> {
         let key = (budget.epsilon.to_bits(), budget.confidence.to_bits());
         let tick = self.use_tick.fetch_add(1, Ordering::Relaxed) + 1;
@@ -123,8 +120,7 @@ impl Tenant {
                 .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(&key, _)| key)
                 .expect("non-empty registry has an LRU entry");
-            let retired = engines.remove(&oldest).expect("LRU key resolves");
-            retired.engine.donate_calibration(&self.engine);
+            engines.remove(&oldest);
         }
         let mut eval = self.eval.clone();
         eval.solver = SolverChoice::ErrorBudget(budget);

@@ -578,9 +578,9 @@ impl WireClient {
     }
 
     /// Fetches the server's activity counters: the [`ServiceStats`]
-    /// snapshot plus each tenant's own [`CacheStats`] (including the
-    /// calibration counters). Pipelined responses for other in-flight
-    /// requests that land first are stashed for their own `recv` calls.
+    /// snapshot plus each tenant's own [`CacheStats`]. Pipelined responses
+    /// for other in-flight requests that land first are stashed for their
+    /// own `recv` calls.
     pub fn stats(&mut self) -> Result<WireStatsReport, ServiceError> {
         match self.control_call(Control::Stats)? {
             Payload::Stats { service, tenants } => Ok(WireStatsReport {
@@ -1380,8 +1380,7 @@ wire_struct! { ServiceStats {
 
 wire_struct! { CacheStats {
     marginal_hits, marginal_misses, marginal_evictions, marginal_evicted_bytes,
-    marginals_loaded, marginals_saved, models_prepared,
-    calibration_hits, calibration_misses, calibration_recorded, units_invalidated,
+    marginals_loaded, marginals_saved, models_prepared, units_invalidated,
     segment_live_bytes, segment_dead_bytes, compactions, pools_built, pool_hits,
 } }
 
@@ -1792,6 +1791,49 @@ mod tests {
     }
 
     #[test]
+    fn stats_replies_of_a_parent_version_server_decode_without_its_retired_keys() {
+        // Servers from before the measured-cost store was removed send three
+        // more counters in every cache table, sorted ahead of the others.
+        // The decoder reads the keys it knows and ignores the rest, so such
+        // a reply decodes to the report the same server sends today. (The
+        // retired prefix is spelled in halves so that the removed store's
+        // name is found only in history.)
+        const RETIRED: &str = concat!("calib", "ration");
+        let cache = CacheStats {
+            marginal_hits: 23,
+            models_prepared: 29,
+            pool_hits: 38,
+            ..CacheStats::default()
+        };
+        let stats = ServiceStats {
+            answered: 7,
+            cache,
+            ..ServiceStats::default()
+        };
+        let tenants = vec![("polls".to_string(), 3, cache)];
+        let current = encode_stats_response(16, &stats, &tenants);
+        let parent = current.replace(
+            r#""cache": {"#,
+            &format!(
+                r#""cache": {{"{RETIRED}_hits": 30, "{RETIRED}_misses": 31, "{RETIRED}_recorded": 32, "#
+            ),
+        );
+        assert_eq!(parent.matches(&format!("{RETIRED}_hits")).count(), 2);
+        let Payload::Stats { service, tenants } = read_payload(&parent) else {
+            panic!("not a stats payload: {parent}");
+        };
+        assert_eq!(service, stats);
+        assert_same(
+            tenants,
+            vec![Tenant {
+                database: "polls".to_string(),
+                version: 3,
+                cache,
+            }],
+        );
+    }
+
+    #[test]
     fn metrics_frames_round_trip() {
         assert!(matches!(
             decode_frame(r#"{"id": 8, "kind": "metrics"}"#),
@@ -2113,9 +2155,6 @@ mod tests {
                 marginals_loaded: n(),
                 marginals_saved: n(),
                 models_prepared: n(),
-                calibration_hits: n(),
-                calibration_misses: n(),
-                calibration_recorded: n(),
                 units_invalidated: n(),
                 segment_live_bytes: n(),
                 segment_dead_bytes: n(),
@@ -2469,9 +2508,6 @@ mod tests {
                 marginals_loaded: 27,
                 marginals_saved: 28,
                 models_prepared: 29,
-                calibration_hits: 30,
-                calibration_misses: 31,
-                calibration_recorded: 32,
                 units_invalidated: 33,
                 segment_live_bytes: 34,
                 segment_dead_bytes: 35,
@@ -2610,8 +2646,8 @@ mod tests {
             r##"{"err": {"detail": "cache persistence error: bad magic", "error_kind": "persist", "kind": "eval"}, "id": 14}"##,
             r##"{"err": {"detail": "query cancelled before evaluation completed", "error_kind": "cancelled", "kind": "eval"}, "id": 14}"##,
             r##"{"err": {"kind": "shutting_down"}, "id": 15, "trace": 8, "version": 2}"##,
-            r##"{"id": 16, "ok": {"kind": "stats", "service": {"answered": 7, "batch_queue_depth": 13, "batch_rejected": 6, "batch_submitted": 5, "cache": {"calibration_hits": 30, "calibration_misses": 31, "calibration_recorded": 32, "compactions": 36, "marginal_evicted_bytes": 26, "marginal_evictions": 25, "marginal_hits": 23, "marginal_misses": 24, "marginals_loaded": 27, "marginals_saved": 28, "models_prepared": 29, "pool_hits": 38, "pools_built": 37, "segment_dead_bytes": 35, "segment_live_bytes": 34, "units_invalidated": 33}, "expired": 9, "failed": 8, "in_flight_waves": 16, "interactive_queue_depth": 12, "interactive_rejected": 4, "interactive_submitted": 3, "max_latency_ns": 22000, "max_wave": 18, "mean_latency_ns": 21, "queue_depth": 11, "rejected": 2, "submitted": 1, "updates_applied": 10, "uptime_ns": 14000000015, "wave_sizes": [[1, 19], [18, 20]], "waves": 17}, "tenants": [{"cache": {"calibration_hits": 30, "calibration_misses": 31, "calibration_recorded": 32, "compactions": 36, "marginal_evicted_bytes": 26, "marginal_evictions": 25, "marginal_hits": 23, "marginal_misses": 24, "marginals_loaded": 27, "marginals_saved": 28, "models_prepared": 29, "pool_hits": 38, "pools_built": 37, "segment_dead_bytes": 35, "segment_live_bytes": 34, "units_invalidated": 33}, "database": "polls", "version": 3}, {"cache": {"calibration_hits": 0, "calibration_misses": 0, "calibration_recorded": 0, "compactions": 0, "marginal_evicted_bytes": 0, "marginal_evictions": 0, "marginal_hits": 0, "marginal_misses": 0, "marginals_loaded": 0, "marginals_saved": 0, "models_prepared": 0, "pool_hits": 0, "pools_built": 0, "segment_dead_bytes": 0, "segment_live_bytes": 0, "units_invalidated": 0}, "database": "movies", "version": 1}]}}"##,
-            r##"{"id": 17, "ok": {"kind": "stats", "service": {"answered": 0, "batch_queue_depth": 0, "batch_rejected": 0, "batch_submitted": 0, "cache": {"calibration_hits": 0, "calibration_misses": 0, "calibration_recorded": 0, "compactions": 0, "marginal_evicted_bytes": 0, "marginal_evictions": 0, "marginal_hits": 0, "marginal_misses": 0, "marginals_loaded": 0, "marginals_saved": 0, "models_prepared": 0, "pool_hits": 0, "pools_built": 0, "segment_dead_bytes": 0, "segment_live_bytes": 0, "units_invalidated": 0}, "expired": 0, "failed": 0, "in_flight_waves": 0, "interactive_queue_depth": 0, "interactive_rejected": 0, "interactive_submitted": 0, "max_latency_ns": 0, "max_wave": 0, "mean_latency_ns": 0, "queue_depth": 0, "rejected": 0, "submitted": 0, "updates_applied": 0, "uptime_ns": 0, "wave_sizes": [], "waves": 0}, "tenants": []}}"##,
+            r##"{"id": 16, "ok": {"kind": "stats", "service": {"answered": 7, "batch_queue_depth": 13, "batch_rejected": 6, "batch_submitted": 5, "cache": {"compactions": 36, "marginal_evicted_bytes": 26, "marginal_evictions": 25, "marginal_hits": 23, "marginal_misses": 24, "marginals_loaded": 27, "marginals_saved": 28, "models_prepared": 29, "pool_hits": 38, "pools_built": 37, "segment_dead_bytes": 35, "segment_live_bytes": 34, "units_invalidated": 33}, "expired": 9, "failed": 8, "in_flight_waves": 16, "interactive_queue_depth": 12, "interactive_rejected": 4, "interactive_submitted": 3, "max_latency_ns": 22000, "max_wave": 18, "mean_latency_ns": 21, "queue_depth": 11, "rejected": 2, "submitted": 1, "updates_applied": 10, "uptime_ns": 14000000015, "wave_sizes": [[1, 19], [18, 20]], "waves": 17}, "tenants": [{"cache": {"compactions": 36, "marginal_evicted_bytes": 26, "marginal_evictions": 25, "marginal_hits": 23, "marginal_misses": 24, "marginals_loaded": 27, "marginals_saved": 28, "models_prepared": 29, "pool_hits": 38, "pools_built": 37, "segment_dead_bytes": 35, "segment_live_bytes": 34, "units_invalidated": 33}, "database": "polls", "version": 3}, {"cache": {"compactions": 0, "marginal_evicted_bytes": 0, "marginal_evictions": 0, "marginal_hits": 0, "marginal_misses": 0, "marginals_loaded": 0, "marginals_saved": 0, "models_prepared": 0, "pool_hits": 0, "pools_built": 0, "segment_dead_bytes": 0, "segment_live_bytes": 0, "units_invalidated": 0}, "database": "movies", "version": 1}]}}"##,
+            r##"{"id": 17, "ok": {"kind": "stats", "service": {"answered": 0, "batch_queue_depth": 0, "batch_rejected": 0, "batch_submitted": 0, "cache": {"compactions": 0, "marginal_evicted_bytes": 0, "marginal_evictions": 0, "marginal_hits": 0, "marginal_misses": 0, "marginals_loaded": 0, "marginals_saved": 0, "models_prepared": 0, "pool_hits": 0, "pools_built": 0, "segment_dead_bytes": 0, "segment_live_bytes": 0, "units_invalidated": 0}, "expired": 0, "failed": 0, "in_flight_waves": 0, "interactive_queue_depth": 0, "interactive_rejected": 0, "interactive_submitted": 0, "max_latency_ns": 0, "max_wave": 0, "mean_latency_ns": 0, "queue_depth": 0, "rejected": 0, "submitted": 0, "updates_applied": 0, "uptime_ns": 0, "wave_sizes": [], "waves": 0}, "tenants": []}}"##,
             r##"{"id": 18, "ok": {"kind": "metrics", "text": "# TYPE ppd_waves counter\nppd_waves 4\n"}}"##,
             r##"{"id": 19, "ok": {"events": [{"at_micros": 10, "class": "batch", "depth": 2, "event": "admitted", "seq": 1, "tenant": "polls"}, {"at_micros": 20, "cached": 1, "event": "wave-joined", "seq": 2, "units": 3, "wave_units": 6}, {"at_micros": 30, "event": "unit-solved", "micros": 15, "seq": 3, "solver": "mis-amp", "unit_hash": 18446744073709551615}, {"at_micros": 40, "event": "delivered", "micros": 40, "seq": 4}, {"at_micros": 50, "event": "expired", "micros": 50, "seq": 5}, {"at_micros": 60, "event": "cancelled", "micros": 60, "seq": 6}, {"at_micros": 70, "error_kind": "solver", "event": "failed", "micros": 70, "seq": 7}], "kind": "trace", "trace": 17}}"##,
             r##"{"id": 20, "ok": {"events": [], "kind": "trace", "trace": 99}}"##,

@@ -140,87 +140,6 @@ fn engine_cache_hits_return_the_first_run_bits() {
 }
 
 #[test]
-fn calibration_state_never_changes_answer_bits() {
-    // Measured-cost calibration steers wave order only.
-    // For every solver choice, answers must be bit-identical (a) with
-    // calibration on vs. off and (b) on a warm store (whose measured
-    // timings reorder the second run's waves) vs. a cold one.
-    let db = db();
-    let q = polls_q1_query();
-    for (name, solver) in solver_choices() {
-        let base = EvalConfig {
-            solver: solver.clone(),
-            ..EvalConfig::default()
-        };
-        let cold = Engine::new(base.clone());
-        let reference = cold.session_probabilities(&db, &q).unwrap();
-
-        let uncalibrated = Engine::new(base.clone().without_calibration())
-            .session_probabilities(&db, &q)
-            .unwrap();
-        assert_eq!(
-            reference, uncalibrated,
-            "{name}: calibration on vs. off diverged"
-        );
-
-        // Warm store: the first run recorded real timings, so the second
-        // run's wave order genuinely differs — the bits must not.
-        assert!(
-            cold.calibrated_units() > 0,
-            "{name}: first run recorded no timings"
-        );
-        let warm = cold.session_probabilities(&db, &q).unwrap();
-        assert_eq!(reference, warm, "{name}: warm-store rerun diverged");
-    }
-}
-
-#[test]
-fn calibration_snapshots_round_trip_through_the_engine() {
-    // A store saved to disk and loaded into a fresh engine must steer that
-    // engine's scheduling without moving a single answer bit — and the
-    // loaded store must be byte-identical when saved again.
-    let db = db();
-    let q = polls_q1_query();
-    let dir = std::env::temp_dir().join(format!(
-        "ppd-calib-roundtrip-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("calibration.bin");
-
-    let warm = Engine::new(EvalConfig::exact());
-    let reference = warm.session_probabilities(&db, &q).unwrap();
-    let recorded = warm.calibrated_units();
-    assert!(recorded > 0, "warm engine recorded no timings");
-    warm.save_calibration(&path).unwrap();
-
-    let loaded = Engine::new(EvalConfig::exact());
-    loaded.load_calibration(&path).unwrap();
-    assert_eq!(loaded.calibrated_units(), recorded);
-    let answers = loaded.session_probabilities(&db, &q).unwrap();
-    assert_eq!(reference, answers, "loaded store changed answer bits");
-
-    // `loaded` re-solved its (cold) marginal cache and recorded fresh
-    // timings on top of the snapshot, so its store may hold updated entries.
-    // The byte-identity contract is on the snapshot alone: load it into an
-    // engine that evaluates nothing and save again.
-    let fresh = Engine::new(EvalConfig::exact());
-    fresh.load_calibration(&path).unwrap();
-    let path3 = dir.join("calibration3.bin");
-    fresh.save_calibration(&path3).unwrap();
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        std::fs::read(&path3).unwrap(),
-        "save → load → save must be byte-identical"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn topk_strategies_agree_on_the_engine_for_every_thread_count() {
     let db = db();
     let q = polls_q1_query();
