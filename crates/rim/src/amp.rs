@@ -5,10 +5,14 @@
 //! # Index space
 //!
 //! Sampling and density evaluation run on **centre positions**: item `i` is
-//! the `i`-th item of the sampler's centre ranking, and a ranking — partial
-//! while a walk is inserting, complete at its end — is the array of ranks it
-//! gives those items, indexed by `i`. Inserting item `i` at rank `j` bumps
-//! the entries `≥ j` and appends `j`; no `Ranking`, hash map or
+//! the `i`-th item of the sampler's centre ranking, and a ranking is the
+//! array of ranks it gives those items, indexed by `i`. A draw builds it by
+//! insertion (item `i` at rank `j` bumps the entries `≥ j` and appends `j`).
+//! A density walk reads it complete and keeps the final ranks inserted so
+//! far as a **rank mask** of `⌈m/64⌉` `u64` limbs: item `i` goes in at the
+//! popcount below its own final rank, and an earlier item `k` — what bounds
+//! a constrained step — sits at the popcount below `k`'s. [`AmpMixture`]
+//! counts a draw's inversions on the same mask. No `Ranking`, hash map or
 //! `PartialOrder` is touched per draw. The public methods taking or
 //! returning a [`Ranking`] translate at the edge and run the same two walks
 //! ([`AmpSampler::sample_with_prob_into`] and
@@ -20,14 +24,18 @@
 //!
 //! * `φ^k` for `k < m`, filled by the one `pow_phi` every other Mallows
 //!   quantity in the crate uses;
-//! * the normaliser `Σ_j φ^{i−j}` of an unconstrained insertion step `i`;
+//! * the normaliser `Σ_j φ^{i−j}` of an unconstrained insertion step `i`,
+//!   and its **step quotients** `φ^{i−j} / Σ_j φ^{i−j}`, a triangular table
+//!   a step whose range is all of `0..=i` reads instead of dividing;
 //! * the transitively-closed constraint as an `m × m` table over centre
 //!   positions (row `i` says, for each earlier item `k < i`, whether `k`
 //!   must stay before `i`, after it, or is unrelated) — any `m`, no bitset
 //!   width to outgrow;
 //! * per item, whether any earlier item constrains it at all; an
-//!   unconstrained step skips the range scan and reads its normaliser from
-//!   the table.
+//!   unconstrained step skips the range scan.
+//!
+//! [`AmpMixture::new`] adds the **Kendall powers** `φ^k` for every inversion
+//! count `k ≤ m(m−1)/2`, once per pass.
 //!
 //! # Bit rules
 //!
@@ -40,7 +48,10 @@
 //! 2. **Fold order** — a step's weights `φ^{i−j}` are summed left to right
 //!    for `j = lo..=hi`, the variate is scaled by that sum and walked
 //!    through the same weights in the same order, and the running
-//!    probability is multiplied by `w / total` step by step.
+//!    probability is multiplied by `w / total` step by step. A step-quotient
+//!    entry is that same `w / total` division, done once, so it is the same
+//!    `f64`; a draw's probability is the product the density walk forms for
+//!    what it drew, so [`AmpMixture`] reuses it as that proposal's density.
 //! 3. **Pool order** — a mixture density is `Σ_s c_s · q_s(τ)` accumulated
 //!    in slice order, skipping components whose coefficient is zero.
 //!
@@ -53,16 +64,16 @@ use crate::mallows::pow_phi;
 use crate::{Item, MallowsModel, PartialOrder, Ranking, Result, RimError, SubRanking};
 use rand::Rng;
 
-/// Reusable scratch buffers for [`AmpSampler`]'s walks: the ranks of the
-/// centre items inserted so far (a draw's result, a density evaluation's
-/// working state), the ranks a complete ranking assigns to the centre's
-/// items, and the drawn items on their way into a [`Ranking`]. Reusing one
-/// across calls removes every per-call allocation; results do not depend on
-/// what a scratch held before.
+/// Reusable scratch buffers for [`AmpSampler`]'s walks: a draw's ranks of
+/// the centre items, a complete ranking's ranks of them (a density walk's
+/// input), the rank mask of a density walk or an inversion count, and the
+/// drawn items on their way into a [`Ranking`]. Reusing one across calls
+/// removes every per-call allocation; results do not depend on its contents.
 #[derive(Debug, Clone, Default)]
 pub struct AmpScratch {
     placed: Vec<u32>,
     tpos: Vec<u32>,
+    mask: Vec<u64>,
     items: Vec<Item>,
 }
 
@@ -89,6 +100,8 @@ pub struct AmpSampler {
     pow: Vec<f64>,
     /// `full[i] = Σ_{j=0..=i} φ^{i−j}`, folded in `j` order.
     full: Vec<f64>,
+    /// `quotient[i(i+1)/2 + j] = pow[i − j] / full[i]` for `j ≤ i`.
+    quotient: Vec<f64>,
     /// Row `i`, column `k < i`: the closed constraint between centre items
     /// `k` and `i` (`m × m`, row-major; columns `k ≥ i` are unused).
     relation: Vec<u8>,
@@ -113,7 +126,11 @@ impl AmpSampler {
         }
         let m = center.len();
         let pow: Vec<f64> = (0..m).map(|k| pow_phi(phi, k)).collect();
-        let full = (0..m).map(|i| pow[..=i].iter().rev().sum()).collect();
+        let full: Vec<f64> = (0..m).map(|i| pow[..=i].iter().rev().sum()).collect();
+        let mut quotient = Vec::with_capacity(m * (m + 1) / 2);
+        for (i, &total) in full.iter().enumerate() {
+            quotient.extend(pow[..=i].iter().rev().map(|&w| w / total));
+        }
         let mut relation = vec![UNRELATED; m * m];
         let mut constrained = vec![false; m];
         for (a, b) in constraint.transitive_closure()?.edges() {
@@ -132,6 +149,7 @@ impl AmpSampler {
             phi,
             pow,
             full,
+            quotient,
             relation,
             constrained,
         })
@@ -202,32 +220,32 @@ impl AmpSampler {
 
     /// [`AmpSampler::prob_of`] with reused buffers; bit-identical results.
     pub(crate) fn prob_of_with_scratch(&self, tau: &Ranking, scratch: &mut AmpScratch) -> f64 {
-        if tau.len() != self.center.len() {
+        if !self.translate(tau, &mut scratch.tpos) {
             return 0.0;
         }
-        scratch.tpos.clear();
-        for &item in self.center.items() {
-            match tau.position_of(item) {
-                Some(rank) => scratch.tpos.push(rank as u32),
-                None => return 0.0,
-            }
-        }
-        self.density(&scratch.tpos, &mut scratch.placed)
+        self.density(&scratch.tpos, &mut scratch.mask)
     }
 
-    /// Evaluates the density of a **mixture** of AMP proposals at `tau`:
-    /// `Σ_i coefficients[i] · q_i(tau)`, accumulated in slice order with one
-    /// shared scratch buffer across all components.
-    ///
-    /// This is the balance-heuristic denominator of the MIS estimators
-    /// (Eq. 6 of the paper) in its general, unequally-weighted form: the
-    /// coefficient of a component is the share of the total sample budget
-    /// drawn from it. Components with a zero coefficient contribute no
-    /// density and are skipped without evaluating their `O(m²)` insertion
-    /// walk. Each evaluated component performs bit-for-bit the arithmetic of
-    /// `AmpSampler::prob_of_with_scratch`; the combination order is the
-    /// fixed slice order, so the result is deterministic for a fixed pool.
-    /// A sampling loop that evaluates this once per draw should run on
+    /// Fills `tpos` with the rank `τ` gives each centre item; `false` when
+    /// `τ` does not rank exactly the centre's items.
+    fn translate(&self, tau: &Ranking, tpos: &mut Vec<u32>) -> bool {
+        let items = self.center.items();
+        tpos.clear();
+        tpos.extend(
+            items
+                .iter()
+                .map_while(|&item| Some(tau.position_of(item)? as u32)),
+        );
+        tau.len() == items.len() && tpos.len() == items.len()
+    }
+
+    /// The density `Σ_i coefficients[i] · q_i(tau)` of a **mixture** of AMP
+    /// proposals, accumulated in slice order: the balance-heuristic
+    /// denominator of the MIS estimators (Eq. 6 of the paper), a component's
+    /// coefficient being its share of the sample budget. Zero-coefficient
+    /// components are skipped; every other one runs the density walk of
+    /// `AmpSampler::prob_of_with_scratch`, and consecutive ones with the same
+    /// centre share one translation of `tau`. A sampling loop should run on
     /// [`AmpMixture`] instead, which never materialises `tau`.
     pub fn mix_prob_of(
         samplers: &[AmpSampler],
@@ -241,28 +259,45 @@ impl AmpSampler {
             "one mixture coefficient per proposal"
         );
         let mut mix = 0.0;
+        let mut translated = None; // the centre `scratch.tpos` translates `tau` for
         for (sampler, &coefficient) in samplers.iter().zip(coefficients) {
             if coefficient > 0.0 {
-                mix += coefficient * sampler.prob_of_with_scratch(tau, scratch);
+                let centre = sampler.center.items();
+                if translated != Some(centre) {
+                    translated = sampler.translate(tau, &mut scratch.tpos).then_some(centre);
+                }
+                let q =
+                    translated.map_or(0.0, |_| sampler.density(&scratch.tpos, &mut scratch.mask));
+                mix += coefficient * q;
             }
         }
         mix
     }
 
-    /// Feasible insertion range `[lo, hi]` (inclusive) of centre item `i`,
-    /// given the ranks `placed[k]` of the centre items `k < i` before it.
-    fn feasible_range(&self, placed: &[u32], i: usize) -> (usize, usize) {
-        let (mut lo, mut hi) = (0, i);
-        if self.constrained[i] {
-            let row = &self.relation[i * self.center.len()..][..i];
-            for (&kind, &rank) in row.iter().zip(placed) {
-                match kind {
-                    STAYS_BEFORE => lo = lo.max(rank as usize + 1),
-                    STAYS_AFTER => hi = hi.min(rank as usize),
-                    _ => {}
-                }
+    /// Feasible insertion range `[lo, hi]` (inclusive) of centre item `i`.
+    /// `keys[k]` orders the centre items `k < i` as the partial ranking does,
+    /// and `rank(key)` is the rank among them of the item holding `key`.
+    fn feasible_range(
+        &self,
+        i: usize,
+        keys: &[u32],
+        rank: impl Fn(u32) -> usize,
+    ) -> (usize, usize) {
+        if !self.constrained[i] {
+            return (0, i);
+        }
+        // The last item `i` must follow and the first it must precede.
+        let (mut last_before, mut first_after) = (None, None::<u32>);
+        let row = &self.relation[i * self.center.len()..][..i];
+        for (&kind, &key) in row.iter().zip(keys) {
+            match kind {
+                STAYS_BEFORE => last_before = last_before.max(Some(key)),
+                STAYS_AFTER => first_after = Some(first_after.map_or(key, |k| k.min(key))),
+                _ => {}
             }
         }
+        let lo = last_before.map_or(0, |key| rank(key) + 1);
+        let hi = first_after.map_or(i, rank);
         debug_assert!(lo <= hi, "transitively closed constraint keeps range valid");
         (lo, hi)
     }
@@ -283,7 +318,7 @@ impl AmpSampler {
         placed.clear();
         let mut prob = 1.0;
         for i in 0..self.center.len() {
-            let (lo, hi) = self.feasible_range(placed, i);
+            let (lo, hi) = self.feasible_range(i, placed, |rank| rank as usize);
             let total = self.range_mass(i, lo, hi);
             // Inverse-CDF walk over the weights φ^{i−j}, j = lo..=hi; the
             // last position takes whatever rounding leaves over — and the
@@ -298,7 +333,9 @@ impl AmpSampler {
                 }
                 u -= w;
             }
-            if total > 0.0 {
+            if lo == 0 && hi == i {
+                prob *= self.quotient[i * (i + 1) / 2 + j];
+            } else if total > 0.0 {
                 prob *= self.pow[i - j] / total;
             }
             insert_at_rank(placed, j);
@@ -307,25 +344,28 @@ impl AmpSampler {
     }
 
     /// The density walk: `q(τ)` for the complete ranking that puts centre
-    /// item `i` at rank `tpos[i]`. `placed` is scratch.
-    fn density(&self, tpos: &[u32], placed: &mut Vec<u32>) -> f64 {
+    /// item `i` at rank `tpos[i]`. `mask` is scratch.
+    fn density(&self, tpos: &[u32], mask: &mut Vec<u64>) -> f64 {
         debug_assert_eq!(tpos.len(), self.center.len());
-        placed.clear();
+        mask.clear();
+        mask.resize(tpos.len().div_ceil(64), 0);
         let mut prob = 1.0;
         for (i, &rank) in tpos.iter().enumerate() {
             // Where τ puts item i among the items inserted before it.
-            let j = tpos[..i].iter().filter(|&&earlier| earlier < rank).count();
-            let (lo, hi) = self.feasible_range(placed, i);
+            let j = count_below(mask, rank);
+            let (lo, hi) = self.feasible_range(i, tpos, |key| count_below(mask, key));
             if j < lo || j > hi {
                 return 0.0;
             }
             let total = self.range_mass(i, lo, hi);
-            if total > 0.0 {
+            if lo == 0 && hi == i {
+                prob *= self.quotient[i * (i + 1) / 2 + j];
+            } else if total > 0.0 {
                 prob *= self.pow[i - j] / total;
             } else if j != hi {
                 return 0.0;
             }
-            insert_at_rank(placed, j);
+            mask[rank as usize / 64] |= 1 << (rank % 64);
         }
         prob
     }
@@ -341,14 +381,36 @@ fn insert_at_rank(placed: &mut Vec<u32>, j: usize) {
     placed.push(j);
 }
 
+/// How many of the ranks in `mask` are below `rank`.
+fn count_below(mask: &[u64], rank: u32) -> usize {
+    let (limb, bit) = (rank as usize / 64, rank % 64);
+    let below: u32 = mask[..limb].iter().map(|l| l.count_ones()).sum();
+    (below + (mask[limb] & ((1 << bit) - 1)).count_ones()) as usize
+}
+
+/// The inversions of `ranks`, a permutation of `0..ranks.len()`: how many
+/// earlier entries exceed each entry, read off their rank mask.
+fn inversions(ranks: &[u32], mask: &mut Vec<u64>) -> usize {
+    mask.clear();
+    mask.resize(ranks.len().div_ceil(64), 0);
+    let mut count = 0;
+    for (r, &rank) in ranks.iter().enumerate() {
+        count += r - count_below(mask, rank);
+        mask[rank as usize / 64] |= 1 << (rank % 64);
+    }
+    count
+}
+
 /// One balance-heuristic sampling pass over a pool of AMP proposals for a
 /// Mallows model, on integer arrays from draw to weight: a draw from any
 /// proposal is held as the rank of each item of the model's centre `σ`, so
-/// the model's probability of it is `φ^inversions / Z` with `Z` computed
-/// once for the pass, and its density under every proposal is one
-/// allocation-free insertion walk. Proposals may be centred anywhere (the
-/// MIS estimators centre them on posterior modes), as long as they rank
-/// exactly the model's items.
+/// the model's probability of it is `φ^inversions / Z`, with the inversions
+/// counted on a rank mask and `φ^k` and `Z` computed once for the pass. Its
+/// density under the proposal that drew it is the draw's own probability,
+/// and under every other proposal one allocation-free rank-mask walk,
+/// linear in `m`. Proposals may be centred anywhere (the MIS estimators
+/// centre them on posterior modes), as long as they rank exactly the
+/// model's items.
 ///
 /// The arithmetic and the random variates are those of
 /// [`AmpSampler::sample_with_prob_into`], [`MallowsModel::prob_of`] and
@@ -356,14 +418,19 @@ fn insert_at_rank(placed: &mut Vec<u32>, j: usize) {
 #[derive(Debug)]
 pub struct AmpMixture<'a> {
     samplers: &'a [AmpSampler],
-    phi: f64,
     partition_function: f64,
+    /// `kendall_pow[k] = φ^k` for every inversion count `k ≤ m(m−1)/2`.
+    kendall_pow: Vec<f64>,
     /// Row `s`, column `k`: the position in `σ` of proposal `s`'s `k`-th
     /// centre item (`d × m`, row-major).
     to_sigma: Vec<u32>,
     /// The current draw: `ranks[r]` is the rank of `σ`'s `r`-th item (`σ`
     /// itself until the first draw).
     ranks: Vec<u32>,
+    /// The current draw's inversions against `σ`.
+    inversions: usize,
+    /// The proposal the current draw came from, and its probability there.
+    drawn: Option<(usize, f64)>,
     scratch: AmpScratch,
 }
 
@@ -388,10 +455,14 @@ impl<'a> AmpMixture<'a> {
         }
         Ok(AmpMixture {
             samplers,
-            phi: model.phi(),
             partition_function: model.partition_function(),
+            kendall_pow: (0..=m * m.saturating_sub(1) / 2)
+                .map(|k| pow_phi(model.phi(), k))
+                .collect(),
             to_sigma,
             ranks: (0..m as u32).collect(),
+            inversions: 0,
+            drawn: None,
             scratch: AmpScratch::default(),
         })
     }
@@ -405,18 +476,21 @@ impl<'a> AmpMixture<'a> {
         for (&r, &rank) in to_sigma.iter().zip(&self.scratch.placed) {
             self.ranks[r as usize] = rank;
         }
+        self.inversions = inversions(&self.ranks, &mut self.scratch.mask);
+        self.drawn = Some((s, prob));
         prob
     }
 
     /// The probability `φ^{dist(σ, τ)} / Z` the model gives the current
     /// draw `τ`.
     pub fn model_prob(&self) -> f64 {
-        pow_phi(self.phi, crate::kendall::inversions(&self.ranks)) / self.partition_function
+        self.kendall_pow[self.inversions] / self.partition_function
     }
 
     /// The mixture density `Σ_s coefficients[s] · q_s(τ)` of the current
     /// draw, accumulated in pool order; zero-coefficient proposals are
-    /// skipped.
+    /// skipped, and the drawing proposal's term reuses the draw's
+    /// probability.
     pub fn density(&mut self, coefficients: &[f64]) -> f64 {
         debug_assert_eq!(
             self.samplers.len(),
@@ -426,12 +500,18 @@ impl<'a> AmpMixture<'a> {
         let mut mix = 0.0;
         for (s, (sampler, &coefficient)) in self.samplers.iter().zip(coefficients).enumerate() {
             if coefficient > 0.0 {
-                let AmpScratch { placed, tpos, .. } = &mut self.scratch;
-                let m = self.ranks.len();
-                let to_sigma = &self.to_sigma[s * m..][..m];
-                tpos.clear();
-                tpos.extend(to_sigma.iter().map(|&r| self.ranks[r as usize]));
-                mix += coefficient * sampler.density(tpos, placed);
+                let q = match self.drawn {
+                    Some((drawn, q)) if drawn == s => q,
+                    _ => {
+                        let AmpScratch { tpos, mask, .. } = &mut self.scratch;
+                        let m = self.ranks.len();
+                        let to_sigma = &self.to_sigma[s * m..][..m];
+                        tpos.clear();
+                        tpos.extend(to_sigma.iter().map(|&r| self.ranks[r as usize]));
+                        sampler.density(tpos, mask)
+                    }
+                };
+                mix += coefficient * q;
             }
         }
         mix
@@ -523,10 +603,66 @@ mod tests {
         assert_eq!(rng.next_u64(), reference_rng.next_u64());
     }
 
+    /// The density walk of proposal `s` at the pass's current draw, run
+    /// afresh rather than reused from the draw.
+    fn recomputed_density(pass: &AmpMixture, s: usize) -> f64 {
+        let m = pass.ranks.len();
+        let to_sigma = &pass.to_sigma[s * m..][..m];
+        let tpos: Vec<u32> = to_sigma.iter().map(|&r| pass.ranks[r as usize]).collect();
+        pass.samplers[s].density(&tpos, &mut Vec::new())
+    }
+
+    /// Runs a mixture pass on [`AmpMixture`] and on the reference's
+    /// `Ranking`-per-draw pass off equally seeded streams, requiring the same
+    /// Σw, Σw² and zero-density count, the streams left at the same place,
+    /// and every draw's probability equal to its proposal's recomputed
+    /// density (the term the pass reuses). Returns the zero-density count.
+    fn run_pass_against_reference(
+        model: &MallowsModel,
+        kernels: &[AmpSampler],
+        references: &[AmpReference],
+        allocation: &[usize],
+        coefficients: &[f64],
+        seed: u64,
+    ) -> usize {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut reference_rng = rng.clone();
+        let (mut sum, mut sum_squares, mut zero_density) = (0.0, 0.0, 0);
+        let mut pass = AmpMixture::new(model, kernels).unwrap();
+        for (s, &quota) in allocation.iter().enumerate() {
+            for _ in 0..quota {
+                let q = pass.draw(s, &mut rng);
+                assert_eq!(q.to_bits(), recomputed_density(&pass, s).to_bits());
+                let p = pass.model_prob();
+                let mix = pass.density(coefficients);
+                if mix > 0.0 {
+                    let w = p / mix;
+                    sum += w;
+                    sum_squares += w * w;
+                } else {
+                    zero_density += 1;
+                }
+            }
+        }
+        let expected = amp_reference::mixture_pass(
+            model.sigma(),
+            model.phi(),
+            references,
+            allocation,
+            coefficients,
+            &mut reference_rng,
+        );
+        assert_eq!(
+            (sum.to_bits(), sum_squares.to_bits(), zero_density),
+            (expected.0.to_bits(), expected.1.to_bits(), expected.2)
+        );
+        assert_eq!(rng.next_u64(), reference_rng.next_u64());
+        zero_density
+    }
+
     /// A whole mixture pass on [`AmpMixture`] — proposals centred anywhere,
     /// an uneven allocation with zero-quota proposals — against the
-    /// reference's `Ranking`-per-draw pass: the same Σw, Σw² and
-    /// zero-density count, and the stream left at the same place.
+    /// reference's pass.
     fn assert_pass_matches_reference(m: usize, phi: f64, pool: usize, budget: usize, seed: u64) {
         let mut setup = StdRng::seed_from_u64(seed);
         let model = MallowsModel::new(random_ranking(m, &mut setup), phi).unwrap();
@@ -562,38 +698,14 @@ mod tests {
                 }
             })
             .collect();
-
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        let mut reference_rng = rng.clone();
-        let (mut sum, mut sum_squares, mut zero_density) = (0.0, 0.0, 0);
-        let mut pass = AmpMixture::new(&model, &kernels).unwrap();
-        for (s, &quota) in allocation.iter().enumerate() {
-            for _ in 0..quota {
-                pass.draw(s, &mut rng);
-                let p = pass.model_prob();
-                let mix = pass.density(&coefficients);
-                if mix > 0.0 {
-                    let w = p / mix;
-                    sum += w;
-                    sum_squares += w * w;
-                } else {
-                    zero_density += 1;
-                }
-            }
-        }
-        let expected = amp_reference::mixture_pass(
-            model.sigma(),
-            phi,
+        run_pass_against_reference(
+            &model,
+            &kernels,
             &references,
             &allocation,
             &coefficients,
-            &mut reference_rng,
+            seed,
         );
-        assert_eq!(
-            (sum.to_bits(), sum_squares.to_bits(), zero_density),
-            (expected.0.to_bits(), expected.1.to_bits(), expected.2)
-        );
-        assert_eq!(rng.next_u64(), reference_rng.next_u64());
     }
 
     proptest! {
@@ -621,11 +733,14 @@ mod tests {
         }
     }
 
+    /// Sizes on either side of a limb boundary of the rank mask: a rank that
+    /// is a multiple of 64 opens a limb, and at 65 and 129 the top limb holds
+    /// one bit.
+    const LIMB_EDGES: [usize; 7] = [63, 64, 65, 127, 128, 129, 130];
+
     #[test]
     fn walks_match_the_reference_past_any_machine_word() {
-        // 70 and 130 items: wider than a 64-bit and a 128-bit mask, which
-        // the precedence table must not care about.
-        for m in [70, 130] {
+        for m in LIMB_EDGES {
             for (pi, phi) in PHIS.into_iter().enumerate() {
                 let seed = (m * 10 + pi) as u64;
                 for shape in 0..3 {
@@ -633,6 +748,63 @@ mod tests {
                 }
                 assert_pass_matches_reference(m, phi, 3, 4, seed);
             }
+        }
+    }
+
+    #[test]
+    fn mask_inversions_are_the_kendall_inversions() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut mask = vec![u64::MAX; 5];
+        for m in (0..=12).chain(LIMB_EDGES) {
+            for _ in 0..8 {
+                let mut ranks: Vec<u32> = (0..m as u32).collect();
+                ranks.shuffle(&mut rng);
+                let expected = crate::kendall::inversions(&ranks);
+                assert_eq!(inversions(&ranks, &mut mask), expected, "m={m}");
+            }
+            let reversed: Vec<u32> = (0..m as u32).rev().collect();
+            assert_eq!(
+                inversions(&reversed, &mut mask),
+                m * m.saturating_sub(1) / 2
+            );
+        }
+    }
+
+    #[test]
+    fn zero_mass_steps_reuse_the_drawn_density_bit_for_bit() {
+        // Centres that violate their constraints at φ = 0 and at a φ whose
+        // fourth power underflows: items 4 and 0 force zero-mass steps (the
+        // φ → 0 limit), and 3 ≻ 1 a range whose mass is a subnormal. A draw's
+        // probability is reused as its proposal's density, so it must be
+        // that density bit for bit; under the second coefficients the
+        // drawing proposals do not count and draws land at zero density.
+        for phi in [0.0, 1e-160] {
+            let model = MallowsModel::new(Ranking::identity(5), phi).unwrap();
+            let proposals = [
+                (vec![0, 1, 2, 3, 4], vec![(4, 0), (3, 1)]),
+                (vec![4, 3, 2, 1, 0], vec![(0, 4)]),
+                (vec![0, 1, 2, 3, 4], vec![]),
+            ];
+            let mut kernels = Vec::new();
+            let mut references = Vec::new();
+            for (center, pairs) in proposals {
+                let center = Ranking::new(center).unwrap();
+                let constraint = PartialOrder::from_pairs(&pairs).unwrap();
+                kernels.push(AmpSampler::new(center.clone(), phi, &constraint).unwrap());
+                references.push(AmpReference::new(center, phi, &constraint));
+            }
+            let allocation = [6, 3, 2];
+            let mixed = [0.5, 0.25, 0.25];
+            run_pass_against_reference(&model, &kernels, &references, &allocation, &mixed, 7);
+            let zero_density = run_pass_against_reference(
+                &model,
+                &kernels,
+                &references,
+                &allocation,
+                &[0.0, 0.0, 1.0],
+                7,
+            );
+            assert_eq!(zero_density, 9, "φ={phi}");
         }
     }
 
@@ -763,12 +935,25 @@ mod tests {
                 &PartialOrder::from_pairs(&[(3, 1)]).unwrap(),
             )
             .unwrap(),
+            // Shares its centre with the proposal before it, and so the
+            // translation of `tau`.
+            AmpSampler::new(
+                sigma.clone(),
+                0.4,
+                &PartialOrder::from_pairs(&[(4, 0), (2, 1)]).unwrap(),
+            )
+            .unwrap(),
         ];
-        let coefficients = [0.5, 0.25, 0.25];
+        let coefficients = [0.4, 0.2, 0.2, 0.2];
         let mut scratch = AmpScratch::default();
         let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..50 {
-            let tau = samplers[0].sample(&mut rng);
+        for draw in 0..50 {
+            let tau = match draw % 5 {
+                // Rankings of other items or of too few: every density is 0.
+                3 => Ranking::new(vec![0, 1, 2, 3, 9]).unwrap(),
+                4 => Ranking::identity(4),
+                _ => samplers[draw % 4].sample(&mut rng),
+            };
             let expected: f64 = samplers
                 .iter()
                 .zip(&coefficients)

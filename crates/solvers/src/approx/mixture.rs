@@ -51,7 +51,10 @@ pub fn mixture_coefficients(allocation: &[usize], total: usize) -> Vec<f64> {
 /// [`SampleMoments::zero_density`].
 ///
 /// The pass runs on [`AmpMixture`]'s integer arrays: no ranking is built and
-/// nothing is allocated per sample.
+/// nothing is allocated per sample. A sample costs its draw, then an
+/// inversion count and one density walk per other proposal with a positive
+/// coefficient, both linear in `m`; the drawing proposal's density is the
+/// draw's own probability.
 pub(crate) fn mixture_weight_moments(
     mallows: &MallowsModel,
     samplers: &[AmpSampler],
