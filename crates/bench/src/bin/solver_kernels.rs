@@ -175,6 +175,14 @@ fn main() {
         let label = format!("bipartite m={m} item pair");
         points.push(bipartite_point(label, m, m as u32, pair));
     }
+    // The same pair with both items early in σ (positions 1 and 2): the
+    // two-label kernel stops after the step that places them, where the
+    // oracle goes on through all m steps.
+    if max_m >= 12 {
+        let pair = PatternUnion::singleton(Pattern::two_label(sel(2), sel(1))).unwrap();
+        let label = "two-label m=12 early item pair".to_string();
+        points.push(two_label_point(label, 12, 2, 12, pair));
+    }
     let pattern_point = |label: String, m: usize, labels: u32, pattern: Pattern| {
         let lab = cyclic_labeling(m, labels);
         let model = rim(m, phi);

@@ -105,7 +105,13 @@ pub(crate) const FORMAT_VERSION: u32 = 1;
 /// instead of equal per-proposal quotas with an unweighted density average),
 /// changing every approximate estimate; the budgeted estimator's doubling
 /// rounds now also grow a *total* mixture budget.
-const SOLVER_REVISION: u32 = 4;
+///
+/// Revision 5: the two-label DP answers the mass of the transitions that
+/// satisfy an edge, summed as they are generated, instead of `1 −` the mass
+/// of the states that never do, and stops after its last tracked item.
+/// Two-label marginals move by up to a few ulps, and tiny ones become exact
+/// to relative precision.
+const SOLVER_REVISION: u32 = 5;
 /// Header size in bytes: magic + format version + solver revision +
 /// record count.
 const HEADER_BYTES: usize = 8 + 4 + 4 + 8;
@@ -739,15 +745,18 @@ mod tests {
         wrong_version.extend_from_slice(&0u64.to_le_bytes());
         assert!(parse_segment(&wrong_version).is_err());
 
-        let mut wrong_revision = Vec::new();
-        wrong_revision.extend_from_slice(&MAGIC);
-        wrong_revision.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        wrong_revision.extend_from_slice(&(SOLVER_REVISION + 1).to_le_bytes());
-        wrong_revision.extend_from_slice(&0u64.to_le_bytes());
-        assert!(
-            parse_segment(&wrong_revision).is_err(),
-            "a segment from solvers with different bits must be rejected"
-        );
+        // A segment written by the previous solvers, or by later ones.
+        for revision in [SOLVER_REVISION - 1, SOLVER_REVISION + 1] {
+            let mut wrong_revision = Vec::new();
+            wrong_revision.extend_from_slice(&MAGIC);
+            wrong_revision.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            wrong_revision.extend_from_slice(&revision.to_le_bytes());
+            wrong_revision.extend_from_slice(&0u64.to_le_bytes());
+            assert!(
+                parse_segment(&wrong_revision).is_err(),
+                "a segment from solvers with different bits must be rejected"
+            );
+        }
 
         let mut truncated = Vec::new();
         truncated.extend_from_slice(&MAGIC);

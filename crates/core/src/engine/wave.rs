@@ -961,9 +961,15 @@ fn batch_answer(sessions: &[SessionQuery], probabilities: Vec<f64>) -> WaveAnswe
     })
 }
 
-/// `1 − Π_i (1 − pᵢ)` over per-session probabilities.
+/// `1 − Π_i (1 − pᵢ)` over per-session probabilities, computed as
+/// `−expm1(Σ_i ln(1 − pᵢ))` folded in session order, so that sessions that
+/// each hold the event with a tiny probability add up instead of vanishing
+/// into `1 − 1`. A certain session gives `ln 0 = −∞`, hence exactly 1; the
+/// fold starts at `−0.0` so that no sessions, or only impossible ones,
+/// answer `+0.0`.
 fn boolean_from(per_session: &[(usize, f64)]) -> f64 {
-    1.0 - per_session.iter().map(|&(_, p)| 1.0 - p).product::<f64>()
+    let ln_none = (per_session.iter()).fold(-0.0, |sum: f64, &(_, p)| sum + (-p).ln_1p());
+    -ln_none.exp_m1()
 }
 
 /// `Σ_i pᵢ` over per-session probabilities.
@@ -1020,6 +1026,22 @@ mod tests {
             .unwrap();
         }
         db
+    }
+
+    /// A thousand sessions that each hold the event with probability 1e-18
+    /// answer 1e-15, where `1 − Π (1 − pᵢ)` answered 0; a certain session
+    /// still answers exactly 1, and no session, or only impossible ones, +0.
+    #[test]
+    fn boolean_aggregate_keeps_rare_sessions() {
+        let rare: Vec<(usize, f64)> = (0..1000).map(|s| (s, 1e-18)).collect();
+        let p = boolean_from(&rare);
+        assert!((p - 1e-15).abs() <= 1e-12 * 1e-15, "{p:e}");
+        let mut with_certain = rare;
+        with_certain.insert(500, (1000, 1.0));
+        assert_eq!(boolean_from(&with_certain), 1.0);
+        for impossible in [&[][..], &[(0, 0.0), (1, 0.0)]] {
+            assert_eq!(boolean_from(impossible).to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

@@ -249,7 +249,8 @@ mod tests {
         let per_session = Engine::new(EvalConfig::exact())
             .session_probabilities(&db, &q)
             .unwrap();
-        let expected = 1.0 - per_session.iter().map(|&(_, p)| 1.0 - p).product::<f64>();
+        let ln_none = (per_session.iter()).fold(-0.0, |sum: f64, &(_, p)| sum + (-p).ln_1p());
+        let expected = -ln_none.exp_m1();
         let got = Engine::new(EvalConfig::exact())
             .evaluate_boolean(&db, &q)
             .unwrap();

@@ -83,7 +83,7 @@ pub(crate) struct Compiled {
     /// the slot's selector?
     matches: Vec<bool>,
     /// Per slot, the last step whose item matches its selector.
-    last: Vec<usize>,
+    pub(crate) last: Vec<usize>,
 }
 
 impl Compiled {

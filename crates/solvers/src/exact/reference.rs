@@ -145,7 +145,8 @@ fn check(budget: Option<&Budget>, states: usize) -> Result<()> {
 }
 
 /// `TwoLabelSolver`'s answer: the DP over the *violating* states (those that
-/// satisfy no edge yet), the answer `1 −` their final mass.
+/// satisfy no edge yet), a transition that satisfies an edge absorbing its
+/// mass into the answer.
 pub fn two_label(
     rim: &RimModel,
     labeling: &Labeling,
@@ -167,23 +168,25 @@ pub fn two_label(
         },
         1.0,
     )]);
+    let mut satisfied_mass = 0.0;
     for i in 0..rim.num_items() {
         let mut next: BTreeMap<Positions, f64> = BTreeMap::new();
         for (state, prob) in &states {
             for j in 0..=i {
                 let placed =
                     state.insert(j as u32, [&c.match_l[i], &c.match_r[i]], [&all_l, &all_r]);
+                let p_new = prob * rim.insertion_prob(i, j);
                 if edges.iter().any(|&(l, r)| placed.edge_satisfied(l, r)) {
+                    satisfied_mass += p_new;
                     continue;
                 }
-                *next.entry(placed).or_insert(0.0) += prob * rim.insertion_prob(i, j);
+                *next.entry(placed).or_insert(0.0) += p_new;
             }
         }
         check(budget, next.len())?;
         states = next;
     }
-    let violating: f64 = states.values().sum();
-    Ok((1.0 - violating).clamp(0.0, 1.0))
+    Ok(satisfied_mass.clamp(0.0, 1.0))
 }
 
 /// `BipartiteSolver`'s answer: the pruning DP, whose state is the tracked

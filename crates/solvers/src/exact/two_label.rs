@@ -7,8 +7,11 @@
 //! used on the left of an edge, the minimum position of a matching item
 //! (`α`), and for every selector used on the right, the maximum position of a
 //! matching item (`β`). A ranking satisfies the edge `l ≻ r` iff
-//! `α(l) < β(r)`, so tracking only the *violating* states and subtracting
-//! their mass from 1 yields the marginal probability of `G`.
+//! `α(l) < β(r)`. A satisfied edge stays satisfied, so the DP keeps only the
+//! *violating* states and adds the mass of each transition that satisfies an
+//! edge to the answer, which keeps a tiny answer's relative precision as `1 −`
+//! the violating mass would not. It stops after the last step whose item
+//! matches a tracked selector: later steps only shift the witnesses.
 //!
 //! A two-label union is a bipartite union with one edge per member: it is
 //! compiled, its `α`/`β` vector packed into one unsigned key and its
@@ -69,7 +72,8 @@ impl TwoLabelSolver {
 }
 
 /// The kernel: a state is the `α` slots then the `β` slots, and only the
-/// states that satisfy no edge yet — the violating ones — are kept.
+/// states that satisfy no edge yet — the violating ones — are kept; the mass
+/// of every transition that satisfies one is the answer.
 fn solve_packed<W: Word>(rim: &RimModel, c: &Compiled, budget: Option<&Budget>) -> Result<f64> {
     let slots = Slots::new(rim.num_items(), c.num_slots(), 0);
     let mask = slots.mask();
@@ -83,10 +87,13 @@ fn solve_packed<W: Word>(rim: &RimModel, c: &Compiled, budget: Option<&Budget>) 
     }
     // An item no selector matches only shifts the witnesses, and a shift
     // keeps α < β as it is: no stored (violating) state comes to satisfy an
-    // edge, so every position survives.
-    let frontier = run_steps(
+    // edge, so every position survives — and no step after the last tracked
+    // item's can add to the answer.
+    let last = c.last.iter().copied().max().unwrap_or(0);
+    let mut satisfied_mass = 0.0;
+    run_steps(
         W::ZERO,
-        rim.pi(),
+        &rim.pi()[..=last],
         slots,
         budget,
         |i| c.shifts_only(i),
@@ -94,19 +101,20 @@ fn solve_packed<W: Word>(rim: &RimModel, c: &Compiled, budget: Option<&Budget>) 
             let matches = c.matches(i);
             for (j, &pj) in row.iter().enumerate() {
                 let next = insert_witness(state, j as u32 + 1, matches, c.num_l, slots);
-                // A satisfied edge stays satisfied: such a prefix can never
-                // contribute to the violating mass.
+                // A satisfied edge stays satisfied: the prefix is absorbed.
                 let satisfies_an_edge = edges.iter().any(|&(sl, sr)| {
                     let a = get_slot(&next, sl, mask);
                     a != 0 && a < get_slot(&next, sr, mask)
                 });
-                if !satisfies_an_edge {
+                if satisfies_an_edge {
+                    satisfied_mass += prob * pj;
+                } else {
                     frontier.push(next, prob * pj);
                 }
             }
         },
     )?;
-    Ok((1.0 - frontier.total_mass()).clamp(0.0, 1.0))
+    Ok(satisfied_mass.clamp(0.0, 1.0))
 }
 
 impl ExactSolver for TwoLabelSolver {

@@ -14,7 +14,8 @@
 //! * [`BruteForceSolver`] — enumerates all `m!` rankings; the reference
 //!   implementation every other solver is validated against.
 //! * [`TwoLabelSolver`] — Algorithm 3: dynamic programming over RIM
-//!   insertions tracking min/max label positions of the *violating* states.
+//!   insertions tracking min/max label positions of the *violating* states
+//!   and absorbing the mass of every transition that satisfies an edge.
 //! * [`BipartiteSolver`] — Algorithm 4: DP over RIM insertions for unions of
 //!   bipartite patterns, with pruning of satisfied/violated edges and
 //!   patterns.

@@ -618,7 +618,10 @@ mod cross_commit_pins {
     /// `GeneralSolver` keyed a map per subset mask). `packed_equivalence`
     /// compares the packed kernel with a reference that shares
     /// `ppd_patterns::satisfy`; these do not share anything with the tree
-    /// they test.
+    /// they test. The two-label rows (`q1` and `pair`) were re-recorded at
+    /// solver revision 5, when the two-label DP began to sum the satisfied
+    /// mass instead of answering `1 −` the violating mass; the `chain` rows
+    /// keep the bits recorded at 09fff27.
     #[test]
     fn exact_answers_keep_the_bits_recorded_at_pr_14() {
         use ppd_patterns::Pattern;
@@ -651,8 +654,8 @@ mod cross_commit_pins {
                 "q1",
                 Pin {
                     sessions: 40,
-                    fold: 0x5928a2226474c8fc,
-                    first: [0x3feefefefefefeff, 0x3fefcb92315df93f, 0x3fecd99fb7e7a9f0],
+                    fold: 0xbfcd2e09ef1128f8,
+                    first: [0x3feefefefefeff00, 0x3fefcb92315df93e, 0x3fecd99fb7e7a9f3],
                     top3: [0x3fefff94a023915b, 0x3fefff94a023915b, 0x3feffde720b1d6c5],
                 },
             ),
@@ -669,9 +672,9 @@ mod cross_commit_pins {
                 "pair",
                 Pin {
                     sessions: 40,
-                    fold: 0xf59a0d130cd411b0,
-                    first: [0x3fce79e79e79e79c, 0x3f9235c885d2af40, 0x3fda1ce926b3fe24],
-                    top3: [0x3feffd968c9fcf58, 0x3feff608d733397d, 0x3feff608d733397d],
+                    fold: 0xc8eec0c4ae7583fe,
+                    first: [0x3fce79e79e79e79e, 0x3f9235c885d2afc1, 0x3fda1ce926b3fe24],
+                    top3: [0x3feffd968c9fcf58, 0x3feff608d7333981, 0x3feff608d733397f],
                 },
             ),
             (
