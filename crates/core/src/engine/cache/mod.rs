@@ -259,19 +259,19 @@ impl std::fmt::Display for CacheStats {
 /// path, keyed like the marginal cache by the work unit's stable content
 /// hash. The pool — the union decomposition plus the greedy-modal walk —
 /// is the expensive, ε- and seed-independent part of preparing the budgeted
-/// estimator, so re-estimating a unit under a different budget (a second
-/// per-tenant budget engine, or a larger ε after invalidation of the
-/// marginal entry alone) skips it entirely.
+/// estimator, so re-estimating a unit under a different budget (a query
+/// asking for another ε, or the same ε after invalidation of the marginal
+/// entry alone) skips it entirely.
 ///
 /// [`ProposalPool::build`] fixes the pool's shape itself, so the content
-/// hash is the whole key. Safe to share across engines: a model or union
-/// change addresses a different entry outright (stale pools can waste
-/// memory, never serve wrong proposals), and pool preparation draws no
-/// randomness, so a warm pool yields bit-identical answers to a cold build —
-/// a contract `warm_pool_reruns_are_bit_identical_to_cold_runs` pins at the
-/// solver layer and `tests/engine_cache.rs` pins end to end.
+/// hash is the whole key. A model or union change addresses a different
+/// entry outright (stale pools can waste memory, never serve wrong
+/// proposals), and pool preparation draws no randomness, so a warm pool
+/// yields bit-identical answers to a cold build — a contract
+/// `warm_pool_reruns_are_bit_identical_to_cold_runs` pins at the solver
+/// layer and `tests/engine_cache.rs` pins end to end.
 #[derive(Debug, Default)]
-pub struct PoolCache {
+pub(crate) struct PoolCache {
     map: Mutex<HashMap<u64, Arc<Mutex<ProposalPool>>>>,
     built: AtomicU64,
     hits: AtomicU64,

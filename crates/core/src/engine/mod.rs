@@ -41,7 +41,7 @@ mod scheduler;
 mod unit;
 mod wave;
 
-pub use cache::{CacheCapacity, CacheStats, PoolCache, PreparedModel};
+pub use cache::{CacheCapacity, CacheStats, PreparedModel};
 pub use obs::EngineObs;
 use unit::{PlannedUnit, UnionResolver};
 pub use unit::{UnitKey, WorkUnit};
@@ -55,7 +55,7 @@ use crate::query::ConjunctiveQuery;
 use crate::topk::{SessionScore, TopKStats, TopKStrategy};
 use crate::translate::ground_query;
 use crate::{PpdError, Result};
-use cache::{MarginalCache, ModelCache};
+use cache::{MarginalCache, ModelCache, PoolCache};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,11 +94,10 @@ pub struct Engine {
     /// Segment compactions run by [`Engine::save_marginals`].
     compactions: AtomicU64,
     /// Prepared proposal pools of the error-budget sampling path, keyed by
-    /// unit content hash. Shareable across engines (see
-    /// [`Engine::with_pool_cache`]): a tenant's per-budget engines
-    /// re-estimate the same units under different ε, and the pool — the
-    /// decomposition plus greedy-modal walk — is ε- and seed-independent.
-    pools: Arc<PoolCache>,
+    /// unit content hash: queries under different budgets re-estimate the
+    /// same units under different ε, and the pool — the decomposition plus
+    /// greedy-modal walk — is ε- and seed-independent.
+    pools: PoolCache,
     /// Pre-resolved observability handles. Write-only from the pipeline's
     /// point of view: nothing recorded here is ever read back into seeds,
     /// cache keys, scheduling, or solver selection.
@@ -117,17 +116,6 @@ impl Engine {
     /// only ever *records* — an engine with [`EngineObs::disabled`] (the
     /// plain-constructor default) produces bit-identical answers.
     pub fn with_obs(config: EvalConfig, obs: EngineObs) -> Self {
-        Engine::with_pool_cache(config, obs, Arc::new(PoolCache::default()))
-    }
-
-    /// [`Engine::with_obs`] sharing an externally owned [`PoolCache`].
-    /// Serving layers hand every engine of one tenant the same cache so
-    /// re-estimating a unit under a different error budget (a second
-    /// per-budget engine) reuses the first engine's union decompositions
-    /// and greedy-modal walks. Sharing never changes answers: pools are
-    /// keyed by unit content hash and prepared deterministically, so a
-    /// warm pool reproduces a cold build's bits exactly.
-    pub fn with_pool_cache(config: EvalConfig, obs: EngineObs, pools: Arc<PoolCache>) -> Self {
         let marginals = MarginalCache::new(config.cache_shards, config.cache_capacity);
         Engine {
             config,
@@ -140,7 +128,7 @@ impl Engine {
             segment_live_bytes: AtomicU64::new(0),
             segment_dead_bytes: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
-            pools,
+            pools: PoolCache::default(),
             obs,
         }
     }
@@ -405,8 +393,8 @@ impl Engine {
         let deliver = |_, delivered: Result<WaveAnswer>| {
             *answer.lock().expect("top-k answer slot poisoned") = Some(delivered);
         };
-        let mut wave = WavePlan::default();
-        self.plan_topk_into(&mut wave, db, query, k, strategy, 0, &|_| false, &deliver);
+        let (mut wave, never) = (WavePlan::default(), |_| false);
+        self.plan_topk_into(&mut wave, db, query, k, strategy, None, 0, &never, &deliver);
         self.run_wave(wave, None, deliver);
         let answer = answer.into_inner().expect("top-k answer slot poisoned");
         match answer.expect("a wave delivers every planned query exactly once")? {
@@ -512,9 +500,9 @@ impl Engine {
                 }),
             )
         };
-        let is_cancelled = |query_index| cancelled.as_ref().is_some_and(|c| c(query_index));
+        let cancel = |query_index| cancelled.as_ref().is_some_and(|c| c(query_index));
         let mut wave = WavePlan::default();
-        self.plan_into(&mut wave, db, queries, traces, &is_cancelled, &deliver);
+        self.plan_into(&mut wave, db, queries, None, traces, &cancel, &deliver);
         self.run_wave(wave, cancelled, deliver);
     }
 }

@@ -78,9 +78,9 @@ impl EngineObs {
     }
 
     /// Registers the engine's instruments in `registry` under `labels`
-    /// (typically `[("tenant", name)]`). Re-registering the same labels —
-    /// e.g. for a tenant's per-budget engines — resolves to the *same*
-    /// cells, so all of a tenant's engines aggregate together.
+    /// (typically `[("tenant", name)]`). Re-registering the same labels
+    /// resolves to the *same* cells, so bundles built for one label set
+    /// aggregate together.
     pub fn new(registry: &Registry, labels: &[(&str, &str)]) -> Self {
         let solve_seconds = std::array::from_fn(|s| {
             std::array::from_fn(|c| {

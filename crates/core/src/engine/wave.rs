@@ -28,7 +28,7 @@ use super::cache::SolverFingerprint;
 use super::unit::{PlannedUnit, UnionResolver};
 use super::{cost, obs, scheduler, Engine, UnitKey};
 use crate::database::PpdDatabase;
-use crate::eval::SolverChoice;
+use crate::eval::{ErrorBudget, SolverChoice};
 use crate::query::ConjunctiveQuery;
 use crate::session::Session;
 use crate::topk::{self, SecondStage, SessionScore, TopKStats, TopKStrategy, TopKTail};
@@ -68,10 +68,10 @@ struct Pending<'db> {
     union: Arc<PatternUnion>,
     session: &'db Session,
     labeling: Arc<Labeling>,
-    /// The solver family that will produce this unit's number. Per-unit
-    /// because [`SolverChoice::ErrorBudget`] picks exact DP or the budgeted
-    /// sampler unit by unit (on the static cost alone), and because a
-    /// top-k bound is solved exactly whatever the engine's choice.
+    /// The solver family that will produce this unit's number, and all the
+    /// solver reads. Per-unit because each query may carry its own budget,
+    /// [`SolverChoice::ErrorBudget`] picks exact DP or the budgeted sampler
+    /// unit by unit, and a top-k bound is solved exactly whatever is asked.
     fingerprint: SolverFingerprint,
     /// The static cost estimate — a pure function of unit content and
     /// configuration, and what the wave is ordered by.
@@ -214,11 +214,15 @@ impl Engine {
     /// [`Engine::execute_wave`]. `traces[i]` is the `i`-th query's trace id
     /// (`0` or out of range = untraced); sampled traces record
     /// `wave-joined` here.
+    /// `budget` is the queries' error budget (`None` = the configured
+    /// solver); queries under other budgets join the wave by other calls.
+    #[allow(clippy::too_many_arguments)]
     pub fn plan_into<'db>(
         &self,
         wave: &mut WavePlan<'db>,
         db: &'db PpdDatabase,
         queries: &[ConjunctiveQuery],
+        budget: Option<ErrorBudget>,
         traces: &[u64],
         cancelled: &impl Fn(usize) -> bool,
         deliver: &impl Fn(usize, Result<WaveAnswer>),
@@ -247,7 +251,7 @@ impl Engine {
             }));
             spans.push(start..base + requests.len());
         }
-        self.plan_requests(&mut wave.units, &requests, false);
+        self.plan_requests(&mut wave.units, &requests, &self.solver_for(budget));
         drop(requests);
         for ((offset, (_, _, sessions)), span) in grounded.into_iter().zip(spans) {
             let query = PlannedQuery {
@@ -271,7 +275,9 @@ impl Engine {
     /// second stage walks here as far as the cache reaches; a walk that ends
     /// on cache hits alone delivers the answer before this returns. Otherwise
     /// the query waits for [`Engine::execute_wave`], which walks the second
-    /// stage — solving as it goes — once the wave's units are in.
+    /// stage — solving as it goes — once the wave's units are in. Full
+    /// unions, in either stage, solve under `budget` as for
+    /// [`Engine::plan_into`].
     #[allow(clippy::too_many_arguments)]
     pub fn plan_topk_into<'db>(
         &self,
@@ -280,6 +286,7 @@ impl Engine {
         query: &ConjunctiveQuery,
         k: usize,
         strategy: TopKStrategy,
+        budget: Option<ErrorBudget>,
         trace: u64,
         cancelled: &impl Fn(usize) -> bool,
         deliver: &impl Fn(usize, Result<WaveAnswer>),
@@ -313,7 +320,12 @@ impl Engine {
                 },
             })
             .collect();
-        self.plan_requests(&mut wave.units, &requests, relaxed.is_some());
+        // Upper bounds must be sound: never estimated, whatever the budget.
+        let solver = match relaxed {
+            Some(_) => SolverChoice::ExactAuto,
+            None => self.solver_for(budget),
+        };
+        self.plan_requests(&mut wave.units, &requests, &solver);
         drop(requests);
         let query = PlannedQuery {
             index,
@@ -326,6 +338,7 @@ impl Engine {
                 strategy,
                 prel,
                 labeling,
+                budget,
             }),
             second_stage: None,
         };
@@ -385,7 +398,7 @@ impl Engine {
         // waits, where it stopped, for the execute stage.
         let mut stage = SecondStage::begin(tail, &query.sessions, values);
         match stage.advance(tail, &query.sessions, |request| {
-            self.request_value(&request, OnMiss::Stop)
+            self.request_value(&request, tail.budget, OnMiss::Stop)
         }) {
             Ok(true) => {
                 let (scores, stats) = stage.finish(tail.k);
@@ -399,14 +412,15 @@ impl Engine {
         }
     }
 
-    /// The value of one request *now*, under the engine's configured solver:
-    /// what the marginal cache holds for it, or — where `on_miss` allows — a
-    /// solve on the calling thread, cached like any wave unit's. This is how
-    /// a `top(Q, k)` walk gets each next session's probability; `None` means
-    /// the walk stops here.
+    /// The value of one request *now*, under its query's `budget` (or the
+    /// configured solver): what the marginal cache holds for it, or — where
+    /// `on_miss` allows — a solve on the calling thread, cached like any wave
+    /// unit's. This is how a `top(Q, k)` walk gets each next session's
+    /// probability; `None` means the walk stops here.
     fn request_value(
         &self,
         request: &UnitRequest<'_, '_>,
+        budget: Option<ErrorBudget>,
         on_miss: OnMiss<'_>,
     ) -> Result<Option<f64>> {
         if let OnMiss::Solve(Some(probe)) = on_miss {
@@ -420,7 +434,8 @@ impl Engine {
         let resolved = resolver.resolve(request.union, request.labeling, sigma);
         let model_hash = request.session.model_key_hash();
         let hash = resolved.stable_hash(model_hash);
-        let fingerprint = self.unit_fingerprint(request.union, sigma.len(), false);
+        let solver = self.solver_for(budget);
+        let fingerprint = self.unit_fingerprint(request.union, sigma.len(), &solver);
         if grouping {
             // A value the walk will not go on to solve is not counted as a
             // miss — the solve that follows, in the execute stage, counts it.
@@ -651,7 +666,7 @@ impl Engine {
             } else {
                 stage
                     .advance(tail, &query.sessions, |request| {
-                        self.request_value(&request, OnMiss::Solve(probe.as_ref()))
+                        self.request_value(&request, tail.budget, OnMiss::Solve(probe.as_ref()))
                     })
                     .map(|_certain| {
                         let (scores, stats) = stage.finish(tail.k);
@@ -679,14 +694,13 @@ impl Engine {
     /// slice and against the units `set` already holds, then cache lookup,
     /// recording for each request where its probability will come from.
     ///
-    /// With `force_exact` the units use the automatically selected exact
-    /// solver regardless of the configured [`SolverChoice`] — the top-k
-    /// optimizer's upper bounds must be sound, so they are never estimated.
+    /// Every unit is solved by `solver`: one per call, since the slice-local
+    /// deduplication below is keyed by content alone.
     fn plan_requests<'db>(
         &self,
         set: &mut UnitSet<'db>,
         requests: &[UnitRequest<'db, '_>],
-        force_exact: bool,
+        solver: &SolverChoice,
     ) {
         let grouping = self.config.group_identical;
         if grouping {
@@ -707,7 +721,7 @@ impl Engine {
             let resolved = resolver.resolve(request.union, request.labeling, sigma);
             let planned = resolved.unit_of(request.session);
             let m = sigma.len();
-            let fingerprint = self.unit_fingerprint(request.union, m, force_exact);
+            let fingerprint = self.unit_fingerprint(request.union, m, solver);
             if grouping {
                 if let Some(&unit) = unit_of.get(&planned) {
                     set.sources.push(Source::Unit(unit));
@@ -781,19 +795,19 @@ impl Engine {
 
     /// Solves one pending unit: prepared-model lookup, solver selection, and
     /// a seeded solve whose result depends only on the unit's content and
-    /// the engine's base seed. Returns `(probability, elapsed nanoseconds)`:
-    /// the elapsed time feeds the solve-time histogram and trace events,
+    /// fingerprint. Returns `(probability, elapsed nanoseconds)`: the
+    /// elapsed time feeds the solve-time histogram and trace events,
     /// never an answer. An optional [`CancelProbe`] is threaded into the
     /// exact DP kernels' budget checks for mid-solve cancellation.
     fn solve_pending(&self, unit: &Pending<'_>, probe: Option<CancelProbe>) -> Result<(f64, u64)> {
         let prepared = self.models.get_or_insert(unit.session);
-        let kind = self.solver_kind(&unit.union, unit.fingerprint, probe);
+        let kind = Engine::solver_kind(&unit.union, unit.fingerprint, probe);
         let seed = UnitKey::seed_from_stable_hash(unit.hash, self.config.seed);
         // Error-budget units reuse the cached proposal pool (the union
         // decomposition + greedy-modal walk) when one exists; a warm pool
         // only skips preparation work, the estimate's bits are identical.
-        let pool = match (unit.fingerprint, &self.config.solver) {
-            (SolverFingerprint::ErrorBudget { .. }, SolverChoice::ErrorBudget(_)) => {
+        let pool = match unit.fingerprint {
+            SolverFingerprint::ErrorBudget { .. } => {
                 Some(self.pools.get_or_build(unit.hash, || {
                     ProposalPool::build(prepared.mallows(), &unit.labeling, &unit.union)
                 })?)
@@ -823,19 +837,17 @@ impl Engine {
     }
 
     /// The solver handle for one unit: the one its fingerprint names (which
-    /// already folds in a forced-exact bound and, under
-    /// [`SolverChoice::ErrorBudget`], the per-unit selection). A supplied
-    /// cancel probe rides into the exact solvers' budgets; the sampling arms
-    /// ignore it (their rounds are short, and unit-granularity cancellation
-    /// covers them).
+    /// already folds in a forced-exact bound, the query's error budget and,
+    /// under one, the per-unit selection). A supplied cancel probe rides
+    /// into the exact solvers' budgets; the sampling arms ignore it (their
+    /// rounds are short, and unit-granularity cancellation covers them).
     fn solver_kind(
-        &self,
         union: &PatternUnion,
         fingerprint: SolverFingerprint,
         probe: Option<CancelProbe>,
     ) -> SolverKind {
-        match (fingerprint, &self.config.solver) {
-            (SolverFingerprint::GeneralExact, _) => {
+        match fingerprint {
+            SolverFingerprint::GeneralExact => {
                 let solver = GeneralSolver::new();
                 let solver = match probe {
                     Some(p) => solver.with_budget(Budget::cancellable(p)),
@@ -843,16 +855,19 @@ impl Engine {
                 };
                 SolverKind::exact(Box::new(solver))
             }
-            (
-                SolverFingerprint::Approx { .. },
-                SolverChoice::Approximate {
-                    samples_per_proposal,
-                },
-            ) => SolverKind::approx(Box::new(MisAmpAdaptive::new(*samples_per_proposal))),
-            (SolverFingerprint::ErrorBudget { .. }, SolverChoice::ErrorBudget(budget)) => {
-                SolverKind::budgeted(MisAmpBudgeted::new(budget.epsilon, budget.confidence))
-            }
-            _ => match probe {
+            SolverFingerprint::Approx {
+                samples_per_proposal,
+                ..
+            } => SolverKind::approx(Box::new(MisAmpAdaptive::new(samples_per_proposal))),
+            SolverFingerprint::ErrorBudget {
+                epsilon_bits,
+                confidence_bits,
+                ..
+            } => SolverKind::budgeted(MisAmpBudgeted::new(
+                f64::from_bits(epsilon_bits),
+                f64::from_bits(confidence_bits),
+            )),
+            SolverFingerprint::ExactAuto => match probe {
                 Some(p) => SolverKind::exact(choose_exact_solver_with_budget(
                     union,
                     Budget::cancellable(p),
@@ -862,25 +877,27 @@ impl Engine {
         }
     }
 
-    /// The cache discriminant for the solver that will produce one unit's
-    /// number. `force_exact` always means the auto-selected exact solver,
-    /// which matches the `ExactAuto` configuration but must *not* alias
-    /// with `GeneralExact`: the two exact algorithms differ in low-order
-    /// float bits, and a relaxed upper-bound union can be content-identical
-    /// to the full union. Under [`SolverChoice::ErrorBudget`] the
-    /// fingerprint is per unit: the *static* exact cost decides between
-    /// exact DP and the budgeted sampler — a pure function of content and
-    /// configuration, so selection is identical warm or cold.
+    /// The solver a query under `budget` asks for: the error budget, or the
+    /// configured choice when it has none.
+    fn solver_for(&self, budget: Option<ErrorBudget>) -> SolverChoice {
+        budget.map_or_else(|| self.config.solver.clone(), SolverChoice::ErrorBudget)
+    }
+
+    /// The cache discriminant for `solver` producing one unit's number.
+    /// [`SolverChoice::ExactAuto`] must *not* alias with `GeneralExact`: the
+    /// two exact algorithms differ in low-order float bits, and a relaxed
+    /// upper-bound union can be content-identical to the full union. Under
+    /// [`SolverChoice::ErrorBudget`] the fingerprint is per unit: the
+    /// *static* exact cost decides between exact DP and the budgeted
+    /// sampler — a pure function of content and configuration, so selection
+    /// is identical warm or cold.
     fn unit_fingerprint(
         &self,
         union: &PatternUnion,
         m: usize,
-        force_exact: bool,
+        solver: &SolverChoice,
     ) -> SolverFingerprint {
-        if force_exact {
-            return SolverFingerprint::ExactAuto;
-        }
-        match &self.config.solver {
+        match solver {
             SolverChoice::ExactAuto => SolverFingerprint::ExactAuto,
             SolverChoice::GeneralExact => SolverFingerprint::GeneralExact,
             SolverChoice::Approximate {
@@ -1103,6 +1120,7 @@ mod tests {
             &mut wave,
             &db,
             &[sanders_over_rubio(), chain],
+            None,
             &[],
             &|_| false,
             &deliver,
@@ -1137,6 +1155,7 @@ mod tests {
             &mut wave,
             &db,
             &[clinton_over_trump()],
+            None,
             &[],
             &|_| false,
             &deliver,
@@ -1148,6 +1167,7 @@ mod tests {
             &mut wave,
             &db,
             &[clinton_over_trump(), sanders_over_rubio()],
+            None,
             &[],
             &|_| false,
             &deliver,
@@ -1191,6 +1211,7 @@ mod tests {
             &mut wave,
             &db,
             &[clinton_over_trump()],
+            None,
             &[],
             &|_| false,
             &deliver,
@@ -1201,6 +1222,7 @@ mod tests {
             &clinton_over_trump(),
             3,
             strategy,
+            None,
             0,
             &|_| false,
             &deliver,
@@ -1253,7 +1275,17 @@ mod tests {
             delivered.lock().unwrap().push((qi, answer.unwrap()));
         };
         let mut wave = WavePlan::default();
-        engine.plan_topk_into(&mut wave, &db, &query, 8, strategy, 0, &|_| false, &deliver);
+        engine.plan_topk_into(
+            &mut wave,
+            &db,
+            &query,
+            8,
+            strategy,
+            None,
+            0,
+            &|_| false,
+            &deliver,
+        );
         // Every bound was a hit, so the walk started — and stopped at the
         // first full union it would have had to solve. The plan stage ran no
         // solver and says so.
@@ -1311,11 +1343,22 @@ mod tests {
             *slot = Some(answer);
         };
         let mut wave = WavePlan::default();
-        engine.plan_topk_into(&mut wave, &db, &query, 8, strategy, 0, &|_| false, &deliver);
+        engine.plan_topk_into(
+            &mut wave,
+            &db,
+            &query,
+            8,
+            strategy,
+            None,
+            0,
+            &|_| false,
+            &deliver,
+        );
         engine.plan_into(
             &mut wave,
             &db,
             &[sanders_over_rubio()],
+            None,
             &[],
             &|_| false,
             &deliver,
@@ -1365,6 +1408,7 @@ mod tests {
             &mut wave,
             &db,
             &[clinton_over_trump()],
+            None,
             &[],
             &|_| false,
             &deliver,
@@ -1375,6 +1419,7 @@ mod tests {
             &clinton_over_trump(),
             3,
             TopKStrategy::Naive,
+            None,
             0,
             &|_| false,
             &deliver,

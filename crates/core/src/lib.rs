@@ -49,8 +49,8 @@ pub mod value;
 
 pub use database::{DatabaseBuilder, PpdDatabase, Update};
 pub use engine::{
-    BatchAnswer, CacheCapacity, CacheStats, Engine, EngineObs, PoolCache, PreparedModel, UnitKey,
-    WaveAnswer, WavePlan, WorkUnit,
+    BatchAnswer, CacheCapacity, CacheStats, Engine, EngineObs, PreparedModel, UnitKey, WaveAnswer,
+    WavePlan, WorkUnit,
 };
 pub use eval::{ErrorBudget, EvalConfig, SolverChoice};
 pub use query::{CompareOp, Comparison, ConjunctiveQuery, PreferenceAtom, RelationAtom, Term};

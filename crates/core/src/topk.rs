@@ -10,6 +10,7 @@
 //! earlier work.
 
 use crate::engine::UnitRequest;
+use crate::eval::ErrorBudget;
 use crate::session::PreferenceRelation;
 use crate::translate::SessionQuery;
 use crate::Result;
@@ -70,6 +71,8 @@ pub(crate) struct TopKTail<'db> {
     pub(crate) strategy: TopKStrategy,
     pub(crate) prel: &'db PreferenceRelation,
     pub(crate) labeling: Arc<Labeling>,
+    /// The query's error budget, which the second stage solves under too.
+    pub(crate) budget: Option<ErrorBudget>,
 }
 
 /// The relaxed upper-bound unions of a grounded query and, per session in

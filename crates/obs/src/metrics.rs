@@ -5,8 +5,8 @@
 //! mutex hold and returns a cloneable handle; the hot path only ever
 //! touches the handle, which is an `Arc` of atomics plus an `enabled` flag
 //! — no lock, no allocation. Registering the same `(name, labels)` twice
-//! returns a handle to the *same* underlying cells, so e.g. a tenant's
-//! retiring budget engines keep aggregating into the tenant's counters.
+//! returns a handle to the *same* underlying cells, so e.g. every handle
+//! resolved for one tenant's label aggregates into that tenant's counters.
 //!
 //! Histograms are log-bucketed with linear sub-buckets (32 per octave, so
 //! bucket boundaries are within ~3.2% of any recorded value) — the same

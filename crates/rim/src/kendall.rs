@@ -34,19 +34,6 @@ pub(crate) fn inversions<T: Copy + PartialOrd>(ranks: &[T]) -> usize {
     count
 }
 
-/// Kendall-tau distance normalised by the maximum possible number of
-/// discordant pairs, yielding a value in `[0, 1]`. Returns 0 for rankings
-/// with fewer than two common items.
-pub fn normalized_kendall_tau(a: &Ranking, b: &Ranking) -> f64 {
-    let ranks = ranks_in_order_of(a, b);
-    let n = ranks.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let max_pairs = n * (n - 1) / 2;
-    inversions(&ranks) as f64 / max_pairs as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,7 +46,6 @@ mod tests {
     fn identical_rankings_have_zero_distance() {
         let a = Ranking::new(vec![1, 2, 3, 4]).unwrap();
         assert_eq!(kendall_tau(&a, &a), 0);
-        assert_eq!(normalized_kendall_tau(&a, &a), 0.0);
     }
 
     #[test]
@@ -67,7 +53,6 @@ mod tests {
         let a = Ranking::new(vec![1, 2, 3, 4]).unwrap();
         let b = Ranking::new(vec![4, 3, 2, 1]).unwrap();
         assert_eq!(kendall_tau(&a, &b), 6);
-        assert!((normalized_kendall_tau(&a, &b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -98,7 +83,6 @@ mod tests {
             let forward = Ranking::identity(m);
             let reversed = Ranking::new((0..m as Item).rev().collect()).unwrap();
             assert_eq!(kendall_tau(&forward, &reversed), m * (m - 1) / 2, "m = {m}");
-            assert!((normalized_kendall_tau(&forward, &reversed) - 1.0).abs() < 1e-12);
         }
     }
 
@@ -120,13 +104,10 @@ mod tests {
                 }
                 let tau = Ranking::new(items).unwrap();
                 let sigma = Ranking::identity(m);
-                let norm = normalized_kendall_tau(&tau, &sigma);
+                // The distance over the most discordant pairs it can count.
+                let norm = kendall_tau(&tau, &sigma) as f64 / (m * (m - 1) / 2) as f64;
                 assert!((0.0..=1.0).contains(&norm), "m = {m}: {norm}");
-                // Symmetry holds for the normalised distance too.
-                assert_eq!(norm, normalized_kendall_tau(&sigma, &tau));
-                // Consistency with the raw count.
-                let raw = kendall_tau(&tau, &sigma) as f64;
-                assert!((norm - raw / (m * (m - 1) / 2) as f64).abs() < 1e-12);
+                assert_eq!(kendall_tau(&tau, &sigma), kendall_tau(&sigma, &tau));
             }
         }
     }
@@ -168,8 +149,8 @@ mod tests {
     fn fewer_than_two_common_items_normalizes_to_zero() {
         let a = Ranking::new(vec![1, 2]).unwrap();
         let b = Ranking::new(vec![2, 3]).unwrap();
-        assert_eq!(normalized_kendall_tau(&a, &b), 0.0);
+        assert_eq!(kendall_tau(&a, &b), 0);
         let c = Ranking::new(vec![8, 9]).unwrap();
-        assert_eq!(normalized_kendall_tau(&a, &c), 0.0);
+        assert_eq!(kendall_tau(&a, &c), 0);
     }
 }

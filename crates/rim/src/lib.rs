@@ -17,10 +17,7 @@
 //!   and evaluates the proposal probability of a ranking (needed for the
 //!   importance-sampling solvers);
 //! * [`greedy_modals`] / [`approximate_distance`] — Algorithms 5 and 6 of the
-//!   paper, used to locate the modes of a conditioned Mallows posterior;
-//! * [`MallowsMixture`] — mixtures of Mallows models, standing in for the
-//!   externally-learned mixtures the paper uses for the MovieLens and
-//!   CrowdRank datasets.
+//!   paper, used to locate the modes of a conditioned Mallows posterior.
 //!
 //! Positions are 0-based throughout the crate; the paper uses 1-based
 //! positions, and doc comments point out the correspondence where useful.
@@ -34,7 +31,6 @@ extern crate self as ppd_rim;
 mod amp_reference;
 pub mod kendall;
 pub mod mallows;
-pub mod mixture;
 pub mod modal;
 pub mod partial_order;
 pub mod ranking;
@@ -42,9 +38,8 @@ pub mod rim;
 pub mod subranking;
 
 pub use amp::{AmpMixture, AmpSampler, AmpScratch};
-pub use kendall::{kendall_tau, normalized_kendall_tau};
+pub use kendall::kendall_tau;
 pub use mallows::MallowsModel;
-pub use mixture::{MallowsMixture, MixtureComponent};
 pub use modal::{approximate_distance, greedy_modals};
 pub use partial_order::PartialOrder;
 pub use ranking::Ranking;
@@ -75,9 +70,6 @@ pub enum RimError {
     /// A constraint (partial order or sub-ranking) is incompatible with the
     /// item universe of the model it was combined with.
     IncompatibleConstraint(String),
-    /// A mixture model was constructed with no components or with weights
-    /// that do not form a distribution.
-    InvalidMixture(String),
 }
 
 impl std::fmt::Display for RimError {
@@ -93,7 +85,6 @@ impl std::fmt::Display for RimError {
             }
             RimError::CyclicPartialOrder => write!(f, "partial order contains a cycle"),
             RimError::IncompatibleConstraint(msg) => write!(f, "incompatible constraint: {msg}"),
-            RimError::InvalidMixture(msg) => write!(f, "invalid mixture: {msg}"),
         }
     }
 }

@@ -36,7 +36,9 @@ pub struct ServiceConfig {
     /// under backlog.
     pub max_wait: Duration,
     /// The evaluation-engine configuration (solver, seed, threads, cache
-    /// sharding/capacity) behind this service.
+    /// sharding/capacity) of each tenant's engine. Its `cache_capacity`
+    /// bounds a tenant across all error budgets: budgeted and budget-less
+    /// entries share one cache and one LRU.
     pub eval: EvalConfig,
     /// The observability configuration: whether metrics record, which
     /// submissions trace, and how many span events the trace ring holds.

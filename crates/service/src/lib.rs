@@ -61,9 +61,10 @@
 //!   wire fields `epsilon`/`confidence`): a request may override its
 //!   tenant's solver with an accuracy target — each per-unit marginal lands
 //!   within `±ε` at the given confidence, by exact DP or the budgeted
-//!   sampler, whichever the static cost model predicts is cheaper.
-//!   Bit-identical budgets share one lazily created engine per tenant, so
-//!   their caches warm across requests.
+//!   sampler, whichever the static cost model predicts is cheaper. The
+//!   budget travels with the query into the tenant's one engine: every
+//!   budget shares its caches, and the solver fingerprint in each cache key
+//!   keeps budgets from serving each other's estimates.
 //! * **Wire protocol** ([`WireServer`] / [`WireClient`]): line-delimited
 //!   JSON over TCP or Unix sockets, one object per line, answers streamed
 //!   out of order and matched by id. Floats cross the socket bit-exactly

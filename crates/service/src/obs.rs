@@ -123,8 +123,8 @@ impl ServiceObs {
         &self.trace
     }
 
-    /// The engine instrument bundle for one tenant: all of the tenant's
-    /// engines (base + per-budget) share these cells, labelled by tenant.
+    /// The engine instrument bundle for one tenant's engine, its cells
+    /// labelled by tenant.
     pub(crate) fn engine_obs(&self, tenant: &str) -> EngineObs {
         EngineObs::new(&self.registry, &[("tenant", tenant)]).with_trace(Arc::clone(&self.trace))
     }

@@ -96,9 +96,9 @@ pub struct SubmitOptions {
     /// Accuracy target overriding the tenant's configured solver: each
     /// per-unit marginal is answered within `±epsilon` at the given
     /// confidence, by exact DP or the budgeted sampler — whichever the
-    /// static cost model predicts is cheaper. Requests carrying the same
-    /// bit-identical budget share one engine (and its caches) per tenant;
-    /// `None` uses the tenant's configured solver.
+    /// static cost model predicts is cheaper. The tenant's one engine
+    /// serves every budget; only bit-identical budgets share cached
+    /// estimates. `None` uses the tenant's configured solver.
     pub error_budget: Option<ErrorBudget>,
 }
 

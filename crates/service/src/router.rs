@@ -1,38 +1,23 @@
 //! Request routing: the per-database tenant registry behind the front
 //! door's single admission layer.
 //!
-//! Each registered database gets its own [`Engine`] — engines pin their
-//! evaluation configuration and own content-addressed caches, and content
-//! hashes from different databases must never share a marginal cache
-//! keyspace conceptually (two tenants coincidentally producing the same
-//! unit content *may* share bits safely, but isolation keeps per-tenant
-//! cache capacity and stats meaningful). Routing is by database id at
-//! submission time; an unknown id fails fast with
+//! Each registered database gets exactly one [`Engine`], which serves every
+//! request routed to it, whatever error budget the request carries: the
+//! budget is a planning input of the query, and the solver fingerprint in
+//! every cache key keeps budgets apart. Engines pin their evaluation
+//! configuration and own content-addressed caches, and content hashes from
+//! different databases must never share a marginal cache keyspace
+//! conceptually (two tenants coincidentally producing the same unit content
+//! *may* share bits safely, but isolation keeps per-tenant cache capacity
+//! and stats meaningful). Routing is by database id at submission time; an
+//! unknown id fails fast with
 //! [`ServiceError::UnknownDatabase`](crate::ServiceError::UnknownDatabase)
 //! before anything is queued.
 
 use crate::request::ServiceError;
-use ppd_core::{
-    CacheStats, Engine, EngineObs, ErrorBudget, EvalConfig, PoolCache, PpdDatabase, PpdError,
-    SolverChoice, Update,
-};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
-
-/// How many per-budget engines one tenant keeps alive at once. Requests
-/// carrying distinct error budgets legitimately produce different answer
-/// bits, so each distinct budget needs its own engine — but an unbounded
-/// registry would let a scan over budgets pin unbounded cache memory. Past
-/// this bound the least-recently-used engine is retired.
-pub(crate) const MAX_BUDGET_ENGINES: usize = 8;
-
-/// One lazily created error-budget engine plus its last-use tick, the LRU
-/// retirement key.
-struct BudgetSlot {
-    engine: Arc<Engine>,
-    last_used: u64,
-}
+use ppd_core::{Engine, EngineObs, EvalConfig, PpdDatabase, PpdError, Update};
+use std::collections::HashMap;
+use std::sync::{RwLock, RwLockReadGuard};
 
 /// One database and the engine dedicated to it.
 pub(crate) struct Tenant {
@@ -42,31 +27,6 @@ pub(crate) struct Tenant {
     /// wave-mates always evaluate one fixed snapshot.
     pub(crate) db: RwLock<PpdDatabase>,
     pub(crate) engine: Engine,
-    /// The tenant's base evaluation configuration, kept so per-request
-    /// error-budget engines inherit everything except the solver choice.
-    eval: EvalConfig,
-    /// The tenant's engine instrument bundle: cloned into every engine this
-    /// tenant spawns, so the base and all budget engines aggregate into one
-    /// labelled set of cells. Purely observational.
-    obs: EngineObs,
-    /// The tenant's shared proposal-pool cache, handed to the base engine
-    /// and every budget engine: pools are keyed by unit content and are
-    /// budget independent, so a request arriving under a new error budget
-    /// reuses the union decompositions and greedy-modal walks an earlier
-    /// budget already paid for. Sharing never crosses tenants — different
-    /// databases keep separate pool keyspaces like every other cache.
-    pools: Arc<PoolCache>,
-    /// Lazily created engines for requests that override the solver with an
-    /// [`ErrorBudget`], keyed by `(epsilon.to_bits(), confidence.to_bits())`
-    /// so bit-identical budgets share one engine (and its caches) while
-    /// distinct budgets — which legitimately produce different answer bits —
-    /// never share a marginal-cache keyspace with the base engine. Bounded
-    /// to [`MAX_BUDGET_ENGINES`] with LRU retirement.
-    budget_engines: Mutex<BTreeMap<(u64, u64), BudgetSlot>>,
-    /// Monotonic use counter ordering budget-engine retirement. A logical
-    /// clock rather than wall time: deterministic under test and immune to
-    /// clock steps.
-    use_tick: AtomicU64,
 }
 
 impl Tenant {
@@ -80,82 +40,12 @@ impl Tenant {
     }
 
     /// Applies one update to this tenant's database and surgically
-    /// invalidates *every* engine serving it — the base engine and all live
-    /// budget engines cache work units keyed by session content, so all of
-    /// them must drop the units covering changed sessions. Returns the new
-    /// version id and the total number of cached units invalidated. On a
-    /// rejected update nothing changes anywhere.
+    /// invalidates the engine's cached units covering changed sessions.
+    /// Returns the new version id and the number of cached units
+    /// invalidated. On a rejected update nothing changes anywhere.
     pub(crate) fn apply_update(&self, update: Update) -> Result<(u64, u64), PpdError> {
         let mut db = self.db.write().expect("tenant database poisoned");
-        let (version, changed) = db.apply(update)?;
-        let mut invalidated = self.engine.invalidate(&changed);
-        let engines = self
-            .budget_engines
-            .lock()
-            .expect("budget engine registry poisoned");
-        for slot in engines.values() {
-            invalidated += slot.engine.invalidate(&changed);
-        }
-        Ok((version, invalidated))
-    }
-
-    /// The engine that serves requests carrying `budget`: created on first
-    /// sight of that exact `(ε, confidence)` pair, reused afterwards so its
-    /// marginal cache warms up across requests. Creating one past the
-    /// [`MAX_BUDGET_ENGINES`] bound retires the least recently used engine.
-    pub(crate) fn budget_engine(&self, budget: ErrorBudget) -> Arc<Engine> {
-        let key = (budget.epsilon.to_bits(), budget.confidence.to_bits());
-        let tick = self.use_tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut engines = self
-            .budget_engines
-            .lock()
-            .expect("budget engine registry poisoned");
-        if let Some(slot) = engines.get_mut(&key) {
-            slot.last_used = tick;
-            return Arc::clone(&slot.engine);
-        }
-        if engines.len() >= MAX_BUDGET_ENGINES {
-            let oldest = engines
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(&key, _)| key)
-                .expect("non-empty registry has an LRU entry");
-            engines.remove(&oldest);
-        }
-        let mut eval = self.eval.clone();
-        eval.solver = SolverChoice::ErrorBudget(budget);
-        let engine = Arc::new(Engine::with_pool_cache(
-            eval,
-            self.obs.clone(),
-            Arc::clone(&self.pools),
-        ));
-        engines.insert(
-            key,
-            BudgetSlot {
-                engine: Arc::clone(&engine),
-                last_used: tick,
-            },
-        );
-        engine
-    }
-
-    /// Cache counters summed over *all* of this tenant's engines: the base
-    /// engine plus every budget engine currently alive. The proposal-pool
-    /// counters are the exception — every engine reports the one
-    /// [`PoolCache`] the tenant's engines share, so they count once.
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        let base = self.engine.cache_stats();
-        let mut total = base;
-        let engines = self
-            .budget_engines
-            .lock()
-            .expect("budget engine registry poisoned");
-        for slot in engines.values() {
-            total += slot.engine.cache_stats();
-        }
-        total.pools_built = base.pools_built;
-        total.pool_hits = base.pool_hits;
-        total
+        self.engine.apply_update(&mut db, update)
     }
 }
 
@@ -187,17 +77,11 @@ impl Router {
                 continue;
             }
             by_id.insert(id.clone(), tenants.len());
-            let obs = engine_obs(&id);
-            let pools = Arc::new(PoolCache::default());
+            let engine = Engine::with_obs(eval.clone(), engine_obs(&id));
             tenants.push(Tenant {
                 id,
                 db: RwLock::new(db),
-                engine: Engine::with_pool_cache(eval.clone(), obs.clone(), Arc::clone(&pools)),
-                eval: eval.clone(),
-                obs,
-                pools,
-                budget_engines: Mutex::new(BTreeMap::new()),
-                use_tick: AtomicU64::new(0),
+                engine,
             });
         }
         assert!(!tenants.is_empty(), "a service needs at least one database");
@@ -255,110 +139,6 @@ mod tests {
         ));
         assert_eq!(router.tenants().len(), 2);
         assert_eq!(router.tenant(1).id, "b");
-    }
-
-    #[test]
-    fn budget_engines_are_created_once_per_distinct_budget() {
-        let router = Router::new(vec![("a".into(), db(1))], &EvalConfig::exact(), |_| {
-            EngineObs::disabled()
-        });
-        let tenant = router.tenant(0);
-        let budget = ErrorBudget {
-            epsilon: 0.01,
-            confidence: 0.95,
-        };
-        let first = tenant.budget_engine(budget);
-        let again = tenant.budget_engine(budget);
-        assert!(
-            Arc::ptr_eq(&first, &again),
-            "bit-identical budgets share one engine"
-        );
-        let other = tenant.budget_engine(ErrorBudget {
-            epsilon: 0.05,
-            confidence: 0.95,
-        });
-        assert!(!Arc::ptr_eq(&first, &other), "distinct budgets do not");
-        assert_eq!(tenant.budget_engines.lock().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn budget_engines_share_one_proposal_pool_cache_per_tenant() {
-        use ppd_datagen::polls_q1_query;
-        // Zero threshold forces every unit onto the budgeted sampler so
-        // each unique unit needs a proposal pool.
-        let eval = EvalConfig::exact().with_exact_cost_threshold(0.0);
-        let router = Router::new(vec![("a".into(), db(1))], &eval, |_| EngineObs::disabled());
-        let tenant = router.tenant(0);
-        let q = polls_q1_query();
-
-        let loose = tenant.budget_engine(ErrorBudget {
-            epsilon: 0.05,
-            confidence: 0.9,
-        });
-        loose.session_probabilities(&tenant.read_db(), &q).unwrap();
-        let built = loose.cache_stats().pools_built;
-        assert!(built > 0, "budgeted units must build pools");
-
-        // A second engine under a different budget re-estimates the same
-        // units: its marginal cache is cold, but every proposal pool comes
-        // from the tenant's shared cache — zero new decompositions.
-        let tight = tenant.budget_engine(ErrorBudget {
-            epsilon: 0.01,
-            confidence: 0.9,
-        });
-        tight.session_probabilities(&tenant.read_db(), &q).unwrap();
-        let stats = tight.cache_stats();
-        assert_eq!(
-            stats.pools_built, built,
-            "a sibling budget engine must not rebuild pools"
-        );
-        assert_eq!(
-            stats.pool_hits, built,
-            "every budgeted unit must reuse the sibling's pool"
-        );
-        // Three engines report the one shared pool cache; the tenant's
-        // total counts it once, while per-engine counters still add up.
-        let total = tenant.cache_stats();
-        assert_eq!((total.pools_built, total.pool_hits), (built, built));
-        assert_eq!(
-            total.marginal_misses,
-            loose.cache_stats().marginal_misses + stats.marginal_misses
-        );
-    }
-
-    #[test]
-    fn budget_engines_retire_least_recently_used_past_the_bound() {
-        let router = Router::new(vec![("a".into(), db(1))], &EvalConfig::exact(), |_| {
-            EngineObs::disabled()
-        });
-        let tenant = router.tenant(0);
-        let budget = |i: usize| ErrorBudget {
-            epsilon: 0.01 + i as f64 * 0.001,
-            confidence: 0.9,
-        };
-        let first = tenant.budget_engine(budget(0));
-        let second = tenant.budget_engine(budget(1));
-        for i in 2..MAX_BUDGET_ENGINES {
-            tenant.budget_engine(budget(i));
-        }
-        // Touch the oldest so budget(1) becomes the LRU victim...
-        assert!(Arc::ptr_eq(&first, &tenant.budget_engine(budget(0))));
-        // ...then overflow the bound, retiring it.
-        tenant.budget_engine(budget(MAX_BUDGET_ENGINES));
-        assert_eq!(
-            tenant.budget_engines.lock().unwrap().len(),
-            MAX_BUDGET_ENGINES,
-            "the registry must stay bounded"
-        );
-        assert!(
-            Arc::ptr_eq(&first, &tenant.budget_engine(budget(0))),
-            "recently used engines survive"
-        );
-        let second_after = tenant.budget_engine(budget(1));
-        assert!(
-            !Arc::ptr_eq(&second, &second_after),
-            "the LRU victim was retired and is rebuilt on next use"
-        );
     }
 
     #[test]

@@ -318,7 +318,7 @@ impl Service {
     fn aggregate_cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for tenant in self.inner.router.tenants() {
-            total += tenant.cache_stats();
+            total += tenant.engine.cache_stats();
         }
         total
     }
@@ -422,20 +422,16 @@ fn dispatch_loop(inner: &Inner) {
 }
 
 /// A wave's query groups, in execution order: tenants in registration
-/// order, the interactive lane before the batch lane within a tenant,
-/// budget-less jobs before budgeted ones within a lane.
-type Groups<'w> = BTreeMap<(usize, usize, Option<(u64, u64)>), Group<'w>>;
+/// order, the interactive lane before the batch lane within a tenant.
+type Groups<'w> = BTreeMap<(usize, usize), Group<'w>>;
 
-/// One `(tenant, class, error budget)` group of a wave — one engine wave
-/// against its tenant's database snapshot. Grouping by budget bits keeps
-/// each engine wave homogeneous in solver choice, so co-batched queries
-/// still share deduplicated work units.
+/// One `(tenant, class)` group of a wave — one engine wave against its
+/// tenant's database snapshot. Jobs under different error budgets share
+/// it: each budget is planned into the one wave by its own call, and the
+/// solver fingerprint in every unit's identity keeps their units apart.
 struct Group<'w> {
     db: &'w PpdDatabase,
-    /// The tenant's base engine, and the per-budget engine a budgeted group
-    /// runs on instead.
-    base_engine: &'w Engine,
-    budget_engine: Option<Arc<Engine>>,
+    engine: &'w Engine,
     plan: WavePlan<'w>,
     /// The group's jobs by the plan's query index; each is taken by its
     /// delivery.
@@ -510,7 +506,7 @@ fn run_wave(inner: &Inner, popped: Popped<Job>) {
         .expect("service stats poisoned")
         .record_wave(size);
     inner.obs.wave_window(held);
-    for ((tenant, _, _), group) in groups {
+    for ((tenant, _), group) in groups {
         inner.obs.wave_group(tenant, group.jobs.len());
         group.execute(inner);
     }
@@ -526,20 +522,15 @@ fn plan_jobs<'w>(
 ) {
     let mut arriving: BTreeMap<_, Vec<Job>> = BTreeMap::new();
     for job in jobs {
-        let budget_bits = job
-            .budget
-            .map(|b| (b.epsilon.to_bits(), b.confidence.to_bits()));
         arriving
-            .entry((job.tenant, job.class.lane(), budget_bits))
+            .entry((job.tenant, job.class.lane()))
             .or_default()
             .push(job);
     }
     for (key, jobs) in arriving {
-        let tenant = inner.router.tenant(key.0);
         let group = groups.entry(key).or_insert_with(|| Group {
             db: &dbs[key.0],
-            base_engine: &tenant.engine,
-            budget_engine: jobs[0].budget.map(|budget| tenant.budget_engine(budget)),
+            engine: &inner.router.tenant(key.0).engine,
             plan: WavePlan::default(),
             jobs: Vec::new(),
             cancels: Vec::new(),
@@ -550,48 +541,59 @@ fn plan_jobs<'w>(
 
 impl Group<'_> {
     /// The plan stage for `jobs`: the streamable kinds (Boolean / count /
-    /// per-session) in one planning pass, so they deduplicate against each
-    /// other cheaply, then the top-k queries one by one. Whatever the cache
-    /// answers whole is delivered from here.
+    /// per-session) in one planning pass per error budget, so they
+    /// deduplicate against each other cheaply, then the top-k queries one by
+    /// one. Whatever the cache answers whole is delivered from here.
     fn plan_jobs(&mut self, inner: &Inner, jobs: Vec<Job>) {
         let Group {
             db,
-            base_engine,
-            budget_engine,
+            engine,
             plan,
             jobs: planned,
             cancels,
         } = self;
-        let engine = budget_engine.as_deref().unwrap_or(base_engine);
-        let (topk, streamable): (Vec<Job>, Vec<Job>) = jobs
-            .into_iter()
-            .partition(|job| matches!(job.request(), Request::TopK { .. }));
-
-        let queries: Vec<ConjunctiveQuery> = streamable
-            .iter()
-            .map(|job| job.request().query().clone())
-            .collect();
-        let traces: Vec<u64> = streamable.iter().map(|job| job.trace).collect();
-        // The engine numbers a wave's queries in planning order, across
-        // calls — each job's slot in `planned`.
-        for job in streamable {
-            cancels.push(job.cancel.clone());
-            planned.push(Mutex::new(Some(job)));
+        let mut topk = Vec::new();
+        let mut streamable: BTreeMap<_, Vec<Job>> = BTreeMap::new();
+        for job in jobs {
+            if matches!(job.request(), Request::TopK { .. }) {
+                topk.push(job);
+                continue;
+            }
+            let bits = job
+                .budget
+                .map(|b| (b.epsilon.to_bits(), b.confidence.to_bits()));
+            streamable.entry(bits).or_default().push(job);
         }
-        engine.plan_into(
-            plan,
-            db,
-            &queries,
-            &traces,
-            &|qi| cancels[qi].is_cancelled(),
-            &|qi, outcome| deliver(inner, planned, db.version(), qi, outcome),
-        );
+
+        for jobs in streamable.into_values() {
+            let budget = jobs[0].budget;
+            let queries: Vec<ConjunctiveQuery> = jobs
+                .iter()
+                .map(|job| job.request().query().clone())
+                .collect();
+            let traces: Vec<u64> = jobs.iter().map(|job| job.trace).collect();
+            // The engine numbers a wave's queries in planning order, across
+            // calls — each job's slot in `planned`.
+            for job in jobs {
+                cancels.push(job.cancel.clone());
+                planned.push(Mutex::new(Some(job)));
+            }
+            engine.plan_into(
+                plan,
+                db,
+                &queries,
+                budget,
+                &traces,
+                &|qi| cancels[qi].is_cancelled(),
+                &|qi, outcome| deliver(inner, planned, db.version(), qi, outcome),
+            );
+        }
 
         for job in topk {
             let Request::TopK { query, k, strategy } = job.request().clone() else {
                 unreachable!("partitioned on the request kind");
             };
-            let trace = job.trace;
+            let (budget, trace) = (job.budget, job.trace);
             cancels.push(job.cancel.clone());
             planned.push(Mutex::new(Some(job)));
             engine.plan_topk_into(
@@ -600,6 +602,7 @@ impl Group<'_> {
                 &query,
                 k,
                 strategy,
+                budget,
                 trace,
                 &|qi| cancels[qi].is_cancelled(),
                 &|qi, outcome| deliver(inner, planned, db.version(), qi, outcome),
@@ -613,13 +616,11 @@ impl Group<'_> {
     fn execute(self, inner: &Inner) {
         let Group {
             db,
-            base_engine,
-            budget_engine,
+            engine,
             plan,
             jobs,
             cancels,
         } = self;
-        let engine = budget_engine.as_deref().unwrap_or(base_engine);
         engine.execute_wave(
             plan,
             // `move` satisfies the engine's `'static` bound (the probe
@@ -912,15 +913,148 @@ mod tests {
                 .unwrap()
         };
         ask(0.05);
-        let built = service.stats().cache.pools_built;
+        let first = service.stats().cache;
+        let built = first.pools_built;
         assert!(built > 0, "a budgeted request must build proposal pools");
-        assert_eq!(service.stats().cache.pool_hits, 0);
-        // A second budget is a second engine on the same pool cache: every
-        // pool is reused, and three engines reporting one cache do not
-        // triple the totals.
+        assert_eq!(first.pool_hits, 0);
+        // A second budget re-estimates every unit on the same engine: every
+        // pool is reused and counted once, while each budget's solves add
+        // up.
         ask(0.02);
         let cache = service.stats().cache;
         assert_eq!((cache.pools_built, cache.pool_hits), (built, built));
+        assert_eq!(cache.marginal_misses, 2 * first.marginal_misses);
+    }
+
+    /// Q1 on the tiny db under `budget` (`None` = the configured solver).
+    fn ask_q1(service: &Service, budget: Option<(f64, f64)>) -> Answer {
+        let mut options = SubmitOptions::interactive();
+        if let Some((epsilon, confidence)) = budget {
+            options = options.with_error_budget(epsilon, confidence);
+        }
+        let request = Request::Boolean(polls_q1_query());
+        service
+            .submit_with(request, options)
+            .unwrap()
+            .wait()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_budgeted_request_warms_the_cache_of_a_plain_one() {
+        // Every Q1 unit is cheap enough for exact DP under the default
+        // threshold, so the budget solves the very entries the plain
+        // request asks for.
+        let service = Service::new(tiny_db(), ServiceConfig::new(EvalConfig::exact()));
+        ask_q1(&service, Some((0.05, 0.9)));
+        let misses = service.stats().cache.marginal_misses;
+        assert_eq!(misses, 8, "one miss per unit");
+        ask_q1(&service, None);
+        assert_eq!(service.stats().cache.marginal_misses, misses);
+    }
+
+    #[test]
+    fn ten_budgets_count_every_solve_and_prepare_each_model_once() {
+        // Zero threshold: every unit is sampled under its own budget.
+        let eval = EvalConfig::exact().with_exact_cost_threshold(0.0);
+        let service = Service::new(tiny_db(), ServiceConfig::new(eval));
+        for i in 1..=10u64 {
+            ask_q1(&service, Some((0.05 + 0.001 * i as f64, 0.9)));
+            let cache = service.stats().cache;
+            assert_eq!(cache.marginal_misses, 8 * i, "after budget {i}");
+            assert_eq!(cache.models_prepared, 8, "after budget {i}");
+        }
+    }
+
+    #[test]
+    fn budgeted_entries_share_the_tenant_cache_bound() {
+        // One shard, so the bound is not rounded up per shard.
+        let eval = EvalConfig::exact()
+            .with_exact_cost_threshold(0.0)
+            .with_cache_shards(1)
+            .with_cache_capacity(ppd_core::CacheCapacity::Entries(4));
+        let service = Service::new(tiny_db(), ServiceConfig::new(eval));
+        for i in 1..=9u64 {
+            ask_q1(&service, Some((0.05 + 0.001 * i as f64, 0.9)));
+        }
+        let cache = service.stats().cache;
+        let held = service.engine().cached_marginals() as u64;
+        assert_eq!(held, cache.marginal_misses - cache.marginal_evictions);
+        assert!(held <= 4, "{held} entries held against a bound of 4");
+    }
+
+    #[test]
+    fn budgeted_stats_rows_sum_to_the_service_cache() {
+        use crate::wire::{WireClient, WireServer};
+        let service = Arc::new(Service::with_databases(
+            vec![("a".into(), tiny_db()), ("b".into(), tiny_db())],
+            ServiceConfig::new(EvalConfig::exact().with_exact_cost_threshold(0.0)),
+        ));
+        for (database, epsilon) in [("a", 0.05), ("a", 0.02), ("b", 0.05)] {
+            let options = (SubmitOptions::interactive().on_database(database))
+                .with_error_budget(epsilon, 0.9);
+            let request = Request::Boolean(polls_q1_query());
+            service
+                .submit_with(request, options)
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+        let server = WireServer::bind_tcp("127.0.0.1:0", Arc::clone(&service)).unwrap();
+        let mut client = WireClient::connect_tcp(server.local_addr().unwrap()).unwrap();
+        let report = client.stats().unwrap();
+        let mut rows = CacheStats::default();
+        for (_, _, cache) in &report.tenants {
+            rows += *cache;
+        }
+        assert_eq!(
+            rows.marginal_misses, 24,
+            "three budgeted requests of 8 units"
+        );
+        assert_eq!(rows, report.service.cache);
+        drop(client);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_lane_runs_every_budget_as_one_engine_wave() {
+        // The window holds the cold first request until all three jobs are
+        // in, so they share one wave; their lane is one group of three.
+        let config = ServiceConfig::new(EvalConfig::exact())
+            .with_max_batch(3)
+            .with_max_wait(Duration::from_secs(30));
+        let service = Service::new(tiny_db(), config);
+        let tickets: Vec<Ticket> = [None, Some(0.05), Some(0.02)]
+            .into_iter()
+            .map(|epsilon| {
+                let mut options = SubmitOptions::interactive();
+                if let Some(epsilon) = epsilon {
+                    options = options.with_error_budget(epsilon, 0.9);
+                }
+                service
+                    .submit_with(Request::Boolean(polls_q1_query()), options)
+                    .unwrap()
+            })
+            .collect();
+        let answers: Vec<Answer> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        let direct = Engine::new(EvalConfig::error_budget(0.02, 0.9))
+            .evaluate_boolean(&tiny_db(), &polls_q1_query())
+            .unwrap();
+        assert_eq!(answers[2], Answer::Boolean(direct));
+        assert_eq!(service.stats().waves, 1);
+        let text = service.metrics_text();
+        let series = |name: &str| {
+            let prefix = format!("ppd_wave_group_size_{name}{{tenant=\"default\"}} ");
+            text.lines().find_map(|line| line.strip_prefix(&prefix))
+        };
+        assert_eq!(
+            (series("count"), series("sum")),
+            (Some("1"), Some("3")),
+            "{text}"
+        );
+        // Every unit is cheap enough for exact DP under either budget, so
+        // the wave solved each once.
+        assert_eq!(service.stats().cache.marginal_misses, 8);
     }
 
     #[test]

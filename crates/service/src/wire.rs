@@ -636,9 +636,9 @@ impl WireClient {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireStatsReport {
     /// The service-wide activity snapshot (its `cache` field sums every
-    /// tenant, base and budget engines alike).
+    /// tenant's engine).
     pub service: ServiceStats,
-    /// Per-tenant `(database id, database version, base-engine cache
+    /// Per-tenant `(database id, database version, engine cache
     /// counters)`, in registration order.
     pub tenants: Vec<(String, u64, CacheStats)>,
 }

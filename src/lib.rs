@@ -9,7 +9,7 @@
 //! The umbrella crate simply re-exports the workspace members under stable
 //! module names so applications can depend on a single crate:
 //!
-//! * [`rim`] — rankings, partial orders, RIM, Mallows, AMP, mixtures;
+//! * [`rim`] — rankings, partial orders, RIM, Mallows, AMP sampling;
 //! * [`patterns`] — label patterns, pattern unions, satisfaction,
 //!   decomposition, upper-bound relaxations;
 //! * [`solvers`] — the exact (two-label, bipartite, general) and approximate
@@ -18,8 +18,8 @@
 //!   cache-backed [`core::engine::Engine`] whose methods evaluate Boolean,
 //!   Count-Session and Most-Probable-Session queries, one by one or in
 //!   batches;
-//! * [`service`] — the multi-tenant query front door: per-database engines
-//!   behind one two-class admission layer, wave batching, deadlines with
+//! * [`service`] — the multi-tenant query front door: one engine per
+//!   database behind one two-class admission layer, wave batching, deadlines with
 //!   cancellation, streamed per-query answers, and a line-delimited JSON
 //!   wire protocol over TCP/Unix sockets;
 //! * [`obs`] — the zero-bit-impact observability layer: lock-free metric
@@ -43,8 +43,8 @@ pub use ppd_solvers as solvers;
 pub mod prelude {
     pub use ppd_core::{
         BatchAnswer, CacheCapacity, CacheStats, CompareOp, ConjunctiveQuery, DatabaseBuilder,
-        Engine, EngineObs, ErrorBudget, EvalConfig, PoolCache, PpdDatabase, PreferenceRelation,
-        Relation, Session, SolverChoice, Term, TopKStrategy, Update, Value,
+        Engine, EngineObs, ErrorBudget, EvalConfig, PpdDatabase, PreferenceRelation, Relation,
+        Session, SolverChoice, Term, TopKStrategy, Update, Value,
     };
     pub use ppd_obs::{Histogram, ObsConfig, Registry, SpanEvent, SpanRecord, TraceMode};
     pub use ppd_patterns::{Labeling, NodeSelector, Pattern, PatternUnion};

@@ -10,6 +10,7 @@
 //! and the persisted snapshot must warm-start the fresh engine completely
 //! (zero misses on the repeat run).
 
+use ppd::core::{WaveAnswer, WavePlan};
 use ppd::prelude::*;
 use ppd_datagen::{polls_database, polls_q1_query, PollsConfig};
 use std::path::PathBuf;
@@ -258,6 +259,40 @@ fn corrupt_snapshots_are_rejected_not_half_loaded() {
     let _ = std::fs::remove_file(&garbage);
 }
 
+/// `q`'s per-session probabilities, planned into a wave under `budget` and
+/// executed on `engine`.
+fn probabilities_under(
+    engine: &Engine,
+    db: &PpdDatabase,
+    q: &ConjunctiveQuery,
+    budget: ErrorBudget,
+) -> Vec<(usize, f64)> {
+    let answer = std::sync::Mutex::new(None);
+    let deliver = |_, delivered: ppd::core::Result<WaveAnswer>| {
+        *answer.lock().unwrap() = Some(delivered);
+    };
+    let mut wave = WavePlan::default();
+    let queries = std::slice::from_ref(q);
+    engine.plan_into(
+        &mut wave,
+        db,
+        queries,
+        Some(budget),
+        &[],
+        &|_| false,
+        &deliver,
+    );
+    engine.execute_wave(wave, |_| false, deliver);
+    match answer
+        .into_inner()
+        .unwrap()
+        .expect("the query is delivered")
+    {
+        Ok(WaveAnswer::Batch(answer)) => answer.session_probabilities,
+        other => panic!("unexpected delivery: {other:?}"),
+    }
+}
+
 #[test]
 fn shared_proposal_pools_skip_rebuilds_and_never_move_bits() {
     // A small universe keeps three full budgeted evaluations fast; the
@@ -270,20 +305,18 @@ fn shared_proposal_pools_skip_rebuilds_and_never_move_bits() {
     let q = polls_q1_query();
     // Zero threshold forces every unit onto the budgeted sampler, so each
     // unique unit needs a proposal pool.
-    let budget = |epsilon| {
-        EvalConfig {
-            solver: SolverChoice::ErrorBudget(ErrorBudget {
-                epsilon,
-                confidence: 0.9,
-            }),
-            ..EvalConfig::default()
-        }
-        .with_exact_cost_threshold(0.0)
+    let budget = |epsilon| ErrorBudget {
+        epsilon,
+        confidence: 0.9,
     };
+    let config = EvalConfig::default().with_exact_cost_threshold(0.0);
 
     // Cold reference: a fresh engine at the tight budget builds every pool
     // itself.
-    let cold = Engine::new(budget(0.02));
+    let cold = Engine::new(EvalConfig {
+        solver: SolverChoice::ErrorBudget(budget(0.02)),
+        ..config.clone()
+    });
     let reference = cold.session_probabilities(&db, &q).unwrap();
     let cold_stats = cold.cache_stats();
     assert!(
@@ -292,28 +325,18 @@ fn shared_proposal_pools_skip_rebuilds_and_never_move_bits() {
     );
     assert_eq!(cold_stats.pool_hits, 0);
 
-    // Warm path: a loose-budget engine populates a shared pool cache, then
-    // a tight-budget engine re-estimates the same units. Pools are content
-    // addressed and budget independent, so the second engine must build
-    // nothing — every unit reuses the first engine's decomposition and
+    // Warm path: one engine plans the query under a loose budget, then
+    // re-estimates the same units under a tight one. Pools are content
+    // addressed and budget independent, so the second plan must build
+    // nothing — every unit reuses the first plan's decomposition and
     // greedy-modal walk.
-    let pools = std::sync::Arc::new(PoolCache::default());
-    let loose = Engine::with_pool_cache(
-        budget(0.05),
-        EngineObs::disabled(),
-        std::sync::Arc::clone(&pools),
-    );
-    loose.session_probabilities(&db, &q).unwrap();
-    let built = loose.cache_stats().pools_built;
+    let engine = Engine::new(config);
+    probabilities_under(&engine, &db, &q, budget(0.05));
+    let built = engine.cache_stats().pools_built;
     assert_eq!(built, cold_stats.pools_built);
 
-    let tight = Engine::with_pool_cache(
-        budget(0.02),
-        EngineObs::disabled(),
-        std::sync::Arc::clone(&pools),
-    );
-    let warmed = tight.session_probabilities(&db, &q).unwrap();
-    let warm_stats = tight.cache_stats();
+    let warmed = probabilities_under(&engine, &db, &q, budget(0.02));
+    let warm_stats = engine.cache_stats();
     assert_eq!(
         warm_stats.pools_built, built,
         "warm re-estimation must perform zero new union decompositions"

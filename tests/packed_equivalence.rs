@@ -938,4 +938,39 @@ mod relative_precision {
             assert_relative(&format!("phi={phi}"), p, approx);
         }
     }
+
+    /// Under `MAL(σ, φ)` the items at σ-positions `i < j = i + d` come out
+    /// inverted with probability `g(d) − g(d + 1)`, `g(k) = k·φ^k / (1 − φ^k)`,
+    /// whatever `m` and `i` are. Both kernels that solve an item pair must
+    /// reproduce it to 1e-12 relative (absolute below `f64::MIN_POSITIVE`),
+    /// early in σ, and late where the DP runs to the last step (m ≤ 200; at
+    /// m = 500 the pair stays within the first 60 positions).
+    #[test]
+    fn item_pairs_match_the_closed_form_inversion_probability() {
+        let g = |phi: f64, k: f64| k * phi.powf(k) / -(k * phi.ln()).exp_m1();
+        for m in [30usize, 100, 200, 500] {
+            let lab = cyclic_labeling(m, m as u32);
+            for phi in [0.02, 0.1, 0.5, 0.9, 0.99, 0.999] {
+                let model = rim(m, phi);
+                for d in [1usize, 2, 5, 11] {
+                    let late = if m <= 200 { m - 1 - d } else { 59 - d };
+                    let want = g(phi, d as f64) - g(phi, d as f64 + 1.0);
+                    for i in [0, late] {
+                        let (j, i) = ((i + d) as u32, i as u32);
+                        let union =
+                            PatternUnion::singleton(Pattern::two_label(sel(j), sel(i))).unwrap();
+                        let two = TwoLabelSolver::new().solve(&model, &lab, &union).unwrap();
+                        let bip = BipartiteSolver::new().solve(&model, &lab, &union).unwrap();
+                        for (solver, got) in [("two-label", two), ("bipartite", bip)] {
+                            let gap = (got - want).abs();
+                            assert!(
+                                gap <= 1e-12 * want.max(f64::MIN_POSITIVE),
+                                "{solver} m={m} phi={phi} {j}>{i}: {got:e} vs {want:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

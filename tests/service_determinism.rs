@@ -476,9 +476,8 @@ fn error_budget_answers_are_bit_identical_across_transports() {
         "the budget must cross the wire without changing bits"
     );
 
-    // The stats verb sees the traffic and lists the tenant with counters
-    // summed over its budget engines: the base engine solved nothing here,
-    // so every miss is a budget engine's.
+    // The stats verb sees the traffic and lists the tenant with its
+    // engine's counters: every miss here is a budgeted request's.
     let report = client.stats().expect("stats verb answers");
     assert_eq!(report.service.submitted, 4);
     assert_eq!(report.service.answered, 4);
