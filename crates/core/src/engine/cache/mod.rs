@@ -12,10 +12,14 @@
 //!   - [`sharded`] — the concurrent front: the map is partitioned across N
 //!     independently locked shards ([`EvalConfig::cache_shards`]) so that at
 //!     high thread counts and tiny work units the cache lock is no longer
-//!     the bottleneck a single `Mutex<HashMap>` was;
+//!     the bottleneck a single `Mutex<HashMap>` was; lookups are counted
+//!     by their callers and added once per planning call, so a warm lookup
+//!     writes no shared counter;
 //!   - [`eviction`] — each shard is a size-bounded LRU store
 //!     ([`CacheCapacity`]: unbounded by default, or a bound in entries)
-//!     with per-shard accounting;
+//!     with per-shard accounting and `O(1)` amortised recency; an
+//!     unbounded shard keeps no recency state, so a hit there writes
+//!     nothing beyond the shard's lock;
 //!   - [`persist`] — opt-in snapshots of the `(content hash, fingerprint,
 //!     f64 bits)` triples in a versioned, endian-stable binary format, so a
 //!     warm cache survives process restarts bit-exactly
@@ -35,6 +39,8 @@
 //! [`EvalConfig::cache_shards`]: crate::eval::EvalConfig::cache_shards
 
 mod eviction;
+#[cfg(test)]
+mod lru_oracle;
 pub(crate) mod persist;
 mod sharded;
 

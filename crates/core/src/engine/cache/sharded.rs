@@ -7,7 +7,12 @@
 //! unit's stable content hash across [`EvalConfig::cache_shards`] mutexes,
 //! so threads touching different units contend only `1/N` of the time.
 //! Hit/miss/eviction/persistence counters are lock-free atomics shared by
-//! all shards.
+//! all shards. A lookup itself touches none of them: callers count their
+//! hits and misses locally and add them once per planning call
+//! ([`MarginalCache::record_lookups`]), so on a warm engine two threads
+//! reading different shards share no written cache line, and under the
+//! default unbounded capacity a hit writes nothing at all beyond the
+//! shard's lock (an unbounded shard keeps no recency order).
 //!
 //! Keys are the stable FNV-1a content hashes of [`UnitKey`] (see
 //! [`UnitKey::stable_hash`]), not the full keys: identical across
@@ -81,26 +86,35 @@ impl MarginalCache {
         &self.shards[index]
     }
 
-    pub(crate) fn get(&self, hash: u64, fingerprint: SolverFingerprint) -> Option<f64> {
-        let found = self.get_if_present(hash, fingerprint);
-        if found.is_none() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Like [`MarginalCache::get`], but an absent value is not counted as a
-    /// miss: for a caller that only asks whether the value is there and
-    /// leaves the solve — and its miss — to a later `get`.
-    pub(crate) fn get_if_present(&self, hash: u64, fingerprint: SolverFingerprint) -> Option<f64> {
-        let found = self
-            .shard(hash)
+    /// Looks one value up without counting it: a planning call counts its
+    /// lookups locally and hands the totals to
+    /// [`MarginalCache::record_lookups`] once, so a warm lookup writes
+    /// nothing shared beyond its shard's lock.
+    pub(crate) fn lookup(&self, hash: u64, fingerprint: SolverFingerprint) -> Option<f64> {
+        self.shard(hash)
             .lock()
             .expect("marginal cache shard poisoned")
-            .get(hash, fingerprint);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            .get(hash, fingerprint)
+    }
+
+    /// Adds one call's lookups to the hit and miss counters. A lookup whose
+    /// absent value is not solved afterwards (a top-k walk that stops
+    /// there) is neither: the solve that follows counts the miss.
+    pub(crate) fn record_lookups(&self, hits: u64, misses: u64) {
+        if hits > 0 {
+            self.hits.fetch_add(hits, Ordering::Relaxed);
         }
+        if misses > 0 {
+            self.misses.fetch_add(misses, Ordering::Relaxed);
+        }
+    }
+
+    /// A lookup counted on its own, for tests.
+    #[cfg(test)]
+    pub(crate) fn get(&self, hash: u64, fingerprint: SolverFingerprint) -> Option<f64> {
+        let found = self.lookup(hash, fingerprint);
+        let hit = u64::from(found.is_some());
+        self.record_lookups(hit, 1 - hit);
         found
     }
 

@@ -133,12 +133,14 @@ impl EngineObs {
         self
     }
 
-    pub(crate) fn cache_hit(&self) {
-        self.cache_hits.inc();
-    }
-
-    pub(crate) fn cache_miss(&self) {
-        self.cache_misses.inc();
+    /// One planning call's marginal-cache hits and misses, added at once.
+    pub(crate) fn cache_lookups(&self, hits: u64, misses: u64) {
+        if hits > 0 {
+            self.cache_hits.add(hits);
+        }
+        if misses > 0 {
+            self.cache_misses.add(misses);
+        }
     }
 
     pub(crate) fn invalidated(&self, entries: u64) {
@@ -202,8 +204,8 @@ mod tests {
         let registry = Registry::new(true);
         let a = EngineObs::new(&registry, &[("tenant", "t")]);
         let b = EngineObs::new(&registry, &[("tenant", "t")]);
-        a.cache_hit();
-        b.cache_hit();
+        a.cache_lookups(1, 0);
+        b.cache_lookups(1, 0);
         let text = registry.render();
         assert!(
             text.contains("ppd_cache_hits_total{tenant=\"t\"} 2"),
@@ -223,8 +225,7 @@ mod tests {
     #[test]
     fn disabled_bundle_records_nothing_and_is_cheap() {
         let obs = EngineObs::disabled();
-        obs.cache_hit();
-        obs.cache_miss();
+        obs.cache_lookups(1, 1);
         obs.invalidated(3);
         obs.evicted_bytes(100);
         obs.zero_density_samples(7);

@@ -18,7 +18,9 @@
 use crate::session::{fnv1a_extend, model_key_fold, Session};
 use ppd_patterns::{Labeling, Pattern, PatternUnion};
 use ppd_rim::Item;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// A node selector resolved to the sorted set of items it matches.
@@ -159,18 +161,90 @@ impl ResolvedUnion {
     pub(crate) fn unit_of<'s>(&self, session: &'s Session) -> PlannedUnit<'s> {
         PlannedUnit {
             content: self.content,
+            model_hash: session.model_key_hash(),
             phi_bits: session.model().phi().to_bits(),
             sigma: session.model().sigma().items(),
         }
     }
 }
 
-/// See [`ResolvedUnion::unit_of`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// See [`ResolvedUnion::unit_of`]. Equality compares the whole model (σ and
+/// φ), so deduplication is collision-free; the hash reads only the content
+/// id and the session's model hash, which equal units share and which are
+/// already computed, so hashing a unit walks no σ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PlannedUnit<'s> {
     content: usize,
+    model_hash: u64,
     phi_bits: u64,
     sigma: &'s [Item],
+}
+
+impl Hash for PlannedUnit<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.content);
+        state.write_u64(self.model_hash);
+    }
+}
+
+/// A [`Hasher`] for map keys that are already hashes or dense ids — content
+/// hashes, `(hash, fingerprint)` pairs, resolver ids, addresses — where
+/// SipHash's rounds buy nothing. Each word is folded in with one multiply,
+/// and `finish` runs the MurmurHash3 finalizer, so the low bits a table
+/// indexes by depend on every input bit (FNV-1a's own low bits depend only
+/// on the inputs' low bits). Built by [`PremixedState`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PremixedHasher(u64);
+
+/// The [`BuildHasher`] of maps keyed by hashes. Unit content arrives from
+/// outside the program (a session inserted over the wire), so each map
+/// draws a seed from std's per-process random keys: bucket positions cannot
+/// be worked out ahead to crowd one bucket. No such map is iterated where
+/// order reaches an answer, a count or a persisted byte.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PremixedState {
+    seed: u64,
+}
+
+impl Default for PremixedState {
+    fn default() -> Self {
+        PremixedState {
+            seed: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for PremixedState {
+    type Hasher = PremixedHasher;
+
+    fn build_hasher(&self) -> PremixedHasher {
+        PremixedHasher(self.seed)
+    }
+}
+
+impl Hasher for PremixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(23) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
 }
 
 /// A union and the labeling it is read under, by address.
@@ -188,7 +262,7 @@ type Source = (*const PatternUnion, *const Labeling);
 pub(crate) struct UnionResolver<'a> {
     /// Per (union, labeling): the sorted item sets met so far, each with its
     /// index into `resolved`.
-    by_source: HashMap<Source, Vec<(Vec<Item>, usize)>>,
+    by_source: HashMap<Source, Vec<(Vec<Item>, usize)>, PremixedState>,
     resolved: Vec<ResolvedUnion>,
     content_ids: HashMap<Arc<[CanonicalPattern]>, usize>,
     borrows: std::marker::PhantomData<&'a PatternUnion>,
@@ -285,6 +359,7 @@ mod tests {
     use crate::value::Value;
     use ppd_patterns::NodeSelector;
     use ppd_rim::{MallowsModel, Ranking};
+    use std::hash::BuildHasher;
 
     fn session(phi: f64) -> Session {
         Session::new(
@@ -434,6 +509,60 @@ mod tests {
         );
         resolver.resolve(&u, &lab, permuted.model().sigma().items());
         assert_eq!(resolver.resolved.len(), 2);
+    }
+
+    #[test]
+    fn planned_units_sharing_content_and_model_hash_stay_distinct_by_model() {
+        // A forged model-hash collision: equal content id and model hash,
+        // different σ (or φ). The map must keep them apart.
+        let (sigma, swapped) = ([0u32, 1, 2, 3], [1u32, 0, 2, 3]);
+        let a = PlannedUnit {
+            content: 3,
+            model_hash: 0xfeed,
+            phi_bits: 0.5f64.to_bits(),
+            sigma: &sigma,
+        };
+        let b = PlannedUnit {
+            sigma: &swapped,
+            ..a
+        };
+        let c = PlannedUnit {
+            phi_bits: 0.25f64.to_bits(),
+            ..a
+        };
+        let state = PremixedState::default();
+        let hash = |unit: &PlannedUnit| state.hash_one(unit);
+        assert_eq!(hash(&a), hash(&b));
+        assert_eq!(hash(&a), hash(&c));
+        let mut map: HashMap<PlannedUnit, usize, PremixedState> = HashMap::default();
+        for (index, unit) in [a, b, c].into_iter().enumerate() {
+            assert_eq!(map.insert(unit, index), None);
+        }
+        assert_eq!(map.len(), 3);
+        assert_eq!((map[&a], map[&b], map[&c]), (0, 1, 2));
+    }
+
+    #[test]
+    fn premixed_hashes_spread_high_bit_differences_into_low_bits() {
+        // Keys that differ only above bit 40 — FNV-1a's low bits follow
+        // only its inputs' low bits, so such keys are not far-fetched —
+        // must still land in distinct low-bit buckets.
+        let state = PremixedState::default();
+        let mut buckets: Vec<u64> = (0..256u64)
+            .map(|k| state.hash_one(k << 40) & 0xfff)
+            .collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        assert!(buckets.len() > 240, "{} distinct buckets", buckets.len());
+        // Byte-wise writes fold like whole words.
+        let mut bytes = state.build_hasher();
+        bytes.write(&7u64.to_le_bytes());
+        assert_eq!(bytes.finish(), state.hash_one(7u64));
+        // Each map draws its own seed.
+        assert_ne!(
+            state.hash_one(7u64),
+            PremixedState::default().hash_one(7u64)
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! answer: seeds and cache keys are functions of unit content alone.
 
 use super::cache::SolverFingerprint;
-use super::unit::{PlannedUnit, UnionResolver};
+use super::unit::{PlannedUnit, PremixedState, UnionResolver};
 use super::{cost, obs, scheduler, Engine, UnitKey};
 use crate::database::PpdDatabase;
 use crate::eval::{ErrorBudget, SolverChoice};
@@ -101,7 +101,7 @@ struct UnitSet<'db> {
     /// left behind, so a later call's requests join them instead of solving
     /// a twin. Filled at the start of the next call: a set planned once
     /// never builds it.
-    joined: HashMap<(u64, SolverFingerprint), usize>,
+    joined: HashMap<(u64, SolverFingerprint), usize, PremixedState>,
 }
 
 /// The answers [`Engine::evaluate_batch`] produces for one query.
@@ -437,22 +437,18 @@ impl Engine {
         let solver = self.solver_for(budget);
         let fingerprint = self.unit_fingerprint(request.union, sigma.len(), &solver);
         if grouping {
-            // A value the walk will not go on to solve is not counted as a
-            // miss — the solve that follows, in the execute stage, counts it.
-            let found = match on_miss {
-                OnMiss::Stop => self.marginals.get_if_present(hash, fingerprint),
-                OnMiss::Solve(_) => self.marginals.get(hash, fingerprint),
-            };
-            if let Some(p) = found {
-                self.obs.cache_hit();
+            if let Some(p) = self.marginals.lookup(hash, fingerprint) {
+                self.count_lookups(1, 0);
                 return Ok(Some(p));
             }
         }
+        // A value the walk will not go on to solve is not counted as a
+        // miss — the solve that follows, in the execute stage, counts it.
         let OnMiss::Solve(probe) = on_miss else {
             return Ok(None);
         };
         if grouping {
-            self.obs.cache_miss();
+            self.count_lookups(0, 1);
         }
         let unit = self.pending_unit(request, &resolved.ordered, hash, model_hash, fingerprint);
         let (p, _) = self.solve_pending(&unit, probe.cloned())?;
@@ -714,7 +710,10 @@ impl Engine {
         // union's canonical form — is resolved once for all of them; per
         // request only the model is folded in.
         let mut resolver = UnionResolver::default();
-        let mut unit_of: HashMap<PlannedUnit<'db>, usize> = HashMap::new();
+        let mut unit_of: HashMap<PlannedUnit<'db>, usize, PremixedState> = HashMap::default();
+        // Counted here and added once at the end: a shared counter bumped
+        // per lookup is a cache line every planning thread writes.
+        let (mut hits, mut misses) = (0, 0);
         set.sources.reserve(requests.len());
         for request in requests {
             let sigma = request.session.model().sigma().items();
@@ -736,12 +735,12 @@ impl Engine {
                     set.sources.push(Source::Unit(unit));
                     continue;
                 }
-                if let Some(p) = self.marginals.get(hash, fingerprint) {
-                    self.obs.cache_hit();
+                if let Some(p) = self.marginals.lookup(hash, fingerprint) {
+                    hits += 1;
                     set.sources.push(Source::Cached(p));
                     continue;
                 }
-                self.obs.cache_miss();
+                misses += 1;
             }
             let unit = set.pending.len();
             if grouping {
@@ -756,6 +755,14 @@ impl Engine {
             ));
             set.sources.push(Source::Unit(unit));
         }
+        self.count_lookups(hits, misses);
+    }
+
+    /// Adds one call's marginal-cache hits and misses to the cache's
+    /// counters and the engine's instruments.
+    fn count_lookups(&self, hits: u64, misses: u64) {
+        self.marginals.record_lookups(hits, misses);
+        self.obs.cache_lookups(hits, misses);
     }
 
     /// The unit that solves `request`, whose union in canonical member order

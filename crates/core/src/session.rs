@@ -11,12 +11,20 @@ use ppd_rim::MallowsModel;
 pub struct Session {
     attrs: Vec<Value>,
     model: MallowsModel,
+    /// [`Session::model_key_hash`], folded once here: every request the
+    /// engine plans for this session reads it.
+    model_hash: u64,
 }
 
 impl Session {
     /// Creates a session.
     pub fn new(attrs: Vec<Value>, model: MallowsModel) -> Self {
-        Session { attrs, model }
+        let model_hash = model_key_fold(model.sigma().items(), model.phi().to_bits());
+        Session {
+            attrs,
+            model,
+            model_hash,
+        }
     }
 
     /// The session-attribute values, aligned with the p-relation's session
@@ -47,9 +55,10 @@ impl Session {
     /// evaluation engine's work-unit keys fold it into per-unit RNG seeds
     /// (see `engine::UnitKey::stable_hash`), which is what makes approximate
     /// results reproducible across runs and independent of session order,
-    /// grouping, and thread count.
+    /// grouping, and thread count. Computed once, when the session is
+    /// built.
     pub fn model_key_hash(&self) -> u64 {
-        model_key_fold(self.model.sigma().items(), self.model.phi().to_bits())
+        self.model_hash
     }
 }
 

@@ -389,3 +389,139 @@ fn topk_strategies_agree_under_sharded_bounded_caches() {
         }
     }
 }
+
+/// Many error budgets over the same units: each budget is a fingerprint of
+/// its own, and a unit's slot holds every fingerprint solved for it, so the
+/// entry bound must hold even where one slot alone would outgrow a shard's
+/// share. Q1's 8 units under nine budgets: a single shard stays within the
+/// bound, and 16 shards within 16 shares of one entry (38 entries before a
+/// sole overweight slot was trimmed). Every answer keeps the bits of a
+/// dedicated unbounded engine under the same budget.
+#[test]
+fn an_entry_bound_holds_however_many_budgets_share_a_unit() {
+    let db = polls_database(&PollsConfig {
+        num_candidates: 5,
+        num_voters: 8,
+        seed: 11,
+    });
+    let q = polls_q1_query();
+    let limit = 4;
+    let config = EvalConfig::exact().with_exact_cost_threshold(0.0);
+    let budgets: Vec<ErrorBudget> = (0..9)
+        .map(|i| ErrorBudget {
+            epsilon: 0.05 + 0.01 * f64::from(i),
+            confidence: 0.9,
+        })
+        .collect();
+    let references: Vec<_> = budgets
+        .iter()
+        .map(|&budget| probabilities_under(&Engine::new(config.clone()), &db, &q, budget))
+        .collect();
+    for shards in [1usize, 16] {
+        let engine = Engine::new(
+            config
+                .clone()
+                .with_cache_shards(shards)
+                .with_cache_capacity(CacheCapacity::Entries(limit)),
+        );
+        let per_shard = limit.div_ceil(shards);
+        for (budget, reference) in budgets.iter().zip(&references) {
+            let answer = probabilities_under(&engine, &db, &q, *budget);
+            assert_eq!(&answer, reference, "shards={shards} {budget:?}");
+            assert!(
+                engine.cached_marginals() <= shards * per_shard,
+                "shards={shards}: {} entries held over {} shares of {per_shard} after {budget:?}",
+                engine.cached_marginals(),
+                shards
+            );
+        }
+        assert_eq!(
+            engine.cache_stats().marginal_misses,
+            8 * budgets.len() as u64,
+            "Q1 has 8 units here, and every budget solves each once"
+        );
+    }
+}
+
+fn prefers(query: ConjunctiveQuery, better: &str, worse: &str) -> ConjunctiveQuery {
+    query.prefer(
+        "Polls",
+        vec![Term::any(), Term::any()],
+        Term::val(better),
+        Term::val(worse),
+    )
+}
+
+/// One round of a warm mix — Q1, a chain and a pair per session, then a
+/// top-k of Q1 — flattened to session indices and probability bits.
+fn mix_bits(engine: &Engine, db: &PpdDatabase) -> Vec<u64> {
+    let chain = prefers(
+        prefers(ConjunctiveQuery::new("chain"), "cand0", "cand1"),
+        "cand1",
+        "cand2",
+    );
+    let pair = prefers(ConjunctiveQuery::new("pair"), "cand0", "cand1");
+    let mut bits = Vec::new();
+    for q in [polls_q1_query(), chain, pair] {
+        for (session, p) in engine.session_probabilities(db, &q).unwrap() {
+            bits.extend([session as u64, p.to_bits()]);
+        }
+    }
+    let strategy = TopKStrategy::UpperBound {
+        edges_per_pattern: 2,
+    };
+    let (top, _) = engine
+        .most_probable_sessions(db, &polls_q1_query(), 4, strategy)
+        .unwrap();
+    for score in top {
+        bits.extend([score.session_index as u64, score.probability.to_bits()]);
+    }
+    bits
+}
+
+fn lookups(stats: CacheStats) -> u64 {
+    stats.marginal_hits + stats.marginal_misses
+}
+
+/// Two threads replaying the mix on one warm engine get the bits of a
+/// serial reference, and the hit and miss counters — which each planning
+/// call adds to once, not per lookup — lose no lookup between them: the
+/// concurrent rounds count exactly what as many serial rounds do. Under a
+/// bound that churns, the re-solves keep the bits too.
+#[test]
+fn two_threads_on_one_warm_engine_return_serial_bits_and_count_every_lookup() {
+    let db = db();
+    let reference = mix_bits(&Engine::new(EvalConfig::exact()), &db);
+    for capacity in [CacheCapacity::Unbounded, CacheCapacity::Entries(6)] {
+        let engine = Engine::new(EvalConfig::exact().with_cache_capacity(capacity));
+        assert_eq!(mix_bits(&engine, &db), reference, "{capacity:?}: cold");
+        let before = engine.cache_stats();
+        assert_eq!(mix_bits(&engine, &db), reference, "{capacity:?}: warm");
+        let round = lookups(engine.cache_stats()) - lookups(before);
+        assert!(round > 0);
+        let rounds = 12;
+        let start = engine.cache_stats();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..rounds {
+                        assert_eq!(mix_bits(&engine, &db), reference, "{capacity:?}");
+                    }
+                });
+            }
+        });
+        let end = engine.cache_stats();
+        assert_eq!(
+            lookups(end) - lookups(start),
+            2 * rounds * round,
+            "{capacity:?}: hits + misses must equal the lookups made"
+        );
+        if capacity == CacheCapacity::Unbounded {
+            assert_eq!(
+                end.marginal_misses, before.marginal_misses,
+                "warm: no solve"
+            );
+            assert_eq!(end.marginal_hits - start.marginal_hits, 2 * rounds * round);
+        }
+    }
+}
