@@ -47,9 +47,11 @@ mod sharded;
 pub use eviction::CacheCapacity;
 pub(crate) use sharded::MarginalCache;
 
+use crate::engine::unit::PremixedState;
 use crate::session::Session;
 use ppd_rim::{MallowsModel, RimModel};
 use ppd_solvers::ProposalPool;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -325,34 +327,50 @@ impl PoolCache {
     }
 }
 
-/// The model-content key of [`ModelCache`]: [`Session::model_key`].
-type ModelKey = (Vec<u32>, u64);
-
-/// Engine-lifetime map from model content to shared prepared state.
+/// Engine-lifetime map from model content to shared prepared state, keyed
+/// by [`Session::model_key_hash`], which each session holds already folded.
+/// A hit compares the model itself (σ and φ), so two models whose hashes
+/// collide never share prepared state.
 #[derive(Debug, Default)]
 pub(crate) struct ModelCache {
-    map: Mutex<HashMap<ModelKey, Arc<PreparedModel>>>,
+    map: Mutex<HashMap<u64, Arc<PreparedModel>, PremixedState>>,
 }
 
 impl ModelCache {
     /// Returns the prepared state for the session's model, creating it on
-    /// first sight of the model content.
+    /// first sight of the model content. A model whose hash another cached
+    /// model holds is prepared for this caller and not cached.
     pub(crate) fn get_or_insert(&self, session: &Session) -> Arc<PreparedModel> {
+        let model = session.model();
         let mut map = self.map.lock().expect("model cache poisoned");
-        map.entry(session.model_key())
-            .or_insert_with(|| Arc::new(PreparedModel::new(session.model().clone())))
-            .clone()
+        match map.entry(session.model_key_hash()) {
+            Entry::Occupied(entry) => {
+                let cached = entry.get().mallows();
+                if cached.sigma().items() == model.sigma().items()
+                    && cached.phi().to_bits() == model.phi().to_bits()
+                {
+                    Arc::clone(entry.get())
+                } else {
+                    drop(map);
+                    Arc::new(PreparedModel::new(model.clone()))
+                }
+            }
+            Entry::Vacant(entry) => {
+                Arc::clone(entry.insert(Arc::new(PreparedModel::new(model.clone()))))
+            }
+        }
     }
 
     /// Drops the prepared state of every model whose
-    /// [`Session::model_key_hash`](crate::session::Session::model_key_hash)
-    /// is in `hashes`, returning the number of models dropped. Serves
-    /// invalidation after a database update; untouched models stay warm.
+    /// [`Session::model_key_hash`] is in `hashes`, returning the number of
+    /// models dropped. Serves invalidation after a database update;
+    /// untouched models stay warm.
     pub(crate) fn remove_hashes(&self, hashes: &std::collections::HashSet<u64>) -> u64 {
         let mut map = self.map.lock().expect("model cache poisoned");
-        let before = map.len();
-        map.retain(|key, _| !hashes.contains(&crate::session::model_key_fold(&key.0, key.1)));
-        (before - map.len()) as u64
+        hashes
+            .iter()
+            .filter(|hash| map.remove(hash).is_some())
+            .count() as u64
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -411,6 +429,30 @@ mod tests {
             Arc::ptr_eq(&kept_arc, &cache.get_or_insert(&kept)),
             "the surviving model must stay warm, not be rebuilt"
         );
+    }
+
+    #[test]
+    fn a_model_hash_collision_is_prepared_uncached_not_shared() {
+        // Forge the collision: file one model's prepared state under the
+        // other's hash. A hit compares the model, so the second session
+        // gets its own model, and the entry stays with the first.
+        let cache = ModelCache::default();
+        let (holder, colliding) = (session(0.4), session(0.7));
+        let forged = Arc::new(PreparedModel::new(holder.model().clone()));
+        cache
+            .map
+            .lock()
+            .unwrap()
+            .insert(colliding.model_key_hash(), Arc::clone(&forged));
+        let got = cache.get_or_insert(&colliding);
+        assert!(!Arc::ptr_eq(&got, &forged));
+        assert_eq!(got.mallows().phi().to_bits(), 0.7f64.to_bits());
+        assert_eq!(got.mallows().sigma(), colliding.model().sigma());
+        assert_eq!(cache.len(), 1);
+        assert!(Arc::ptr_eq(
+            &cache.map.lock().unwrap()[&colliding.model_key_hash()],
+            &forged
+        ));
     }
 
     #[test]

@@ -332,11 +332,7 @@ impl Engine {
         let mut units = Vec::new();
         for squery in &plan.sessions {
             let session = &prel.sessions()[squery.session_index];
-            let resolved = resolver.resolve(
-                &squery.union,
-                &plan.labeling,
-                session.model().sigma().items(),
-            );
+            let resolved = resolver.resolve(&squery.union, &plan.labeling, session.sorted_items());
             if seen.insert(resolved.unit_of(session)) {
                 units.push(WorkUnit {
                     key: resolved.key_for(session),

@@ -14,8 +14,28 @@
 //! seed is derived, so approximate estimates depend only on the instance
 //! content and the engine's base seed — never on session order, grouping, or
 //! the thread that happens to run the unit.
+//!
+//! Planning a warm query is mapping each session to its cached unit, so
+//! the per-session share of that work is kept to what depends on the
+//! session:
+//! - **Item sets are sorted once**, when the session is built
+//!   (`Session::sorted_items`). The [`UnionResolver`] matches a session to
+//!   an item set it has already resolved by comparing those slices, and
+//!   resolves selectors against the same slice.
+//! - **Each union's hash is folded once per low byte.** A unit's hash is
+//!   the model hash `h` folded on through the union's fixed byte stream of
+//!   length `n`, and that fold is `Pⁿ·h + C(h mod 256)` exactly, in
+//!   wrapping arithmetic (`P` the FNV prime). Proof, one step at a time:
+//!   `(h ⊕ b)·P = (h + d)·P` with `d = (h ⊕ b) − h`, and `d` depends only
+//!   on the low byte of `h`, since `⊕ b` changes nothing above it; the low
+//!   byte of a product depends only on the factors' low bytes, so every
+//!   step's `d` follows from `h mod 256`, and by induction the whole fold
+//!   is `Pⁿ·h` plus a term that does too. A resolved union records
+//!   `C = fold(h) − Pⁿ·h` the first time it folds a model hash with a given
+//!   low byte; every later unit with that low byte costs one multiply and
+//!   one add.
 
-use crate::session::{fnv1a_extend, model_key_fold, Session};
+use crate::session::{fnv1a_extend, model_key_fold, Session, FNV_PRIME};
 use ppd_patterns::{Labeling, Pattern, PatternUnion};
 use ppd_rim::Item;
 use std::collections::hash_map::RandomState;
@@ -68,7 +88,7 @@ impl UnitKey {
         labeling: &Labeling,
     ) -> (Self, Arc<PatternUnion>) {
         let mut resolver = UnionResolver::default();
-        let resolved = resolver.resolve(union, labeling, session.model().sigma().items());
+        let resolved = resolver.resolve(union, labeling, session.sorted_items());
         (resolved.key_for(session), Arc::clone(&resolved.ordered))
     }
 
@@ -100,23 +120,114 @@ impl UnitKey {
     }
 }
 
-/// Continues a model-key hash over canonical patterns: the union part of
-/// [`UnitKey::stable_hash`].
-fn fold_patterns(mut h: u64, patterns: &[CanonicalPattern]) -> u64 {
+/// Hands `emit` the bytes the union part of [`UnitKey::stable_hash`] folds,
+/// in order, a few at a time.
+fn pattern_bytes(patterns: &[CanonicalPattern], mut emit: impl FnMut(&[u8])) {
     for (nodes, edges) in patterns {
-        h = fnv1a_extend(h, b"pattern");
+        emit(b"pattern");
         for node in nodes {
-            h = fnv1a_extend(h, b"node");
+            emit(b"node");
             for &item in node {
-                h = fnv1a_extend(h, &item.to_le_bytes());
+                emit(&item.to_le_bytes());
             }
         }
         for &(from, to) in edges {
-            h = fnv1a_extend(h, &(from as u64).to_le_bytes());
-            h = fnv1a_extend(h, &(to as u64).to_le_bytes());
+            emit(&(from as u64).to_le_bytes());
+            emit(&(to as u64).to_le_bytes());
         }
     }
+}
+
+/// Continues a model-key hash over canonical patterns: the union part of
+/// [`UnitKey::stable_hash`].
+fn fold_patterns(mut h: u64, patterns: &[CanonicalPattern]) -> u64 {
+    pattern_bytes(patterns, |bytes| h = fnv1a_extend(h, bytes));
     h
+}
+
+/// [`fold_patterns`] over one union's patterns, for many model hashes: the
+/// fold identity of the module docs, with `C` filled in lazily.
+#[derive(Debug, Default)]
+enum UnionFold {
+    #[default]
+    Unfolded,
+    /// One model hash and its fold. A union only one session meets (as
+    /// under a session-join query) costs one plain fold.
+    One(u64, u64),
+    /// Built at the second distinct model hash.
+    Table(Box<FoldTable>),
+}
+
+/// `Pⁿ` and the `C` of every low byte seen so far.
+#[derive(Debug)]
+struct FoldTable {
+    /// `Pⁿ`, for the `n` bytes of the union's stream.
+    scale: u64,
+    /// `C(low byte)`, valid where `filled` has the byte's bit.
+    offsets: [u64; 256],
+    filled: [u64; 4],
+}
+
+impl UnionFold {
+    /// `fold_patterns(model_hash, patterns)`, where `patterns` is the same
+    /// on every call.
+    fn stable_hash(&mut self, patterns: &[CanonicalPattern], model_hash: u64) -> u64 {
+        match self {
+            UnionFold::Unfolded => {
+                let folded = fold_patterns(model_hash, patterns);
+                *self = UnionFold::One(model_hash, folded);
+                folded
+            }
+            UnionFold::One(first, folded) if *first == model_hash => *folded,
+            UnionFold::One(first, folded) => {
+                let mut table = Box::new(FoldTable::new(patterns));
+                table.record(*first, *folded);
+                let hash = table.stable_hash(patterns, model_hash);
+                *self = UnionFold::Table(table);
+                hash
+            }
+            UnionFold::Table(table) => table.stable_hash(patterns, model_hash),
+        }
+    }
+}
+
+impl FoldTable {
+    fn new(patterns: &[CanonicalPattern]) -> Self {
+        let mut scale = 1u64;
+        pattern_bytes(patterns, |bytes| {
+            scale = scale.wrapping_mul(FNV_PRIME.wrapping_pow(bytes.len() as u32));
+        });
+        FoldTable {
+            scale,
+            offsets: [0; 256],
+            filled: [0; 4],
+        }
+    }
+
+    /// [`UnionFold::stable_hash`] once the table exists.
+    fn stable_hash(&mut self, patterns: &[CanonicalPattern], model_hash: u64) -> u64 {
+        self.get(model_hash).unwrap_or_else(|| {
+            let folded = fold_patterns(model_hash, patterns);
+            self.record(model_hash, folded);
+            folded
+        })
+    }
+
+    fn get(&self, model_hash: u64) -> Option<u64> {
+        let low = model_hash as u8 as usize;
+        (self.filled[low / 64] >> (low % 64) & 1 == 1).then(|| {
+            self.scale
+                .wrapping_mul(model_hash)
+                .wrapping_add(self.offsets[low])
+        })
+    }
+
+    /// Records `C` for `model_hash`'s low byte from one plain fold.
+    fn record(&mut self, model_hash: u64, folded: u64) {
+        let low = model_hash as u8 as usize;
+        self.offsets[low] = folded.wrapping_sub(self.scale.wrapping_mul(model_hash));
+        self.filled[low / 64] |= 1 << (low % 64);
+    }
 }
 
 /// A pattern union resolved against one item set: the union's share of a
@@ -137,6 +248,7 @@ pub(crate) struct ResolvedUnion {
     /// canonical order (and with duplicates dropped), so estimates cannot
     /// depend on the order the query grounding happened to emit.
     pub(crate) ordered: Arc<PatternUnion>,
+    fold: UnionFold,
 }
 
 impl ResolvedUnion {
@@ -149,9 +261,10 @@ impl ResolvedUnion {
     }
 
     /// [`UnitKey::stable_hash`] of that unit, from the session's
-    /// [`Session::model_key_hash`], without building the key.
-    pub(crate) fn stable_hash(&self, model_hash: u64) -> u64 {
-        fold_patterns(model_hash, &self.patterns)
+    /// [`Session::model_key_hash`], without building the key: after the
+    /// first model hash with a given low byte, one multiply and one add.
+    pub(crate) fn stable_hash(&mut self, model_hash: u64) -> u64 {
+        self.fold.stable_hash(&self.patterns, model_hash)
     }
 
     /// That unit's identity within the resolver that produced `self`:
@@ -255,6 +368,12 @@ type Source = (*const PatternUnion, *const Labeling);
 /// session: a query without a session-join atom hands every session the
 /// same union, and sessions of one p-relation rank the same items.
 ///
+/// Item sets are passed as `Session::sorted_items`: sorted ascending, each
+/// item once. Under that contract two sessions rank the same items exactly
+/// when their slices are equal, so matching a session to a known item set
+/// is a slice comparison, and the slice is the sorted universe selectors
+/// are resolved against.
+///
 /// Unions and labelings are told apart by address — they are borrowed for
 /// the resolver's lifetime, so an address names one object — which is only a
 /// short cut to a result that is a pure function of their content.
@@ -269,43 +388,45 @@ pub(crate) struct UnionResolver<'a> {
 }
 
 impl<'a> UnionResolver<'a> {
-    /// `union` under `labeling`, resolved against the items `sigma` ranks.
+    /// `union` under `labeling`, resolved against `sorted_items`, a
+    /// session's [`Session::sorted_items`].
     pub(crate) fn resolve(
         &mut self,
         union: &'a PatternUnion,
         labeling: &'a Labeling,
-        sigma: &[Item],
-    ) -> &ResolvedUnion {
+        sorted_items: &[Item],
+    ) -> &mut ResolvedUnion {
+        debug_assert!(
+            sorted_items.windows(2).all(|w| w[0] < w[1]),
+            "item sets are passed sorted"
+        );
         let item_sets = self
             .by_source
             .entry((union as *const _, labeling as *const _))
             .or_default();
-        // A ranking holds each of its items once, so equal length plus
-        // containment is set equality.
-        let known = item_sets.iter().find(|(items, _)| {
-            items.len() == sigma.len() && sigma.iter().all(|i| items.binary_search(i).is_ok())
-        });
+        let known = item_sets
+            .iter()
+            .find(|(items, _)| items.as_slice() == sorted_items);
         let index = match known {
             Some(&(_, index)) => index,
             None => {
-                let mut items = sigma.to_vec();
-                items.sort_unstable();
-                let (patterns, ordered) = canonicalize_union(union, &items, labeling);
+                let (patterns, ordered) = canonicalize_union(union, sorted_items, labeling);
                 let next_id = self.content_ids.len();
                 let content = *self
                     .content_ids
                     .entry(Arc::clone(&patterns))
                     .or_insert(next_id);
-                item_sets.push((items, self.resolved.len()));
+                item_sets.push((sorted_items.to_vec(), self.resolved.len()));
                 self.resolved.push(ResolvedUnion {
                     content,
                     patterns,
                     ordered: Arc::new(ordered),
+                    fold: UnionFold::default(),
                 });
                 self.resolved.len() - 1
             }
         };
-        &self.resolved[index]
+        &mut self.resolved[index]
     }
 }
 
@@ -359,6 +480,8 @@ mod tests {
     use crate::value::Value;
     use ppd_patterns::NodeSelector;
     use ppd_rim::{MallowsModel, Ranking};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::hash::BuildHasher;
 
     fn session(phi: f64) -> Session {
@@ -475,9 +598,73 @@ mod tests {
         assert_eq!(ordered.patterns(), [chain, two_label(1, 0)]);
         // The planning path folds the same hash without building the key.
         let mut resolver = UnionResolver::default();
-        let resolved = resolver.resolve(&u, &lab, s.model().sigma().items());
+        let resolved = resolver.resolve(&u, &lab, s.sorted_items());
         assert_eq!(resolved.stable_hash(s.model_key_hash()), k.stable_hash());
         assert_eq!(resolved.key_for(&s), k);
+    }
+
+    /// A random canonical union over items `0..24`: up to four patterns of
+    /// up to four nodes, each node a sorted item set, with random edges.
+    fn random_patterns(rng: &mut StdRng) -> Vec<CanonicalPattern> {
+        (0..rng.gen_range(1..5usize))
+            .map(|_| {
+                let nodes: Vec<CanonicalNode> = (0..rng.gen_range(1..5usize))
+                    .map(|_| (0..24).filter(|_| rng.gen_range(0..4u32) == 0).collect())
+                    .collect();
+                let edges = (0..rng.gen_range(0..4usize))
+                    .map(|_| (rng.gen_range(0..nodes.len()), rng.gen_range(0..nodes.len())))
+                    .collect();
+                (nodes, edges)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_fold_table_equals_the_plain_fold() {
+        let mut rng = StdRng::seed_from_u64(2016);
+        let mut table_hits = 0;
+        for _ in 0..200 {
+            let patterns = random_patterns(&mut rng);
+            // 600 model hashes over 16 low bytes: most fold through a
+            // recorded offset. High bits are random, so the multiply term
+            // is what tells them apart.
+            let mut fold = UnionFold::default();
+            for _ in 0..600 {
+                let h = rng.gen::<u64>() & !0xff | u64::from(rng.gen_range(0..16u8));
+                if matches!(&fold, UnionFold::Table(t) if t.get(h).is_some()) {
+                    table_hits += 1;
+                }
+                assert_eq!(fold.stable_hash(&patterns, h), fold_patterns(h, &patterns));
+            }
+            // Fully random hashes too, and repeats of each.
+            for _ in 0..300 {
+                let h = rng.gen::<u64>();
+                let plain = fold_patterns(h, &patterns);
+                assert_eq!(fold.stable_hash(&patterns, h), plain);
+                assert_eq!(fold.stable_hash(&patterns, h), plain);
+            }
+        }
+        assert!(table_hits > 100_000, "{table_hits} table hits");
+    }
+
+    #[test]
+    fn a_union_one_model_meets_builds_no_table() {
+        let patterns = random_patterns(&mut StdRng::seed_from_u64(7));
+        let mut fold = UnionFold::default();
+        for h in [0x1234u64, 0x1234] {
+            assert_eq!(fold.stable_hash(&patterns, h), fold_patterns(h, &patterns));
+        }
+        assert!(matches!(fold, UnionFold::One(0x1234, _)));
+        // The second distinct hash builds it, the first one's offset
+        // already recorded.
+        assert_eq!(
+            fold.stable_hash(&patterns, 0x5634),
+            fold_patterns(0x5634, &patterns)
+        );
+        let UnionFold::Table(table) = &fold else {
+            panic!("a second model hash builds the table")
+        };
+        assert_eq!(table.get(0x9934), Some(fold_patterns(0x9934, &patterns)));
     }
 
     #[test]
@@ -495,7 +682,7 @@ mod tests {
         let mut resolver = UnionResolver::default();
         let mut planned = Vec::new();
         for s in [&wide, &narrow, &wide] {
-            let resolved = resolver.resolve(&u, &lab, s.model().sigma().items());
+            let resolved = resolver.resolve(&u, &lab, s.sorted_items());
             assert_eq!(resolved.key_for(s), UnitKey::new(s, &u, &lab).0);
             planned.push(resolved.unit_of(s));
         }
@@ -507,7 +694,7 @@ mod tests {
             vec![Value::from("s")],
             MallowsModel::new(Ranking::new(vec![1, 3, 0, 2]).unwrap(), 0.5).unwrap(),
         );
-        resolver.resolve(&u, &lab, permuted.model().sigma().items());
+        resolver.resolve(&u, &lab, permuted.sorted_items());
         assert_eq!(resolver.resolved.len(), 2);
     }
 

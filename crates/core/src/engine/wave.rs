@@ -429,13 +429,13 @@ impl Engine {
             }
         }
         let grouping = self.config.group_identical;
-        let sigma = request.session.model().sigma().items();
+        let items = request.session.sorted_items();
         let mut resolver = UnionResolver::default();
-        let resolved = resolver.resolve(request.union, request.labeling, sigma);
+        let resolved = resolver.resolve(request.union, request.labeling, items);
         let model_hash = request.session.model_key_hash();
         let hash = resolved.stable_hash(model_hash);
         let solver = self.solver_for(budget);
-        let fingerprint = self.unit_fingerprint(request.union, sigma.len(), &solver);
+        let fingerprint = self.unit_fingerprint(request.union, items.len(), &solver);
         if grouping {
             if let Some(p) = self.marginals.lookup(hash, fingerprint) {
                 self.count_lookups(1, 0);
@@ -708,7 +708,8 @@ impl Engine {
         }
         // What a request shares with the other sessions of its query — the
         // union's canonical form — is resolved once for all of them; per
-        // request only the model is folded in.
+        // request only the model hash is folded in, by one multiply and one
+        // add once the union has folded a hash with the same low byte.
         let mut resolver = UnionResolver::default();
         let mut unit_of: HashMap<PlannedUnit<'db>, usize, PremixedState> = HashMap::default();
         // Counted here and added once at the end: a shared counter bumped
@@ -716,11 +717,10 @@ impl Engine {
         let (mut hits, mut misses) = (0, 0);
         set.sources.reserve(requests.len());
         for request in requests {
-            let sigma = request.session.model().sigma().items();
-            let resolved = resolver.resolve(request.union, request.labeling, sigma);
+            let items = request.session.sorted_items();
+            let resolved = resolver.resolve(request.union, request.labeling, items);
             let planned = resolved.unit_of(request.session);
-            let m = sigma.len();
-            let fingerprint = self.unit_fingerprint(request.union, m, solver);
+            let fingerprint = self.unit_fingerprint(request.union, items.len(), solver);
             if grouping {
                 if let Some(&unit) = unit_of.get(&planned) {
                     set.sources.push(Source::Unit(unit));
@@ -1050,6 +1050,75 @@ mod tests {
             .unwrap();
         }
         db
+    }
+
+    /// The polling database with 288 more sessions: every ordering of its
+    /// four candidates under twelve dispersions, so each low byte of the
+    /// model hashes recurs.
+    fn many_models_database() -> PpdDatabase {
+        let mut db = polling_database();
+        let orders = (0..256u32)
+            .map(|code| (0..4).map(|d| code >> (2 * d) & 3).collect::<Vec<_>>())
+            .filter(|order| (0..4).all(|item| order.contains(&item)));
+        for (i, order) in orders.enumerate() {
+            for step in 0..12 {
+                let model = MallowsModel::new(
+                    Ranking::new(order.clone()).unwrap(),
+                    0.05 + 0.075 * step as f64,
+                );
+                db.apply(Update::InsertSession {
+                    prelation: "Polls".into(),
+                    session: Session::new(
+                        vec![Value::from(format!("voter{i}-{step}")), Value::from("7/5")],
+                        model.unwrap(),
+                    ),
+                })
+                .unwrap();
+            }
+        }
+        db
+    }
+
+    /// Past 256 models one union's fold table serves most unit hashes. The
+    /// warm cache must be keyed by each session's own
+    /// [`UnitKey::stable_hash`], each folded on its own, and warm answers keep
+    /// the bits of an ungrouped single-thread engine.
+    #[test]
+    fn cache_keys_past_256_models_are_the_per_session_stable_hashes() {
+        let db = many_models_database();
+        let query = clinton_over_trump();
+        let plan = ground_query(&db, &query).unwrap();
+        let sessions = db.preference_relation("Polls").unwrap().sessions();
+        let expected: std::collections::HashSet<u64> = plan
+            .sessions
+            .iter()
+            .map(|sq| {
+                let session = &sessions[sq.session_index];
+                UnitKey::new(session, &sq.union, &plan.labeling)
+                    .0
+                    .stable_hash()
+            })
+            .collect();
+        assert!(expected.len() > 256, "{} units", expected.len());
+        let reference = Engine::new(EvalConfig::exact().with_threads(1).without_grouping())
+            .session_probabilities(&db, &query)
+            .unwrap();
+        let engine = Engine::new(EvalConfig::exact());
+        for _ in 0..2 {
+            let answers = engine.session_probabilities(&db, &query).unwrap();
+            assert_eq!(answers.len(), reference.len());
+            for (&(s, p), &(r, q)) in answers.iter().zip(&reference) {
+                assert_eq!((s, p.to_bits()), (r, q.to_bits()));
+            }
+            let cached: std::collections::HashSet<u64> = engine
+                .marginals
+                .snapshot()
+                .into_iter()
+                .map(|(hash, _, _)| hash)
+                .collect();
+            assert_eq!(cached, expected);
+        }
+        assert_eq!(engine.cache_stats().marginal_misses, expected.len() as u64);
     }
 
     /// A thousand sessions that each hold the event with probability 1e-18

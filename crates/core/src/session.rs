@@ -2,7 +2,7 @@
 
 use crate::value::Value;
 use crate::{PpdError, Result};
-use ppd_rim::MallowsModel;
+use ppd_rim::{Item, MallowsModel};
 
 /// One session of a preference relation: the session attributes (e.g. voter
 /// and poll date in Figure 1) together with the ranking model that describes
@@ -14,16 +14,23 @@ pub struct Session {
     /// [`Session::model_key_hash`], folded once here: every request the
     /// engine plans for this session reads it.
     model_hash: u64,
+    /// The items σ ranks, sorted ascending, once here: planning matches a
+    /// session to the item sets it has already resolved by comparing these
+    /// slices, and resolves selectors against them.
+    sorted_items: Box<[Item]>,
 }
 
 impl Session {
     /// Creates a session.
     pub fn new(attrs: Vec<Value>, model: MallowsModel) -> Self {
         let model_hash = model_key_fold(model.sigma().items(), model.phi().to_bits());
+        let mut sorted_items: Box<[Item]> = model.sigma().items().into();
+        sorted_items.sort_unstable();
         Session {
             attrs,
             model,
             model_hash,
+            sorted_items,
         }
     }
 
@@ -60,6 +67,13 @@ impl Session {
     pub fn model_key_hash(&self) -> u64 {
         self.model_hash
     }
+
+    /// The items the session's centre ranking holds, in ascending order. A
+    /// ranking holds each item once, so two sessions rank the same item set
+    /// exactly when these slices are equal.
+    pub(crate) fn sorted_items(&self) -> &[Item] {
+        &self.sorted_items
+    }
 }
 
 /// The FNV-1a fold underlying [`Session::model_key_hash`] — over the parts
@@ -75,7 +89,7 @@ pub(crate) fn model_key_fold(sigma: &[u32], phi_bits: u64) -> u64 {
 
 /// FNV-1a offset basis (64-bit).
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into a running 64-bit FNV-1a hash. Stable by construction:
 /// the engine relies on it for cross-run-reproducible seed derivation.
@@ -254,6 +268,16 @@ mod tests {
         let c = Session::new(vec![Value::from("Cat")], model(0.5));
         assert_eq!(a.model_key(), b.model_key());
         assert_ne!(a.model_key(), c.model_key());
+    }
+
+    #[test]
+    fn sorted_items_are_the_ranked_items_ascending() {
+        let s = Session::new(
+            vec![Value::from("Ann")],
+            MallowsModel::new(Ranking::new(vec![7, 2, 9, 0]).unwrap(), 0.3).unwrap(),
+        );
+        assert_eq!(s.sorted_items(), [0, 2, 7, 9]);
+        assert_eq!(s.clone().sorted_items(), [0, 2, 7, 9]);
     }
 
     #[test]

@@ -73,7 +73,9 @@ impl ServiceObs {
             .map(|tenant| {
                 registry.histogram(
                     "ppd_wave_group_size",
-                    "Queries per tenant group within a dispatched wave",
+                    "Queries per tenant group within a dispatched wave; observed when \
+                     the wave's groups execute, after its plan stage has already \
+                     delivered the answers the cache held whole",
                     &[("tenant", tenant)],
                     1.0,
                 )
@@ -195,6 +197,12 @@ impl ServiceObs {
     }
 
     /// Size of one tenant's query group within a wave.
+    ///
+    /// Observed when the wave's groups execute, after the whole plan stage.
+    /// The plan stage already delivers every answer the cache holds whole,
+    /// and a warm answer must not wait for its wave's other plans, so a
+    /// scrape right after a cached answer may precede its wave's
+    /// observation.
     pub(crate) fn wave_group(&self, tenant: usize, size: usize) {
         if let Some(h) = self.wave_size.get(tenant) {
             h.record(size as u64);

@@ -341,7 +341,12 @@ fn handle_frame<S: WireStream>(
         Inbound::Control(id, control) => {
             write_line(writer, encode_reply(id, &control_payload(control, service)))
         }
-        Inbound::Submit(decoded) => submit_frame(decoded, service, writer, in_flight),
+        Inbound::Submit(decoded) => submit_frame(
+            decoded.map(|(id, work, options)| (id, *work, options)),
+            service,
+            writer,
+            in_flight,
+        ),
     }
 }
 
@@ -1452,8 +1457,10 @@ type DecodedFrame<T> = Result<(u64, T, SubmitOptions), (Option<u64>, String)>;
 enum Inbound {
     Control(u64, Control),
     /// A query or update frame on its way to admission — or the protocol
-    /// error to answer it with (bad JSON and unknown kinds included).
-    Submit(DecodedFrame<Work>),
+    /// error to answer it with (bad JSON and unknown kinds included). The
+    /// work is boxed: an update carries a whole session, many times the
+    /// size of a control frame.
+    Submit(DecodedFrame<Box<Work>>),
 }
 
 /// Parses one inbound frame — the only `serde_json::from_str` a request
@@ -1473,7 +1480,7 @@ fn decode_frame(frame: &str) -> Inbound {
         (None, _) => Inbound::Submit(Err((None, "missing numeric `id`".to_string()))),
         (Some(id), _) => Inbound::Submit(
             decode_work(&value)
-                .map(|(work, options)| (id, work, options))
+                .map(|(work, options)| (id, Box::new(work), options))
                 .map_err(|bad| (Some(id), bad.message())),
         ),
     }
@@ -1506,7 +1513,7 @@ mod tests {
     /// update on its way to admission (or the protocol error answering it).
     fn decode_submission(frame: &str) -> DecodedFrame<Work> {
         match decode_frame(frame) {
-            Inbound::Submit(decoded) => decoded,
+            Inbound::Submit(decoded) => decoded.map(|(id, work, options)| (id, *work, options)),
             _ => panic!("a control frame: {frame}"),
         }
     }
