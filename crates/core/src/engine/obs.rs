@@ -63,15 +63,15 @@ pub struct EngineObs {
 }
 
 impl EngineObs {
-    /// A bundle of permanently disabled handles: every recording is a
-    /// branch-and-skip. What [`Engine::new`](super::Engine::new) installs.
+    /// A bundle nothing exposes: unregistered counters and histograms that
+    /// record nothing. What [`Engine::new`](super::Engine::new) installs.
     pub fn disabled() -> Self {
         EngineObs {
-            cache_hits: Counter::noop(),
-            cache_misses: Counter::noop(),
-            cache_invalidated: Counter::noop(),
-            cache_evicted_bytes: Counter::noop(),
-            sampler_zero_density: Counter::noop(),
+            cache_hits: Counter::standalone(),
+            cache_misses: Counter::standalone(),
+            cache_invalidated: Counter::standalone(),
+            cache_evicted_bytes: Counter::standalone(),
+            sampler_zero_density: Counter::standalone(),
             solve_seconds: std::array::from_fn(|_| std::array::from_fn(|_| Histogram::noop())),
             trace: None,
         }

@@ -345,6 +345,10 @@ pub fn ground_query(db: &PpdDatabase, query: &ConjunctiveQuery) -> Result<Ground
         Ok(Some(Arc::new(PatternUnion::new(patterns)?)))
     };
     let mut union_of_bindings: HashMap<Vec<Value>, Option<Arc<PatternUnion>>> = HashMap::new();
+    let join_indexes: Vec<_> = session_joins
+        .iter()
+        .map(|join| join.relation.index_eq(join.join_column))
+        .collect();
     let mut sessions = Vec::new();
     'session: for (sidx, session) in prel.sessions().iter().enumerate() {
         // Session-level selections.
@@ -355,10 +359,9 @@ pub fn ground_query(db: &PpdDatabase, query: &ConjunctiveQuery) -> Result<Ground
         }
         // Session-join bindings: one value per entry of the joins' bindings.
         let mut bound: Vec<Value> = Vec::new();
-        for join in &session_joins {
+        for (join, index) in session_joins.iter().zip(&join_indexes) {
             let key = &session.attrs()[join.session_column];
-            let matches = join.relation.select_eq(join.join_column, key);
-            let Some(tuple) = matches.first() else {
+            let Some(tuple) = index.first(key) else {
                 continue 'session;
             };
             bound.extend(join.bindings.iter().map(|(_, col)| tuple[*col].clone()));

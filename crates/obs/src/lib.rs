@@ -15,9 +15,11 @@
 //!
 //! * [`Registry`] + [`Counter`] / [`Gauge`] / [`Histogram`]: instrument
 //!   registration is a short mutex hold at startup; every *recording* is a
-//!   relaxed atomic op on a pre-resolved handle (or a branch-and-skip when
-//!   the registry is disabled). [`Registry::render`] produces
-//!   Prometheus-style text exposition.
+//!   relaxed atomic op on a pre-resolved handle. [`Registry::render`]
+//!   produces Prometheus-style text exposition. Counters and gauges are
+//!   always live, so a component can read its own handles as its one store
+//!   of a fact (the service's stats do); a disabled registry stores none
+//!   of them and makes histograms a branch-and-skip.
 //! * [`TraceLog`]: every submission is assigned a trace id; sampled
 //!   submissions record [`SpanEvent`]s (admitted, wave-joined,
 //!   unit-solved, delivered/expired/cancelled) into a bounded ring,
@@ -39,8 +41,10 @@ pub use trace::{SpanEvent, SpanRecord, TraceLog, TraceMode};
 /// ops and ring-buffer pushes per query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Whether metric instruments record at all. Off makes every handle a
-    /// branch-and-skip no-op.
+    /// Whether the registry stores and exposes its instruments. Off turns
+    /// off the histograms and the exposition (it renders empty); counters
+    /// and gauges keep counting, since the service's stats are read from
+    /// them.
     pub metrics: bool,
     /// Which submissions record span events.
     pub trace: TraceMode,
@@ -59,9 +63,9 @@ impl Default for ObsConfig {
 }
 
 impl ObsConfig {
-    /// Everything off: instruments no-op, no spans recorded. Trace ids are
-    /// still assigned (they are just a counter), so wire responses keep
-    /// their shape.
+    /// Everything off: no histograms, no exposition, no spans recorded.
+    /// Trace ids are still assigned (they are just a counter), so wire
+    /// responses keep their shape.
     pub fn off() -> Self {
         ObsConfig {
             metrics: false,

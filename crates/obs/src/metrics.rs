@@ -3,10 +3,12 @@
 //!
 //! Registration (naming an instrument, attaching labels) takes a short
 //! mutex hold and returns a cloneable handle; the hot path only ever
-//! touches the handle, which is an `Arc` of atomics plus an `enabled` flag
-//! — no lock, no allocation. Registering the same `(name, labels)` twice
-//! returns a handle to the *same* underlying cells, so e.g. every handle
-//! resolved for one tenant's label aggregates into that tenant's counters.
+//! touches the handle, which is an `Arc` of atomics — no lock, no
+//! allocation. Counters and gauges always count; only histograms carry an
+//! `on` flag, off under a disabled registry. Registering the same
+//! `(name, labels)` twice returns a handle to the *same* underlying cells,
+//! so e.g. every handle resolved for one tenant's label aggregates into
+//! that tenant's counters.
 //!
 //! Histograms are log-bucketed with linear sub-buckets (32 per octave, so
 //! bucket boundaries are within ~3.2% of any recorded value) — the same
@@ -54,26 +56,18 @@ fn bucket_upper(index: usize) -> u64 {
     u64::try_from(upper).unwrap_or(u64::MAX)
 }
 
-/// A monotone event counter. Cloning shares the cell.
+/// A monotone event counter: one relaxed atomic, always live. Cloning
+/// shares the cell.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    on: bool,
     cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    /// An unregistered, always-on counter (for tests and ad-hoc use).
+    /// An unregistered counter (for tests, and for instruments nothing
+    /// exposes).
     pub fn standalone() -> Self {
         Counter {
-            on: true,
-            cell: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// A permanently disabled handle: every recording is a branch-and-skip.
-    pub fn noop() -> Self {
-        Counter {
-            on: false,
             cell: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -85,9 +79,7 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.on {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
@@ -95,40 +87,35 @@ impl Counter {
     }
 }
 
-/// A current-level gauge (queue depths, in-flight waves).
+/// A current-level gauge (queue depths, in-flight waves, running maxima):
+/// one relaxed atomic, always live. Cloning shares the cell.
 #[derive(Debug, Clone)]
 pub struct Gauge {
-    on: bool,
     cell: Arc<AtomicI64>,
 }
 
 impl Gauge {
+    /// An unregistered gauge.
     pub fn standalone() -> Self {
         Gauge {
-            on: true,
-            cell: Arc::new(AtomicI64::new(0)),
-        }
-    }
-
-    pub fn noop() -> Self {
-        Gauge {
-            on: false,
             cell: Arc::new(AtomicI64::new(0)),
         }
     }
 
     #[inline]
     pub fn set(&self, v: i64) {
-        if self.on {
-            self.cell.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn add(&self, d: i64) {
-        if self.on {
-            self.cell.fetch_add(d, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(d, Ordering::Relaxed);
+    }
+
+    /// Raises the gauge to `v` if `v` is larger (a running maximum).
+    #[inline]
+    pub fn max(&self, v: i64) {
+        self.cell.fetch_max(v, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> i64 {
@@ -285,6 +272,11 @@ pub struct Registry {
 }
 
 impl Registry {
+    /// A registry that stores what it registers when `enabled`. A disabled
+    /// one still hands out live counters and gauges — callers that read
+    /// their own handles (the service's stats) keep counting — but stores
+    /// none of them, and its histograms record nothing, so `render` is
+    /// empty.
     pub fn new(enabled: bool) -> Self {
         Registry {
             enabled,
@@ -292,7 +284,7 @@ impl Registry {
         }
     }
 
-    /// Whether instruments from this registry record anything.
+    /// Whether this registry stores instruments and records histograms.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -336,11 +328,11 @@ impl Registry {
     }
 
     /// Registers (or re-resolves) a counter under `name` with `labels`.
-    /// A disabled registry hands out noop handles without storing anything,
-    /// so registration costs nothing on repeat and `render` stays empty.
+    /// A disabled registry hands out a fresh live counter without storing
+    /// it, so registration takes no lock and `render` stays empty.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
         if !self.enabled {
-            return Counter::noop();
+            return Counter::standalone();
         }
         self.register(
             name,
@@ -358,10 +350,11 @@ impl Registry {
         )
     }
 
-    /// Registers (or re-resolves) a gauge.
+    /// Registers (or re-resolves) a gauge; disabled, like
+    /// [`Registry::counter`].
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
         if !self.enabled {
-            return Gauge::noop();
+            return Gauge::standalone();
         }
         self.register(
             name,
@@ -381,7 +374,8 @@ impl Registry {
 
     /// Registers (or re-resolves) a histogram whose recorded `u64`s are
     /// exposed multiplied by `scale` (use [`SECONDS_PER_NANO`] for
-    /// nanosecond recordings).
+    /// nanosecond recordings). A disabled registry hands out a handle that
+    /// records nothing.
     pub fn histogram(
         &self,
         name: &str,
@@ -609,18 +603,34 @@ mod tests {
     }
 
     #[test]
-    fn disabled_instruments_record_nothing() {
+    fn a_disabled_registry_counts_but_stores_nothing() {
         let registry = Registry::new(false);
         let c = registry.counter("c_total", "help", &[]);
         let g = registry.gauge("g", "help", &[]);
         let h = registry.histogram("h_seconds", "help", &[], SECONDS_PER_NANO);
         c.inc();
         g.set(7);
+        g.max(5);
         h.record(123);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(h.count(), 0);
+        assert_eq!((c.get(), g.get()), (1, 7), "counters and gauges stay live");
+        assert_eq!(h.count(), 0, "histograms record nothing");
+        let again = registry.counter("c_total", "help", &[]);
+        assert_eq!(
+            again.get(),
+            0,
+            "nothing stored: a re-resolve is a fresh cell"
+        );
+        assert_eq!(registry.render(), "");
         assert!(!registry.enabled());
+    }
+
+    #[test]
+    fn gauge_max_keeps_the_largest_value() {
+        let g = Gauge::standalone();
+        for v in [3, 9, 4, -1] {
+            g.max(v);
+        }
+        assert_eq!(g.get(), 9);
     }
 
     #[test]

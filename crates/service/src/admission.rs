@@ -72,8 +72,6 @@ pub(crate) struct Popped<T> {
     /// When the consumer first saw the queue non-empty: the instant the
     /// wave's batching window is counted from.
     pub(crate) sighted: Instant,
-    /// Lane depths left behind, indexed by [`AdmissionClass::lane`].
-    pub(crate) depths: [usize; 2],
 }
 
 /// A bounded multi-producer two-lane queue whose consumer pops *waves*:
@@ -159,11 +157,7 @@ impl<T> AdmissionQueue<T> {
         }
         let sighted = Instant::now();
         let items = state.take(max_batch.max(1), u64::MAX);
-        Some(Popped {
-            items,
-            sighted,
-            depths: state.depths(),
-        })
+        Some(Popped { items, sighted })
     }
 
     /// The batching window of a wave that is being held open: blocks until
@@ -247,8 +241,7 @@ mod tests {
         assert_eq!(q.depths(), [2, 0]);
         let popped = q.pop_wave(8).unwrap();
         assert_eq!(popped.items, vec![1, 2]);
-        assert_eq!(popped.depths, [0, 0], "the pop reports what it left behind");
-        assert_eq!(q.depths(), [0, 0]);
+        assert_eq!(q.depths(), [0, 0], "the pop drains what it took");
     }
 
     #[test]
@@ -284,7 +277,7 @@ mod tests {
         // Interactive items lead the wave despite arriving later...
         let popped = q.pop_wave(3).unwrap();
         assert_eq!(popped.items, vec![1, 2, 100]);
-        assert_eq!(popped.depths, [0, 1]);
+        assert_eq!(q.depths(), [0, 1]);
         // ...and batch items are never starved once the lane is reached.
         assert_eq!(wave(&q, 3), vec![101]);
     }

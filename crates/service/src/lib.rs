@@ -78,9 +78,11 @@
 //!   ([`WireClient::stats`]) returns the [`ServiceStats`] snapshot plus
 //!   per-tenant cache counters as a [`WireStatsReport`].
 //! * **Graceful shutdown + stats** ([`Service::shutdown`],
-//!   [`ServiceStats`]): shutdown drains every admitted query; the stats
-//!   snapshot reports per-class admission counters, queue depths, wave
-//!   sizes, latency, expiry counts, and cache counters summed over tenants.
+//!   [`ServiceStats`]): shutdown drains every admitted query. The stats
+//!   snapshot (per-class admissions, outcomes, queue depths, wave sizes,
+//!   latency, cache counters summed over tenants) reads the same counters
+//!   and gauges the `metrics` verb renders — one store per fact, live
+//!   with metrics off — and takes no lock on the per-request path.
 //!
 //! **Determinism contract:** for a fixed [`EvalConfig`](ppd_core::EvalConfig)
 //! every answer is bit-identical to calling the engine directly — regardless

@@ -10,7 +10,7 @@ use crate::request::{
     AdmissionClass, Answer, Delivery, Outcome, Request, ServiceError, SubmitOptions, Ticket,
 };
 use crate::router::{Router, Tenant};
-use crate::stats::{DeliveryKind, ServiceStats, StatsCollector};
+use crate::stats::ServiceStats;
 use ppd_core::{
     CacheStats, ConjunctiveQuery, Engine, ErrorBudget, PpdDatabase, PpdError, Update, WaveAnswer,
     WavePlan,
@@ -77,7 +77,6 @@ struct Inner {
     config: ServiceConfig,
     router: Router,
     queue: AdmissionQueue<Job>,
-    stats: Mutex<StatsCollector>,
     obs: ServiceObs,
 }
 
@@ -135,7 +134,6 @@ impl Service {
         let inner = Arc::new(Inner {
             router,
             queue: AdmissionQueue::new(config.max_queue, config.max_queue_batch),
-            stats: Mutex::new(StatsCollector::default()),
             obs,
             config,
         });
@@ -256,45 +254,31 @@ impl Service {
             trace,
             reply,
         };
-        // The admission span goes into the ring from inside the push,
-        // *before* the job is visible: the dispatcher can pop it (recording
-        // `wave-joined`) before this thread resumes, and a traced timeline
-        // must still start at `admitted`.
+        // The admission is recorded from inside the push, *before* the job
+        // is visible: the dispatcher can pop it (recording `wave-joined`) and
+        // deliver it before this thread resumes, and a traced timeline must
+        // still start at `admitted`.
         let obs = &self.inner.obs;
         let tenant_id = &self.inner.router.tenant(tenant).id;
         let admitted = self.inner.queue.push(options.class, job, |depth| {
             obs.admitted(trace, tenant_id, options.class, depth)
         });
-        match admitted {
-            Ok(()) => {
-                self.lock_stats().record_submit(options.class);
-                Ok((cancel, read_version, trace))
-            }
-            Err(AdmitError::Overloaded { depth }) => {
-                self.lock_stats().record_reject(options.class);
-                self.inner.obs.shed(options.class);
-                let error = ServiceError::Overloaded { depth };
-                self.inner.obs.rejected(trace, &error);
-                Err(error)
-            }
-            Err(AdmitError::ShuttingDown) => {
-                self.inner.obs.rejected(trace, &ServiceError::ShuttingDown);
-                Err(ServiceError::ShuttingDown)
-            }
-        }
+        let error = match admitted {
+            Ok(()) => return Ok((cancel, read_version, trace)),
+            Err(AdmitError::Overloaded { depth }) => ServiceError::Overloaded { depth },
+            Err(AdmitError::ShuttingDown) => ServiceError::ShuttingDown,
+        };
+        obs.rejected(trace, options.class, &error);
+        Err(error)
     }
 
-    /// Snapshot of the service's activity, including the engines' cache
-    /// counters summed across tenants.
+    /// Snapshot of the service's activity — read from the instruments the
+    /// [`metrics_text`](Service::metrics_text) exposition renders, which
+    /// count with metrics off too — including the engines' cache counters
+    /// summed across tenants.
     pub fn stats(&self) -> ServiceStats {
-        let [interactive_depth, batch_depth] = self.inner.queue.depths();
-        self.lock_stats().snapshot(
-            interactive_depth,
-            batch_depth,
-            self.inner.obs.uptime(),
-            self.inner.obs.in_flight_waves(),
-            self.aggregate_cache_stats(),
-        )
+        let depths = self.inner.queue.depths();
+        self.inner.obs.stats(depths, self.aggregate_cache_stats())
     }
 
     /// The Prometheus-style text exposition of every registered instrument
@@ -303,7 +287,7 @@ impl Service {
     /// ([`ObsConfig::metrics`](ppd_obs::ObsConfig)). Served over the wire
     /// by the `metrics` control frame.
     pub fn metrics_text(&self) -> String {
-        self.inner.obs.render()
+        self.inner.obs.render(self.inner.queue.depths())
     }
 
     /// The still-buffered span events of one submission's trace, in
@@ -389,10 +373,6 @@ impl Service {
             let _ = handle.join();
         }
     }
-
-    fn lock_stats(&self) -> std::sync::MutexGuard<'_, StatsCollector> {
-        self.inner.stats.lock().expect("service stats poisoned")
-    }
 }
 
 impl Drop for Service {
@@ -415,7 +395,7 @@ impl std::fmt::Debug for Service {
 /// drained it.
 fn dispatch_loop(inner: &Inner) {
     while let Some(popped) = inner.queue.pop_wave(inner.config.max_batch) {
-        inner.obs.wave_started(popped.depths);
+        inner.obs.wave_started();
         run_wave(inner, popped);
         inner.obs.wave_finished();
     }
@@ -500,12 +480,7 @@ fn run_wave(inner: &Inner, popped: Popped<Job>) {
         }
         held = hold_started.elapsed();
     }
-    inner
-        .stats
-        .lock()
-        .expect("service stats poisoned")
-        .record_wave(size);
-    inner.obs.wave_window(held);
+    inner.obs.wave_formed(size, held);
     for ((tenant, _), group) in groups {
         inner.obs.wave_group(tenant, group.jobs.len());
         group.execute(inner);
@@ -676,11 +651,7 @@ fn run_update(inner: &Inner, job: Job) {
     let tenant: &Tenant = inner.router.tenant(job.tenant);
     match tenant.apply_update(update) {
         Ok((version, invalidated)) => {
-            inner
-                .stats
-                .lock()
-                .expect("service stats poisoned")
-                .record_update();
+            inner.obs.update_applied();
             finish(
                 inner,
                 job,
@@ -726,20 +697,9 @@ fn project(request: &Request, answer: WaveAnswer) -> Answer {
 /// computed against (`0` = never reached a versioned snapshot); a client
 /// that dropped its ticket just discards the answer.
 fn finish(inner: &Inner, job: Job, delivery: Delivery, version: u64) {
-    let latency = job.submitted.elapsed();
-    let kind = match &delivery {
-        Ok(_) => DeliveryKind::Answered,
-        Err(ServiceError::DeadlineExceeded) | Err(ServiceError::Eval(PpdError::Cancelled)) => {
-            DeliveryKind::Expired
-        }
-        Err(_) => DeliveryKind::Failed,
-    };
-    inner.obs.finished(job.trace, &delivery, latency);
     inner
-        .stats
-        .lock()
-        .expect("service stats poisoned")
-        .record_delivery(latency, kind);
+        .obs
+        .finished(job.trace, &delivery, job.submitted.elapsed());
     job.reply.send(Outcome::new(delivery, version, job.trace));
 }
 

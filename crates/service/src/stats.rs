@@ -1,17 +1,17 @@
-//! Service observability: the [`ServiceStats`] snapshot and its internal
-//! collector.
+//! The [`ServiceStats`] snapshot: what the `stats` verb reports, read from
+//! the same counters and gauges the `metrics` verb exposes (the service's
+//! instrument bundle is their one store), so the two verbs never disagree,
+//! and every count in the snapshot stays live with metrics off.
 
-use crate::request::AdmissionClass;
 use ppd_core::CacheStats;
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Snapshot of a service's activity since construction.
 ///
-/// `answered + failed + expired` accounts for every query that left the
-/// queue; `submitted − rejected − answered − failed − expired − queue_depth`
-/// is the number currently being solved. Per-class splits of `submitted`
-/// and `rejected` are in the `interactive_*` / `batch_*` fields.
+/// `answered + failed + expired` accounts for every job that left the
+/// queue; `submitted − answered − failed − expired − queue_depth` is the
+/// number currently being solved. Per-class splits of `submitted` and
+/// `rejected` are in the `interactive_*` / `batch_*` fields.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
     /// Queries admitted across both classes.
@@ -107,146 +107,13 @@ impl std::fmt::Display for ServiceStats {
     }
 }
 
-/// How one delivery resolved, for the counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DeliveryKind {
-    Answered,
-    Failed,
-    Expired,
-}
-
-/// The mutable half, updated by the service under its stats lock.
-#[derive(Debug, Default)]
-pub(crate) struct StatsCollector {
-    submitted: [u64; 2],
-    rejected: [u64; 2],
-    answered: u64,
-    failed: u64,
-    expired: u64,
-    updates_applied: u64,
-    waves: u64,
-    max_wave: usize,
-    wave_sizes: BTreeMap<usize, u64>,
-    latency_total: Duration,
-    latency_max: Duration,
-}
-
-impl StatsCollector {
-    pub(crate) fn record_submit(&mut self, class: AdmissionClass) {
-        self.submitted[class.lane()] += 1;
-    }
-
-    pub(crate) fn record_reject(&mut self, class: AdmissionClass) {
-        self.rejected[class.lane()] += 1;
-    }
-
-    pub(crate) fn record_update(&mut self) {
-        self.updates_applied += 1;
-    }
-
-    pub(crate) fn record_wave(&mut self, size: usize) {
-        self.waves += 1;
-        self.max_wave = self.max_wave.max(size);
-        *self.wave_sizes.entry(size).or_insert(0) += 1;
-    }
-
-    pub(crate) fn record_delivery(&mut self, latency: Duration, kind: DeliveryKind) {
-        match kind {
-            DeliveryKind::Answered => self.answered += 1,
-            DeliveryKind::Failed => self.failed += 1,
-            DeliveryKind::Expired => self.expired += 1,
-        }
-        self.latency_total += latency;
-        self.latency_max = self.latency_max.max(latency);
-    }
-
-    pub(crate) fn snapshot(
-        &self,
-        interactive_queue_depth: usize,
-        batch_queue_depth: usize,
-        uptime: Duration,
-        in_flight_waves: u64,
-        cache: CacheStats,
-    ) -> ServiceStats {
-        let delivered = self.answered + self.failed + self.expired;
-        ServiceStats {
-            submitted: self.submitted.iter().sum(),
-            rejected: self.rejected.iter().sum(),
-            interactive_submitted: self.submitted[AdmissionClass::Interactive.lane()],
-            interactive_rejected: self.rejected[AdmissionClass::Interactive.lane()],
-            batch_submitted: self.submitted[AdmissionClass::Batch.lane()],
-            batch_rejected: self.rejected[AdmissionClass::Batch.lane()],
-            answered: self.answered,
-            failed: self.failed,
-            expired: self.expired,
-            updates_applied: self.updates_applied,
-            queue_depth: interactive_queue_depth + batch_queue_depth,
-            interactive_queue_depth,
-            batch_queue_depth,
-            uptime,
-            in_flight_waves,
-            waves: self.waves,
-            max_wave: self.max_wave,
-            wave_sizes: self.wave_sizes.iter().map(|(&s, &c)| (s, c)).collect(),
-            mean_latency: self
-                .latency_total
-                .checked_div(delivered as u32)
-                .unwrap_or(Duration::ZERO),
-            max_latency: self.latency_max,
-            cache,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn collector_aggregates_and_snapshots() {
-        let mut c = StatsCollector::default();
-        for _ in 0..3 {
-            c.record_submit(AdmissionClass::Interactive);
-        }
-        c.record_submit(AdmissionClass::Batch);
-        c.record_reject(AdmissionClass::Batch);
-        c.record_wave(3);
-        c.record_wave(1);
-        c.record_wave(3);
-        c.record_delivery(Duration::from_millis(10), DeliveryKind::Answered);
-        c.record_delivery(Duration::from_millis(30), DeliveryKind::Failed);
-        c.record_delivery(Duration::from_millis(20), DeliveryKind::Expired);
-        c.record_update();
-        c.record_update();
-        let stats = c.snapshot(2, 1, Duration::from_secs(7), 1, CacheStats::default());
-        assert_eq!(stats.updates_applied, 2);
-        assert_eq!(stats.uptime, Duration::from_secs(7));
-        assert_eq!(stats.in_flight_waves, 1);
-        assert_eq!(stats.submitted, 4);
-        assert_eq!(stats.interactive_submitted, 3);
-        assert_eq!(stats.batch_submitted, 1);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.batch_rejected, 1);
-        assert_eq!(stats.interactive_rejected, 0);
-        assert_eq!(stats.answered, 1);
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.expired, 1);
-        assert_eq!(stats.queue_depth, 3);
-        assert_eq!(stats.interactive_queue_depth, 2);
-        assert_eq!(stats.batch_queue_depth, 1);
-        assert_eq!(stats.waves, 3);
-        assert_eq!(stats.max_wave, 3);
-        assert_eq!(stats.wave_sizes, vec![(1, 1), (3, 2)]);
-        assert!((stats.mean_wave_size() - 7.0 / 3.0).abs() < 1e-12);
-        assert_eq!(stats.mean_latency, Duration::from_millis(20));
-        assert_eq!(stats.max_latency, Duration::from_millis(30));
-    }
-
-    #[test]
     fn display_is_one_line() {
-        let stats =
-            StatsCollector::default().snapshot(0, 0, Duration::ZERO, 0, CacheStats::default());
-        let line = stats.to_string();
+        let line = ServiceStats::default().to_string();
         assert!(line.starts_with("service:"), "{line}");
         assert!(line.contains("interactive"), "{line}");
         assert!(
