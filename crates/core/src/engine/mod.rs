@@ -166,8 +166,12 @@ impl Engine {
     }
 
     /// Records the database version a planning call is working against.
+    /// Planning threads share the cell, so a version already recorded is
+    /// not written again.
     pub(crate) fn note_planned_version(&self, db: &PpdDatabase) {
-        self.planned_version.store(db.version(), Ordering::Relaxed);
+        if self.planned_version.load(Ordering::Relaxed) != db.version() {
+            self.planned_version.store(db.version(), Ordering::Relaxed);
+        }
     }
 
     /// Surgically drops every cached artifact covering the given model

@@ -231,6 +231,19 @@ mod tests {
         obs.zero_density_samples(7);
         obs.record_solve(SolverFingerprint::ExactAuto, 2, Duration::from_secs(1));
         assert!(obs.trace().is_none());
+        let bucketless = |obs: &EngineObs| {
+            let mut histograms = obs.solve_seconds.iter().flatten();
+            histograms.all(|h| !h.is_recording() && h.count() == 0)
+        };
+        assert!(
+            bucketless(&obs),
+            "a disabled bundle holds no histogram buckets"
+        );
+        let registered = EngineObs::new(&Registry::new(false), &[("tenant", "t")]);
+        assert!(
+            bucketless(&registered),
+            "nor does one on a disabled registry"
+        );
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! What the plan leaves unsolved ([`WavePlan::unsolved_units`]) is therefore
 //! known before any solver runs, so a caller that batches requests over time
 //! (the serving layer's batching window) can decide from the plan whether
-//! waiting for company can save any work at all.
+//! waiting for company can save any work at all. [`Engine::answer_cached`]
+//! is the plan stage of one query on a scratch plan, kept only if it
+//! answers: how a serving layer answers a warm hit on the thread that
+//! submits it, without queueing it for a wave.
 //!
 //! Nothing about *when* or *with whom* a query is planned reaches its
 //! answer: seeds and cache keys are functions of unit content alone.
@@ -39,6 +42,7 @@ use ppd_solvers::{
     choose_exact_solver_with_budget, Budget, CancelProbe, GeneralSolver, MisAmpAdaptive,
     MisAmpBudgeted, ProposalPool, SolverKind,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -102,6 +106,19 @@ struct UnitSet<'db> {
     /// a twin. Filled at the start of the next call: a set planned once
     /// never builds it.
     joined: HashMap<(u64, SolverFingerprint), usize, PremixedState>,
+    /// Set on the scratch plan of [`Engine::answer_cached`].
+    probe: Option<Probe>,
+}
+
+/// What a probe's planning has found so far. Its lookups are counted only
+/// if it answers, so a probe that gives up leaves the cache's counters to
+/// the plan that follows it.
+#[derive(Default)]
+struct Probe {
+    hits: u64,
+    /// A request missed the cache: planning stopped there, and the probe
+    /// answers nothing.
+    missed: bool,
 }
 
 /// The answers [`Engine::evaluate_batch`] produces for one query.
@@ -173,6 +190,13 @@ impl WavePlan<'_> {
             .filter(|query| query.second_stage.is_some())
             .count();
         self.units.pending.len() + stopped_walks
+    }
+}
+
+impl UnitSet<'_> {
+    /// Whether this is a probe's set and a request missed the cache.
+    fn missed(&self) -> bool {
+        self.probe.as_ref().is_some_and(|probe| probe.missed)
     }
 }
 
@@ -253,6 +277,9 @@ impl Engine {
         }
         self.plan_requests(&mut wave.units, &requests, &self.solver_for(budget));
         drop(requests);
+        if wave.units.missed() {
+            return;
+        }
         for ((offset, (_, _, sessions)), span) in grounded.into_iter().zip(spans) {
             let query = PlannedQuery {
                 index: first + offset,
@@ -327,6 +354,9 @@ impl Engine {
         };
         self.plan_requests(&mut wave.units, &requests, &solver);
         drop(requests);
+        if wave.units.missed() {
+            return;
+        }
         let query = PlannedQuery {
             index,
             trace,
@@ -343,6 +373,45 @@ impl Engine {
             second_stage: None,
         };
         self.admit(wave, query, cancelled, deliver);
+    }
+
+    /// One query's answer from the marginal cache alone, or `None`: the plan
+    /// stage of [`Engine::plan_into`] (`topk = None`) or
+    /// [`Engine::plan_topk_into`] (`Some((k, strategy))`) on a scratch plan,
+    /// kept only if it delivers an answer. A query that misses the cache —
+    /// planning stops at its first miss — or whose top-k walk reaches a
+    /// session the cache does not hold, or that fails to ground, gets
+    /// `None`, and its lookups are not counted: the plan that then takes
+    /// the query counts them as if no probe had run. An answer counts its
+    /// hits, as its plan would have. Nothing is traced; the answer's bits
+    /// are those any wave delivers.
+    pub fn answer_cached(
+        &self,
+        db: &PpdDatabase,
+        query: &ConjunctiveQuery,
+        topk: Option<(usize, TopKStrategy)>,
+        budget: Option<ErrorBudget>,
+    ) -> Option<WaveAnswer> {
+        let mut probe = WavePlan::default();
+        probe.units.probe = Some(Probe::default());
+        let answer = Cell::new(None);
+        let deliver = |_, outcome: Result<WaveAnswer>| answer.set(outcome.ok());
+        let never = |_| false;
+        match topk {
+            None => {
+                let queries = std::slice::from_ref(query);
+                self.plan_into(&mut probe, db, queries, budget, &[], &never, &deliver);
+            }
+            Some((k, strategy)) => {
+                self.plan_topk_into(
+                    &mut probe, db, query, k, strategy, budget, 0, &never, &deliver,
+                );
+            }
+        }
+        let answer = answer.into_inner()?;
+        let hits = probe.units.probe.map_or(0, |probe| probe.hits);
+        self.count_lookups(hits, 0);
+        Some(answer)
     }
 
     /// Files one freshly planned query (its `units` still to be filled in):
@@ -397,9 +466,14 @@ impl Engine {
         // nothing, whoever's thread it runs on. A walk that needs a solve
         // waits, where it stopped, for the execute stage.
         let mut stage = SecondStage::begin(tail, &query.sessions, values);
-        match stage.advance(tail, &query.sessions, |request| {
-            self.request_value(&request, tail.budget, OnMiss::Stop)
-        }) {
+        let mut hits = 0;
+        let walked = stage.advance(tail, &query.sessions, |request| {
+            let value = self.request_value(&request, tail.budget, OnMiss::Stop);
+            hits += u64::from(matches!(value, Ok(Some(_))));
+            value
+        });
+        self.record_lookups(&mut wave.units, hits, 0);
+        match walked {
             Ok(true) => {
                 let (scores, stats) = stage.finish(tail.k);
                 deliver(query.index, Ok(WaveAnswer::TopK(scores, stats)));
@@ -416,7 +490,8 @@ impl Engine {
     /// configured solver): what the marginal cache holds for it, or — where
     /// `on_miss` allows — a solve on the calling thread, cached like any wave
     /// unit's. This is how a `top(Q, k)` walk gets each next session's
-    /// probability; `None` means the walk stops here.
+    /// probability; `None` means the walk stops here. Under
+    /// [`OnMiss::Stop`] the caller counts the lookup.
     fn request_value(
         &self,
         request: &UnitRequest<'_, '_>,
@@ -438,7 +513,9 @@ impl Engine {
         let fingerprint = self.unit_fingerprint(request.union, items.len(), &solver);
         if grouping {
             if let Some(p) = self.marginals.lookup(hash, fingerprint) {
-                self.count_lookups(1, 0);
+                if let OnMiss::Solve(_) = on_miss {
+                    self.count_lookups(1, 0);
+                }
                 return Ok(Some(p));
             }
         }
@@ -742,6 +819,10 @@ impl Engine {
                 }
                 misses += 1;
             }
+            if let Some(probe) = &mut set.probe {
+                probe.missed = true;
+                return;
+            }
             let unit = set.pending.len();
             if grouping {
                 unit_of.insert(planned, unit);
@@ -755,7 +836,16 @@ impl Engine {
             ));
             set.sources.push(Source::Unit(unit));
         }
-        self.count_lookups(hits, misses);
+        self.record_lookups(set, hits, misses);
+    }
+
+    /// Counts one planning call's lookups into `set`'s probe, if it is one,
+    /// and into the cache's counters otherwise.
+    fn record_lookups(&self, set: &mut UnitSet<'_>, hits: u64, misses: u64) {
+        match &mut set.probe {
+            Some(probe) => probe.hits += hits,
+            None => self.count_lookups(hits, misses),
+        }
     }
 
     /// Adds one call's marginal-cache hits and misses to the cache's
@@ -1318,6 +1408,70 @@ mod tests {
             other => panic!("unexpected second delivery: {other:?}"),
         }
         assert_eq!(engine.cache_stats().marginal_misses, misses);
+    }
+
+    #[test]
+    fn a_probe_answers_only_from_the_cache_and_counts_only_what_it_answers() {
+        let db = wide_database(8);
+        let engine = Engine::new(EvalConfig::exact());
+        let strategy = TopKStrategy::UpperBound {
+            edges_per_pattern: 1,
+        };
+        let walk = clinton_over_trump().prefer(
+            "Polls",
+            vec![T::any(), T::any()],
+            T::val("Clinton"),
+            T::val("Rubio"),
+        );
+        // Cold: nothing to answer with, and nothing counted.
+        let query = clinton_over_trump();
+        assert!(engine.answer_cached(&db, &query, None, None).is_none());
+        assert!(engine
+            .answer_cached(&db, &query, Some((3, strategy)), None)
+            .is_none());
+        let missing = ConjunctiveQuery::new("missing").prefer(
+            "NoSuchRelation",
+            vec![T::any(), T::any()],
+            T::val("Clinton"),
+            T::val("Trump"),
+        );
+        assert!(engine.answer_cached(&db, &missing, None, None).is_none());
+        assert_eq!(engine.cache_stats().marginal_hits, 0);
+        assert_eq!(engine.cache_stats().marginal_misses, 0);
+
+        // Warm: the bits of the cold answer, and the hits its plan counts.
+        let cold = engine
+            .evaluate_batch(&db, std::slice::from_ref(&query))
+            .unwrap();
+        let (cold_topk, _) = engine
+            .most_probable_sessions(&db, &query, 3, strategy)
+            .unwrap();
+        let (_, walked) = engine
+            .most_probable_sessions(&db, &walk, 1, strategy)
+            .unwrap();
+        let before = engine.cache_stats();
+        let Some(WaveAnswer::Batch(warm)) = engine.answer_cached(&db, &query, None, None) else {
+            panic!("a warm query is answered");
+        };
+        assert_eq!(warm.session_probabilities, cold[0].session_probabilities);
+        assert_eq!(warm.boolean.to_bits(), cold[0].boolean.to_bits());
+        let after = engine.cache_stats();
+        assert_eq!(after.marginal_hits, before.marginal_hits + 8);
+        assert_eq!(after.marginal_misses, before.marginal_misses);
+        let Some(WaveAnswer::TopK(scores, _)) =
+            engine.answer_cached(&db, &query, Some((3, strategy)), None)
+        else {
+            panic!("a warm top-k is answered");
+        };
+        assert_eq!(scores, cold_topk);
+
+        // A walk that reaches an uncached session falls through, uncounted.
+        assert!(walked.exact_evaluations < 8);
+        let before = engine.cache_stats();
+        assert!(engine
+            .answer_cached(&db, &walk, Some((8, strategy)), None)
+            .is_none());
+        assert_eq!(engine.cache_stats(), before);
     }
 
     #[test]

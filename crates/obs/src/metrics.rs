@@ -134,61 +134,77 @@ struct HistogramCells {
 /// A log-bucketed histogram of `u64` samples (typically nanoseconds).
 /// Recording is three relaxed atomic ops; quantiles are nearest-rank over
 /// the bucket counts, reported as the containing bucket's upper bound
-/// (within ~3.2% of the true order statistic).
+/// (within ~3.2% of the true order statistic). A [`Histogram::noop`] holds
+/// no cells at all and reads as empty.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    on: bool,
-    cells: Arc<HistogramCells>,
+    cells: Option<Arc<HistogramCells>>,
 }
 
 impl Histogram {
     pub fn standalone() -> Self {
         Histogram {
-            on: true,
-            cells: Arc::new(HistogramCells {
+            cells: Some(Arc::new(HistogramCells {
                 buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
                 max: AtomicU64::new(0),
-            }),
+            })),
         }
     }
 
+    /// A histogram that records nothing, and allocates nothing.
     pub fn noop() -> Self {
-        let mut h = Histogram::standalone();
-        h.on = false;
-        h
+        Histogram { cells: None }
+    }
+
+    /// Whether this histogram stores what it records (`false` for a
+    /// [`Histogram::noop`]).
+    pub fn is_recording(&self) -> bool {
+        self.cells.is_some()
     }
 
     #[inline]
     pub fn record(&self, v: u64) {
-        if !self.on {
+        let Some(cells) = &self.cells else {
             return;
-        }
-        self.cells.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.cells.count.fetch_add(1, Ordering::Relaxed);
-        self.cells.sum.fetch_add(v, Ordering::Relaxed);
-        self.cells.max.fetch_max(v, Ordering::Relaxed);
+        };
+        cells.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        cells.count.fetch_add(1, Ordering::Relaxed);
+        cells.sum.fetch_add(v, Ordering::Relaxed);
+        cells.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Records a `Duration` in nanoseconds (saturating at `u64::MAX`).
     #[inline]
     pub fn record_duration(&self, d: std::time::Duration) {
-        if self.on {
+        if self.is_recording() {
             self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
         }
     }
 
+    /// One of the cells' totals; 0 for a noop.
+    fn total(&self, of: impl Fn(&HistogramCells) -> &AtomicU64) -> u64 {
+        self.cells
+            .as_ref()
+            .map_or(0, |cells| of(cells).load(Ordering::Relaxed))
+    }
+
+    /// The bucket counters, in bucket order; none for a noop.
+    fn buckets(&self) -> &[AtomicU64] {
+        self.cells.as_ref().map_or(&[], |cells| &cells.buckets)
+    }
+
     pub fn count(&self) -> u64 {
-        self.cells.count.load(Ordering::Relaxed)
+        self.total(|cells| &cells.count)
     }
 
     pub fn sum(&self) -> u64 {
-        self.cells.sum.load(Ordering::Relaxed)
+        self.total(|cells| &cells.sum)
     }
 
     pub fn max(&self) -> u64 {
-        self.cells.max.load(Ordering::Relaxed)
+        self.total(|cells| &cells.max)
     }
 
     pub fn mean(&self) -> f64 {
@@ -210,7 +226,7 @@ impl Histogram {
         }
         let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
         let mut seen = 0u64;
-        for (index, bucket) in self.cells.buckets.iter().enumerate() {
+        for (index, bucket) in self.buckets().iter().enumerate() {
             seen += bucket.load(Ordering::Relaxed);
             if seen >= rank {
                 // Report no more than the observed maximum: the top bucket's
@@ -233,7 +249,7 @@ impl Histogram {
     fn cumulative(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;
-        for (index, bucket) in self.cells.buckets.iter().enumerate() {
+        for (index, bucket) in self.buckets().iter().enumerate() {
             let n = bucket.load(Ordering::Relaxed);
             if n > 0 {
                 cum += n;
@@ -622,6 +638,44 @@ mod tests {
         );
         assert_eq!(registry.render(), "");
         assert!(!registry.enabled());
+    }
+
+    #[test]
+    fn a_noop_histogram_holds_no_buckets() {
+        let disabled = Registry::new(false).histogram("h", "help", &[], 1.0);
+        for h in [Histogram::noop(), disabled] {
+            assert!(!h.is_recording());
+            assert!(h.buckets().is_empty(), "a noop allocates no bucket storage");
+            h.record(5);
+            h.record_duration(std::time::Duration::from_millis(1));
+            assert_eq!((h.count(), h.sum(), h.max(), h.quantile(0.5)), (0, 0, 0, 0));
+            assert!(h.cumulative().is_empty());
+        }
+        assert!(Histogram::standalone().is_recording());
+    }
+
+    #[test]
+    fn enabled_histograms_render_the_bytes_they_did_with_noops_built_full() {
+        // Rendered before `Histogram::noop` stopped allocating buckets.
+        let registry = Registry::new(true);
+        let labels = [("lane", "batch")];
+        let h = registry.histogram("ppd_wait_seconds", "queue wait", &labels, SECONDS_PER_NANO);
+        for v in [1_500, 3_000_000, 3_000_001] {
+            h.record(v);
+        }
+        registry.histogram("ppd_size", "sizes", &[], 1.0).record(70);
+        assert_eq!(
+            registry.render(),
+            "# HELP ppd_size sizes\n# TYPE ppd_size histogram\n\
+             ppd_size_bucket{le=\"71\"} 1\nppd_size_bucket{le=\"+Inf\"} 1\n\
+             ppd_size_sum 70\nppd_size_count 1\n\
+             # HELP ppd_wait_seconds queue wait\n# TYPE ppd_wait_seconds histogram\n\
+             ppd_wait_seconds_bucket{lane=\"batch\",le=\"0.000001503\"} 1\n\
+             ppd_wait_seconds_bucket{lane=\"batch\",le=\"0.003014655\"} 3\n\
+             ppd_wait_seconds_bucket{lane=\"batch\",le=\"+Inf\"} 3\n\
+             ppd_wait_seconds_sum{lane=\"batch\"} 0.006001501\n\
+             ppd_wait_seconds_count{lane=\"batch\"} 3\n"
+        );
     }
 
     #[test]

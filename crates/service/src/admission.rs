@@ -131,6 +131,11 @@ impl<T> AdmissionQueue<T> {
         self.lock().depths()
     }
 
+    /// Whether shutdown has begun.
+    pub(crate) fn is_shutting_down(&self) -> bool {
+        self.lock().shutting_down
+    }
+
     /// Begins shutdown: future pushes fail, a held window closes, and once
     /// both lanes drain, [`AdmissionQueue::pop_wave`] returns `None`.
     pub(crate) fn shutdown(&self) {

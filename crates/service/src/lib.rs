@@ -9,9 +9,14 @@
 //! ```text
 //!  clients (threads or sockets)      dispatcher thread         per-database engines
 //!  ───────────────────────────      ─────────────────         ────────────────────
-//!  submit_with(request, opts)          admission queue
-//!    │ routed by database id     ┌──────────────────────┐
-//!    │ (unknown id fails fast)   │ interactive lane ████│──┐  wave: interactive
+//!  submit_with(request, opts)
+//!    │ routed by database id; on the submitting thread, under the
+//!    │ tenant's read guard: ground, resolve, cache lookup ──────▶ engine("polls")
+//!    │   all hits, no update pending? answered right here —      engine("movies")
+//!  Ticket ◀── (the wire writes the reply on its connection thread)
+//!    │ otherwise:                      admission queue
+//!    │ (unknown id fails fast)   ┌──────────────────────┐
+//!    │                           │ interactive lane ████│──┐  wave: interactive
 //!    ├──────────admit───────────▶│ batch lane       ██  │  │  sub-batches first,
 //!    │  per-class bounds;        └──────────────────────┘  │  then batch, grouped
 //!    ▼  `Overloaded` when full      │ pop what is queued   │  by tenant
@@ -47,6 +52,19 @@
 //!   still wins the race). Expired or dropped tickets cancel their request:
 //!   the engine skips any work units every remaining dependent of which is
 //!   cancelled, without touching co-batched queries.
+//! * **Warm hits at admission**: a query is first planned on the thread
+//!   that submits it — the caller in process, the connection thread on the
+//!   wire — under its tenant's read guard, through
+//!   [`Engine::answer_cached`](ppd_core::Engine::answer_cached). If the
+//!   cache answers it whole, it is delivered there and never enters the
+//!   admission queue: no dispatcher hand-off, no wait behind another
+//!   tenant's wave, and no shedding by [`ServiceConfig::max_queue`], which
+//!   bounds only what queues. Everything else queues as below: a miss, a
+//!   top-k walk that reaches an uncached session, a grounding error, an
+//!   expired deadline, every update, a query on a tenant with an update
+//!   still pending (so a query admitted after an update reads what it
+//!   wrote), and anything after shutdown has begun (which is refused).
+//!   [`ServiceStats::answered_at_admission`] counts these answers.
 //! * **Wave batching + streamed answers**: the dispatcher pops whatever is
 //!   queued (at most [`ServiceConfig::max_batch`]) and *plans* it first;
 //!   co-waved queries on one tenant share deduplicated work units (the
@@ -73,8 +91,9 @@
 //!   `write` with its newline appended, and TCP sockets carry `TCP_NODELAY`
 //!   on both ends — a reply never waits out a delayed ACK — while accepted
 //!   sockets carry a write timeout, so a client that stops reading loses its
-//!   connection instead of stalling the dispatcher its replies are written
-//!   on. A `{"kind": "stats"}` control frame
+//!   connection instead of stalling the dispatcher its queued requests'
+//!   replies are written on (a hit's reply is written on the connection's
+//!   own thread). A `{"kind": "stats"}` control frame
 //!   ([`WireClient::stats`]) returns the [`ServiceStats`] snapshot plus
 //!   per-tenant cache counters as a [`WireStatsReport`].
 //! * **Graceful shutdown + stats** ([`Service::shutdown`],

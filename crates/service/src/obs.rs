@@ -62,6 +62,9 @@ pub(crate) struct ServiceObs {
     lane_depth: [Gauge; 2],
     /// Submissions admitted, by lane.
     submitted: [Counter; 2],
+    /// Of those, queries the cache answered whole at admission, on the
+    /// submitting thread: they never entered a lane.
+    answered_at_admission: Counter,
     /// Submissions refused by admission control (`Overloaded`), by lane.
     shed_total: [Counter; 2],
     /// Deliveries by outcome, as [`ServiceStats`] classifies them.
@@ -132,6 +135,10 @@ impl ServiceObs {
                 )
             }),
             submitted: by_lane("ppd_submitted_total", "Submissions admitted, by lane"),
+            answered_at_admission: counter(
+                "ppd_answered_at_admission_total",
+                "Queries the cache answered whole on the submitting thread, never queued",
+            ),
             shed_total: by_lane(
                 "ppd_shed_total",
                 "Submissions refused by admission control, by lane",
@@ -225,6 +232,16 @@ impl ServiceObs {
                 },
             );
         }
+    }
+
+    /// One query was answered at admission, on the submitting thread, and
+    /// never entered a lane: counted as submitted (with an `admitted` span
+    /// at depth 0) and as answered there. Its delivery is recorded by
+    /// [`ServiceObs::finished`], like any other; no `wave-joined` precedes
+    /// it.
+    pub(crate) fn answered_at_admission(&self, trace: u64, tenant: &str, class: AdmissionClass) {
+        self.admitted(trace, tenant, class, 0);
+        self.answered_at_admission.inc();
     }
 
     /// Admission refused a submission: a full lane (`Overloaded`, counted as
@@ -350,6 +367,7 @@ impl ServiceObs {
             batch_submitted: self.submitted[batch.lane()].get(),
             batch_rejected: self.shed_total[batch.lane()].get(),
             answered,
+            answered_at_admission: self.answered_at_admission.get(),
             failed,
             expired,
             updates_applied: self.updates_applied.get(),

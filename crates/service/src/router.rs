@@ -17,6 +17,7 @@
 use crate::request::ServiceError;
 use ppd_core::{Engine, EngineObs, EvalConfig, PpdDatabase, PpdError, Update};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{RwLock, RwLockReadGuard};
 
 /// One database and the engine dedicated to it.
@@ -24,9 +25,14 @@ pub(crate) struct Tenant {
     pub(crate) id: String,
     /// The live database. Written only by the dispatcher *between* waves
     /// (see `run_wave`), read for the duration of each wave group — so
-    /// wave-mates always evaluate one fixed snapshot.
+    /// wave-mates always evaluate one fixed snapshot — and by a query
+    /// answered at admission for the duration of its plan.
     pub(crate) db: RwLock<PpdDatabase>,
     pub(crate) engine: Engine,
+    /// Updates admitted and not yet settled (applied, rejected or
+    /// cancelled). While any is pending, no query is answered at admission:
+    /// a query admitted after an update must read what it wrote.
+    pending_updates: AtomicUsize,
 }
 
 impl Tenant {
@@ -37,6 +43,24 @@ impl Tenant {
 
     pub(crate) fn read_db(&self) -> RwLockReadGuard<'_, PpdDatabase> {
         self.db.read().expect("tenant database poisoned")
+    }
+
+    /// An update is about to enter the admission queue.
+    pub(crate) fn update_admitted(&self) {
+        self.pending_updates.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// An update left the service's hands: applied, rejected, cancelled,
+    /// or refused at admission. Called after any write to the database and
+    /// before its receipt is delivered, so a query submitted once the
+    /// receipt is in reads the update's snapshot.
+    pub(crate) fn update_settled(&self) {
+        self.pending_updates.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Whether an admitted update has not settled yet.
+    pub(crate) fn updates_pending(&self) -> bool {
+        self.pending_updates.load(Ordering::Acquire) > 0
     }
 
     /// Applies one update to this tenant's database and surgically
@@ -82,6 +106,7 @@ impl Router {
                 id,
                 db: RwLock::new(db),
                 engine,
+                pending_updates: AtomicUsize::new(0),
             });
         }
         assert!(!tenants.is_empty(), "a service needs at least one database");

@@ -1,6 +1,7 @@
-//! The service proper: admission, routing, the dispatcher thread, wave
-//! execution with class priority and cancellation, between-wave database
-//! updates, and graceful shutdown.
+//! The service proper: admission (with warm hits answered on the
+//! submitting thread), routing, the dispatcher thread, wave execution with
+//! class priority and cancellation, between-wave database updates, and
+//! graceful shutdown.
 
 use crate::admission::{AdmissionQueue, AdmitError, Popped};
 use crate::config::ServiceConfig;
@@ -25,7 +26,8 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_DATABASE: &str = "default";
 
 /// Where a job's outcome goes: a ticket's one-shot channel, or a callback
-/// (the wire server's per-connection writer).
+/// (the wire server's per-connection writer). Either is invoked on the
+/// submitting thread for a query answered at admission.
 pub(crate) enum ReplySink {
     Channel(mpsc::Sender<Outcome>),
     Callback(Box<dyn FnOnce(Outcome) + Send>),
@@ -86,11 +88,18 @@ struct Inner {
 /// Clients on any thread [`submit`](Service::submit) queries — optionally
 /// routed by database id, classed `Interactive` or `Batch`, and bounded by
 /// a deadline via [`submit_with`](Service::submit_with) — and block on (or
-/// poll) the returned [`Ticket`]s. A dispatcher thread coalesces the
-/// admission queue into waves (interactive first), runs each tenant's
-/// sub-batch on that tenant's engine, and streams each query's answer back
-/// as its work units complete. See the [crate documentation](crate) for the
-/// architecture and the determinism contract.
+/// poll) the returned [`Ticket`]s. A query is first planned on the
+/// submitting thread, under its tenant's read guard: if the marginal cache
+/// answers it whole, the ticket is resolved before `submit` returns and
+/// the query never enters the admission queue (so `max_queue` never sheds
+/// it). Everything else — a miss, a top-k walk that reaches an uncached
+/// session, a grounding error, an expired deadline, any query while an
+/// update to its database is pending, and every update — is queued. A
+/// dispatcher thread coalesces the admission queue into waves (interactive
+/// first), runs each tenant's sub-batch on that tenant's engine, and
+/// streams each query's answer back as its work units complete. See the
+/// [crate documentation](crate) for the architecture and the determinism
+/// contract.
 ///
 /// Databases are *live*: [`submit_update`](Service::submit_update) admits a
 /// mutation through the same queue, and the dispatcher applies it at the
@@ -170,8 +179,12 @@ impl Service {
     ) -> Result<Ticket, ServiceError> {
         let (reply, receiver) = mpsc::channel();
         let query_name = request.query().name().to_string();
-        let (cancel, read_version, trace) =
-            self.enqueue(Work::Query(request), options, ReplySink::Channel(reply))?;
+        let (cancel, read_version, trace) = self.enqueue(
+            Work::Query(request),
+            options,
+            ReplySink::Channel(reply),
+            |_| {},
+        )?;
         Ok(Ticket::new(
             query_name,
             receiver,
@@ -202,8 +215,12 @@ impl Service {
         options: SubmitOptions,
     ) -> Result<Ticket, ServiceError> {
         let (reply, receiver) = mpsc::channel();
-        let (cancel, read_version, trace) =
-            self.enqueue(Work::Update(update), options, ReplySink::Channel(reply))?;
+        let (cancel, read_version, trace) = self.enqueue(
+            Work::Update(update),
+            options,
+            ReplySink::Channel(reply),
+            |_| {},
+        )?;
         Ok(Ticket::new(
             "update".into(),
             receiver,
@@ -214,29 +231,35 @@ impl Service {
     }
 
     /// Callback-style submission, used by the wire server: `callback` is
-    /// invoked exactly once with the outcome, from a dispatcher or engine
-    /// worker thread — it must hand off quickly and must not call back into
-    /// this service. Returns the cancel token and the submission's trace id.
+    /// invoked exactly once with the outcome — on this thread, before this
+    /// returns, for a query answered at admission; otherwise from a
+    /// dispatcher or engine worker thread. It must hand off quickly and
+    /// must not call back into this service. `on_queued` runs only for a
+    /// job that enters the admission queue, with its cancel token, before
+    /// the dispatcher can see the job (so before `callback` can run).
     pub(crate) fn submit_callback(
         &self,
         work: Work,
         options: SubmitOptions,
         callback: Box<dyn FnOnce(Outcome) + Send>,
-    ) -> Result<(CancelToken, u64), ServiceError> {
-        self.enqueue(work, options, ReplySink::Callback(callback))
-            .map(|(cancel, _, trace)| (cancel, trace))
+        on_queued: impl FnOnce(&CancelToken),
+    ) -> Result<(), ServiceError> {
+        self.enqueue(work, options, ReplySink::Callback(callback), on_queued)
+            .map(drop)
     }
 
-    /// Routes and enqueues one job, returning its cancel token, the routed
+    /// Routes one job and answers it at admission if the cache holds its
+    /// answer whole, or enqueues it. Returns its cancel token, the routed
     /// database's version at admission time, and its trace id.
     fn enqueue(
         &self,
         work: Work,
         options: SubmitOptions,
         reply: ReplySink,
+        on_queued: impl FnOnce(&CancelToken),
     ) -> Result<(CancelToken, u64, u64), ServiceError> {
-        let tenant = self.inner.router.route(options.database.as_deref())?;
-        let read_version = self.inner.router.tenant(tenant).version();
+        let index = self.inner.router.route(options.database.as_deref())?;
+        let tenant = self.inner.router.tenant(index);
         let cancel = CancelToken::new(options.deadline.map(|d| Instant::now() + d));
         // Budgets steer solver choice; updates evaluate nothing.
         let budget = match work {
@@ -245,7 +268,7 @@ impl Service {
         };
         let trace = self.inner.obs.trace().assign();
         let job = Job {
-            tenant,
+            tenant: index,
             work,
             class: options.class,
             budget,
@@ -254,22 +277,64 @@ impl Service {
             trace,
             reply,
         };
+        let obs = &self.inner.obs;
+        if let Some((answer, version)) = self.answer_at_admission(&job) {
+            obs.answered_at_admission(trace, &tenant.id, options.class);
+            finish(&self.inner, job, Ok(answer), version);
+            return Ok((cancel, version, trace));
+        }
+        let is_update = matches!(job.work, Work::Update(_));
+        if is_update {
+            tenant.update_admitted();
+        }
+        let read_version = tenant.version();
         // The admission is recorded from inside the push, *before* the job
         // is visible: the dispatcher can pop it (recording `wave-joined`) and
         // deliver it before this thread resumes, and a traced timeline must
         // still start at `admitted`.
-        let obs = &self.inner.obs;
-        let tenant_id = &self.inner.router.tenant(tenant).id;
         let admitted = self.inner.queue.push(options.class, job, |depth| {
-            obs.admitted(trace, tenant_id, options.class, depth)
+            obs.admitted(trace, &tenant.id, options.class, depth);
+            on_queued(&cancel);
         });
         let error = match admitted {
             Ok(()) => return Ok((cancel, read_version, trace)),
             Err(AdmitError::Overloaded { depth }) => ServiceError::Overloaded { depth },
             Err(AdmitError::ShuttingDown) => ServiceError::ShuttingDown,
         };
+        if is_update {
+            tenant.update_settled();
+        }
         obs.rejected(trace, options.class, &error);
         Err(error)
+    }
+
+    /// The answer to a query job the marginal cache holds whole, planned on
+    /// the calling thread under its tenant's read guard, with the version it
+    /// was computed against. `None` — the job queues — for an update, for
+    /// any query while an update to its tenant is pending (a query admitted
+    /// after an update reads what it wrote), for a cancelled job, after
+    /// shutdown has begun, and whenever [`Engine::answer_cached`] finds
+    /// something to solve or an error to report. The guard is released
+    /// before the caller delivers, so a slow reader never holds up an
+    /// update.
+    fn answer_at_admission(&self, job: &Job) -> Option<(Answer, u64)> {
+        let Work::Query(request) = &job.work else {
+            return None;
+        };
+        let tenant = self.inner.router.tenant(job.tenant);
+        if tenant.updates_pending()
+            || job.cancel.is_cancelled()
+            || self.inner.queue.is_shutting_down()
+        {
+            return None;
+        }
+        let topk = match request {
+            Request::TopK { k, strategy, .. } => Some((*k, *strategy)),
+            _ => None,
+        };
+        let db = tenant.read_db();
+        let answer = (tenant.engine).answer_cached(&db, request.query(), topk, job.budget)?;
+        Some((project(request, answer), db.version()))
     }
 
     /// Snapshot of the service's activity — read from the instruments the
@@ -421,7 +486,9 @@ struct Group<'w> {
 }
 
 /// Executes one wave: **plan first, hold the batching window only if the
-/// plan left something to solve.**
+/// plan left something to solve.** Most warm hits never get here — they
+/// are answered at admission ([`Service::submit`]); the plan stage below
+/// still delivers the hits that queued, e.g. behind an update.
 ///
 /// 1. Updates apply, in wave order (interactive lane before batch — the
 ///    wave is already ordered that way), while no read guard is held — the
@@ -637,36 +704,31 @@ fn deliver(
 /// Applies one admitted update to its tenant's database and delivers the
 /// receipt. Runs on the dispatcher thread before the wave's queries are
 /// planned, while no wave holds a read guard — the only place the database
-/// is ever written.
+/// is ever written. The update is settled before its receipt goes out, so
+/// a query submitted once the receipt is in may be answered at admission
+/// again, against the new snapshot.
 fn run_update(inner: &Inner, job: Job) {
-    if job.cancel.is_cancelled() {
-        let delivery = Err(eval_error(&job, PpdError::Cancelled));
-        finish(inner, job, delivery, 0);
-        return;
-    }
     let Work::Update(update) = &job.work else {
         unreachable!("only update jobs reach run_update");
     };
-    let update = update.clone();
     let tenant: &Tenant = inner.router.tenant(job.tenant);
-    match tenant.apply_update(update) {
-        Ok((version, invalidated)) => {
-            inner.obs.update_applied();
-            finish(
-                inner,
-                job,
-                Ok(Answer::Updated {
+    let (delivery, version) = if job.cancel.is_cancelled() {
+        (Err(eval_error(&job, PpdError::Cancelled)), 0)
+    } else {
+        match tenant.apply_update(update.clone()) {
+            Ok((version, invalidated)) => {
+                inner.obs.update_applied();
+                let receipt = Answer::Updated {
                     version,
                     invalidated,
-                }),
-                version,
-            );
+                };
+                (Ok(receipt), version)
+            }
+            Err(e) => (Err(eval_error(&job, e)), 0),
         }
-        Err(e) => {
-            let delivery = Err(eval_error(&job, e));
-            finish(inner, job, delivery, 0);
-        }
-    }
+    };
+    tenant.update_settled();
+    finish(inner, job, delivery, version);
 }
 
 /// Maps an engine error onto the service error a client should see: a

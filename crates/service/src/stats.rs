@@ -8,9 +8,10 @@ use std::time::Duration;
 
 /// Snapshot of a service's activity since construction.
 ///
-/// `answered + failed + expired` accounts for every job that left the
-/// queue; `submitted − answered − failed − expired − queue_depth` is the
-/// number currently being solved. Per-class splits of `submitted` and
+/// `answered + failed + expired` accounts for every admitted job, whether
+/// it was answered at admission or left the queue;
+/// `submitted − answered − failed − expired − queue_depth` is the number
+/// currently being solved. Per-class splits of `submitted` and
 /// `rejected` are in the `interactive_*` / `batch_*` fields.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
@@ -28,6 +29,11 @@ pub struct ServiceStats {
     pub batch_rejected: u64,
     /// Queries answered successfully.
     pub answered: u64,
+    /// Of `answered`, the queries the marginal cache answered whole at
+    /// admission, on the submitting thread: they never entered the queue or
+    /// a wave, so `wave_sizes` carries `submitted − answered_at_admission`
+    /// jobs once the service is idle.
+    pub answered_at_admission: u64,
     /// Queries delivered an evaluation error.
     pub failed: u64,
     /// Queries resolved `DeadlineExceeded` or abandoned by cancellation.
@@ -78,21 +84,22 @@ impl ServiceStats {
 }
 
 /// One-line summary for service logs, e.g. `service: 40 submitted (30
-/// interactive / 10 batch, 2 rejected), 36 answered, 1 failed, 1 expired,
-/// 0 queued; 5 waves (mean 7.6, max 12); latency mean 3.2ms, max 11.0ms |
-/// marginals …`.
+/// interactive / 10 batch, 2 rejected), 36 answered (20 at admission), 1
+/// failed, 1 expired, 0 updates, 0 queued; 5 waves (mean 7.6, max 12);
+/// latency mean 3.2ms, max 11.0ms | marginals …`.
 impl std::fmt::Display for ServiceStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "service: {} submitted ({} interactive / {} batch, {} rejected), \
-             {} answered, {} failed, {} expired, {} updates, {} queued; \
+             {} answered ({} at admission), {} failed, {} expired, {} updates, {} queued; \
              {} waves (mean {:.1}, max {}); latency mean {:.1?}, max {:.1?} | {}",
             self.submitted,
             self.interactive_submitted,
             self.batch_submitted,
             self.rejected,
             self.answered,
+            self.answered_at_admission,
             self.failed,
             self.expired,
             self.updates_applied,

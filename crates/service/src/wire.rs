@@ -51,6 +51,7 @@
 //! calls with `to_bits()`. Everything here is `std::net` + `std::thread`;
 //! no async runtime.
 
+use crate::deadline::CancelToken;
 use crate::request::{
     AdmissionClass, Answer, Delivery, Outcome, Request, ServiceError, SubmitOptions,
 };
@@ -80,9 +81,11 @@ use std::time::Duration;
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// How long a reply may sit in `write` making no progress before the server
-/// gives the connection up. Replies are written on the dispatcher thread, so
-/// a peer that stops reading would otherwise stall every tenant's next wave
-/// once its socket buffer fills; a live reader frees buffer space
+/// gives the connection up. A reply to a query answered at admission is
+/// written on the connection's own thread, so a peer that stops reading
+/// stalls only itself there; every other reply is written on the
+/// dispatcher thread, where such a peer would stall every tenant's next
+/// wave once its socket buffer fills. A live reader frees buffer space
 /// continuously and never comes near this.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
@@ -288,10 +291,9 @@ fn serve_connection<S: WireStream>(stream: S, service: &Arc<Service>, stop: &Ato
         return;
     };
     let writer = Arc::new(Mutex::new(write_half));
-    // Requests this connection has in flight, so a disconnect releases
-    // their claim (like dropping a ticket). Callbacks prune their own entry
-    // after writing; the (benign) race where a callback fires before its
-    // token is inserted just leaves a spent token behind until disconnect.
+    // Requests this connection has queued, so a disconnect releases their
+    // claim (like dropping a ticket). Each is filed before the dispatcher
+    // can see it and pruned by its own reply after writing.
     let in_flight: InFlight = Arc::new(Mutex::new(HashMap::new()));
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
@@ -326,8 +328,8 @@ fn serve_connection<S: WireStream>(stream: S, service: &Arc<Service>, stop: &Ato
     }
 }
 
-/// Requests a connection has in flight, by frame id.
-type InFlight = Arc<Mutex<HashMap<u64, crate::deadline::CancelToken>>>;
+/// Requests a connection has queued, by frame id.
+type InFlight = Arc<Mutex<HashMap<u64, CancelToken>>>;
 
 fn handle_frame<S: WireStream>(
     frame: &str,
@@ -398,14 +400,15 @@ fn submit_frame<S: WireStream>(
             .expect("wire connection poisoned")
             .remove(&id);
     });
-    match service.submit_callback(work, options, reply) {
-        Ok((token, _trace)) => {
-            in_flight
-                .lock()
-                .expect("wire connection poisoned")
-                .insert(id, token);
-        }
-        Err(e) => write_line(writer, encode_response(id, &Err(e), 0, 0)),
+    // A queued job's token is filed before the dispatcher can see the job,
+    // so its reply always finds the entry to remove; a query answered at
+    // admission was written above, on this thread, and files nothing.
+    let queued = |token: &CancelToken| {
+        let mut in_flight = in_flight.lock().expect("wire connection poisoned");
+        in_flight.insert(id, token.clone());
+    };
+    if let Err(e) = service.submit_callback(work, options, reply, queued) {
+        write_line(writer, encode_response(id, &Err(e), 0, 0));
     }
 }
 
@@ -562,6 +565,16 @@ impl WireClient {
         self.recv(id)
     }
 
+    /// Sends one database update frame without waiting; returns the frame
+    /// id whose [`WireClient::recv`] yields the [`Answer::Updated`] receipt.
+    pub fn send_update(
+        &mut self,
+        update: &Update,
+        options: &SubmitOptions,
+    ) -> Result<u64, ServiceError> {
+        self.send_frame(|id| encode_update_request(id, update, options))
+    }
+
     /// Sends one database update and blocks for its receipt, returning the
     /// new version id and the number of cached work units the server
     /// invalidated.
@@ -570,7 +583,7 @@ impl WireClient {
         update: &Update,
         options: &SubmitOptions,
     ) -> Result<(u64, u64), ServiceError> {
-        let id = self.send_frame(|id| encode_update_request(id, update, options))?;
+        let id = self.send_update(update, options)?;
         match self.recv(id)? {
             Answer::Updated {
                 version,
@@ -1374,7 +1387,10 @@ wire_struct! { Tenant { database, version, cache } }
 
 wire_struct! { ServiceStats {
     submitted, rejected, interactive_submitted, interactive_rejected, batch_submitted,
-    batch_rejected, answered, failed, expired, updates_applied,
+    batch_rejected, answered,
+    // Sent only when nonzero: a parent-version server never sends it.
+    answered_at_admission [skip 0],
+    failed, expired, updates_applied,
     queue_depth, interactive_queue_depth, batch_queue_depth,
     uptime as "uptime_ns": Nanos,
     in_flight_waves, waves, max_wave, wave_sizes,
@@ -1841,6 +1857,33 @@ mod tests {
     }
 
     #[test]
+    fn stats_replies_of_a_parent_version_server_decode_without_answered_at_admission() {
+        // The key is sent only when nonzero, and a server from before the
+        // service answered at admission never sends it: its reply decodes
+        // to the same report with the field 0.
+        let stats = ServiceStats {
+            answered: 7,
+            answered_at_admission: 5,
+            ..ServiceStats::default()
+        };
+        let current = encode_stats_response(16, &stats, &[]);
+        assert!(
+            current.contains(r#""answered_at_admission": 5, "#),
+            "{current}"
+        );
+        let parent = current.replace(r#""answered_at_admission": 5, "#, "");
+        let Payload::Stats { service, .. } = read_payload(&parent) else {
+            panic!("not a stats payload: {parent}");
+        };
+        let without = ServiceStats {
+            answered_at_admission: 0,
+            ..stats
+        };
+        assert_eq!(service, without);
+        assert_eq!(parent, encode_stats_response(16, &without, &[]));
+    }
+
+    #[test]
     fn metrics_frames_round_trip() {
         assert!(matches!(
             decode_frame(r#"{"id": 8, "kind": "metrics"}"#),
@@ -2182,6 +2225,7 @@ mod tests {
                 batch_submitted: u64::draw(rng),
                 batch_rejected: u64::draw(rng),
                 answered: u64::draw(rng),
+                answered_at_admission: u64::draw(rng),
                 failed: u64::draw(rng),
                 expired: u64::draw(rng),
                 updates_applied: u64::draw(rng),
@@ -2494,6 +2538,7 @@ mod tests {
             batch_submitted: 5,
             batch_rejected: 6,
             answered: 7,
+            answered_at_admission: 0,
             failed: 8,
             expired: 9,
             updates_applied: 10,
@@ -2614,6 +2659,13 @@ mod tests {
         ));
         encoded.push(encode_trace_response(19, 17, &events));
         encoded.push(encode_trace_response(20, 99, &[]));
+        let at_admission = ServiceStats {
+            submitted: 4,
+            answered: 4,
+            answered_at_admission: 3,
+            ..ServiceStats::default()
+        };
+        encoded.push(encode_stats_response(21, &at_admission, &[]));
         let golden: &[&str] = &[
             r##"{"class": "batch", "confidence": 0.95, "database": "polls", "deadline_ms": 250, "epsilon": 0.01, "id": 1, "kind": "boolean", "query": {"atoms": [{"relation": "Candidates", "terms": [{"var": "x"}, {"var": "party"}, "_"]}, {"relation": "Empty", "terms": []}], "compare": [{"op": "=", "value": "blue", "var": "party"}, {"op": "!=", "value": null, "var": "party"}, {"op": "<", "value": -3, "var": "year"}, {"op": "<=", "value": 1990, "var": "year"}, {"op": ">", "value": "1980", "var": "year"}, {"op": ">=", "value": 9223372036854775807, "var": "year"}], "name": "golden", "prefer": [{"left": {"var": "x"}, "relation": "Polls", "right": {"val": "cand \"1\"\n"}, "sessions": [{"var": "v"}, "_", {"val": null}]}, {"left": {"val": 7}, "relation": "Polls", "right": {"var": "y"}, "sessions": []}]}}"##,
             r##"{"class": "batch", "confidence": 0.95, "database": "polls", "deadline_ms": 250, "epsilon": 0.01, "id": 2, "kind": "count", "query": {"atoms": [{"relation": "Candidates", "terms": [{"var": "x"}, {"var": "party"}, "_"]}, {"relation": "Empty", "terms": []}], "compare": [{"op": "=", "value": "blue", "var": "party"}, {"op": "!=", "value": null, "var": "party"}, {"op": "<", "value": -3, "var": "year"}, {"op": "<=", "value": 1990, "var": "year"}, {"op": ">", "value": "1980", "var": "year"}, {"op": ">=", "value": 9223372036854775807, "var": "year"}], "name": "golden", "prefer": [{"left": {"var": "x"}, "relation": "Polls", "right": {"val": "cand \"1\"\n"}, "sessions": [{"var": "v"}, "_", {"val": null}]}, {"left": {"val": 7}, "relation": "Polls", "right": {"var": "y"}, "sessions": []}]}}"##,
@@ -2658,6 +2710,7 @@ mod tests {
             r##"{"id": 18, "ok": {"kind": "metrics", "text": "# TYPE ppd_waves counter\nppd_waves 4\n"}}"##,
             r##"{"id": 19, "ok": {"events": [{"at_micros": 10, "class": "batch", "depth": 2, "event": "admitted", "seq": 1, "tenant": "polls"}, {"at_micros": 20, "cached": 1, "event": "wave-joined", "seq": 2, "units": 3, "wave_units": 6}, {"at_micros": 30, "event": "unit-solved", "micros": 15, "seq": 3, "solver": "mis-amp", "unit_hash": 18446744073709551615}, {"at_micros": 40, "event": "delivered", "micros": 40, "seq": 4}, {"at_micros": 50, "event": "expired", "micros": 50, "seq": 5}, {"at_micros": 60, "event": "cancelled", "micros": 60, "seq": 6}, {"at_micros": 70, "error_kind": "solver", "event": "failed", "micros": 70, "seq": 7}], "kind": "trace", "trace": 17}}"##,
             r##"{"id": 20, "ok": {"events": [], "kind": "trace", "trace": 99}}"##,
+            r##"{"id": 21, "ok": {"kind": "stats", "service": {"answered": 4, "answered_at_admission": 3, "batch_queue_depth": 0, "batch_rejected": 0, "batch_submitted": 0, "cache": {"compactions": 0, "marginal_evicted_bytes": 0, "marginal_evictions": 0, "marginal_hits": 0, "marginal_misses": 0, "marginals_loaded": 0, "marginals_saved": 0, "models_prepared": 0, "pool_hits": 0, "pools_built": 0, "segment_dead_bytes": 0, "segment_live_bytes": 0, "units_invalidated": 0}, "expired": 0, "failed": 0, "in_flight_waves": 0, "interactive_queue_depth": 0, "interactive_rejected": 0, "interactive_submitted": 0, "max_latency_ns": 0, "max_wave": 0, "mean_latency_ns": 0, "queue_depth": 0, "rejected": 0, "submitted": 4, "updates_applied": 0, "uptime_ns": 0, "wave_sizes": [], "waves": 0}, "tenants": []}}"##,
         ];
         assert_eq!(encoded.len(), golden.len());
         for (frame, expected) in encoded.iter().zip(golden) {
@@ -2734,6 +2787,47 @@ mod tests {
             )
             .into_bytes()
         );
+    }
+
+    #[test]
+    fn warm_calls_answered_at_admission_leave_nothing_in_flight() {
+        use crate::config::ServiceConfig;
+        use ppd_core::EvalConfig;
+        use ppd_datagen::{polls_database, polls_q1_query, PollsConfig};
+        let db = polls_database(&PollsConfig {
+            num_candidates: 5,
+            num_voters: 8,
+            seed: 11,
+        });
+        let service = Arc::new(Service::new(db, ServiceConfig::new(EvalConfig::exact())));
+        let warm = Request::Boolean(polls_q1_query());
+        service.submit(warm.clone()).unwrap().wait().unwrap();
+        let writer = Arc::new(Mutex::new(CountingWriter::default()));
+        let in_flight: InFlight = Arc::default();
+        let options = SubmitOptions::interactive();
+        const CALLS: u64 = 10_000;
+        for id in 1..=CALLS {
+            let frame = decode_submission(&encode_request(id, &warm, &options));
+            submit_frame(frame, &service, &writer, &in_flight);
+        }
+        assert_eq!(writer.lock().unwrap().writes as u64, CALLS);
+        assert!(
+            in_flight.lock().unwrap().is_empty(),
+            "answers written at admission left spent tokens behind"
+        );
+        assert_eq!(service.stats().answered_at_admission, CALLS);
+
+        // A queued request is filed until its reply prunes it.
+        let cold = Request::Count(demo_query());
+        let frame = decode_submission(&encode_request(CALLS + 1, &cold, &options));
+        submit_frame(frame, &service, &writer, &in_flight);
+        let started = std::time::Instant::now();
+        while writer.lock().unwrap().writes as u64 == CALLS {
+            assert!(started.elapsed() < Duration::from_secs(10), "no reply");
+            std::thread::yield_now();
+        }
+        assert!(in_flight.lock().unwrap().is_empty());
+        assert_eq!(service.stats().answered_at_admission, CALLS);
     }
 
     #[test]

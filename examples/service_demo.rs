@@ -8,7 +8,8 @@
 //! * clients submit concurrently on a cold cache, so the first wave finds
 //!   units to solve, holds its batching window, and the others' queries
 //!   join it (see `waves (mean …)` in the stats line) — a warm service
-//!   would answer each from its plan without holding anything;
+//!   answers each query on the client's own thread, at admission, without
+//!   queueing it at all (`answered (… at admission)`);
 //! * overlapping queries share deduplicated work units through the one
 //!   engine — the cache hit rate at the end is the work the service never
 //!   had to repeat;

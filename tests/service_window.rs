@@ -7,7 +7,8 @@
 //!   admitted after it) belongs to the next wave;
 //! * planning solves nothing — a top-k the cache answers only halfway waits
 //!   its turn behind the interactive lane;
-//! * under backlog, waves still batch.
+//! * a warm request is answered at admission, so only a cold backlog
+//!   forms waves — and under backlog, waves still batch.
 
 use ppd::datagen::{polls_database, polls_q1_query, PollsConfig};
 use ppd::prelude::*;
@@ -156,6 +157,13 @@ fn a_warm_request_joining_a_held_window_is_answered_at_once() {
         cold.try_wait().is_none(),
         "the cold request is still holding its window"
     );
+    let held = service.stats();
+    assert_eq!(
+        (held.answered_at_admission, held.in_flight_waves),
+        (1, 1),
+        "the warm request was answered at admission while the cold one held \
+         its window: {held}"
+    );
     let reference = Engine::new(EvalConfig::exact());
     assert_eq!(
         warm_answer,
@@ -166,8 +174,12 @@ fn a_warm_request_joining_a_held_window_is_answered_at_once() {
         Answer::Boolean(reference.evaluate_boolean(&db, &cold_query).unwrap())
     );
     let stats = service.shutdown();
-    assert_eq!(stats.waves, 1, "the joiner rode the held wave");
-    assert_eq!(stats.max_wave, 2);
+    assert_eq!(stats.waves, 1, "only the cold request formed a wave");
+    assert_eq!(
+        stats.wave_sizes,
+        vec![(1, 1)],
+        "the cold wave stayed size 1"
+    );
 }
 
 #[test]
@@ -312,25 +324,20 @@ fn a_half_cached_batch_top_k_solves_after_its_interactive_wave_mate() {
     );
 }
 
-#[test]
-fn pipelined_clients_still_share_waves_on_a_warm_service() {
-    const CLIENTS: usize = 4;
-    const IN_FLIGHT: usize = 16;
-    const ROUNDS: usize = 4;
-    let db = database();
-    let service = Arc::new(Service::new(
-        db.clone(),
-        ServiceConfig::new(EvalConfig::exact()),
-    ));
-    let solved = warm(&service);
+const CLIENTS: usize = 4;
+const IN_FLIGHT: usize = 16;
+
+/// Serves `service` over TCP to `CLIENTS` wire clients, each pipelining
+/// `IN_FLIGHT` requests of `mix` per round before its first read, and
+/// checks every answer against a fresh engine's, bit for bit.
+fn pipelined_clients(service: &Arc<Service>, db: &PpdDatabase, rounds: usize) {
     let reference = Engine::new(EvalConfig::exact());
     let expected: Vec<Answer> = mix()
         .iter()
-        .map(|request| direct(&reference, &db, request))
+        .map(|request| direct(&reference, db, request))
         .collect();
-    let server = WireServer::bind_tcp("127.0.0.1:0", Arc::clone(&service)).expect("bind tcp");
+    let server = WireServer::bind_tcp("127.0.0.1:0", Arc::clone(service)).expect("bind tcp");
     let addr = server.local_addr().expect("bound");
-
     std::thread::scope(|scope| {
         for client in 0..CLIENTS {
             let expected = &expected;
@@ -338,7 +345,7 @@ fn pipelined_clients_still_share_waves_on_a_warm_service() {
                 let mut wire = WireClient::connect_tcp(addr).expect("connect");
                 let options = SubmitOptions::interactive();
                 let mix = mix();
-                for _ in 0..ROUNDS {
+                for _ in 0..rounds {
                     // Sixteen requests on the wire before the first read.
                     let sent: Vec<(u64, usize)> = (0..IN_FLIGHT)
                         .map(|i| {
@@ -358,13 +365,41 @@ fn pipelined_clients_still_share_waves_on_a_warm_service() {
         }
     });
 
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_clients_still_share_waves_on_a_warm_service() {
+    const ROUNDS: usize = 4;
+    let db = database();
+    let service = Arc::new(Service::new(
+        db.clone(),
+        ServiceConfig::new(EvalConfig::exact()),
+    ));
+    let solved = warm(&service);
+    pipelined_clients(&service, &db, ROUNDS);
     let stats = service.stats();
-    assert_eq!(stats.answered as usize, CLIENTS * IN_FLIGHT * ROUNDS);
+    let requests = (CLIENTS * IN_FLIGHT * ROUNDS) as u64;
+    assert_eq!(stats.answered, requests);
     assert_eq!(stats.cache.marginal_misses, solved);
+    assert_eq!(
+        stats.answered_at_admission, requests,
+        "every warm request was answered at admission: {stats}"
+    );
+
+    // Cold, the same backlog queues, and its waves still batch: the first
+    // holds its window until the whole backlog has joined it.
+    let cold = Arc::new(Service::new(
+        db.clone(),
+        ServiceConfig::new(EvalConfig::exact())
+            .with_max_batch(CLIENTS * IN_FLIGHT)
+            .with_max_wait(Duration::from_secs(5)),
+    ));
+    pipelined_clients(&cold, &db, 1);
+    let stats = cold.stats();
     assert!(
         stats.max_wave > 1,
         "a backlog of {} requests in flight never shared a wave: {stats}",
         CLIENTS * IN_FLIGHT
     );
-    server.shutdown();
 }
